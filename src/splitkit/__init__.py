@@ -31,7 +31,6 @@ from .splitting import (
     compute_fast_line,
     compute_slow_plane,
     domination_report,
-    restricted_growth,
     splitting_sample,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "compute_fast_line",
     "compute_slow_plane",
     "domination_report",
-    "restricted_growth",
     "splitting_sample",
 ]

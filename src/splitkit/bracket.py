@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, cocycle
+from .dynamics import Diffeo, _push_forward, _tangent_orbit, cocycle
 from .errors import ChartExitError, ConvergenceError
-from .frames import AdaptedFrame, PullbackFrame, aligned_pair_field, pullback_plane_at
-from .geometry import Line1, project_along
-from .splitting import (
-    _as_plane_field,
-    compute_fast_line,
-    splitting_sample,
-    swept_growth,
+from .frames import (
+    AdaptedFrame,
+    PullbackFrame,
+    aligned_pair_field,
+    pullback_plane_at,
+    svd_orthonormal_pair,
 )
+from .geometry import Line1, project_along
+from .splitting import _as_plane_field, compute_fast_line, fitted_rate, swept_growth
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
@@ -152,8 +153,6 @@ def projected_bracket_norm(
     ``fast_line`` defaults to the depth-k pushforward line.  Synthetic plane
     fields with trivial dynamics are supported by passing both explicitly.
     """
-    from .frames import svd_orthonormal_pair
-
     x = np.asarray(x, dtype=float)
     if plane_field is None:
         plane_field = lambda p: pullback_plane_at(phi, p, E0, k) if k else _as_plane_field(E0)(p)
@@ -291,10 +290,7 @@ def bound_curve(
     fixed step would alias the depth-k coefficients, and the adapted step
     also keeps the stencil's orbit tube at constant thickness h.
     """
-    from .splitting import fitted_rate
-
     x = np.asarray(x, dtype=float)
-    s = splitting_sample(phi, x, E0=E0, L0=L0, k_plane=k_plane, k_line=k_line)
     growth = swept_growth(
         phi, x, k_max, E0=E0, L0=L0, burn_in_plane=k_plane, burn_in_line=k_line
     )
@@ -342,22 +338,16 @@ def det_comparison(phi: Diffeo, x, k_max: int, E0=None, k_plane=400, drift_facto
     the tail is flagged invalid (double precision is exhausted, the true
     quotient stays bounded).
     """
-    from .dynamics import orbit
-
     x = np.asarray(x, dtype=float)
     g = swept_growth(phi, x, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=1)
     log_det_E = g.log_s1 + g.log_s2
 
-    pts = orbit(phi, x, k_max)
-    diffs = [phi.differential(p) for p in pts[:-1]]
+    _, diffs = _tangent_orbit(phi, x, k_max)
     quotients = np.empty(k_max)
     for k in range(1, k_max + 1):
         Q = pullback_plane_at(phi, x, E0, k).orthonormal_basis()
-        log_det = 0.0
-        for j in range(k):
-            M = diffs[j] @ Q
-            Q, R = np.linalg.qr(M)
-            log_det += np.log(abs(R[0, 0] * R[1, 1]))
+        _, Rs = _push_forward(diffs[:k], Q)
+        log_det = sum(np.log(abs(R[0, 0] * R[1, 1])) for R in Rs)
         quotients[k - 1] = np.exp(log_det - log_det_E[k - 1])
     valid = np.ones(k_max, dtype=bool)
     for k in range(1, k_max):

@@ -9,9 +9,7 @@ numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +35,6 @@ from .uniqueness import leaf_divergence, pullback_hartman_report
 # The computed spectrum of PAPER_MATRIX is (-0.1001, -3.1110, +3.2111); the
 # reports carry both so the discrepancy is visible, not silently corrected.
 QUOTED_EIGENVALUES = (-0.11, 3.11, -3.21)
-
-
-def _mapper():
-    threads = int(os.environ.get("SPLITKIT_THREADS", "1"))
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
 
 
 def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
@@ -128,21 +118,15 @@ def cmd_paper_example(out_dir: Path | None) -> dict:
 def cmd_splitting(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
     phi = cfg.build_diffeo()
     _amplitude_guard(phi, cfg)
-    mapper, pool = _mapper()
-    try:
-        with timer.time("splitting"):
-            rep = domination_report(
-                phi,
-                cfg.sample_points(),
-                cfg.k_max,
-                E0=cfg.initial_plane(),
-                k_plane=cfg.k_plane,
-                k_line=cfg.k_line,
-                mapper=mapper,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with timer.time("splitting"):
+        rep = domination_report(
+            phi,
+            cfg.sample_points(),
+            cfg.k_max,
+            E0=cfg.initial_plane(),
+            k_plane=cfg.k_plane,
+            k_line=cfg.k_line,
+        )
 
     if not rep.samples:
         raise ConvergenceError(

@@ -216,10 +216,6 @@ class Diffeo:
     def inverse(self):
         return Diffeo(tuple(_Inverted(s) for s in reversed(self.stages)))
 
-    def compose_after(self, other):
-        """The map x -> self(other(x))."""
-        return Diffeo(other.stages + self.stages)
-
     def shear_stages(self):
         return [s for s in self.stages if isinstance(s, ShearPerturbation)]
 
@@ -244,19 +240,14 @@ def _stage_from_spec(s):
 
 @dataclass(frozen=True)
 class Cocycle:
-    """Orbit points and the stepwise products D(phi^k) along it."""
+    """Orbit points and the product D(phi^k) (or D(phi^-k)) along them."""
 
     point: np.ndarray
     horizon: int
     direction: str  # "forward" | "inverse"
-    points: tuple  # orbit points, length k+1
-    step_matrices: tuple  # one-step differentials along the orbit
-    matrices: tuple  # cumulative products, matrices[j] = D(phi^(+-j)) at point
+    points: tuple  # orbit points, length horizon + 1
+    final: np.ndarray  # D(phi^(+-horizon)) at point
     overflow: bool = False
-
-    @property
-    def final(self):
-        return self.matrices[-1]
 
 
 def orbit(phi: Diffeo, x, k: int, direction="forward"):
@@ -266,6 +257,54 @@ def orbit(phi: Diffeo, x, k: int, direction="forward"):
     for _ in range(k):
         pts.append(step(pts[-1]))
     return pts
+
+
+def _tangent_orbit(phi: Diffeo, x, k: int):
+    """Forward orbit x, ..., phi^k(x) and the one-step differentials D_i at x_i, i < k."""
+    pts = orbit(phi, x, k)
+    return pts, [phi.differential(p) for p in pts[:-1]]
+
+
+def _pull_back(diffs, basis):
+    """Pull an orthonormal 3x2 basis back through the one-step differentials.
+
+    Returns the bases Q_0..Q_k, with Q_k = ``basis`` and
+    Q_i R_i = D_i^-1 Q_(i+1) (solve, then QR), and the factors R_0..R_(k-1).
+    """
+    Qs = [None] * len(diffs) + [basis]
+    Rs = [None] * len(diffs)
+    for i in range(len(diffs) - 1, -1, -1):
+        Qs[i], Rs[i] = np.linalg.qr(np.linalg.solve(diffs[i], Qs[i + 1]))
+    return Qs, Rs
+
+
+def _push_forward(diffs, basis):
+    """Push a 3x2 basis forward: Q_0 = ``basis``, Q_(i+1) R_i = D_i Q_i.
+
+    Returns the bases Q_0..Q_k and the factors R_0..R_(k-1).
+    """
+    Qs = [basis]
+    Rs = []
+    for D in diffs:
+        Q, R = np.linalg.qr(D @ Qs[-1])
+        Qs.append(Q)
+        Rs.append(R)
+    return Qs, Rs
+
+
+def _push_forward_line(diffs, v):
+    """Push a vector forward with normalization: v_0 = ``v``, v_(i+1) = D_i v_i / ||D_i v_i||.
+
+    Returns the vectors v_0..v_k and the sum of the log norms log ||D_i v_i||.
+    """
+    vs = [v]
+    log_n = 0.0
+    for D in diffs:
+        w = D @ vs[-1]
+        n = np.linalg.norm(w)
+        log_n += np.log(n)
+        vs.append(w / n)
+    return vs, log_n
 
 
 def cocycle(phi: Diffeo, x, k: int, direction="forward") -> Cocycle:
@@ -283,25 +322,20 @@ def cocycle(phi: Diffeo, x, k: int, direction="forward") -> Cocycle:
     step = phi.apply if direction == "forward" else phi.apply_inverse
 
     pts = [wrap_point(np.asarray(x, dtype=float))]
-    steps = []
-    mats = [np.eye(3)]
+    M = np.eye(3)
     overflow = False
     for _ in range(k):
-        D = diff(pts[-1])
-        steps.append(D)
-        nxt = D @ mats[-1]
-        mats.append(nxt)
+        M = diff(pts[-1]) @ M
         pts.append(step(pts[-1]))
-        if np.max(np.abs(nxt)) > COCYCLE_OVERFLOW_NORM:
+        if np.max(np.abs(M)) > COCYCLE_OVERFLOW_NORM:
             overflow = True
             break
     return Cocycle(
         point=pts[0],
-        horizon=len(mats) - 1,
+        horizon=len(pts) - 1,
         direction=direction,
         points=tuple(pts),
-        step_matrices=tuple(steps),
-        matrices=tuple(mats),
+        final=M,
         overflow=overflow,
     )
 

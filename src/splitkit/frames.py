@@ -3,8 +3,7 @@
 A plane transverse to the third coordinate axis is the span of
 X = d/dx1 + a d/dx3 and Y = d/dx2 + b d/dx3; the coefficient pair (a, b) is
 the graph slope of the plane and is what all bracket computations consume.
-Frames come from analytic formulas, from dynamical pullback at depth k, or
-from a cached interpolation grid.
+Frames come from analytic formulas or from dynamical pullback at depth k.
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, orbit
+from .dynamics import Diffeo, _pull_back, _push_forward, _push_forward_line, _tangent_orbit
 from .errors import ChartExitError, ChartUnsuitableError
 from .geometry import Plane2, unit
-from .splitting import _as_plane_field, _pull_back_basis
+from .splitting import _as_plane_field
 
 CHART_NORMAL_TOL = 1e-6
 
@@ -129,18 +128,16 @@ def contact_frame() -> AnalyticFrame:
 
 def pullback_plane_at(phi: Diffeo, p, E0=None, k=1) -> Plane2:
     """The depth-k pullback plane at a single point (no sequence bookkeeping)."""
-    field = _as_plane_field(E0)
-    pts = orbit(phi, p, k)
-    diffs = [phi.differential(q) for q in pts[:-1]]
-    B, _ = _pull_back_basis(diffs, field(pts[-1]).orthonormal_basis())
-    return Plane2(B)
+    pts, diffs = _tangent_orbit(phi, p, k)
+    Qs, _ = _pull_back(diffs, _as_plane_field(E0)(pts[-1]).orthonormal_basis())
+    return Plane2(Qs[0])
 
 
 class PullbackFrame(AdaptedFrame):
     """Adapted frame of the depth-k pullback plane field, evaluated on demand.
 
-    Evaluations are cached by point key; the field is pure, so the cache is
-    write-once and thread-safe enough for grid sweeps.
+    Evaluations are cached by point key; the field is pure, so a cached
+    value never goes stale.
     """
 
     def __init__(self, phi: Diffeo, k: int, E0=None):
@@ -161,59 +158,6 @@ class PullbackFrame(AdaptedFrame):
             hit = adapted_coefficients(plane)
             self._cache[key] = hit
         return hit
-
-
-class GridFrame(AdaptedFrame):
-    """Coefficients sampled on a regular box grid with bilinear interpolation.
-
-    The grid is a cache in the (x1, x2) chart footprint at a fixed x3 slab
-    thickness of zero: coefficients of pullback fields vary in all three
-    coordinates, so this is only appropriate for plotting dumps and fast
-    previews, not for bracket stencils.
-    """
-
-    def __init__(self, lo, hi, values_a, values_b):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.values_a = np.asarray(values_a, dtype=float)
-        self.values_b = np.asarray(values_b, dtype=float)
-        self.domain = (self.lo, self.hi)
-
-    @classmethod
-    def from_frame(cls, frame: AdaptedFrame, lo, hi, n):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        xs = np.linspace(lo[0], hi[0], n)
-        ys = np.linspace(lo[1], hi[1], n)
-        A = np.empty((n, n))
-        B = np.empty((n, n))
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                A[i, j], B[i, j] = frame.coefficients(np.array([xv, yv, lo[2]]))
-        return cls(lo, hi, A, B)
-
-    def coefficients(self, p):
-        p = np.asarray(p, dtype=float)
-        self._require_domain(p)
-        n = self.values_a.shape[0]
-        t = (p[:2] - self.lo[:2]) / np.maximum(self.hi[:2] - self.lo[:2], 1e-300) * (n - 1)
-        i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
-        f = t - i0
-        out = []
-        for V in (self.values_a, self.values_b):
-            v00 = V[i0[0], i0[1]]
-            v10 = V[i0[0] + 1, i0[1]]
-            v01 = V[i0[0], i0[1] + 1]
-            v11 = V[i0[0] + 1, i0[1] + 1]
-            out.append(
-                float(
-                    v00 * (1 - f[0]) * (1 - f[1])
-                    + v10 * f[0] * (1 - f[1])
-                    + v01 * (1 - f[0]) * f[1]
-                    + v11 * f[0] * f[1]
-                )
-            )
-        return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -242,13 +186,10 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int, tie_tol=1e-12) -> Or
     Q0 = E.orthonormal_basis()
     if k == 0:
         return OrthonormalPair(Q0[:, 0], Q0[:, 1], (0.0, 0.0), True, 0)
-    pts = orbit(phi, x, k)
-    Q = Q0
+    _, diffs = _tangent_orbit(phi, x, k)
     T = np.eye(2)
     log_acc = 0.0
-    for j in range(k):
-        M = phi.differential(pts[j]) @ Q
-        Q, R = np.linalg.qr(M)
+    for R in _push_forward(diffs, Q0)[1]:
         T = R @ T
         scale = np.max(np.abs(T))
         log_acc += np.log(scale)
@@ -268,15 +209,9 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int, tie_tol=1e-12) -> Or
 
 def normalized_pushforward(phi: Diffeo, x, v, k: int):
     """Unit vector D(phi^k) v / ||D(phi^k) v|| at phi^k(x), plus the log norm."""
-    pts = orbit(phi, x, k)
-    w = unit(np.asarray(v, dtype=float))
-    log_n = 0.0
-    for j in range(k):
-        w = phi.differential(pts[j]) @ w
-        n = np.linalg.norm(w)
-        log_n += np.log(n)
-        w = w / n
-    return w, log_n
+    _, diffs = _tangent_orbit(phi, x, k)
+    vs, log_n = _push_forward_line(diffs, unit(np.asarray(v, dtype=float)))
+    return vs[-1], log_n
 
 
 def normalized_images(pair: OrthonormalPair, phi: Diffeo, x, k: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, orbit
+from .dynamics import Diffeo, _pull_back, _push_forward_line, _tangent_orbit, orbit
 from .errors import ConvergenceError
 from .geometry import Line1, Plane2, line_plane_angle, principal_angle
 
@@ -66,19 +66,6 @@ class PullbackSequence:
         return np.array([principal_angle(e.plane, plane) for e in self.entries])
 
 
-def _pull_back_basis(step_diffs, basis):
-    """Pull a 3x2 basis back through the listed one-step differentials."""
-    B = basis
-    flagged = False
-    for D in reversed(step_diffs):
-        B = np.linalg.solve(D, B)
-        Q, R = np.linalg.qr(B)
-        if abs(R[0, 0] * R[1, 1]) < 1e-300 or np.linalg.cond(R) > 1e12:
-            flagged = True
-        B = Q
-    return B, flagged
-
-
 def compute_slow_plane(
     phi: Diffeo,
     x,
@@ -102,8 +89,7 @@ def compute_slow_plane(
     if k < 1:
         raise ValueError("pullback depth k must be >= 1")
     field = _as_plane_field(E0)
-    pts = orbit(phi, x, k)
-    diffs = [phi.differential(p) for p in pts[:-1]]
+    pts, diffs = _tangent_orbit(phi, x, k)
 
     seed_flag = False
     if check_transversality:
@@ -116,9 +102,11 @@ def compute_slow_plane(
     entries = [PullbackEntry(0, field(pts[0]), np.pi / 2, seed_flag)]
     converged = False
     for j in range(1, k + 1):
-        basis = field(pts[j]).orthonormal_basis()
-        B, flagged = _pull_back_basis(diffs[:j], basis)
-        plane = Plane2(B)
+        Qs, Rs = _pull_back(diffs[:j], field(pts[j]).orthonormal_basis())
+        flagged = any(
+            abs(R[0, 0] * R[1, 1]) < 1e-300 or np.linalg.cond(R) > 1e12 for R in Rs
+        )
+        plane = Plane2(Qs[0])
         step = principal_angle(plane, entries[-1].plane)
         entries.append(PullbackEntry(j, plane, step, flagged))
         if step < angle_tol:
@@ -144,11 +132,9 @@ def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
         raise ValueError("iteration depth k must be >= 0")
     field = _as_line_field(L0)
     back = orbit(phi, x, k, direction="inverse")
-    v = field(back[-1]).direction
-    for j in range(k, 0, -1):
-        v = phi.differential(back[j]) @ v
-        v = v / np.linalg.norm(v)
-    return Line1(v)
+    diffs = [phi.differential(p) for p in back[:0:-1]]
+    vs, _ = _push_forward_line(diffs, field(back[-1]).direction)
+    return Line1(vs[-1])
 
 
 @dataclass(frozen=True)
@@ -229,24 +215,6 @@ def _accumulate_growth(step_diffs, planes, line_dirs) -> GrowthTable:
     )
 
 
-def restricted_growth(phi: Diffeo, x, E, F, k_max: int) -> GrowthTable:
-    """Log-scale restricted cocycle growth along the forward orbit of x.
-
-    ``E`` and ``F`` may be a single plane/line (re-used at every orbit point,
-    exact for constant invariant splittings) or fields ``p -> Plane2`` /
-    ``p -> Line1`` evaluated at each orbit point.  Re-evaluating at every
-    point is essential: a slow plane pushed forward without re-anchoring
-    leaves the invariant plane at the rate of the transverse spectral gap.
-    """
-    plane_field = _as_plane_field(E)
-    line_field = _as_line_field(F)
-    pts = orbit(phi, x, k_max)
-    diffs = [phi.differential(p) for p in pts[:-1]]
-    planes = [plane_field(p).orthonormal_basis() for p in pts]
-    lines = [line_field(pts[i]).direction for i in range(k_max)]
-    return _accumulate_growth(diffs, planes, lines)
-
-
 def swept_growth(
     phi: Diffeo, x, k_max: int, E0=None, L0=None, burn_in_plane=400, burn_in_line=600
 ) -> GrowthTable:
@@ -258,24 +226,10 @@ def swept_growth(
     normalization (stable, since the fast line attracts under the forward
     map).
     """
-    E0_field = _as_plane_field(E0)
-    total = k_max + burn_in_plane
-    pts = orbit(phi, x, total)
-    diffs = [phi.differential(p) for p in pts[:-1]]
-
-    planes = [None] * (k_max + 1)
-    B = E0_field(pts[-1]).orthonormal_basis()
-    for i in range(total - 1, -1, -1):
-        B = np.linalg.solve(diffs[i], B)
-        B, _ = np.linalg.qr(B)
-        if i <= k_max:
-            planes[i] = B
-
+    pts, diffs = _tangent_orbit(phi, x, k_max + burn_in_plane)
+    planes, _ = _pull_back(diffs, _as_plane_field(E0)(pts[-1]).orthonormal_basis())
     f = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction
-    lines = [f]
-    for i in range(k_max - 1):
-        w = diffs[i] @ lines[-1]
-        lines.append(w / np.linalg.norm(w))
+    lines, _ = _push_forward_line(diffs[:k_max], f)
     return _accumulate_growth(diffs[:k_max], planes, lines)
 
 
@@ -416,7 +370,6 @@ def domination_report(
     k_line=600,
     residual_tol=RESIDUAL_TOL,
     require_converged=False,
-    mapper=map,
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 
@@ -424,15 +377,13 @@ def domination_report(
     ``require_converged`` asks for a hard error.  Verdicts hold when every
     converged sample admits a finite k0 with the ratio below 1 from k0 on;
     the bunching verdict is reported as a *failure* flag, true when the
-    squared-norm ratio still exceeds 1 at depth k_max.  ``mapper`` may be a
-    thread pool's map; results are reduced in input order either way.
+    squared-norm ratio still exceeds 1 at depth k_max.  Results are reduced
+    in input order.
     """
-    results = list(
-        mapper(
-            lambda p: _analyze_point(phi, p, k_max, E0, L0, k_plane, k_line, residual_tol),
-            list(sample_points),
-        )
-    )
+    results = [
+        _analyze_point(phi, p, k_max, E0, L0, k_plane, k_line, residual_tol)
+        for p in sample_points
+    ]
     per_sample = [r for r in results if isinstance(r, SampleDomination)]
     excluded = [(r.point, r.residual) for r in results if isinstance(r, SplittingSample)]
     if require_converged and excluded:
@@ -449,7 +400,3 @@ def domination_report(
         and all(d.k0_bunch is None for d in per_sample),
     )
 
-
-def transversality_angle(E0_plane: Plane2, fast: Line1) -> float:
-    """Angle between an initial plane and the (approximate) fast direction."""
-    return line_plane_angle(fast, E0_plane)

@@ -14,7 +14,6 @@ from splitkit.bracket import (
 from splitkit.errors import ChartExitError
 from splitkit.frames import (
     AnalyticFrame,
-    GridFrame,
     constant_frame,
     contact_frame,
     plane_from_coefficients,
@@ -77,10 +76,11 @@ class TestBracketCoefficient:
         assert abs(coarse.c - fine.c) <= 4.0 * coarse.error + 1e-12
 
     def test_stencil_leaves_chart(self):
-        base = constant_frame(0.1, 0.2)
-        grid = GridFrame.from_frame(base, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], 5)
+        box = AnalyticFrame(
+            lambda p: 0.1, lambda p: 0.2, domain=(np.zeros(3), np.array([1.0, 1.0, 0.0]))
+        )
         with pytest.raises(ChartExitError, match="h <"):
-            bracket_coefficient(grid, np.array([0.99999, 0.5, 0.0]), h=1e-4)
+            bracket_coefficient(box, np.array([0.99999, 0.5, 0.0]), h=1e-4)
 
 
 class TestProjectedBracket:

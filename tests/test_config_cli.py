@@ -182,20 +182,6 @@ class TestCliOutputs:
         header = (o1 / "splitting.csv").read_text().splitlines()[0]
         assert header == "x1,x2,x3,k,dyn_ratio,vol_ratio,bunch_ratio,angle_residual"
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        cfg = base_config(samples=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.5]], k_plane=500, k_line=700)
-        path = tmp_path / "cfg.json"
-        write_canonical_json(path, cfg)
-        out_serial = tmp_path / "serial"
-        assert main(["splitting", "--config", str(path), "--out", str(out_serial)]) == 0
-        os.environ["SPLITKIT_THREADS"] = "2"
-        try:
-            out_par = tmp_path / "par"
-            assert main(["splitting", "--config", str(path), "--out", str(out_par)]) == 0
-        finally:
-            del os.environ["SPLITKIT_THREADS"]
-        assert (out_serial / "splitting.csv").read_bytes() == (out_par / "splitting.csv").read_bytes()
-
     def test_bracket_contact_synthetic_row(self, tmp_path, capsys):
         d = base_config(synthetic_field={"kind": "contact"}, samples=[[0.0, 0.0, 0.0]], k_max=6)
         path = tmp_path / "cfg.json"

@@ -169,17 +169,19 @@ class TestCocycle:
 
     def test_multiplicativity(self, phi_perturbed):
         x = np.array([0.21, 0.82, 0.43])
-        co = cocycle(phi_perturbed, x, 8)
         for j in range(8):
+            co = cocycle(phi_perturbed, x, j)
             assert np.allclose(
-                co.matrices[j + 1], co.step_matrices[j] @ co.matrices[j], atol=1e-10
+                cocycle(phi_perturbed, x, j + 1).final,
+                phi_perturbed.differential(co.points[-1]) @ co.final,
+                atol=1e-10,
             )
 
     def test_overflow_guard(self, phi_linear):
         co = cocycle(phi_linear, [0.1, 0.7, 0.3], 40)
         assert co.overflow
         assert co.horizon < 40
-        assert np.max(np.abs(co.matrices[-1])) > COCYCLE_OVERFLOW_NORM
+        assert np.max(np.abs(co.final)) > COCYCLE_OVERFLOW_NORM
 
     def test_bad_direction(self, phi_linear):
         with pytest.raises(ValueError, match="direction"):

@@ -5,11 +5,9 @@ from splitkit import Diffeo, Plane2
 from splitkit.errors import ChartUnsuitableError
 from splitkit.frames import (
     AnalyticFrame,
-    GridFrame,
     PullbackFrame,
     adapted_coefficients,
     aligned_pair_field,
-    constant_frame,
     contact_frame,
     frame_change_determinant,
     normalized_images,
@@ -171,22 +169,16 @@ class TestAlignedPairField:
 
 
 class TestGridFrame:
-    def test_interpolates_smooth_field(self):
-        base = AnalyticFrame(lambda p: 0.2 * p[0] + 0.1, lambda p: -0.3 * p[1] + 0.05)
-        grid = GridFrame.from_frame(base, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], 11)
-        p = np.array([0.33, 0.71, 0.0])
-        a, b = grid.coefficients(p)
-        # bilinear interpolation is exact on affine fields
-        assert a == pytest.approx(0.2 * 0.33 + 0.1, abs=1e-12)
-        assert b == pytest.approx(-0.3 * 0.71 + 0.05, abs=1e-12)
+    """A frame restricted to a box domain."""
 
     def test_domain_enforced(self):
-        base = constant_frame(0.0, 0.0)
-        grid = GridFrame.from_frame(base, [0.0, 0.0, 0.0], [0.5, 0.5, 0.0], 5)
+        box = AnalyticFrame(
+            lambda p: 0.0, lambda p: 0.0, domain=(np.zeros(3), np.array([0.5, 0.5, 0.0]))
+        )
         from splitkit.errors import ChartExitError
 
         with pytest.raises(ChartExitError):
-            grid.coefficients(np.array([0.9, 0.2, 0.0]))
+            box.coefficients(np.array([0.9, 0.2, 0.0]))
 
 
 class TestTransversalQuotients:

@@ -10,7 +10,6 @@ from splitkit.splitting import (
     domination_report,
     eventual_k0,
     fitted_rate,
-    restricted_growth,
     splitting_sample,
     swept_growth,
 )
@@ -85,32 +84,46 @@ class TestFastLine:
         assert got.angle_to(fast_line) < 1e-6
 
 
+def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):
+    """Swept growth seeded with the exact (invariant) eigen-fields: a short burn-in suffices."""
+    return swept_growth(
+        phi, x, k_max, E0=slow_plane, L0=fast_line, burn_in_plane=burn_in, burn_in_line=burn_in
+    )
+
+
 class TestRestrictedGrowth:
     def test_flat_k1_ratios_on_true_splitting(self, phi_linear, slow_plane, fast_line):
-        g = restricted_growth(phi_linear, [0.2, 0.4, 0.8], slow_plane, fast_line, 1)
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, fast_line)
+        assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
+        assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
+        assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
+
+    def test_zero_burn_in(self, phi_linear, slow_plane, fast_line):
+        # the plane at the orbit end is the seed itself, pulled back zero steps
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, fast_line, burn_in=0)
         assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
         assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
         assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
 
     def test_per_step_rates(self, phi_linear, slow_plane, fast_line):
-        g = restricted_growth(phi_linear, [0.2, 0.4, 0.8], slow_plane, fast_line, 80)
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 80, slow_plane, fast_line)
         assert fitted_rate(g.log_dyn()) == pytest.approx(RATE_DYN, abs=1e-8)
         assert fitted_rate(g.log_vol()) == pytest.approx(RATE_VOL, abs=1e-8)
         assert fitted_rate(g.log_bunch()) == pytest.approx(RATE_BUNCH, abs=1e-8)
 
     def test_volume_identity(self, phi_linear, slow_plane, fast_line):
-        g = restricted_growth(phi_linear, [0.7, 0.1, 0.6], slow_plane, fast_line, 60)
+        g = exact_growth(phi_linear, [0.7, 0.1, 0.6], 60, slow_plane, fast_line)
         assert g.volume_identity_max_abs() < 1e-6
 
     def test_swept_matches_exact_fields(self, phi_linear, slow_plane, fast_line):
         x = np.array([0.3, 0.4, 0.5])
-        g1 = restricted_growth(phi_linear, x, slow_plane, fast_line, 30)
+        g1 = exact_growth(phi_linear, x, 30, slow_plane, fast_line)
         g2 = swept_growth(phi_linear, x, 30, burn_in_plane=500, burn_in_line=800)
         assert np.max(np.abs(g1.log_dyn() - g2.log_dyn())) < 1e-6
         assert np.max(np.abs(g1.log_vol() - g2.log_vol())) < 1e-6
 
     def test_anchor_defect_small_for_invariant_fields(self, phi_linear, slow_plane, fast_line):
-        g = restricted_growth(phi_linear, [0.2, 0.4, 0.8], slow_plane, fast_line, 40)
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 40, slow_plane, fast_line)
         assert g.max_anchor_defect < 1e-12
 
     def test_submultiplicativity_of_volume_ratio(self, phi_perturbed):
@@ -186,16 +199,6 @@ class TestDominationReport:
         assert rep.n_converged == 0
         assert len(rep.excluded) == 1
         assert rep.excluded[0][1] > 1e-6  # the failing residual is reported
-
-    def test_mapper_order_preserved(self, phi_linear):
-        pts = [np.array([0.1, 0.2, 0.3]), np.zeros(3)]
-        r1 = domination_report(phi_linear, pts, 5, k_plane=300, k_line=500)
-        r2 = domination_report(
-            phi_linear, pts, 5, k_plane=300, k_line=500, mapper=lambda f, xs: [f(x) for x in xs]
-        )
-        for a, b in zip(r1.samples, r2.samples):
-            assert np.allclose(a.sample.point, b.sample.point)
-            assert np.allclose(a.growth.log_vol(), b.growth.log_vol())
 
 
 class TestTransversalityPrecheck:
