@@ -19,9 +19,6 @@ from .geometry import (
     exterior_square,
     principal_angle,
     project_along,
-    restricted_determinant,
-    restricted_singular_values,
-    torus_distance,
     wrap_point,
 )
 from .splitting import (
@@ -54,9 +51,6 @@ __all__ = [
     "exterior_square",
     "principal_angle",
     "project_along",
-    "restricted_determinant",
-    "restricted_singular_values",
-    "torus_distance",
     "wrap_point",
     "DominationReport",
     "PullbackSequence",

@@ -13,20 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _push_forward, _tangent_orbit, cocycle
+from .dynamics import Diffeo, cocycle
 from .errors import ChartExitError, ConvergenceError
-from .frames import (
-    AdaptedFrame,
-    PullbackFrame,
-    aligned_pair_field,
-    pullback_plane_at,
-    svd_orthonormal_pair,
-)
-from .geometry import Line1, project_along
-from .splitting import _as_plane_field, compute_fast_line, fitted_rate, swept_growth
+from .frames import AdaptedFrame, PullbackFrame, aligned_pair_field, pullback_plane_at
+from .geometry import project_along
+from .splitting import compute_fast_line, fitted_rate, swept_growth
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
+DEGENERATE_TOL = 1e-13  # bracket norms below this vanish to FD precision
 
 
 @dataclass(frozen=True)
@@ -109,64 +104,24 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     )
 
 
-def field_jacobian(field, x, h):
-    """FD Jacobian of a vector field given as p -> (3,) array."""
+def vector_field_bracket(pair_field, x, h):
+    """[U, V](x) = DV(x) U(x) - DU(x) V(x) for a pair field p -> (U(p), V(p)).
+
+    Both FD Jacobians come from one evaluation of the pair field per stencil
+    point.
+    """
     x = np.asarray(x, dtype=float)
-    J = np.empty((3, 3))
+    Ju = np.empty((3, 3))
+    Jv = np.empty((3, 3))
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        J[:, i] = (np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2 * h)
-    return J
-
-
-def vector_field_bracket(field_u, field_v, x, h):
-    """[U, V](x) = DV(x) U(x) - DU(x) V(x) with FD Jacobians."""
-    x = np.asarray(x, dtype=float)
-    Ju = field_jacobian(field_u, x, h)
-    Jv = field_jacobian(field_v, x, h)
-    return Jv @ np.asarray(field_u(x)) - Ju @ np.asarray(field_v(x))
-
-
-@dataclass(frozen=True)
-class ProjectedBracket:
-    point: np.ndarray
-    k: int
-    h: float
-    vector: np.ndarray  # pi^(k) [Z^(k), W^(k)] at the point
-    norm: float
-    isotropic: bool
-
-
-def projected_bracket_norm(
-    phi: Diffeo,
-    x,
-    k: int,
-    h=DEFAULT_FD_STEP,
-    plane_field=None,
-    fast_line=None,
-    E0=None,
-) -> ProjectedBracket:
-    """||pi^(k) [Z^(k), W^(k)]|| for the depth-k orthonormal pair field.
-
-    ``plane_field`` defaults to the depth-k pullback planes of E0;
-    ``fast_line`` defaults to the depth-k pushforward line.  Synthetic plane
-    fields with trivial dynamics are supported by passing both explicitly.
-    """
-    x = np.asarray(x, dtype=float)
-    if plane_field is None:
-        plane_field = lambda p: pullback_plane_at(phi, p, E0, k) if k else _as_plane_field(E0)(p)
-    if fast_line is None:
-        fast_line = compute_fast_line(phi, x, k=max(k, 1))
-    iso = svd_orthonormal_pair(phi, x, plane_field(x), k).isotropic
-    pair = aligned_pair_field(phi, k, plane_field, x)
-    fZ = lambda p: pair(p)[0]
-    fW = lambda p: pair(p)[1]
-    br = vector_field_bracket(fZ, fW, x, h)
-    pr = project_along(br, plane_field(x), fast_line)
-    return ProjectedBracket(
-        point=x, k=k, h=h, vector=pr, norm=float(np.linalg.norm(pr)), isotropic=bool(iso)
-    )
+        up, vp = pair_field(x + e)
+        um, vm = pair_field(x - e)
+        Ju[:, i] = (np.asarray(up) - np.asarray(um)) / (2 * h)
+        Jv[:, i] = (np.asarray(vp) - np.asarray(vm)) / (2 * h)
+    u, v = pair_field(x)
+    return Jv @ np.asarray(u) - Ju @ np.asarray(v)
 
 
 @dataclass(frozen=True)
@@ -184,10 +139,8 @@ def invariance_identity_residual(
     k: int,
     h=DEFAULT_FD_STEP,
     E0=None,
-    L0=None,
     k_plane=400,
     k_line=600,
-    degenerate_tol=1e-13,
 ) -> InvarianceResidual:
     """Residuals of the projected-bracket transport identities at depth k.
 
@@ -198,11 +151,10 @@ def invariance_identity_residual(
     x = np.asarray(x, dtype=float)
     plane_field = lambda p: pullback_plane_at(phi, p, E0, k_plane)
     E_x = plane_field(x)
-    F_x = compute_fast_line(phi, x, L0=L0, k=k_line)
+    F_x = compute_fast_line(phi, x, k=k_line)
 
-    pair = aligned_pair_field(phi, k, plane_field, x)
-    v = vector_field_bracket(lambda p: pair(p)[0], lambda p: pair(p)[1], x, h)
-    if np.linalg.norm(v) < degenerate_tol:
+    v = vector_field_bracket(aligned_pair_field(phi, k, plane_field, x), x, h)
+    if np.linalg.norm(v) < DEGENERATE_TOL:
         return InvarianceResidual(x, k, 0.0, 0.0, True)
 
     pv = project_along(v, E_x, F_x)
@@ -212,12 +164,12 @@ def invariance_identity_residual(
     D = co.final
     y = co.points[-1]
     E_y = plane_field(y)
-    F_y = compute_fast_line(phi, y, L0=L0, k=k_line)
+    F_y = compute_fast_line(phi, y, k=k_line)
 
     lhs = project_along(D @ v, E_y, F_y)
     rhs = D @ pv
     denom = np.linalg.norm(rhs)
-    if denom < degenerate_tol:
+    if denom < DEGENERATE_TOL:
         return InvarianceResidual(x, k, 0.0, 0.0, True)
     residual = float(np.linalg.norm(lhs - rhs) / denom)
 
@@ -246,6 +198,7 @@ class BoundCurve:
     entries: tuple
     limit_lhs: float  # |c| of the converged (deep-pullback) frame
     limit_lhs_error: float
+    limit_resolved: bool  # Richardson resolved flag of limit_lhs
     rate_rhs: float  # fitted per-step decay of the rhs
 
     def resolved_quotients(self):
@@ -275,7 +228,6 @@ def bound_curve(
     k_max: int,
     h=DEFAULT_FD_STEP,
     E0=None,
-    L0=None,
     k_plane=400,
     k_line=600,
 ) -> BoundCurve:
@@ -291,9 +243,7 @@ def bound_curve(
     also keeps the stencil's orbit tube at constant thickness h.
     """
     x = np.asarray(x, dtype=float)
-    growth = swept_growth(
-        phi, x, k_max, E0=E0, L0=L0, burn_in_plane=k_plane, burn_in_line=k_line
-    )
+    growth = swept_growth(phi, x, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=k_line)
     log_vol = growth.log_vol()
     log_f = growth.log_f
 
@@ -323,62 +273,6 @@ def bound_curve(
         entries=tuple(entries),
         limit_lhs=limit.norm,
         limit_lhs_error=limit.error,
+        limit_resolved=limit.resolved,
         rate_rhs=fitted_rate(log_vol),
     )
-
-
-def det_comparison(phi: Diffeo, x, k_max: int, E0=None, k_plane=400, drift_factor=5.0):
-    """Quotients |det D(phi^k) on pullback plane| / |det on converged plane|.
-
-    Both determinants are accumulated in log scale along the forward orbit,
-    the numerator on the depth-k pullback plane, the denominator on the
-    converged slow plane.  Returns (quotients, valid): pushing a nearly-slow
-    plane forward amplifies its roundoff at the full spectral spread per
-    step, so once consecutive quotients grow by more than ``drift_factor``
-    the tail is flagged invalid (double precision is exhausted, the true
-    quotient stays bounded).
-    """
-    x = np.asarray(x, dtype=float)
-    g = swept_growth(phi, x, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=1)
-    log_det_E = g.log_s1 + g.log_s2
-
-    _, diffs = _tangent_orbit(phi, x, k_max)
-    quotients = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        Q = pullback_plane_at(phi, x, E0, k).orthonormal_basis()
-        _, Rs = _push_forward(diffs[:k], Q)
-        log_det = sum(np.log(abs(R[0, 0] * R[1, 1])) for R in Rs)
-        quotients[k - 1] = np.exp(log_det - log_det_E[k - 1])
-    valid = np.ones(k_max, dtype=bool)
-    for k in range(1, k_max):
-        if not valid[k - 1] or quotients[k] > drift_factor * quotients[k - 1]:
-            valid[k] = False
-    return quotients, valid
-
-
-def adapted_vs_orthonormal_ratio(
-    frame: AdaptedFrame,
-    plane_field,
-    fast_line: Line1,
-    points,
-    h=DEFAULT_FD_STEP,
-    phi: Diffeo | None = None,
-    k: int = 0,
-):
-    """Measured ratios ||[X, Y]|| / ||pi [Z, W]|| over sample points.
-
-    The supremum is the comparison constant relating adapted-frame and
-    orthonormal-frame bracket norms; it is measured, never assumed.
-    """
-    if phi is None:
-        phi = Diffeo.identity()
-    ratios = []
-    for p in points:
-        bs = bracket_coefficient(frame, p, h)
-        pb = projected_bracket_norm(
-            phi, p, k, h=h, plane_field=plane_field, fast_line=fast_line
-        )
-        if pb.norm < 1e-14:
-            continue
-        ratios.append(bs.norm / pb.norm)
-    return ratios

@@ -210,6 +210,7 @@ def cmd_bracket(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
                     "point": list(curve.point),
                     "limit_bracket_norm": curve.limit_lhs,
                     "limit_bracket_error": curve.limit_lhs_error,
+                    "limit_bracket_resolved": curve.limit_resolved,
                     "rate_rhs": curve.rate_rhs,
                     "resolved_depths": [k for k, _ in curve.resolved_quotients()],
                     "quotient_running_max": rm[-1] if rm else 0.0,

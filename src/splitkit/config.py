@@ -1,9 +1,9 @@
-"""Experiment configuration and map specification files.
+"""Experiment configuration files.
 
-Both files are JSON with a canonical byte encoding (sorted keys, two-space
+A config is JSON with a canonical byte encoding (sorted keys, two-space
 indent, trailing newline): loading a canonical file and re-serializing it
 reproduces the bytes exactly, and the config hash is the SHA-256 of those
-bytes.
+bytes.  Its ``map`` entry is the only map format.
 """
 
 from __future__ import annotations
@@ -52,6 +52,17 @@ def load_json_file(path):
         return json.loads(raw.decode("utf-8")), raw
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _number_rows(value, key, width):
+    """A list of lists of ``width`` numbers, as a tuple of float tuples."""
+    try:
+        rows = tuple(tuple(float(c) for c in v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be a list of {width}-number lists") from exc
+    if any(len(r) != width for r in rows):
+        raise ConfigError(f"each entry of config key {key!r} must have {width} coordinates")
+    return rows
 
 
 def write_canonical_json(path, obj):
@@ -115,21 +126,29 @@ class ExperimentConfig:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"config key {key!r} must be a {typ.__name__}") from exc
         if "samples" in d:
-            kwargs["samples"] = tuple(tuple(float(c) for c in p) for p in d["samples"])
-            if any(len(p) != 3 for p in kwargs["samples"]):
-                raise ConfigError("each sample must have 3 coordinates")
+            kwargs["samples"] = _number_rows(d["samples"], "samples", 3)
         if "k_list" in d:
-            kwargs["k_list"] = tuple(int(k) for k in d["k_list"])
+            try:
+                kwargs["k_list"] = tuple(int(k) for k in d["k_list"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("config key 'k_list' must be a list of integers") from exc
         if "synthetic_field" in d and d["synthetic_field"] is not None:
             sf = d["synthetic_field"]
-            if sf.get("kind") not in ("contact", "constant"):
+            if not isinstance(sf, dict) or sf.get("kind") not in ("contact", "constant"):
                 raise ConfigError("synthetic_field.kind must be 'contact' or 'constant'")
+            try:
+                for c in ("a", "b"):
+                    float(sf.get(c, 0.0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("synthetic_field 'a' and 'b' must be numbers") from exc
             kwargs["synthetic_field"] = sf
         if "e0" in d and d["e0"] is not None:
-            basis = d["e0"].get("basis")
+            basis = d["e0"].get("basis") if isinstance(d["e0"], dict) else None
             if basis is None:
                 raise ConfigError("e0 must be {'basis': [[...], [...]]} or omitted")
-            kwargs["e0_basis"] = tuple(tuple(float(c) for c in v) for v in basis)
+            kwargs["e0_basis"] = _number_rows(basis, "e0.basis", 3)
+            if len(kwargs["e0_basis"]) != 2:
+                raise ConfigError("e0.basis must hold exactly 2 vectors")
         cfg = cls(map_spec=m, raw=d, **kwargs)
         cfg.build_diffeo()  # validate the map spec eagerly
         if not cfg.samples and cfg.random_samples <= 0:
@@ -137,11 +156,15 @@ class ExperimentConfig:
         for name in ("epsilon", "h", "step", "t", "delta"):
             if getattr(cfg, name) <= 0:
                 raise ConfigError(f"config key {name!r} must be positive")
-        for name in ("k_max", "k_plane", "k_line", "k_leaf", "grid_n"):
+        for name in ("k_plane", "k_line", "k_leaf", "grid_n"):
             if getattr(cfg, name) < 1:
                 raise ConfigError(f"config key {name!r} must be >= 1")
+        if cfg.k_max < 2:
+            raise ConfigError("config key 'k_max' must be >= 2: rates are fitted over depths")
         if cfg.n < 3 or cfg.n % 2 == 0:
             raise ConfigError("config key 'n' must be an odd integer >= 3 (grids are centered)")
+        if not cfg.k_list:
+            raise ConfigError("config key 'k_list' must list at least one depth")
         if any(k < 0 for k in cfg.k_list):
             raise ConfigError("config key 'k_list' entries must be >= 0")
         return cfg

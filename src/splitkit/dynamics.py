@@ -60,9 +60,6 @@ class ToralAutomorphism:
     def differential_inverse(self, x):
         return self._Minvf
 
-    def to_spec(self):
-        return {"kind": "automorphism", "matrix": self.matrix.tolist()}
-
 
 class ShearPerturbation:
     """Volume-preserving shear x_i += g(x_j, x_k) with a C^2 bump.
@@ -133,37 +130,6 @@ class ShearPerturbation:
         D[self.axis, :] -= self.bump_gradient(x)
         return D
 
-    def to_spec(self):
-        return {
-            "kind": "shear",
-            "axis": self.axis,
-            "center": self.center.tolist(),
-            "radius": self.radius,
-            "amplitude": self.amplitude,
-        }
-
-
-class _Inverted:
-    """Adapter presenting the inverse of a primitive stage."""
-
-    def __init__(self, stage):
-        self.stage = stage
-
-    def apply(self, x):
-        return self.stage.apply_inverse(x)
-
-    def apply_inverse(self, x):
-        return self.stage.apply(x)
-
-    def differential(self, x):
-        return self.stage.differential_inverse(x)
-
-    def differential_inverse(self, x):
-        return self.stage.differential(x)
-
-    def to_spec(self):
-        return {"kind": "inverse", "of": self.stage.to_spec()}
-
 
 class Diffeo:
     """A composition of primitive stages, applied left to right."""
@@ -178,11 +144,6 @@ class Diffeo:
     @classmethod
     def from_matrix(cls, matrix):
         return cls((ToralAutomorphism(matrix),))
-
-    @classmethod
-    def perturbed_automorphism(cls, matrix, shears):
-        """Automorphism composed after the given shears (shears act first)."""
-        return cls(tuple(shears) + (ToralAutomorphism(matrix),))
 
     def apply(self, x):
         y = wrap_point(np.asarray(x, dtype=float))
@@ -213,29 +174,8 @@ class Diffeo:
             y = stage.apply_inverse(y)
         return D
 
-    def inverse(self):
-        return Diffeo(tuple(_Inverted(s) for s in reversed(self.stages)))
-
     def shear_stages(self):
         return [s for s in self.stages if isinstance(s, ShearPerturbation)]
-
-    def to_spec(self):
-        return {"stages": [s.to_spec() for s in self.stages]}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(tuple(_stage_from_spec(s) for s in spec["stages"]))
-
-
-def _stage_from_spec(s):
-    kind = s.get("kind")
-    if kind == "automorphism":
-        return ToralAutomorphism(np.asarray(s["matrix"]))
-    if kind == "shear":
-        return ShearPerturbation(s["axis"], s["center"], s["radius"], s["amplitude"])
-    if kind == "inverse":
-        return _Inverted(_stage_from_spec(s["of"]))
-    raise ConfigError(f"unknown map stage kind: {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _pull_back, _push_forward, _push_forward_line, _tangent_orbit
+from .dynamics import Diffeo, _pull_back, _push_forward, _tangent_orbit
 from .errors import ChartExitError, ChartUnsuitableError
-from .geometry import Plane2, unit
+from .geometry import Plane2
 from .splitting import _as_plane_field
 
 CHART_NORMAL_TOL = 1e-6
+SVD_TIE_TOL = 1e-12
 
 
 def adapted_coefficients(plane: Plane2):
@@ -177,7 +178,7 @@ class OrthonormalPair:
         return self.log_image_norms[0] + self.log_image_norms[1]
 
 
-def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int, tie_tol=1e-12) -> OrthonormalPair:
+def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int) -> OrthonormalPair:
     """Right-singular-vector pair of D(phi^k) restricted to E at x.
 
     On a singular-value tie the SVD direction is arbitrary; the stored basis
@@ -195,7 +196,7 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int, tie_tol=1e-12) -> Or
         log_acc += np.log(scale)
         T = T / scale
     sv = np.linalg.svd(T, compute_uv=False)
-    if sv[0] - sv[1] <= tie_tol * sv[0]:
+    if sv[0] - sv[1] <= SVD_TIE_TOL * sv[0]:
         return OrthonormalPair(
             Q0[:, 0], Q0[:, 1], (np.log(sv[0]) + log_acc, np.log(sv[1]) + log_acc), True, k
         )
@@ -205,20 +206,6 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int, tie_tol=1e-12) -> Or
     return OrthonormalPair(
         Z, W, (np.log(sv[0]) + log_acc, np.log(sv[1]) + log_acc), False, k
     )
-
-
-def normalized_pushforward(phi: Diffeo, x, v, k: int):
-    """Unit vector D(phi^k) v / ||D(phi^k) v|| at phi^k(x), plus the log norm."""
-    _, diffs = _tangent_orbit(phi, x, k)
-    vs, log_n = _push_forward_line(diffs, unit(np.asarray(v, dtype=float)))
-    return vs[-1], log_n
-
-
-def normalized_images(pair: OrthonormalPair, phi: Diffeo, x, k: int):
-    """The unit images of the pair under D(phi^k), spanning the plane at phi^k(x)."""
-    Zt, _ = normalized_pushforward(phi, x, pair.Z, k)
-    Wt, _ = normalized_pushforward(phi, x, pair.W, k)
-    return Zt, Wt
 
 
 def aligned_pair_field(phi: Diffeo, k: int, plane_field, ref_point):
@@ -245,11 +232,6 @@ def aligned_pair_field(phi: Diffeo, k: int, plane_field, ref_point):
     return field
 
 
-def frame_change_determinant(Z, W, A, B) -> float:
-    """Determinant of the change of basis from (A, B) to (Z, W) in their plane."""
-    return float((Z @ A) * (W @ B) - (Z @ B) * (W @ A))
-
-
 def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):
     """Rows (x1, x2, x3, k, a, b) over a regular grid, for plotting dumps."""
     lo = np.asarray(lo, dtype=float)
@@ -263,13 +245,3 @@ def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):
                 a, b = frame.coefficients(np.array([xv, yv, x3]))
                 rows.append((float(xv), float(yv), float(x3), int(k), a, b))
     return rows
-
-
-def transversal_difference_quotient(frame: AdaptedFrame, p, h=1e-4, direction=2):
-    """|a(p + h e_dir) - a(p)| / h and the same for b (Lipschitz probes)."""
-    p = np.asarray(p, dtype=float)
-    e = np.zeros(3)
-    e[direction] = h
-    a0, b0 = frame.coefficients(p)
-    a1, b1 = frame.coefficients(p + e)
-    return abs(a1 - a0) / h, abs(b1 - b0) / h

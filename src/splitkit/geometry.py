@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegeneratePlaneError, TransversalityError
 
 GRAM_TOL = 1e-12
+MIN_TRANSVERSAL_ANGLE = 1e-8
 
 # Ordered basis of the wedge space Lambda^2(R^3).
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -33,11 +34,6 @@ def torus_delta(p, q):
     """Shortest signed displacement q -> p, componentwise in [-1/2, 1/2)."""
     d = (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
     return d
-
-
-def torus_distance(p, q):
-    """Euclidean length of the wrap-around displacement."""
-    return float(np.linalg.norm(torus_delta(p, q)))
 
 
 def unit(v):
@@ -77,13 +73,6 @@ def adjugate3(M):
             minor = M[r][:, c]
             out[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
     return out
-
-
-def condition_number(M):
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
 
 
 @dataclass(frozen=True)
@@ -187,29 +176,13 @@ def wedge_coordinates(u, v):
     )
 
 
-def restricted_singular_values(M, P: Plane2):
-    """Singular values (s1 <= s2) of M restricted to the plane P.
-
-    s2 is the operator norm of the restriction and s1*s2 its |det|, both with
-    respect to the ambient flat metric; the result does not depend on the
-    choice of orthonormal basis of P.
-    """
-    s = np.linalg.svd(np.asarray(M, dtype=float) @ P.orthonormal_basis(), compute_uv=False)
-    return float(s[1]), float(s[0])
-
-
-def restricted_determinant(M, P: Plane2) -> float:
-    """|det| of M restricted to P (area expansion factor of the plane)."""
-    s1, s2 = restricted_singular_values(M, P)
-    return s1 * s2
-
-
-def project_along(v, E: Plane2, F: Line1, min_angle=1e-8):
+def project_along(v, E: Plane2, F: Line1):
     """Component of v in F along E (the projection onto F with kernel E)."""
     ang = line_plane_angle(F, E)
-    if ang <= min_angle:
+    if ang <= MIN_TRANSVERSAL_ANGLE:
         raise TransversalityError(
-            f"transversality lost: line-plane angle {ang:.3e} <= {min_angle:.1e}", angle=ang
+            f"transversality lost: line-plane angle {ang:.3e} <= {MIN_TRANSVERSAL_ANGLE:.1e}",
+            angle=ang,
         )
     A = np.column_stack([E.basis, F.direction])
     coef = np.linalg.solve(A, np.asarray(v, dtype=float))

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Diffeo, _pull_back, _push_forward_line, _tangent_orbit, orbit
-from .errors import ConvergenceError
 from .geometry import Line1, Plane2, line_plane_angle, principal_angle
 
 ANGLE_CONVERGENCE_TOL = 1e-10
 RESIDUAL_TOL = 1e-6
+MIN_FAST_ANGLE = 1e-3
 
 DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DEFAULT_L0 = Line1(np.array([0.0, 0.0, 1.0]))
@@ -55,7 +55,6 @@ class PullbackSequence:
     entries: tuple
     k_used: int
     converged: bool
-    angle_tol: float
 
     @property
     def final_plane(self) -> Plane2:
@@ -66,38 +65,28 @@ class PullbackSequence:
         return np.array([principal_angle(e.plane, plane) for e in self.entries])
 
 
-def compute_slow_plane(
-    phi: Diffeo,
-    x,
-    E0=None,
-    k=40,
-    angle_tol=ANGLE_CONVERGENCE_TOL,
-    check_transversality=True,
-    min_fast_angle=1e-3,
-):
+def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     """Pull E0 back along the forward orbit of x for 1..k steps.
 
     Entry j is the plane D(phi^-j) E0(phi^j x); iteration stops early once
-    consecutive entries agree to ``angle_tol``.  Both the stopping angle and
-    the depth reached are recorded rather than assumed.
+    consecutive entries agree to ``ANGLE_CONVERGENCE_TOL``.  Both the
+    stopping angle and the depth reached are recorded rather than assumed.
 
     An initial plane containing the fast direction at the orbit endpoint
     pulls back to a *different* invariant plane without any conditioning
     trouble, so entry 0 is flagged when the endpoint plane is within
-    ``min_fast_angle`` of an (approximate) fast direction.
+    ``MIN_FAST_ANGLE`` of an (approximate) fast direction.
     """
     if k < 1:
         raise ValueError("pullback depth k must be >= 1")
     field = _as_plane_field(E0)
     pts, diffs = _tangent_orbit(phi, x, k)
 
-    seed_flag = False
-    if check_transversality:
-        # power iteration converges at the (possibly mild) spectral gap, so
-        # the estimate must run much deeper than the pullback itself; it is
-        # only matrix-vector work, so depth is cheap
-        fast_est = compute_fast_line(phi, pts[-1], k=300)
-        seed_flag = line_plane_angle(fast_est, field(pts[-1])) <= min_fast_angle
+    # power iteration converges at the (possibly mild) spectral gap, so the
+    # estimate must run much deeper than the pullback itself; it is only
+    # matrix-vector work, so depth is cheap
+    fast_est = compute_fast_line(phi, pts[-1], k=300)
+    seed_flag = line_plane_angle(fast_est, field(pts[-1])) <= MIN_FAST_ANGLE
 
     entries = [PullbackEntry(0, field(pts[0]), np.pi / 2, seed_flag)]
     converged = False
@@ -109,7 +98,7 @@ def compute_slow_plane(
         plane = Plane2(Qs[0])
         step = principal_angle(plane, entries[-1].plane)
         entries.append(PullbackEntry(j, plane, step, flagged))
-        if step < angle_tol:
+        if step < ANGLE_CONVERGENCE_TOL:
             converged = True
             break
     return PullbackSequence(
@@ -117,7 +106,6 @@ def compute_slow_plane(
         entries=tuple(entries),
         k_used=entries[-1].k,
         converged=converged,
-        angle_tol=angle_tol,
     )
 
 
@@ -244,13 +232,12 @@ def eventual_k0(log_ratios) -> int | None:
     return j + 1  # arrays are indexed from k = 1
 
 
-def fitted_rate(log_ratios, fit_from=None) -> float:
-    """Per-step geometric rate from an affine fit of log ratio against k."""
+def fitted_rate(log_ratios) -> float:
+    """Per-step geometric rate from an affine fit of log ratio against k,
+    over the second half of the depths (k >= len // 2)."""
     logs = np.asarray(log_ratios)
     ks = np.arange(1, len(logs) + 1)
-    if fit_from is None:
-        fit_from = max(1, len(logs) // 2)
-    mask = ks >= fit_from
+    mask = ks >= max(1, len(logs) // 2)
     slope = np.polyfit(ks[mask], logs[mask], 1)[0]
     return float(np.exp(slope))
 
@@ -265,15 +252,7 @@ class SplittingSample:
     converged: bool
 
 
-def splitting_sample(
-    phi: Diffeo,
-    x,
-    E0=None,
-    L0=None,
-    k_plane=400,
-    k_line=600,
-    residual_tol=RESIDUAL_TOL,
-) -> SplittingSample:
+def splitting_sample(phi: Diffeo, x, E0=None, k_plane=400, k_line=600) -> SplittingSample:
     """Splitting at x with an invariance residual from independent recomputation.
 
     The residual is the angle defect of one map step: the plane and line are
@@ -284,11 +263,11 @@ def splitting_sample(
 
     x = np.asarray(x, dtype=float)
     E = pullback_plane_at(phi, x, E0, k_plane)
-    F = compute_fast_line(phi, x, L0=L0, k=k_line)
+    F = compute_fast_line(phi, x, k=k_line)
 
     y = phi.apply(x)
     Ey = pullback_plane_at(phi, y, E0, k_plane)
-    Fy = compute_fast_line(phi, y, L0=L0, k=k_line)
+    Fy = compute_fast_line(phi, y, k=k_line)
 
     D = phi.differential(x)
     pushed_plane = Plane2(D @ E.basis)
@@ -300,7 +279,7 @@ def splitting_sample(
         line=F,
         k_used=k_plane,
         residual=float(residual),
-        converged=bool(residual < residual_tol),
+        converged=bool(residual < RESIDUAL_TOL),
     )
 
 
@@ -338,14 +317,12 @@ class DominationReport:
         return len(self.samples)
 
 
-def _analyze_point(phi, p, k_max, E0, L0, k_plane, k_line, residual_tol):
-    s = splitting_sample(
-        phi, p, E0=E0, L0=L0, k_plane=k_plane, k_line=k_line, residual_tol=residual_tol
-    )
+def _analyze_point(phi, p, k_max, E0, k_plane, k_line):
+    s = splitting_sample(phi, p, E0=E0, k_plane=k_plane, k_line=k_line)
     if not s.converged:
         return s
     g = swept_growth(
-        phi, s.point, k_max, E0=E0, L0=L0, burn_in_plane=k_plane, burn_in_line=k_line
+        phi, s.point, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=k_line
     )
     return SampleDomination(
         sample=s,
@@ -365,32 +342,20 @@ def domination_report(
     sample_points,
     k_max: int,
     E0=None,
-    L0=None,
     k_plane=400,
     k_line=600,
-    residual_tol=RESIDUAL_TOL,
-    require_converged=False,
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 
-    Unconverged samples are excluded (listed in the report) unless
-    ``require_converged`` asks for a hard error.  Verdicts hold when every
-    converged sample admits a finite k0 with the ratio below 1 from k0 on;
-    the bunching verdict is reported as a *failure* flag, true when the
-    squared-norm ratio still exceeds 1 at depth k_max.  Results are reduced
-    in input order.
+    Unconverged samples are excluded and listed in the report.  Verdicts
+    hold when every converged sample admits a finite k0 with the ratio below
+    1 from k0 on; the bunching verdict is reported as a *failure* flag, true
+    when the squared-norm ratio still exceeds 1 at depth k_max.  Results are
+    reduced in input order.
     """
-    results = [
-        _analyze_point(phi, p, k_max, E0, L0, k_plane, k_line, residual_tol)
-        for p in sample_points
-    ]
+    results = [_analyze_point(phi, p, k_max, E0, k_plane, k_line) for p in sample_points]
     per_sample = [r for r in results if isinstance(r, SampleDomination)]
     excluded = [(r.point, r.residual) for r in results if isinstance(r, SplittingSample)]
-    if require_converged and excluded:
-        raise ConvergenceError(
-            f"{len(excluded)} of {len(results)} samples failed the "
-            f"invariance residual tolerance {residual_tol:g}"
-        )
     return DominationReport(
         samples=tuple(per_sample),
         excluded=tuple(excluded),
@@ -399,4 +364,3 @@ def domination_report(
         verdict_bunch_fails=bool(per_sample)
         and all(d.k0_bunch is None for d in per_sample),
     )
-

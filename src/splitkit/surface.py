@@ -21,6 +21,7 @@ from .geometry import Plane2, principal_angle
 DEFAULT_STEP = 1e-3
 DEFAULT_EPSILON = 0.05
 DEFAULT_GRID_N = 21
+DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational equation
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,8 @@ class FlowSpec:
     """Fixed-step explicit integrator parameters (classical 4th order)."""
 
     step: float = DEFAULT_STEP
-    order: int = 4
 
     def __post_init__(self):
-        if self.order != 4:
-            raise ValueError("only the classical 4th-order scheme is implemented")
         if self.step <= 0:
             raise ValueError("step must be positive")
 
@@ -244,7 +242,7 @@ class TransportResult:
 
 
 def pushforward_vector(
-    frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec(), v=None, grad_h=1e-6
+    frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec(), v=None, grad_h=DEFAULT_GRAD_H
 ) -> TransportResult:
     """Transport of a vector (default Y at the pulled-back base) by the X-flow.
 
@@ -271,9 +269,7 @@ def pushforward_vector(
     return TransportResult(vector=out[3:], max_step_load=load[0])
 
 
-def pushforward_norm_identity(
-    frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec(), grad_h=1e-6
-):
+def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
     """Both sides of the growth formula for the vertical direction under the X-flow.
 
     lhs: norm of the variational transport of e3 by the time-t X-flow at x.
@@ -281,14 +277,14 @@ def pushforward_norm_identity(
     Returns (lhs, rhs, relative error).
     """
     x = np.asarray(x, dtype=float)
-    f, J = _x_field_with_jacobian(frame, grad_h)
-    res = pushforward_vector(frame, x, t, spec=spec, v=np.array([0.0, 0.0, 1.0]), grad_h=grad_h)
+    f, _ = _x_field_with_jacobian(frame, DEFAULT_GRAD_H)
+    res = pushforward_vector(frame, x, t, spec=spec, v=np.array([0.0, 0.0, 1.0]))
     lhs = float(np.linalg.norm(res.vector))
 
     # quadrature of da/dx3 along tau -> X-flow_{-tau}(x), via an augmented ODE
     def g(state):
         p = state[:3]
-        return np.concatenate([-f(p), [frame.gradient_a(p, h=grad_h)[2]]])
+        return np.concatenate([-f(p), [frame.gradient_a(p, h=DEFAULT_GRAD_H)[2]]])
 
     out = _integrate(g, np.concatenate([x, [0.0]]), t, spec, None)
     rhs = float(np.exp(out[3]))
@@ -313,7 +309,7 @@ def pushforward_convergence_series(
     t,
     spec: FlowSpec = FlowSpec(),
     E0=None,
-    grad_h=1e-6,
+    grad_h=DEFAULT_GRAD_H,
 ) -> PushforwardSeries:
     """Pushforward defect of the depth-k frames at x0, one entry per depth.
 
@@ -323,7 +319,7 @@ def pushforward_convergence_series(
     not the frames.
     """
     x0 = np.asarray(x0, dtype=float)
-    half = FlowSpec(step=spec.step / 2, order=spec.order)
+    half = FlowSpec(step=spec.step / 2)
     vals = []
     flags = []
     for k in k_list:
@@ -336,28 +332,3 @@ def pushforward_convergence_series(
         vals.append(v)
         flags.append(bool(res.resolved and chk.resolved and agree))
     return PushforwardSeries(ks=tuple(k_list), values=np.array(vals), resolved=tuple(flags))
-
-
-def pushforward_derivative_check(
-    frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec(), dt_fd=1e-3, grad_h=1e-6, fd_h=1e-4
-):
-    """Relative defect of d/dt (X-flow_t)_* Y = -(X-flow_t)_* [X, Y] at x.
-
-    The time derivative is a centered difference of the transported field;
-    the bracket is c e3 with c from the frame's coefficients by FD.
-    """
-    from .bracket import bracket_coefficient
-
-    x = np.asarray(x, dtype=float)
-    f, _ = _x_field_with_jacobian(frame, grad_h)
-    plus = pushforward_vector(frame, x, t + dt_fd, spec=spec, grad_h=grad_h).vector
-    minus = pushforward_vector(frame, x, t - dt_fd, spec=spec, grad_h=grad_h).vector
-    ddt = (plus - minus) / (2 * dt_fd)
-
-    y = _integrate(f, x, -t, spec, None)
-    c = bracket_coefficient(frame, y, h=fd_h).c
-    transported = pushforward_vector(
-        frame, x, t, spec=spec, v=np.array([0.0, 0.0, c]), grad_h=grad_h
-    ).vector
-    denom = max(np.linalg.norm(transported), 1e-300)
-    return float(np.linalg.norm(ddt + transported) / denom)

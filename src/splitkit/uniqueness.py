@@ -16,6 +16,9 @@ from .dynamics import Diffeo
 from .frames import AdaptedFrame, PullbackFrame
 from .surface import ChartBox, FlowSpec, SurfacePatch, build_patch
 
+# slack of the two-step decrease test on the slice distances
+DECREASE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class HartmanData:
@@ -37,7 +40,6 @@ def hartman_slice_report(
     slice_x2: float,
     grid_n: int = 12,
     h: float = 1e-5,
-    decrease_slack: float = 1e-9,
 ) -> HartmanData:
     """Certificate data for a family of frames on the slice x2 = const.
 
@@ -69,7 +71,7 @@ def hartman_slice_report(
     # two-step envelope: convergence with an alternating-sign transient is
     # not monotone at consecutive depths, but every other depth must shrink
     decreasing = all(
-        sup_dist[i] <= sup_dist[i - 2] + decrease_slack for i in range(2, len(sup_dist))
+        sup_dist[i] <= sup_dist[i - 2] + DECREASE_SLACK for i in range(2, len(sup_dist))
     )
     return HartmanData(
         slice_x2=float(slice_x2),
@@ -120,7 +122,6 @@ def leaf_divergence(
     n: int,
     delta: float,
     spec: FlowSpec = FlowSpec(),
-    chart: ChartBox | None = None,
 ) -> LeafComparison:
     """Order-commutation and seed-Lipschitz diagnostics for one frame.
 
@@ -129,8 +130,7 @@ def leaf_divergence(
     the frame is integrable.
     """
     x0 = np.asarray(x0, dtype=float)
-    if chart is None:
-        chart = ChartBox(center=x0.copy(), halfwidth=0.45)
+    chart = ChartBox(center=x0.copy(), halfwidth=0.45)
     p_xy = build_patch(frame, x0, epsilon, n, spec=spec, chart=chart, order="xy")
     p_yx = build_patch(frame, x0, epsilon, n, spec=spec, chart=chart, order="yx")
     mismatch = _patch_distance(p_xy, p_yx)

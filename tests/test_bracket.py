@@ -3,21 +3,13 @@ import pytest
 
 from splitkit import Diffeo, Line1
 from splitkit.bracket import (
-    adapted_vs_orthonormal_ratio,
     bound_curve,
     bracket_coefficient,
-    det_comparison,
     invariance_identity_residual,
-    projected_bracket_norm,
     vector_field_bracket,
 )
 from splitkit.errors import ChartExitError
-from splitkit.frames import (
-    AnalyticFrame,
-    constant_frame,
-    contact_frame,
-    plane_from_coefficients,
-)
+from splitkit.frames import AnalyticFrame, constant_frame, contact_frame
 from splitkit.geometry import project_along
 from conftest import RATE_VOL
 
@@ -83,57 +75,6 @@ class TestBracketCoefficient:
             bracket_coefficient(box, np.array([0.99999, 0.5, 0.0]), h=1e-4)
 
 
-class TestProjectedBracket:
-    def test_constant_plane_field(self):
-        P = plane_from_coefficients(0.2, -0.4)
-        pb = projected_bracket_norm(
-            Diffeo.identity(), np.array([0.5, 0.5, 0.5]), 0, plane_field=lambda p: P,
-            fast_line=E3_LINE,
-        )
-        assert pb.norm < 1e-8
-
-    def test_contact_two_path_evaluation(self):
-        # direct FD bracket of the orthonormal pair field versus the
-        # adapted-frame route |c| * ||pi e3|| / |frame change det|
-        fr = contact_frame()
-        plane_field = lambda p: fr.plane(p)
-        for x1 in (0.0, 0.3, 0.7):
-            x = np.array([x1, 0.5, 0.5])
-            pb = projected_bracket_norm(
-                Diffeo.identity(), x, 0, plane_field=plane_field, fast_line=E3_LINE
-            )
-            c = bracket_coefficient(fr, x).c
-            pi_e3 = np.linalg.norm(project_along([0.0, 0.0, 1.0], fr.plane(x), E3_LINE))
-            change = np.sqrt(1.0 + x1 * x1)  # Gram factor of (X, Y) vs orthonormal
-            indirect = abs(c) * pi_e3 / change
-            assert pb.norm == pytest.approx(indirect, abs=1e-6)
-            assert pb.norm == pytest.approx(1.0 / np.sqrt(1.0 + x1 * x1), abs=1e-6)
-
-    def test_perturbed_depth_five(self, phi_perturbed, tilt_E0):
-        pb = projected_bracket_norm(phi_perturbed, np.zeros(3), 5, h=1e-6, E0=tilt_E0)
-        assert np.isfinite(pb.norm)
-
-    def test_comparison_constant_on_contact(self):
-        fr = contact_frame()
-        pts = [np.array([u, v, w]) for u in (0.1, 0.5) for v in (0.2, 0.7) for w in (0.3,)]
-        ratios = adapted_vs_orthonormal_ratio(fr, lambda p: fr.plane(p), E3_LINE, pts)
-        for p, r in zip(pts, ratios):
-            assert r == pytest.approx(np.sqrt(1.0 + p[0] ** 2), abs=1e-6)
-        assert max(ratios) < 1.5
-
-    def test_comparison_constant_uniform_over_grid(self):
-        # the measured adapted-vs-orthonormal constant stays uniform over a
-        # 10^3 sample grid of the chart
-        fr = contact_frame()
-        us = np.linspace(0.05, 0.95, 10)
-        pts = [np.array([u, v, w]) for u in us for v in us for w in us]
-        ratios = adapted_vs_orthonormal_ratio(fr, lambda p: fr.plane(p), E3_LINE, pts)
-        assert len(ratios) == 1000
-        assert max(ratios) < np.sqrt(2.0) + 1e-6
-        expected = [np.sqrt(1.0 + p[0] ** 2) for p in pts]
-        assert np.max(np.abs(np.array(ratios) - expected)) < 1e-6
-
-
 class TestFrameIndependence:
     def test_rotated_pair_same_projected_norm(self):
         # two different smooth orthonormal frames of the contact planes give
@@ -154,7 +95,7 @@ class TestFrameIndependence:
         x = np.array([0.35, 0.2, 0.6])
         norms = []
         for pair in (gs_pair, rotated_pair):
-            br = vector_field_bracket(lambda p: pair(p)[0], lambda p: pair(p)[1], x, 1e-4)
+            br = vector_field_bracket(pair, x, 1e-4)
             norms.append(np.linalg.norm(project_along(br, fr.plane(x), E3_LINE)))
         assert norms[0] == pytest.approx(norms[1], abs=1e-6)
 
@@ -228,18 +169,3 @@ class TestBoundCurve:
             phi_perturbed, np.zeros(3), 5, h=3e-6, E0=tilt_E0, k_plane=500, k_line=800
         )
         assert bc.limit_lhs <= 5.0 * max(bc.limit_lhs_error, 1e-11)
-
-
-class TestDetComparison:
-    def test_linear_quotient_bounded(self, phi_linear):
-        q, valid = det_comparison(phi_linear, np.array([0.3, 0.4, 0.5]), 30, k_plane=400)
-        assert valid.sum() >= 8  # float precision carries the slow plane this far
-        assert np.all(q[valid] < 10.0)
-        assert np.all(q[valid] > 0.0)
-        # away from the precision boundary the quotients oscillate in a band
-        assert np.all((1.5 < q[:9]) & (q[:9] < 3.0))
-
-    def test_perturbed_valid_window(self, phi_perturbed, tilt_E0):
-        q, valid = det_comparison(phi_perturbed, np.zeros(3), 12, E0=tilt_E0, k_plane=400)
-        assert valid.sum() >= 6
-        assert np.all(np.isfinite(q[valid]))

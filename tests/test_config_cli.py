@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitkit.cli import main
-from splitkit.config import ExperimentConfig, canonical_json_bytes, hash_file, write_canonical_json
+from splitkit.config import ExperimentConfig, hash_file, write_canonical_json
 from splitkit.errors import ConfigError
 
 MATRIX = [[-3, 0, 2], [1, 2, -3], [0, -1, 1]]
@@ -74,27 +74,6 @@ class TestConfig:
         for a, b in zip(cfg1.sample_points(), cfg2.sample_points()):
             assert np.allclose(a, b)
 
-    def test_map_spec_roundtrip_file(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            base_config(
-                map={
-                    "matrix": MATRIX,
-                    "shears": [
-                        {"axis": 0, "center": [0.0, 0.5, 0.5], "radius": 0.2, "amplitude": 0.05}
-                    ],
-                }
-            )
-        )
-        phi = cfg.build_diffeo()
-        path = tmp_path / "map.json"
-        write_canonical_json(path, phi.to_spec())
-        raw = path.read_bytes()
-        spec = json.loads(raw.decode())
-        assert canonical_json_bytes(spec) == raw
-        from splitkit import Diffeo
-
-        assert Diffeo.from_spec(spec).to_spec() == phi.to_spec()
-
 
 class TestCliExitCodes:
     def test_paper_example_fast(self, tmp_path, capsys):
@@ -117,6 +96,12 @@ class TestCliExitCodes:
         write_canonical_json(path, base_config(typo=1))
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_empty_k_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        write_canonical_json(path, base_config(k_list=[]))
+        assert main(["surface", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "k_list" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["splitting", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -193,6 +178,10 @@ class TestCliOutputs:
         origin_row = lines[1].split(",")
         assert origin_row[:4] == ["0.0", "0.0", "0.0", "0"]
         assert float(origin_row[5]) == pytest.approx(1.0, abs=1e-8)
+        # the limit bracket norm carries its resolved flag; the coordinate
+        # plane is involutive, so the limit bracket sits below its error bar
+        (sample,) = json.loads((out / "bracket.json").read_bytes())["results"]["samples"]
+        assert sample["limit_bracket_resolved"] is False
 
     def test_surface_and_uniqueness_reports(self, tmp_path):
         d = base_config()
@@ -249,7 +238,21 @@ class TestIdentityMapThroughCli:
 class TestConfigNumericValidation:
     @pytest.mark.parametrize(
         "key,value",
-        [("epsilon", -0.1), ("h", 0.0), ("step", -1e-3), ("n", 6), ("n", 2), ("k_max", 0)],
+        [
+            ("epsilon", -0.1),
+            ("h", 0.0),
+            ("step", -1e-3),
+            ("n", 6),
+            ("n", 2),
+            ("k_max", 0),
+            ("k_max", 1),
+            ("k_list", []),
+            ("k_list", ["x"]),
+            ("samples", [["a", 0, 0]]),
+            ("synthetic_field", "contact"),
+            ("synthetic_field", {"kind": "constant", "a": "x"}),
+            ("e0", [[1, 0, 0], [0, 1, 0]]),
+        ],
     )
     def test_bad_numeric_rejected(self, key, value):
         with pytest.raises(ConfigError):

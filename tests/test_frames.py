@@ -8,15 +8,11 @@ from splitkit.frames import (
     PullbackFrame,
     adapted_coefficients,
     aligned_pair_field,
-    contact_frame,
-    frame_change_determinant,
-    normalized_images,
     plane_from_coefficients,
     pullback_plane_at,
     svd_orthonormal_pair,
-    transversal_difference_quotient,
 )
-from splitkit.geometry import exterior_square, principal_angle, wedge_coordinates
+from splitkit.geometry import exterior_square, wedge_coordinates
 from conftest import DET_SLOW, SLOW_PLANE_COEFFS
 
 
@@ -91,43 +87,6 @@ class TestSvdPair:
         assert np.exp(pair.log_det) == pytest.approx(expansion, rel=1e-8)
 
 
-class TestNormalizedImages:
-    def test_identity(self):
-        P = plane_from_coefficients(0.1, 0.2)
-        pair = svd_orthonormal_pair(Diffeo.identity(), np.zeros(3), P, 2)
-        Zt, Wt = normalized_images(pair, Diffeo.identity(), np.zeros(3), 2)
-        assert np.allclose(Zt, pair.Z, atol=1e-12)
-        assert np.allclose(Wt, pair.W, atol=1e-12)
-
-    def test_eigendirection_fixed(self, phi_linear, eigen_oracle):
-        w, V = eigen_oracle
-        v2 = V[:, 1] / np.linalg.norm(V[:, 1])
-        from splitkit.frames import normalized_pushforward
-
-        img, _ = normalized_pushforward(phi_linear, [0.4, 0.2, 0.7], v2, 1)
-        assert min(np.linalg.norm(img - v2), np.linalg.norm(img + v2)) < 1e-12
-
-    def test_images_span_pushed_plane(self, phi_linear, slow_plane):
-        x = np.array([0.2, 0.6, 0.9])
-        pair = svd_orthonormal_pair(phi_linear, x, slow_plane, 4)
-        Zt, Wt = normalized_images(pair, phi_linear, x, 4)
-        assert principal_angle(Plane2.spanned_by(Zt, Wt), slow_plane) < 1e-8
-
-
-class TestFrameChange:
-    def test_rotated_pairs_unimodular(self):
-        rng = np.random.default_rng(1)
-        P = plane_from_coefficients(0.4, -0.7)
-        Q = P.orthonormal_basis()
-        for _ in range(30):
-            t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-            Z = np.cos(t1) * Q[:, 0] + np.sin(t1) * Q[:, 1]
-            W = -np.sin(t1) * Q[:, 0] + np.cos(t1) * Q[:, 1]
-            A = np.cos(t2) * Q[:, 0] + np.sin(t2) * Q[:, 1]
-            B = -np.sin(t2) * Q[:, 0] + np.cos(t2) * Q[:, 1]
-            assert abs(abs(frame_change_determinant(Z, W, A, B)) - 1.0) < 1e-12
-
-
 class TestPullbackFrame:
     def test_depth_zero_is_initial(self, phi_linear, tilt_E0):
         fr = PullbackFrame(phi_linear, 0, E0=tilt_E0)
@@ -179,24 +138,3 @@ class TestGridFrame:
 
         with pytest.raises(ChartExitError):
             box.coefficients(np.array([0.9, 0.2, 0.0]))
-
-
-class TestTransversalQuotients:
-    def test_linear_pullback_is_flat(self, phi_linear):
-        fr = PullbackFrame(phi_linear, 6)
-        qa, qb = transversal_difference_quotient(fr, np.array([0.2, 0.3, 0.4]), h=1e-4)
-        assert qa < 1e-8 and qb < 1e-8
-
-    def test_contact_frame_quotient(self):
-        fr = contact_frame()
-        qa, qb = transversal_difference_quotient(fr, np.array([0.2, 0.3, 0.4]), h=1e-4, direction=0)
-        assert qb == pytest.approx(1.0, abs=1e-10)
-
-    def test_perturbed_quotients_recorded(self, phi_perturbed, tilt_E0):
-        # measured, not assumed: the constants are data for perturbed maps
-        qs = []
-        for k in (2, 4, 6):
-            fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
-            qa, qb = transversal_difference_quotient(fr, np.array([0.1, 0.2, 0.3]), h=1e-5)
-            qs.append((k, qa, qb))
-        assert all(np.isfinite(qa) and np.isfinite(qb) for _, qa, qb in qs)

@@ -8,19 +8,14 @@ from splitkit.geometry import (
     Line1,
     Plane2,
     adjugate3,
-    condition_number,
     det3,
     exterior_square,
     principal_angle,
     project_along,
-    restricted_determinant,
-    restricted_singular_values,
     torus_delta,
-    torus_distance,
     wedge_coordinates,
     wrap_point,
 )
-from conftest import DET_SLOW, RESTRICTED_SV_SLOW
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -39,9 +34,6 @@ def random_plane(rng):
 class TestPointsAndLines:
     def test_wrap(self):
         assert np.allclose(wrap_point([1.2, -0.3, 2.0]), [0.2, 0.7, 0.0])
-
-    def test_torus_distance_wraps(self):
-        assert torus_distance([0.95, 0.0, 0.0], [0.05, 0.0, 0.0]) == pytest.approx(0.1)
         d = torus_delta([0.95, 0.5, 0.0], [0.05, 0.5, 0.0])
         assert d[0] == pytest.approx(-0.1)
 
@@ -153,42 +145,6 @@ class TestExteriorSquare:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-class TestRestrictedSingularValues:
-    def test_identity(self):
-        P = Plane2.spanned_by(E1, E2)
-        assert restricted_singular_values(np.eye(3), P) == pytest.approx((1.0, 1.0))
-
-    def test_axis_aligned(self):
-        P = Plane2.spanned_by(E1, E2)
-        s1, s2 = restricted_singular_values(np.diag([2.0, 3.0, 5.0]), P)
-        assert (s1, s2) == pytest.approx((2.0, 3.0), abs=1e-12)
-
-    def test_slow_eigenplane(self, slow_plane):
-        s1, s2 = restricted_singular_values(PAPER_MATRIX.astype(float), slow_plane)
-        assert s1 == pytest.approx(RESTRICTED_SV_SLOW[0], abs=1e-9)
-        assert s2 == pytest.approx(RESTRICTED_SV_SLOW[1], abs=1e-9)
-        # the restricted determinant is metric-free: |r1 * r2|
-        assert s1 * s2 == pytest.approx(DET_SLOW, abs=1e-9)
-
-    def test_basis_independent(self):
-        rng = np.random.default_rng(8)
-        M = rng.uniform(-2.0, 2.0, (3, 3))
-        P = random_plane(rng)
-        Q = P.orthonormal_basis()
-        base = restricted_singular_values(M, P)
-        for _ in range(20):
-            th = rng.uniform(0.0, 2.0 * np.pi)
-            R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-            P2 = Plane2(Q @ R)
-            other = restricted_singular_values(M, P2)
-            assert abs(base[0] - other[0]) < 1e-10
-            assert abs(base[1] - other[1]) < 1e-10
-
-    def test_restricted_determinant(self):
-        P = Plane2.spanned_by(E1, E2)
-        assert restricted_determinant(np.diag([2.0, 3.0, 5.0]), P) == pytest.approx(6.0)
-
-
 class TestProjection:
     def test_kernel(self):
         E = Plane2.spanned_by(E1, E2)
@@ -240,8 +196,3 @@ class TestIntegerMatrixHelpers:
     def test_adjugate_inverse(self):
         adj = adjugate3(PAPER_MATRIX)
         assert np.all(adj @ PAPER_MATRIX == np.eye(3, dtype=np.int64))
-
-    def test_condition_number(self):
-        assert condition_number(np.eye(3)) == pytest.approx(1.0)
-        assert condition_number(np.diag([1.0, 1.0, 0.0])) == np.inf
-        assert condition_number(np.diag([4.0, 2.0, 1.0])) == pytest.approx(4.0)

@@ -1,0 +1,48 @@
+"""Every public module-level function of the package has a caller.
+
+A function counts as called when a top-level statement of a module under
+``src/splitkit`` other than its own definition, or the acceptance suite,
+refers to it by name or attribute.  Imports and ``__all__`` entries do not
+count, so a re-export alone keeps nothing alive.  Test oracles that the
+package itself no longer calls are listed in ``ORACLES``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splitkit"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# kept for the tests that use them as oracles and fixtures
+ORACLES = {"wedge_coordinates", "write_canonical_json", "hash_file"}
+
+
+def referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    defined = {}  # (module, name) -> the defining top-level statement
+    used_by = []  # (statement, names it refers to) for every top-level statement
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            used_by.append((stmt, referenced_names(stmt)))
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defined[(path.stem, stmt.name)] = stmt
+    acceptance = referenced_names(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+
+    orphans = sorted(
+        f"{module}.{name}"
+        for (module, name), own in defined.items()
+        if name not in ORACLES
+        and name not in acceptance
+        and not any(name in names for stmt, names in used_by if stmt is not own)
+    )
+    assert not orphans, f"public functions with no caller in src/ or the acceptance suite: {orphans}"
