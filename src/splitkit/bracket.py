@@ -15,13 +15,18 @@ import numpy as np
 
 from .dynamics import Diffeo, cocycle
 from .errors import ChartExitError, ConvergenceError
-from .frames import AdaptedFrame, PullbackFrame, aligned_pair_field, pullback_plane_at
+from .frames import AdaptedFrame, PullbackFrame, aligned_pairs
 from .geometry import project_along
-from .splitting import compute_fast_line, fitted_rate, swept_growth
+from .splitting import compute_fast_line, fitted_rate, pullback_planes, swept_growth
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
 DEGENERATE_TOL = 1e-13  # bracket norms below this vanish to FD precision
+# A coefficient value is trusted to this many ulps of its unit normal. It is
+# a lower bound: pullback frames of the example map carry 1 to 5 ulps of
+# rounding noise at depths 1 to 4 and about 25 at depth 6, and the Richardson
+# order test is what rejects the noisier entries above this floor.
+ROUNDOFF_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -42,24 +47,18 @@ class BracketSample:
         return abs(self.c)
 
 
-def _coefficient_c(frame: AdaptedFrame, x, h):
-    """c = X(b) - Y(a) by centered differences at step h."""
+def fd_stencil(x, h):
+    """The centered-difference stencil of x as a (7,3) stack: rows x, x + h e1,
+    x - h e1, x + h e2, x - h e2, x + h e3, x - h e3."""
     x = np.asarray(x, dtype=float)
-    stencil = [x]
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        stencil.extend([x + e, x - e])
-    for q in stencil:
-        if not frame.in_domain(q):
-            raise ChartExitError(
-                f"FD stencil point {q} leaves the chart; retry with h < {h / 4:g}"
-            )
-    a0, b0 = frame.coefficients(x)
-    vals = [frame.coefficients(q) for q in stencil[1:]]
-    (a1p, b1p), (a1m, b1m) = vals[0], vals[1]
-    (a2p, b2p), (a2m, b2m) = vals[2], vals[3]
-    (a3p, b3p), (a3m, b3m) = vals[4], vals[5]
+    E = h * np.eye(3)
+    return np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])
+
+
+def _coefficient_c(vals, h):
+    """c = X(b) - Y(a) by centered differences at step h, from the (7,2)
+    coefficients on ``fd_stencil(x, h)``."""
+    (a0, b0), (a1p, b1p), (a1m, b1m), (a2p, b2p), (a2m, b2m), (a3p, b3p), (a3m, b3m) = vals
     db_dx1 = (b1p - b1m) / (2 * h)
     db_dx3 = (b3p - b3m) / (2 * h)
     da_dx2 = (a2p - a2m) / (2 * h)
@@ -77,8 +76,19 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     |c(h/2) - c(h/4)| / 3.  A value only counts as resolved when the three
     levels shrink like a second-order method (ratio near 4): differences that
     fail this are measurement noise, not derivatives, no matter how large.
+    Nor does a value below the rounding error of its own differences count,
+    however the three levels happen to line up.
     """
-    diffs = [_coefficient_c(frame, x, h / d) for d in (1, 2, 4)]
+    steps = [h / d for d in (1, 2, 4)]
+    stencils = [fd_stencil(x, s) for s in steps]
+    for s, stencil in zip(steps, stencils):
+        for q in stencil:
+            if not frame.in_domain(q):
+                raise ChartExitError(
+                    f"FD stencil point {q} leaves the chart; retry with h < {s / 4:g}"
+                )
+    vals = frame.coefficients(np.concatenate(stencils))  # all three levels in one call
+    diffs = [_coefficient_c(vals[7 * i : 7 * i + 7], s) for i, s in enumerate(steps)]
     cs = [Xb - Ya for Xb, Ya in diffs]
     d01 = abs(cs[0] - cs[1])
     d12 = abs(cs[1] - cs[2])
@@ -91,7 +101,12 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     else:
         order_ratio = d01 / max(d12, 1e-300)
         order_ok = 2.0 <= order_ratio <= 8.0
-    resolved = order_ok and abs(c) > max(4.0 * err, RESOLVED_ABS_FLOOR)
+    # rounding bound of the finest level: each (a, b) carries an absolute
+    # error of ROUNDOFF_ULPS * eps * (1 + |a| + |b|), and c sums four
+    # differences of them, two weighted by a and b, divided by 2 (h/4)
+    a0, b0 = (abs(v) for v in vals[14])
+    floor = ROUNDOFF_ULPS * np.finfo(float).eps * (1 + a0 + b0) * (2 + a0 + b0) / (h / 4)
+    resolved = order_ok and abs(c) > max(4.0 * err, RESOLVED_ABS_FLOOR, floor)
     return BracketSample(
         point=np.asarray(x, dtype=float),
         h=h,
@@ -104,24 +119,14 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     )
 
 
-def vector_field_bracket(pair_field, x, h):
-    """[U, V](x) = DV(x) U(x) - DU(x) V(x) for a pair field p -> (U(p), V(p)).
-
-    Both FD Jacobians come from one evaluation of the pair field per stencil
-    point.
-    """
-    x = np.asarray(x, dtype=float)
-    Ju = np.empty((3, 3))
-    Jv = np.empty((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        up, vp = pair_field(x + e)
-        um, vm = pair_field(x - e)
-        Ju[:, i] = (np.asarray(up) - np.asarray(um)) / (2 * h)
-        Jv[:, i] = (np.asarray(vp) - np.asarray(vm)) / (2 * h)
-    u, v = pair_field(x)
-    return Jv @ np.asarray(u) - Ju @ np.asarray(v)
+def vector_field_bracket(U, V, h):
+    """[U, V](x) = DV(x) U(x) - DU(x) V(x) from the values U, V (each (7,3))
+    of a pair field on ``fd_stencil(x, h)``."""
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    Ju = ((U[1::2] - U[2::2]) / (2 * h)).T
+    Jv = ((V[1::2] - V[2::2]) / (2 * h)).T
+    return Jv @ U[0] - Ju @ V[0]
 
 
 @dataclass(frozen=True)
@@ -149,21 +154,22 @@ def invariance_identity_residual(
     so the residual measures convergence quality, not FD noise.
     """
     x = np.asarray(x, dtype=float)
-    plane_field = lambda p: pullback_plane_at(phi, p, E0, k_plane)
-    E_x = plane_field(x)
+    co = cocycle(phi, x, k)
+    y = co.points[-1]
+    # x, its stencil and phi^k(x), pulled back once and shared
+    stencil = fd_stencil(x, h)
+    planes = pullback_planes(phi, np.vstack([stencil, y]), E0, k_plane)
+    E_x, E_y = planes[0], planes[-1]
     F_x = compute_fast_line(phi, x, k=k_line)
 
-    v = vector_field_bracket(aligned_pair_field(phi, k, plane_field, x), x, h)
+    v = vector_field_bracket(*aligned_pairs(phi, stencil, planes[:-1], k), h)
     if np.linalg.norm(v) < DEGENERATE_TOL:
         return InvarianceResidual(x, k, 0.0, 0.0, True)
 
     pv = project_along(v, E_x, F_x)
-    co = cocycle(phi, x, k)
     if co.overflow:
         raise ConvergenceError("cocycle overflow: reduce k or use log-scale ratios")
     D = co.final
-    y = co.points[-1]
-    E_y = plane_field(y)
     F_y = compute_fast_line(phi, y, k=k_line)
 
     lhs = project_along(D @ v, E_y, F_y)

@@ -21,7 +21,7 @@ from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows, pullback_plane_at
 from .geometry import Plane2, principal_angle
 from .report import RunTimer, run_report, write_csv, write_json
-from .splitting import domination_report, fitted_rate, swept_growth
+from .splitting import domination_report, fitted_rate, pullback_planes, swept_growth
 from .surface import (
     FlowSpec,
     build_patch,
@@ -51,13 +51,9 @@ def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
     base = Diffeo.from_matrix(np.asarray(cfg.map_spec["matrix"]))
     E_lin = pullback_plane_at(base, np.zeros(3), None, 300)
     aperture = 0.5  # radians; generous cone half-width around the linear plane
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(64):
-        p = rng.uniform(0.0, 1.0, 3)
-        D = phi.differential(p)
-        pulled = Plane2(np.linalg.solve(D, E_lin.basis))
-        worst = max(worst, principal_angle(pulled, E_lin))
+    points = np.random.default_rng(0).uniform(0.0, 1.0, (64, 3))
+    pulled = pullback_planes(phi, points, E_lin, 1)
+    worst = max(principal_angle(E, E_lin) for E in pulled)
     if worst > aperture:
         raise ConfigError(
             f"shear amplitude too large: one-step pullback tilts the reference plane by "
@@ -236,7 +232,6 @@ def cmd_surface(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
     spec = FlowSpec(step=cfg.step)
     E0 = cfg.initial_plane()
     limit_frame = PullbackFrame(phi, cfg.k_plane, E0=E0)
-    limit_field = limit_frame.plane
 
     per_k = []
     last_patch = None
@@ -245,7 +240,7 @@ def cmd_surface(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
         for k in cfg.k_list:
             frame = PullbackFrame(phi, k, E0=E0)
             patch = build_patch(frame, x0, cfg.epsilon, cfg.n, spec=spec, k=k)
-            rep = tangency_report(patch, frame, frame.plane, limit_field)
+            rep = tangency_report(patch, frame, frame.planes, limit_frame.planes)
             per_k.append(
                 {
                     "k": k,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import adjugate3, det3, torus_delta, wrap_point
+from .errors import ConfigError, DegeneratePlaneError
+from .geometry import GRAM_TOL, adjugate3, det3, torus_delta, wrap_point
 
 # Built-in example: a volume-preserving Anosov automorphism whose invariant
 # 2-plane is volume dominated but not center-bunched.
@@ -49,7 +49,8 @@ class ToralAutomorphism:
         self._Minvf.setflags(write=False)
 
     def apply(self, x):
-        return wrap_point(self._Mf @ x)
+        # the kernel's step at N = 1, so scalar and stacked orbits agree bit for bit
+        return self.advance(np.asarray(x, dtype=float)[None])[0][0]
 
     def apply_inverse(self, x):
         return wrap_point(self._Minvf @ x)
@@ -59,6 +60,24 @@ class ToralAutomorphism:
 
     def differential_inverse(self, x):
         return self._Minvf
+
+    def advance(self, Y):
+        """Images of the rows of an (N,3) stack; the differential needs no record."""
+        return wrap_point(Y @ self._Mf.T), None
+
+    def push(self, V, record):
+        return _times(self._Mf, V)
+
+    def pull(self, V, record):
+        return _times(self._Minvf, V)
+
+
+def _times(A, V):
+    """A V for a 3x3 matrix and a stack V of shape (3, c, N), entry by entry.
+
+    No BLAS call, so the bits of each column do not depend on N.
+    """
+    return A[:, 0, None, None] * V[0] + A[:, 1, None, None] * V[1] + A[:, 2, None, None] * V[2]
 
 
 class ShearPerturbation:
@@ -81,44 +100,60 @@ class ShearPerturbation:
         self.radius = float(radius)
         self.amplitude = float(amplitude)
         self.plane_axes = tuple(i for i in range(3) if i != self.axis)
+        self._plane = list(self.plane_axes)
+        self._plane_center = self.center[self._plane]
 
-    def _planar_radius(self, x):
-        j, k = self.plane_axes
-        d = torus_delta([x[j], x[k], 0.0], [self.center[j], self.center[k], 0.0])
-        return float(np.hypot(d[0], d[1])), d
+    def _planar_offsets(self, Y):
+        """Wrapped offsets (N,2) from the center in the plane axes, and their norms r."""
+        d = torus_delta(Y[:, self._plane], self._plane_center)
+        return d, np.hypot(d[:, 0], d[:, 1])
 
-    def bump(self, x):
-        r, _ = self._planar_radius(x)
-        if r >= self.radius:
-            return 0.0
+    def _bump(self, Y, gradient=False):
+        """Bump values at the rows of an (N,3) stack (None when every row is
+        outside the support) and, with ``gradient``, the two gradient
+        components along the plane axes, shape (2, N).
+
+        Only elementwise ufuncs, so each row's bits do not depend on N. The
+        fourth power goes through ``float_power`` (C ``pow``, like the scalar
+        ``** 4``): on AVX-512 machines numpy's vectorised ``power`` differs in
+        the last bit on about 6% of inputs, and one ulp in an orbit point
+        grows at the expansion rate along the orbit.
+        """
+        d, r = self._planar_offsets(Y)
+        inside = r < self.radius
+        if not inside.any():  # the common case for short stacks: all zeros
+            return (None, np.zeros((2, len(Y)))) if gradient else None
         z = np.pi * r / (2.0 * self.radius)
-        return self.amplitude * np.cos(z) ** 4
+        c = np.cos(z)
+        bump = np.where(inside, self.amplitude * np.float_power(c, 4), 0.0)
+        if not gradient:
+            return bump
+        live = inside & (r >= 1e-15)
+        dh = -self.amplitude * (2.0 * np.pi / self.radius) * np.float_power(c, 3) * np.sin(z)
+        g = np.where(live, dh * d.T / np.where(live, r, 1.0), 0.0)
+        return bump, g
 
     def bump_gradient(self, x):
         """Gradient of the bump as a 3-vector (component ``axis`` is 0)."""
-        r, d = self._planar_radius(x)
+        _, g = self._bump(np.asarray(x, dtype=float)[None], gradient=True)
         grad = np.zeros(3)
-        if r >= self.radius or r < 1e-15:
-            return grad
-        z = np.pi * r / (2.0 * self.radius)
-        dh = -self.amplitude * (2.0 * np.pi / self.radius) * np.cos(z) ** 3 * np.sin(z)
-        j, k = self.plane_axes
-        grad[j] = dh * d[0] / r
-        grad[k] = dh * d[1] / r
+        grad[self._plane] = g[:, 0]
         return grad
 
     def in_support(self, x):
-        return self._planar_radius(x)[0] < self.radius
+        return bool(self._planar_offsets(np.asarray(x, dtype=float)[None])[1][0] < self.radius)
 
     def apply(self, x):
-        y = np.array(x, dtype=float)
-        y[self.axis] += self.bump(y)
-        return wrap_point(y)
+        return self._shifted(np.array(x, dtype=float)[None], 1.0)[0]
 
     def apply_inverse(self, x):
-        y = np.array(x, dtype=float)
-        y[self.axis] -= self.bump(y)
-        return wrap_point(y)
+        return self._shifted(np.array(x, dtype=float)[None], -1.0)[0]
+
+    def _shifted(self, Y, sign):
+        bump = self._bump(Y)
+        if bump is not None:  # adding zeros would change no bit after the wrap
+            Y[:, self.axis] += sign * bump
+        return wrap_point(Y)
 
     def differential(self, x):
         D = np.eye(3)
@@ -129,6 +164,28 @@ class ShearPerturbation:
         D = np.eye(3)
         D[self.axis, :] -= self.bump_gradient(x)
         return D
+
+    def advance(self, Y):
+        """Images of the rows of an (N,3) stack and the bump gradients there."""
+        bump, g = self._bump(Y, gradient=True)
+        if bump is not None:
+            Y = Y.copy()
+            Y[:, self.axis] += bump
+        return wrap_point(Y), g
+
+    def push(self, V, g):
+        """(I + e_axis grad^T) V for a stack V of shape (3, c, N)."""
+        j, k = self.plane_axes
+        W = V.copy()
+        W[self.axis] += g[0] * V[j] + g[1] * V[k]
+        return W
+
+    def pull(self, V, g):
+        """(I - e_axis grad^T) V, the exact inverse of ``push``."""
+        j, k = self.plane_axes
+        W = V.copy()
+        W[self.axis] -= g[0] * V[j] + g[1] * V[k]
+        return W
 
 
 class Diffeo:
@@ -199,35 +256,88 @@ def orbit(phi: Diffeo, x, k: int, direction="forward"):
     return pts
 
 
-def _tangent_orbit(phi: Diffeo, x, k: int):
-    """Forward orbit x, ..., phi^k(x) and the one-step differentials D_i at x_i, i < k."""
-    pts = orbit(phi, x, k)
-    return pts, [phi.differential(p) for p in pts[:-1]]
+def _orbit_records(phi: Diffeo, X, k: int):
+    """Forward orbits of the rows of an (N,3) stack, with what the differentials need.
 
-
-def _pull_back(diffs, basis):
-    """Pull an orthonormal 3x2 basis back through the one-step differentials.
-
-    Returns the bases Q_0..Q_k, with Q_k = ``basis`` and
-    Q_i R_i = D_i^-1 Q_(i+1) (solve, then QR), and the factors R_0..R_(k-1).
+    Returns the points x_0..x_k, each (N,3), and per step i < k the stage
+    records at x_i, in stage order: the bump gradients (2, N) at the input of
+    a shear, None for an automorphism.
     """
-    Qs = [None] * len(diffs) + [basis]
-    Rs = [None] * len(diffs)
-    for i in range(len(diffs) - 1, -1, -1):
-        Qs[i], Rs[i] = np.linalg.qr(np.linalg.solve(diffs[i], Qs[i + 1]))
-    return Qs, Rs
+    Y = wrap_point(X)
+    pts = [Y]
+    recs = []
+    for _ in range(k):
+        rec = []
+        for stage in phi.stages:
+            Y, r = stage.advance(Y)
+            rec.append(r)
+        pts.append(Y)
+        recs.append(rec)
+    return pts, recs
+
+
+def _tangent(phi: Diffeo, rec, V, inverse=False):
+    """D V, or D^-1 V with the exact stage inverses in reverse order, for one
+    recorded step; V is a stack of shape (3, c, N)."""
+    if inverse:
+        for stage, r in zip(reversed(phi.stages), reversed(rec)):
+            V = stage.pull(V, r)
+    else:
+        for stage, r in zip(phi.stages, rec):
+            V = stage.push(V, r)
+    return V
+
+
+def _differentials(phi: Diffeo, P):
+    """One-step differentials at the rows of an (N,3) stack, shape (N, 3, 3)."""
+    _, (rec,) = _orbit_records(phi, P, 1)
+    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(P)))
+    return np.ascontiguousarray(_tangent(phi, rec, eye).transpose(2, 0, 1))
+
+
+def _gram_schmidt(V):
+    """Q R = V for a stack of 3x2 matrices V of shape (3, 2, N).
+
+    Returns Q of the same shape and R as its entries (r11, r12, r22), each
+    (N,). Raises DegeneratePlaneError where the second column is (nearly) a
+    multiple of the first, ||w|| <= GRAM_TOL ||v2||, instead of returning NaN.
+    """
+    norms = np.hypot(np.hypot(V[0], V[1]), V[2])  # ||v1||, ||v2||
+    Q = np.empty_like(V)
+    q1 = np.divide(V[:, 0], norms[0], out=Q[:, 0])
+    P = q1 * V[:, 1]
+    r12 = P[0] + P[1] + P[2]
+    w = V[:, 1] - r12 * q1
+    r22 = np.hypot(np.hypot(w[0], w[1]), w[2])
+    if not (r22 > GRAM_TOL * norms[1]).all():  # also false on NaN
+        raise DegeneratePlaneError("degenerate plane: Gram-Schmidt lost the second column")
+    np.divide(w, r22, out=Q[:, 1])
+    return Q, (norms[0], r12, r22)
+
+
+def _pull_back(phi: Diffeo, recs, Q):
+    """Pull orthonormal bases Q (3, 2, N) back through the recorded steps,
+    last step first.
+
+    Yields (Q_i, R_i) for i = k-1 down to 0, where Q_k = ``Q``,
+    Q_i R_i = D_i^-1 Q_(i+1) and R_i is as returned by ``_gram_schmidt``.
+    """
+    for rec in reversed(recs):
+        Q, R = _gram_schmidt(_tangent(phi, rec, Q, inverse=True))
+        yield Q, R
 
 
 def _push_forward(diffs, basis):
     """Push a 3x2 basis forward: Q_0 = ``basis``, Q_(i+1) R_i = D_i Q_i.
 
-    Returns the bases Q_0..Q_k and the factors R_0..R_(k-1).
+    Returns the bases Q_0..Q_k and the factors R_0..R_(k-1) as returned by
+    ``_gram_schmidt``.
     """
     Qs = [basis]
     Rs = []
     for D in diffs:
-        Q, R = np.linalg.qr(D @ Qs[-1])
-        Qs.append(Q)
+        Q, R = _gram_schmidt((D @ Qs[-1])[:, :, None])
+        Qs.append(Q[:, :, 0])
         Rs.append(R)
     return Qs, Rs
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _pull_back, _push_forward, _tangent_orbit
+from .dynamics import Diffeo, _differentials, _orbit_records, _push_forward
 from .errors import ChartExitError, ChartUnsuitableError
 from .geometry import Plane2
-from .splitting import _as_plane_field
+from .splitting import _as_plane_field, pullback_planes
 
 CHART_NORMAL_TOL = 1e-6
 SVD_TIE_TOL = 1e-12
@@ -37,7 +37,12 @@ def plane_from_coefficients(a, b) -> Plane2:
 
 
 class AdaptedFrame:
-    """Base class: a coefficient pair (a, b) evaluable over a chart domain."""
+    """Base class: a coefficient pair (a, b) evaluable over a chart domain.
+
+    ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
+    and an (N, 2) array for a stack of shape (N, 3); the single-point
+    helpers below take one point.
+    """
 
     domain = None  # None = whole torus; else (lo, hi) arrays for a box
 
@@ -60,6 +65,10 @@ class AdaptedFrame:
         a, b = self.coefficients(p)
         return plane_from_coefficients(a, b)
 
+    def planes(self, P):
+        """Planes at the rows of an (N,3) stack, from one coefficients call."""
+        return [plane_from_coefficients(a, b) for a, b in self.coefficients(P)]
+
     def in_domain(self, p):
         if self.domain is None:
             return True
@@ -78,12 +87,9 @@ class AdaptedFrame:
 
     def _fd_gradient(self, which, p, h):
         p = np.asarray(p, dtype=float)
-        g = np.empty(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            g[i] = (self.coefficients(p + e)[which] - self.coefficients(p - e)[which]) / (2 * h)
-        return g
+        E = h * np.eye(3)
+        vals = self.coefficients(np.concatenate([p + E, p - E]))[:, which]
+        return (vals[:3] - vals[3:]) / (2 * h)
 
 
 class AnalyticFrame(AdaptedFrame):
@@ -97,8 +103,10 @@ class AnalyticFrame(AdaptedFrame):
         self.domain = domain
 
     def coefficients(self, p):
-        self._require_domain(np.asarray(p, dtype=float))
         p = np.asarray(p, dtype=float)
+        if p.ndim == 2:
+            return np.array([self.coefficients(q) for q in p]).reshape(-1, 2)
+        self._require_domain(p)
         return float(self._a(p)), float(self._b(p))
 
     def gradient_a(self, p, h=1e-6):
@@ -128,17 +136,17 @@ def contact_frame() -> AnalyticFrame:
 
 
 def pullback_plane_at(phi: Diffeo, p, E0=None, k=1) -> Plane2:
-    """The depth-k pullback plane at a single point (no sequence bookkeeping)."""
-    pts, diffs = _tangent_orbit(phi, p, k)
-    Qs, _ = _pull_back(diffs, _as_plane_field(E0)(pts[-1]).orthonormal_basis())
-    return Plane2(Qs[0])
+    """The depth-k pullback plane at a single point: ``pullback_planes`` at N = 1."""
+    return pullback_planes(phi, np.asarray(p, dtype=float)[None], E0, k)[0]
 
 
 class PullbackFrame(AdaptedFrame):
     """Adapted frame of the depth-k pullback plane field, evaluated on demand.
 
     Evaluations are cached by point key; the field is pure, so a cached
-    value never goes stale.
+    value never goes stale. The points of a stack that miss the cache are
+    pulled back together in one kernel call, and a value is bitwise the same
+    whether it was computed alone or in a batch.
     """
 
     def __init__(self, phi: Diffeo, k: int, E0=None):
@@ -149,16 +157,23 @@ class PullbackFrame(AdaptedFrame):
 
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
+        rows = p.reshape(-1, 3)
+        keys = [q.tobytes() for q in rows]
+        missing = {}  # key -> first row index, for the distinct misses in order
+        for i, key in enumerate(keys):
+            if key not in self._cache:
+                missing.setdefault(key, i)
+        if missing:
+            P = rows[list(missing.values())]
             if self.k == 0:
-                plane = _as_plane_field(self.E0)(p)
+                planes = [_as_plane_field(self.E0)(q) for q in P]
             else:
-                plane = pullback_plane_at(self.phi, p, self.E0, self.k)
-            hit = adapted_coefficients(plane)
-            self._cache[key] = hit
-        return hit
+                planes = pullback_planes(self.phi, P, self.E0, self.k)
+            for key, plane in zip(missing, planes):
+                self._cache[key] = adapted_coefficients(plane)
+        if p.ndim == 1:
+            return self._cache[keys[0]]
+        return np.array([self._cache[key] for key in keys]).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -187,11 +202,12 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int) -> OrthonormalPair:
     Q0 = E.orthonormal_basis()
     if k == 0:
         return OrthonormalPair(Q0[:, 0], Q0[:, 1], (0.0, 0.0), True, 0)
-    _, diffs = _tangent_orbit(phi, x, k)
+    pts, _ = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
+    diffs = _differentials(phi, np.concatenate(pts[:-1]))
     T = np.eye(2)
     log_acc = 0.0
-    for R in _push_forward(diffs, Q0)[1]:
-        T = R @ T
+    for r11, r12, r22 in _push_forward(diffs, Q0)[1]:
+        T = np.array([[r11[0], r12[0]], [0.0, r22[0]]]) @ T
         scale = np.max(np.abs(T))
         log_acc += np.log(scale)
         T = T / scale
@@ -208,18 +224,17 @@ def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int) -> OrthonormalPair:
     )
 
 
-def aligned_pair_field(phi: Diffeo, k: int, plane_field, ref_point):
-    """Callable p -> (Z(p), W(p)): SVD pairs sign-aligned to a reference point.
+def aligned_pairs(phi: Diffeo, points, planes, k: int):
+    """SVD pairs (Z, W) at the rows of ``points``, each (N, 3), sign-aligned
+    to the pair at row 0.
 
     SVD vectors carry an arbitrary sign per point; aligning to the reference
     pair makes the field continuous over a finite-difference stencil.
     """
-    ref_point = np.asarray(ref_point, dtype=float)
-    ref = svd_orthonormal_pair(phi, ref_point, plane_field(ref_point), k)
-
-    def field(p):
-        p = np.asarray(p, dtype=float)
-        pr = svd_orthonormal_pair(phi, p, plane_field(p), k)
+    pairs = [svd_orthonormal_pair(phi, p, E, k) for p, E in zip(points, planes)]
+    ref = pairs[0]
+    Zs, Ws = [], []
+    for pr in pairs:
         Z, W = pr.Z, pr.W
         if abs(Z @ ref.Z) < abs(W @ ref.Z):
             Z, W = W, Z  # singular directions crossed between stencil points
@@ -227,9 +242,9 @@ def aligned_pair_field(phi: Diffeo, k: int, plane_field, ref_point):
             Z = -Z
         if W @ ref.W < 0:
             W = -W
-        return Z, W
-
-    return field
+        Zs.append(Z)
+        Ws.append(W)
+    return np.array(Zs), np.array(Ws)
 
 
 def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):
@@ -238,10 +253,9 @@ def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):
     hi = np.asarray(hi, dtype=float)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
+    grid = np.array([[xv, yv, x3] for xv in xs for yv in ys])
     rows = []
     for k, frame in frames_by_k:
-        for xv in xs:
-            for yv in ys:
-                a, b = frame.coefficients(np.array([xv, yv, x3]))
-                rows.append((float(xv), float(yv), float(x3), int(k), a, b))
+        for (xv, yv, _), (a, b) in zip(grid, frame.coefficients(grid)):
+            rows.append((float(xv), float(yv), float(x3), int(k), float(a), float(b)))
     return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _pull_back, _push_forward_line, _tangent_orbit, orbit
+from .dynamics import Diffeo, _differentials, _orbit_records, _pull_back, _push_forward_line, orbit
 from .geometry import Line1, Plane2, line_plane_angle, principal_angle
 
 ANGLE_CONVERGENCE_TOL = 1e-10
@@ -39,6 +39,22 @@ def _as_line_field(L0):
     if isinstance(L0, Line1):
         return lambda p: L0
     return L0
+
+
+def pullback_planes(phi: Diffeo, P, E0=None, k=1):
+    """The depth-k pullback planes D(phi^-k) E0(phi^k p) at the rows p of an
+    (N,3) stack, from one kernel call.
+
+    E0 is evaluated row by row at the orbit endpoints and the kernel uses
+    elementwise arithmetic only, so each row's plane is bitwise the same
+    whatever else is in the stack.
+    """
+    pts, recs = _orbit_records(phi, np.asarray(P, dtype=float), k)
+    field = _as_plane_field(E0)
+    Q = np.stack([field(p).orthonormal_basis() for p in pts[-1]], axis=-1)
+    for Q, _ in _pull_back(phi, recs, Q):
+        pass  # the last basis yielded is Q_0
+    return [Plane2(Q[:, :, n]) for n in range(Q.shape[2])]
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,8 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     if k < 1:
         raise ValueError("pullback depth k must be >= 1")
     field = _as_plane_field(E0)
-    pts, diffs = _tangent_orbit(phi, x, k)
+    pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
+    pts = [p[0] for p in pts]
 
     # power iteration converges at the (possibly mild) spectral gap, so the
     # estimate must run much deeper than the pullback itself; it is only
@@ -91,11 +108,16 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     entries = [PullbackEntry(0, field(pts[0]), np.pi / 2, seed_flag)]
     converged = False
     for j in range(1, k + 1):
-        Qs, Rs = _pull_back(diffs[:j], field(pts[j]).orthonormal_basis())
+        Q = field(pts[j]).orthonormal_basis()[:, :, None]
+        Rs = []
+        for Q, R in _pull_back(phi, recs[:j], Q):
+            Rs.append(R)
         flagged = any(
-            abs(R[0, 0] * R[1, 1]) < 1e-300 or np.linalg.cond(R) > 1e12 for R in Rs
+            abs(r11[0] * r22[0]) < 1e-300
+            or np.linalg.cond([[r11[0], r12[0]], [0.0, r22[0]]]) > 1e12
+            for r11, r12, r22 in Rs
         )
-        plane = Plane2(Qs[0])
+        plane = Plane2(Q[:, :, 0])
         step = principal_angle(plane, entries[-1].plane)
         entries.append(PullbackEntry(j, plane, step, flagged))
         if step < ANGLE_CONVERGENCE_TOL:
@@ -120,7 +142,7 @@ def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
         raise ValueError("iteration depth k must be >= 0")
     field = _as_line_field(L0)
     back = orbit(phi, x, k, direction="inverse")
-    diffs = [phi.differential(p) for p in back[:0:-1]]
+    diffs = _differentials(phi, np.array(back[:0:-1]).reshape(-1, 3))
     vs, _ = _push_forward_line(diffs, field(back[-1]).direction)
     return Line1(vs[-1])
 
@@ -214,11 +236,14 @@ def swept_growth(
     normalization (stable, since the fast line attracts under the forward
     map).
     """
-    pts, diffs = _tangent_orbit(phi, x, k_max + burn_in_plane)
-    planes, _ = _pull_back(diffs, _as_plane_field(E0)(pts[-1]).orthonormal_basis())
+    pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k_max + burn_in_plane)
+    seed = _as_plane_field(E0)(pts[-1][0]).orthonormal_basis()
+    planes = [seed] + [Q[:, :, 0] for Q, _ in _pull_back(phi, recs, seed[:, :, None])]
+    planes.reverse()  # the basis at orbit point i is planes[i]
+    diffs = _differentials(phi, np.concatenate(pts[:k_max]))
     f = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction
-    lines, _ = _push_forward_line(diffs[:k_max], f)
-    return _accumulate_growth(diffs[:k_max], planes, lines)
+    lines, _ = _push_forward_line(diffs, f)
+    return _accumulate_growth(diffs, planes, lines)
 
 
 def eventual_k0(log_ratios) -> int | None:
@@ -259,14 +284,10 @@ def splitting_sample(phi: Diffeo, x, E0=None, k_plane=400, k_line=600) -> Splitt
     recomputed from scratch at phi(x) and compared with the pushed-forward
     plane and line from x.
     """
-    from .frames import pullback_plane_at
-
     x = np.asarray(x, dtype=float)
-    E = pullback_plane_at(phi, x, E0, k_plane)
-    F = compute_fast_line(phi, x, k=k_line)
-
     y = phi.apply(x)
-    Ey = pullback_plane_at(phi, y, E0, k_plane)
+    E, Ey = pullback_planes(phi, np.array([x, y]), E0, k_plane)
+    F = compute_fast_line(phi, x, k=k_line)
     Fy = compute_fast_line(phi, y, k=k_line)
 
     D = phi.differential(x)

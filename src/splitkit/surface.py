@@ -177,20 +177,28 @@ class TangencyReport:
 def tangency_report(
     patch: SurfacePatch, frame: AdaptedFrame, plane_field, limit_field=None
 ) -> TangencyReport:
-    """Angles between FD tangent planes of a patch and reference plane fields."""
+    """Angles between FD tangent planes of a patch and reference plane fields.
+
+    A plane field maps the (M,3) stack of interior nodes to their M planes
+    (``AdaptedFrame.planes``), so each field is evaluated in one call.
+    """
+    nodes = list(patch.interior())
+    P = np.array([patch.points[i, j] for i, j in nodes])
+    a = frame.coefficients(P)[:, 0]
+    own = plane_field(P)
+    limit = limit_field(P) if limit_field is not None else None
     angles = []
     angles_limit = []
     max_norm = 0.0
     max_defect = 0.0
-    for i, j in patch.interior():
+    for m, (i, j) in enumerate(nodes):
         dt, ds = patch.fd_tangents(i, j)
-        p = patch.points[i, j]
         tangent = Plane2.spanned_by(dt, ds)
-        angles.append(principal_angle(tangent, plane_field(p)))
-        if limit_field is not None:
-            angles_limit.append(principal_angle(tangent, limit_field(p)))
+        angles.append(principal_angle(tangent, own[m]))
+        if limit is not None:
+            angles_limit.append(principal_angle(tangent, limit[m]))
         max_norm = max(max_norm, float(np.linalg.norm(dt)), float(np.linalg.norm(ds)))
-        max_defect = max(max_defect, float(np.linalg.norm(dt - frame.X(p))))
+        max_defect = max(max_defect, float(np.linalg.norm(dt - np.array([1.0, 0.0, a[m]]))))
     return TangencyReport(
         k=patch.k,
         max_angle=float(np.max(angles)),

@@ -19,8 +19,6 @@ FLAT_DYN_1 = 0.9933186612
 FLAT_VOL_1 = 0.0969798915
 FLAT_BUNCH_1 = 3.1683732798
 
-# Flat-metric singular values of the restriction to the slow eigenplane.
-RESTRICTED_SV_SLOW = (0.0976322054, 3.1896846434)
 DET_SLOW = 0.3114159462  # |r1 * r2|
 
 # Graph coefficients of the slow eigenplane (normal via eigenvector cross).

@@ -5,6 +5,7 @@ from splitkit import Diffeo, Line1
 from splitkit.bracket import (
     bound_curve,
     bracket_coefficient,
+    fd_stencil,
     invariance_identity_residual,
     vector_field_bracket,
 )
@@ -67,6 +68,19 @@ class TestBracketCoefficient:
         fine = bracket_coefficient(fr, x, h=1e-3)
         assert abs(coarse.c - fine.c) <= 4.0 * coarse.error + 1e-12
 
+    def test_rounding_floor(self):
+        # b = 1e-9 x1 + 1e-6 x1^3 at x1 = 0: c(s) = 1e-9 + 1e-6 s^2, so the
+        # three levels agree at any step; at h = 1e-8 the value lies below
+        # the rounding bound of differences of O(1) coefficients and is not
+        # counted as a measurement
+        fr = AnalyticFrame(lambda p: 0.0, lambda p: 1e-9 * p[0] + 1e-6 * p[0] ** 3)
+        coarse = bracket_coefficient(fr, np.zeros(3), h=1e-3)
+        assert coarse.resolved
+        assert coarse.c == pytest.approx(1e-9, rel=1e-4)
+        fine = bracket_coefficient(fr, np.zeros(3), h=1e-8)
+        assert fine.c == pytest.approx(1e-9, rel=1e-4)
+        assert not fine.resolved
+
     def test_stencil_leaves_chart(self):
         box = AnalyticFrame(
             lambda p: 0.1, lambda p: 0.2, domain=(np.zeros(3), np.array([1.0, 1.0, 0.0]))
@@ -95,7 +109,8 @@ class TestFrameIndependence:
         x = np.array([0.35, 0.2, 0.6])
         norms = []
         for pair in (gs_pair, rotated_pair):
-            br = vector_field_bracket(pair, x, 1e-4)
+            U, V = zip(*[pair(p) for p in fd_stencil(x, 1e-4)])
+            br = vector_field_bracket(U, V, 1e-4)
             norms.append(np.linalg.norm(project_along(br, fr.plane(x), E3_LINE)))
         assert norms[0] == pytest.approx(norms[1], abs=1e-6)
 

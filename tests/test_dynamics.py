@@ -6,10 +6,14 @@ from splitkit.dynamics import (
     COCYCLE_OVERFLOW_NORM,
     ShearPerturbation,
     ToralAutomorphism,
+    _gram_schmidt,
+    _orbit_records,
+    _pull_back,
+    _tangent,
     orbit,
     orbit_support_report,
 )
-from splitkit.errors import ConfigError
+from splitkit.errors import ConfigError, DegeneratePlaneError
 from splitkit.geometry import torus_delta
 from conftest import SHEAR
 
@@ -198,3 +202,56 @@ class TestOrbitSupport:
 
     def test_orbit_length(self, phi_perturbed):
         assert len(orbit(phi_perturbed, np.zeros(3), 7)) == 8
+
+
+def support_points(n, seed):
+    """Points inside the support cylinder of the conftest shear."""
+    rng = np.random.default_rng(seed)
+    r = 0.19 * np.sqrt(rng.uniform(0, 1, n))
+    th = rng.uniform(0, 2 * np.pi, n)
+    c = SHEAR["center"]
+    return np.column_stack([rng.uniform(0, 1, n), c[1] + r * np.cos(th), c[2] + r * np.sin(th)])
+
+
+class TestKernel:
+    def test_orbit_matches_scalar_apply(self, phi_perturbed):
+        X = support_points(20, 0)
+        pts, _ = _orbit_records(phi_perturbed, X, 60)
+        for n, x in enumerate(X):
+            assert np.array_equal(np.array([p[n] for p in pts]), np.array(orbit(phi_perturbed, x, 60)))
+
+    def test_batch_size_invariance(self, phi_perturbed):
+        X = support_points(50, 1)
+        seed = np.broadcast_to(np.eye(3)[:, :2, None], (3, 2, 50))
+        pts, recs = _orbit_records(phi_perturbed, X, 200)
+        *_, (Q, _) = _pull_back(phi_perturbed, recs, seed)
+        for n in range(50):
+            pts1, recs1 = _orbit_records(phi_perturbed, X[n : n + 1], 200)
+            *_, (Q1, _) = _pull_back(phi_perturbed, recs1, seed[:, :, :1])
+            assert pts1[-1][0].tobytes() == pts[-1][n].tobytes()
+            assert Q1[:, :, 0].tobytes() == Q[:, :, n].tobytes()
+
+    def test_stage_inverse_matches_solve(self, phi_perturbed):
+        X = support_points(30, 2)
+        _, (rec,) = _orbit_records(phi_perturbed, X, 1)
+        V = np.random.default_rng(3).normal(size=(3, 2, 30))
+        pulled = _tangent(phi_perturbed, rec, V, inverse=True)
+        pushed = _tangent(phi_perturbed, rec, V)
+        for n, x in enumerate(X):
+            D = phi_perturbed.differential(x)
+            assert np.max(np.abs(pulled[:, :, n] - np.linalg.solve(D, V[:, :, n]))) < 1e-13
+            assert np.max(np.abs(pushed[:, :, n] - D @ V[:, :, n])) < 1e-13
+
+    def test_gram_schmidt(self):
+        V = np.random.default_rng(4).normal(size=(3, 2, 10))
+        Q, (r11, r12, r22) = _gram_schmidt(V)
+        for n in range(10):
+            R = np.array([[r11[n], r12[n]], [0.0, r22[n]]])
+            assert np.max(np.abs(Q[:, :, n].T @ Q[:, :, n] - np.eye(2))) < 1e-14
+            assert np.max(np.abs(Q[:, :, n] @ R - V[:, :, n])) < 1e-14
+
+    def test_gram_schmidt_collinear_raises(self):
+        V = np.random.default_rng(5).normal(size=(3, 2, 4))
+        V[:, 1, 2] = -2.5 * V[:, 0, 2]
+        with pytest.raises(DegeneratePlaneError):
+            _gram_schmidt(V)

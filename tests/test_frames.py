@@ -7,13 +7,23 @@ from splitkit.frames import (
     AnalyticFrame,
     PullbackFrame,
     adapted_coefficients,
-    aligned_pair_field,
+    aligned_pairs,
     plane_from_coefficients,
     pullback_plane_at,
     svd_orthonormal_pair,
 )
-from splitkit.geometry import exterior_square, wedge_coordinates
-from conftest import DET_SLOW, SLOW_PLANE_COEFFS
+from splitkit.dynamics import orbit
+from splitkit.geometry import exterior_square, principal_angle, wedge_coordinates
+from conftest import DET_SLOW, SHEAR, SLOW_PLANE_COEFFS
+
+
+def solve_qr_pullback(phi, p, E0: Plane2, k):
+    """Reference pullback: solve with the one-step differential, then
+    Householder QR, one point and one step at a time."""
+    Q = E0.orthonormal_basis()
+    for x in reversed(orbit(phi, p, k)[:-1]):
+        Q, _ = np.linalg.qr(np.linalg.solve(phi.differential(x), Q))
+    return Plane2(Q)
 
 
 class TestAdaptedCoefficients:
@@ -108,23 +118,51 @@ class TestPullbackFrame:
         assert a == pytest.approx(SLOW_PLANE_COEFFS[0], abs=1e-6)
         assert b == pytest.approx(SLOW_PLANE_COEFFS[1], abs=1e-6)
 
+    def test_matches_solve_qr_reference(self, phi_perturbed):
+        # roundoff differences contract with the pullback, so the closed-form
+        # kernel and the reference agree to a few hundred ulps at any depth
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0, 1, (10, 3))
+        X[:5, 1:] = np.asarray(SHEAR["center"])[1:] + rng.uniform(-0.1, 0.1, (5, 2))
+        E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        for x in X:
+            for k in (1, 30):
+                got = pullback_plane_at(phi_perturbed, x, E0, k)
+                assert principal_angle(got, solve_qr_pullback(phi_perturbed, x, E0, k)) < 1e-12
+
     def test_cache_hit(self, phi_linear):
         fr = PullbackFrame(phi_linear, 3)
         p = np.array([0.5, 0.5, 0.25])
         assert fr.coefficients(p) == fr.coefficients(p)
         assert len(fr._cache) == 1
 
+    def test_batch_equals_rows(self, phi_perturbed, tilt_E0, monkeypatch):
+        P = np.random.default_rng(0).uniform(0, 1, (12, 3))
+        P[5] = P[2]  # a repeated row is pulled back once
+        batch = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
+        got = batch.coefficients(P)
+        assert got.shape == (12, 2)
+        assert len(batch._cache) == 11
+        single = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
+        for n, p in enumerate(P):
+            assert tuple(got[n]) == single.coefficients(p)
+
+        def no_pullback(*args):
+            raise AssertionError("cache miss")
+
+        monkeypatch.setattr("splitkit.frames.pullback_planes", no_pullback)
+        assert np.array_equal(batch.coefficients(P), got)
+        assert len(batch._cache) == 11
+
 
 class TestAlignedPairField:
     def test_continuous_over_stencil(self, phi_linear, tilt_E0):
-        field = aligned_pair_field(phi_linear, 3, lambda p: pullback_plane_at(phi_linear, p, tilt_E0, 3), np.zeros(3))
-        Z0, W0 = field(np.zeros(3))
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1e-4
-            Z1, W1 = field(e)
-            assert np.linalg.norm(Z1 - Z0) < 1e-2
-            assert np.linalg.norm(W1 - W0) < 1e-2
+        points = np.vstack([np.zeros(3), 1e-4 * np.eye(3)])
+        planes = [pullback_plane_at(phi_linear, p, tilt_E0, 3) for p in points]
+        Z, W = aligned_pairs(phi_linear, points, planes, 3)
+        for i in range(1, 4):
+            assert np.linalg.norm(Z[i] - Z[0]) < 1e-2
+            assert np.linalg.norm(W[i] - W[0]) < 1e-2
 
 
 class TestGridFrame:

@@ -46,3 +46,23 @@ def test_every_public_function_has_a_caller():
         and not any(name in names for stmt, names in used_by if stmt is not own)
     )
     assert not orphans, f"public functions with no caller in src/ or the acceptance suite: {orphans}"
+
+
+# one pullback implementation: the kernel in dynamics pulls back with the
+# exact stage inverses and orthonormalises by hand
+NO_DENSE_SOLVERS = ("dynamics", "frames", "splitting", "bracket", "cli")
+
+
+def test_no_dense_solve_or_qr_in_the_orbit_layers():
+    found = []
+    for stem in NO_DENSE_SOLVERS:
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        for sub in ast.walk(tree):
+            if (
+                isinstance(sub, ast.Attribute)
+                and sub.attr in ("qr", "solve")
+                and isinstance(sub.value, ast.Attribute)
+                and sub.value.attr == "linalg"
+            ):
+                found.append(f"{stem}:{sub.lineno} linalg.{sub.attr}")
+    assert not found, f"dense solve/qr in the orbit layers: {found}"

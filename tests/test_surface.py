@@ -87,7 +87,7 @@ class TestPatches:
         fr = constant_frame(0.2, -0.3)
         x0 = np.array([0.5, 0.5, 0.5])
         patch = build_patch(fr, x0, 0.05, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, fr.plane)
+        rep = tangency_report(patch, fr, fr.planes)
         assert rep.max_angle < 1e-8
         assert rep.max_dWdt_defect < 1e-10
         assert rep.max_tangent_norm <= 1.05 * np.sqrt(1.0 + 0.3**2)
@@ -126,7 +126,7 @@ class TestPatches:
     def test_dWdt_identity_curved(self):
         fr = exp_frame()
         patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, fr.plane)
+        rep = tangency_report(patch, fr, fr.planes)
         # FD tangents carry an O(grid^2) truncation error on curved patches
         assert rep.max_dWdt_defect < 5e-4
 
@@ -134,11 +134,11 @@ class TestPatches:
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
         patch = build_patch(fr, x0, 0.03, 7, spec=SPEC, k=4)
-        rep = tangency_report(patch, fr, fr.plane)
+        rep = tangency_report(patch, fr, fr.planes)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
         patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4), k=4)
-        rep2 = tangency_report(patch2, fr, fr.plane)
+        rep2 = tangency_report(patch2, fr, fr.planes)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
     def test_chart_exit_suggests_epsilon(self):
@@ -198,7 +198,7 @@ class TestTangencySeries:
 
         fr = constant_frame(*SLOW_PLANE_COEFFS)
         patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, lambda p: slow_plane)
+        rep = tangency_report(patch, fr, lambda P: [slow_plane] * len(P))
         assert rep.max_angle < 1e-8
 
     def test_perturbed_series_decreasing_towards_limit(self, phi_perturbed, tilt_E0):
@@ -210,6 +210,6 @@ class TestTangencySeries:
         for k in range(1, 9):
             fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
             patch = build_patch(fr, np.zeros(3), 0.02, 5, spec=FlowSpec(step=1e-3), k=k)
-            rep = tangency_report(patch, fr, fr.plane, limit.plane)
+            rep = tangency_report(patch, fr, fr.planes, limit.planes)
             maxima.append(rep.max_angle_limit)
         assert np.mean(maxima[4:]) < np.mean(maxima[:4])
