@@ -19,7 +19,7 @@ from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows, pullback_plane_at
-from .geometry import Plane2, principal_angle
+from .geometry import principal_angle
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report, fitted_rate, pullback_planes, swept_growth
 from .surface import (
@@ -234,8 +234,6 @@ def cmd_surface(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
     limit_frame = PullbackFrame(phi, cfg.k_plane, E0=E0)
 
     per_k = []
-    last_patch = None
-    last_frame = None
     with timer.time("surface"):
         for k in cfg.k_list:
             frame = PullbackFrame(phi, k, E0=E0)
@@ -252,7 +250,6 @@ def cmd_surface(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
                     "max_tangent_norm": rep.max_tangent_norm,
                 }
             )
-            last_patch, last_frame = patch, frame
         lhs, rhs, rel = pushforward_norm_identity(limit_frame, x0, cfg.t, spec=spec)
         series = pushforward_convergence_series(
             phi, x0, list(cfg.k_list), cfg.t, spec=spec, E0=E0
@@ -261,22 +258,20 @@ def cmd_surface(cfg: ExperimentConfig, out_dir: Path, timer: RunTimer) -> dict:
             {"k": int(k), "value": float(v), "resolved": bool(r)}
             for k, v, r in zip(series.ks, series.values, series.resolved)
         ]
+    # the last depth's patch, with its tangency angles (0 on the border)
+    angles = np.pad(rep.angles, 1)
     rows = []
-    for i in range(last_patch.n):
-        for j in range(last_patch.n):
-            p = last_patch.points[i, j]
-            dt_ok = 0.0
-            if 0 < i < last_patch.n - 1 and 0 < j < last_patch.n - 1:
-                dt, ds = last_patch.fd_tangents(i, j)
-                dt_ok = principal_angle(Plane2.spanned_by(dt, ds), last_frame.plane(p))
+    for i in range(patch.n):
+        for j in range(patch.n):
+            p = patch.points[i, j]
             rows.append(
                 (
-                    float(last_patch.ts[i]),
-                    float(last_patch.ss[j]),
+                    float(patch.ts[i]),
+                    float(patch.ss[j]),
                     float(p[0]),
                     float(p[1]),
                     float(p[2]),
-                    float(dt_ok),
+                    float(angles[i, j]),
                 )
             )
     write_csv(out_dir / "surface.csv", ["t", "s", "x1", "x2", "x3", "defect_angle"], rows)

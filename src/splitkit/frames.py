@@ -40,8 +40,9 @@ class AdaptedFrame:
     """Base class: a coefficient pair (a, b) evaluable over a chart domain.
 
     ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
-    and an (N, 2) array for a stack of shape (N, 3); the single-point
-    helpers below take one point.
+    and an (N, 2) array for a stack of shape (N, 3); so do the frame fields
+    ``X`` and ``Y``, with one vector per point.  ``plane`` and the gradient
+    take one point.
     """
 
     domain = None  # None = whole torus; else (lo, hi) arrays for a box
@@ -49,17 +50,20 @@ class AdaptedFrame:
     def coefficients(self, p):
         raise NotImplementedError
 
-    def a(self, p):
-        return self.coefficients(p)[0]
-
-    def b(self, p):
-        return self.coefficients(p)[1]
-
     def X(self, p):
-        return np.array([1.0, 0.0, self.a(p)])
+        """X = e1 + a e3 at a point, or at every row of a stack."""
+        return self._graph_field(p, 0)
 
     def Y(self, p):
-        return np.array([0.0, 1.0, self.b(p)])
+        """Y = e2 + b e3 at a point, or at every row of a stack."""
+        return self._graph_field(p, 1)
+
+    def _graph_field(self, p, which):
+        c = np.asarray(self.coefficients(p), dtype=float)
+        out = np.zeros(np.shape(p))
+        out[..., which] = 1.0
+        out[..., 2] = c[..., which]
+        return out
 
     def plane(self, p) -> Plane2:
         a, b = self.coefficients(p)
@@ -80,26 +84,19 @@ class AdaptedFrame:
             raise ChartExitError(f"point {np.asarray(p)} outside frame domain")
 
     def gradient_a(self, p, h=1e-6):
-        return self._fd_gradient(0, p, h)
-
-    def gradient_b(self, p, h=1e-6):
-        return self._fd_gradient(1, p, h)
-
-    def _fd_gradient(self, which, p, h):
         p = np.asarray(p, dtype=float)
         E = h * np.eye(3)
-        vals = self.coefficients(np.concatenate([p + E, p - E]))[:, which]
+        vals = self.coefficients(np.concatenate([p + E, p - E]))[:, 0]
         return (vals[:3] - vals[3:]) / (2 * h)
 
 
 class AnalyticFrame(AdaptedFrame):
-    """Coefficients given by closed-form functions, with optional gradients."""
+    """Coefficients given by closed-form functions, with an optional gradient of a."""
 
-    def __init__(self, a, b, grad_a=None, grad_b=None, domain=None):
+    def __init__(self, a, b, grad_a=None, domain=None):
         self._a = a
         self._b = b
         self._grad_a = grad_a
-        self._grad_b = grad_b
         self.domain = domain
 
     def coefficients(self, p):
@@ -114,25 +111,14 @@ class AnalyticFrame(AdaptedFrame):
             return np.asarray(self._grad_a(np.asarray(p, dtype=float)), dtype=float)
         return super().gradient_a(p, h)
 
-    def gradient_b(self, p, h=1e-6):
-        if self._grad_b is not None:
-            return np.asarray(self._grad_b(np.asarray(p, dtype=float)), dtype=float)
-        return super().gradient_b(p, h)
-
 
 def constant_frame(a, b) -> AnalyticFrame:
-    zero = lambda p: np.zeros(3)
-    return AnalyticFrame(lambda p: a, lambda p: b, grad_a=zero, grad_b=zero)
+    return AnalyticFrame(lambda p: a, lambda p: b, grad_a=lambda p: np.zeros(3))
 
 
 def contact_frame() -> AnalyticFrame:
     """The kernel of dx3 - x1 dx2: a = 0, b = x1, bracket coefficient 1."""
-    return AnalyticFrame(
-        lambda p: 0.0,
-        lambda p: p[0],
-        grad_a=lambda p: np.zeros(3),
-        grad_b=lambda p: np.array([1.0, 0.0, 0.0]),
-    )
+    return AnalyticFrame(lambda p: 0.0, lambda p: p[0], grad_a=lambda p: np.zeros(3))
 
 
 def pullback_plane_at(phi: Diffeo, p, E0=None, k=1) -> Plane2:

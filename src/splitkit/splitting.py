@@ -342,9 +342,8 @@ def _analyze_point(phi, p, k_max, E0, k_plane, k_line):
     s = splitting_sample(phi, p, E0=E0, k_plane=k_plane, k_line=k_line)
     if not s.converged:
         return s
-    g = swept_growth(
-        phi, s.point, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=k_line
-    )
+    # the sample's depth-k_line fast line seeds the growth sweep as it is
+    g = swept_growth(phi, s.point, k_max, E0=E0, L0=s.line, burn_in_plane=k_plane, burn_in_line=0)
     return SampleDomination(
         sample=s,
         growth=g,

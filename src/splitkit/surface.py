@@ -2,8 +2,9 @@
 
 Patches are built as W(t, s) = (X-flow for time t) of (Y-flow for time s) of
 a base point, on a fixed (t, s) grid, with a classical fixed-step 4th-order
-integrator.  Flows run in lifted (unwrapped) chart coordinates inside an
-explicit chart box; leaving the box is a hard error, never a silent clamp.
+integrator that steps all rows of a patch together as one stack.  Flows run
+in lifted (unwrapped) chart coordinates inside an explicit chart box; leaving
+the box is a hard error, never a silent clamp.
 """
 
 from __future__ import annotations
@@ -43,41 +44,37 @@ class ChartBox:
     halfwidth: float = 0.45
 
     def contains(self, p):
-        return bool(np.all(np.abs(np.asarray(p) - self.center) <= self.halfwidth))
+        """Whether a point is in the box; for an (N, 3) stack, one flag per row."""
+        return np.all(np.abs(np.asarray(p) - self.center) <= self.halfwidth, axis=-1)
 
 
-def _rk4_step(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = None):
+    """Endpoint of the time-t flow of y' = field(y) (t of either sign) in fixed RK4 steps.
 
-
-def _integrate(f, y0, t, spec: FlowSpec, chart: ChartBox | None):
-    """Integrate y' = f(y) over [0, t] (t of either sign) in fixed steps."""
+    ``y0`` is one state of shape (d,) or a stack of N states of shape (N, d);
+    ``field`` maps an (N, d) stack to an (N, d) stack.  All rows take the same
+    steps with elementwise arithmetic, so a row's endpoint is bitwise the same
+    whatever else is in the stack.  With a chart, the first three coordinates
+    of every row are checked after each step.
+    """
+    y = np.array(y0, dtype=float)
     if t == 0.0:
-        return np.array(y0, dtype=float)
+        return y
     n = max(1, math.ceil(abs(t) / spec.step))
     dt = t / n
-    y = np.array(y0, dtype=float)
+    Y = y.reshape(-1, y.shape[-1])
     for i in range(n):
-        y = _rk4_step(f, y, dt)
-        if chart is not None and not chart.contains(y[:3]):
+        k1 = field(Y)
+        k2 = field(Y + 0.5 * dt * k1)
+        k3 = field(Y + 0.5 * dt * k2)
+        k4 = field(Y + dt * k3)
+        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if chart is not None and not np.all(chart.contains(Y[:, :3])):
             raise ChartExitError(
                 f"trajectory left the chart at time {(i + 1) * dt:.6g}",
                 exit_time=(i + 1) * dt,
             )
-    return y
-
-
-def flow(field, x0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = None):
-    """Endpoint of the time-t flow of a vector field from x0."""
-
-    def f(y):
-        return np.asarray(field(y), dtype=float)
-
-    return _integrate(f, x0, t, spec, chart)
+    return Y.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -107,18 +104,20 @@ class SurfacePatch:
                 yield i, j
 
 
-def _row_from(point, field, ts, i0, spec, chart):
-    """Fill one t-row incrementally outward from the t=0 column."""
-    out = np.empty((len(ts), 3))
-    out[i0] = point
-    q = np.array(point, dtype=float)
-    for i in range(i0 + 1, len(ts)):
-        q = _integrate(lambda y: np.asarray(field(y), dtype=float), q, ts[i] - ts[i - 1], spec, chart)
-        out[i] = q
-    q = np.array(point, dtype=float)
-    for i in range(i0 - 1, -1, -1):
-        q = _integrate(lambda y: np.asarray(field(y), dtype=float), q, ts[i] - ts[i + 1], spec, chart)
-        out[i] = q
+def _sweep(field, starts, grid, i0, spec, chart):
+    """Flow every row of an (N, 3) stack of starts to each time of ``grid``.
+
+    Node [m, i] is the ``field``-flow of ``starts[m]`` for time ``grid[i]``,
+    reached step by step outward from ``grid[i0]`` = 0; all rows step together.
+    """
+    out = np.empty((len(starts), len(grid), 3))
+    out[:, i0] = starts
+    for side in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
+        q, prev = starts, i0
+        for i in side:
+            q = flow(field, q, grid[i] - grid[prev], spec, chart)
+            out[:, i] = q
+            prev = i
     return out
 
 
@@ -144,22 +143,17 @@ def build_patch(
     x0 = np.asarray(x0, dtype=float)
     if chart is None:
         chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    ts = np.linspace(-epsilon, epsilon, n)
-    ss = np.linspace(-epsilon, epsilon, n)
-    j0 = int(np.argmin(np.abs(ss)))
-    i0 = int(np.argmin(np.abs(ts)))
+    ts = ss = np.linspace(-epsilon, epsilon, n)
+    i0 = n // 2  # the grid is symmetric, so its middle node is t = 0
 
+    # the spine follows the first field through x0, then all n rows follow
+    # the second field from the spine together; node [m, i] is at time grid[m]
+    # of the first field, so the xy order is transposed to the [t, s] layout
     first, second = (frame.Y, frame.X) if order == "xy" else (frame.X, frame.Y)
-    # spine along the first field through x0
-    spine = _row_from(x0, first, ss if order == "xy" else ts, j0 if order == "xy" else i0, spec, chart)
-
-    points = np.empty((n, n, 3))
+    spine = _sweep(first, x0[None], ss, i0, spec, chart)[0]
+    points = _sweep(second, spine, ts, i0, spec, chart)
     if order == "xy":
-        for j in range(n):
-            points[:, j, :] = _row_from(spine[j], second, ts, i0, spec, chart)
-    else:
-        for i in range(n):
-            points[i, :, :] = _row_from(spine[i], second, ss, j0, spec, chart)
+        points = np.ascontiguousarray(points.swapaxes(0, 1))
     return SurfacePatch(x0=x0, epsilon=epsilon, n=n, ts=ts, ss=ss, points=points, k=k, spec=spec)
 
 
@@ -172,6 +166,7 @@ class TangencyReport:
     mean_angle_limit: float | None
     max_tangent_norm: float  # uniform C^1 bound ingredient
     max_dWdt_defect: float  # || FD dW/dt - X(W) || over interior nodes
+    angles: np.ndarray  # (n-2, n-2): angle to the own plane at interior node [i-1, j-1]
 
 
 def tangency_report(
@@ -207,6 +202,7 @@ def tangency_report(
         mean_angle_limit=float(np.mean(angles_limit)) if angles_limit else None,
         max_tangent_norm=max_norm,
         max_dWdt_defect=max_defect,
+        angles=np.reshape(angles, (patch.n - 2, patch.n - 2)),
     )
 
 
@@ -217,18 +213,6 @@ def planarity_defect(patch: SurfacePatch) -> float:
     _, _, Vt = np.linalg.svd(pts - c)
     normal = Vt[2]
     return float(np.max(np.abs((pts - c) @ normal)))
-
-
-def _x_field_with_jacobian(frame: AdaptedFrame, grad_h):
-    def f(y):
-        return np.array([1.0, 0.0, frame.a(y)])
-
-    def J(y):
-        Jm = np.zeros((3, 3))
-        Jm[2, :] = frame.gradient_a(y, h=grad_h)
-        return Jm
-
-    return f, J
 
 
 @dataclass(frozen=True)
@@ -259,21 +243,21 @@ def pushforward_vector(
     variational equation is integrated forward along the X-flow.
     """
     x = np.asarray(x, dtype=float)
-    f, J = _x_field_with_jacobian(frame, grad_h)
-    y = _integrate(f, x, -t, spec, None)
+    y = flow(frame.X, x, -t, spec)
     v0 = np.asarray(frame.Y(y) if v is None else v, dtype=float)
 
     n = max(1, math.ceil(abs(t) / spec.step))
     dt = t / n
     load = [0.0]
 
-    def g(state):
-        p, w = state[:3], state[3:]
-        Jp = J(p)
-        load[0] = max(load[0], float(np.linalg.norm(Jp) * abs(dt)))
-        return np.concatenate([f(p), Jp @ w])
+    def g(S):
+        # the state (p, w) is a one-row stack; J(p) = e3 grad(a)(p)^T
+        J = np.zeros((3, 3))
+        J[2, :] = frame.gradient_a(S[0, :3], h=grad_h)
+        load[0] = max(load[0], float(np.linalg.norm(J) * abs(dt)))
+        return np.concatenate([frame.X(S[:, :3]), (J @ S[0, 3:])[None]], axis=1)
 
-    out = _integrate(g, np.concatenate([y, v0]), t, spec, None)
+    out = flow(g, np.concatenate([y, v0]), t, spec)
     return TransportResult(vector=out[3:], max_step_load=load[0])
 
 
@@ -285,16 +269,15 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     Returns (lhs, rhs, relative error).
     """
     x = np.asarray(x, dtype=float)
-    f, _ = _x_field_with_jacobian(frame, DEFAULT_GRAD_H)
     res = pushforward_vector(frame, x, t, spec=spec, v=np.array([0.0, 0.0, 1.0]))
     lhs = float(np.linalg.norm(res.vector))
 
     # quadrature of da/dx3 along tau -> X-flow_{-tau}(x), via an augmented ODE
-    def g(state):
-        p = state[:3]
-        return np.concatenate([-f(p), [frame.gradient_a(p, h=DEFAULT_GRAD_H)[2]]])
+    def g(S):
+        da_dx3 = frame.gradient_a(S[0, :3], h=DEFAULT_GRAD_H)[2]
+        return np.concatenate([-frame.X(S[:, :3]), [[da_dx3]]], axis=1)
 
-    out = _integrate(g, np.concatenate([x, [0.0]]), t, spec, None)
+    out = flow(g, np.concatenate([x, [0.0]]), t, spec)
     rhs = float(np.exp(out[3]))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return lhs, rhs, rel

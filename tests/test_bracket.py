@@ -22,7 +22,6 @@ def tilt_frame():
         lambda p: 0.0,
         lambda p: 0.1 * np.sin(2 * np.pi * p[0]),
         grad_a=lambda p: np.zeros(3),
-        grad_b=lambda p: np.array([0.2 * np.pi * np.cos(2 * np.pi * p[0]), 0.0, 0.0]),
     )
 
 

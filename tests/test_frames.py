@@ -130,6 +130,17 @@ class TestPullbackFrame:
                 got = pullback_plane_at(phi_perturbed, x, E0, k)
                 assert principal_angle(got, solve_qr_pullback(phi_perturbed, x, E0, k)) < 1e-12
 
+    def test_fields_of_a_stack_equal_rows(self, phi_perturbed, tilt_E0):
+        P = np.random.default_rng(3).uniform(0, 1, (7, 3))
+        analytic = AnalyticFrame(lambda p: p[2], lambda p: p[0])
+        for fr in (PullbackFrame(phi_perturbed, 10, E0=tilt_E0), analytic):
+            for field in (fr.X, fr.Y):
+                got = field(P)
+                assert got.shape == (7, 3)
+                assert got.tobytes() == np.array([field(p) for p in P]).tobytes()
+        assert np.array_equal(analytic.X(P[0]), [1.0, 0.0, P[0, 2]])
+        assert np.array_equal(analytic.Y(P[0]), [0.0, 1.0, P[0, 0]])
+
     def test_cache_hit(self, phi_linear):
         fr = PullbackFrame(phi_linear, 3)
         p = np.array([0.5, 0.5, 0.25])

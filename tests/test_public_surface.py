@@ -1,10 +1,11 @@
-"""Every public module-level function of the package has a caller.
+"""Every public module-level function and class method of the package has a caller.
 
 A function counts as called when a top-level statement of a module under
 ``src/splitkit`` other than its own definition, or the acceptance suite,
 refers to it by name or attribute.  Imports and ``__all__`` entries do not
 count, so a re-export alone keeps nothing alive.  Test oracles that the
-package itself no longer calls are listed in ``ORACLES``.
+package itself no longer calls are listed in ``ORACLES`` and
+``METHOD_ORACLES``.
 """
 
 import ast
@@ -16,6 +17,7 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # kept for the tests that use them as oracles and fixtures
 ORACLES = {"wedge_coordinates", "write_canonical_json", "hash_file"}
+METHOD_ORACLES = {"dynamics.Diffeo.identity"}
 
 
 def referenced_names(node):
@@ -66,3 +68,55 @@ def test_no_dense_solve_or_qr_in_the_orbit_layers():
             ):
                 found.append(f"{stem}:{sub.lineno} linalg.{sub.attr}")
     assert not found, f"dense solve/qr in the orbit layers: {found}"
+
+
+class _AttributeUses(ast.NodeVisitor):
+    """Attribute names referenced outside a function of the same name."""
+
+    def __init__(self):
+        self.names = set()
+        self.enclosing = []
+
+    def visit_FunctionDef(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.enclosing:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def _is_property(fn):
+    return any(
+        (isinstance(d, ast.Name) and d.id == "property")
+        or (isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter"))
+        for d in fn.decorator_list
+    )
+
+
+def test_every_public_method_has_a_caller():
+    """A public method of a package class counts as called when an attribute
+    of its name is referenced in src/ or in the acceptance suite, outside a
+    method of the same name (an override calling ``super()`` keeps nothing
+    alive). Properties are exempt."""
+    methods = []
+    uses = _AttributeUses()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses.visit(tree)
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            methods += [
+                (f"{path.stem}.{cls.name}.{fn.name}", fn.name)
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef)
+                and not fn.name.startswith("_")
+                and not _is_property(fn)
+            ]
+    uses.visit(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+
+    orphans = sorted(
+        qual for qual, name in methods if qual not in METHOD_ORACLES and name not in uses.names
+    )
+    assert not orphans, f"public methods with no caller in src/ or the acceptance suite: {orphans}"

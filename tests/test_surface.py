@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from splitkit.errors import ChartExitError
-from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
+from splitkit.frames import (
+    AdaptedFrame,
+    AnalyticFrame,
+    PullbackFrame,
+    constant_frame,
+    contact_frame,
+)
 from splitkit.surface import (
     ChartBox,
     FlowSpec,
@@ -17,6 +25,43 @@ from splitkit.surface import (
 
 SPEC = FlowSpec(step=1e-3)
 
+# inside the support of the shared test shear (centre (0, 0.5, 0.5), radius 0.2)
+IN_SUPPORT = np.array([0.3, 0.52, 0.45])
+
+
+def rk4_point(field, y, t, step):
+    """Row-by-row reference: one state, one field evaluation per RK4 stage."""
+    n = max(1, math.ceil(abs(t) / step))
+    dt = t / n
+    for _ in range(n):
+        k1 = field(y)
+        k2 = field(y + 0.5 * dt * k1)
+        k3 = field(y + 0.5 * dt * k2)
+        k4 = field(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def reference_patch(frame, x0, epsilon, n, step, order):
+    """Patch nodes flowed one row and one point at a time, outward from t = 0."""
+    grid = np.linspace(-epsilon, epsilon, n)
+    i0 = n // 2
+
+    def row(p, field):
+        out = np.empty((n, 3))
+        out[i0] = p
+        for side in (range(i0 + 1, n), range(i0 - 1, -1, -1)):
+            q, prev = p, i0
+            for i in side:
+                q = rk4_point(field, q, grid[i] - grid[prev], step)
+                out[i] = q
+                prev = i
+        return out
+
+    first, second = (frame.Y, frame.X) if order == "xy" else (frame.X, frame.Y)
+    rows = np.array([row(q, second) for q in row(x0, first)])
+    return rows.swapaxes(0, 1) if order == "xy" else rows
+
 
 def exp_frame():
     """a = x3: the X-flow multiplies x3 by e^t (closed form, genuinely curved)."""
@@ -24,7 +69,6 @@ def exp_frame():
         lambda p: p[2],
         lambda p: 0.0,
         grad_a=lambda p: np.array([0.0, 0.0, 1.0]),
-        grad_b=lambda p: np.zeros(3),
     )
 
 
@@ -75,6 +119,24 @@ class TestFlow:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             FlowSpec(step=-1.0)
+
+    def test_stack_equals_rows_bitwise(self, phi_perturbed):
+        fr = PullbackFrame(phi_perturbed, 10)
+        P = IN_SUPPORT + np.random.default_rng(2).uniform(-0.05, 0.05, (6, 3))
+        for field in (fr.X, fr.Y):
+            got = flow(field, P, -0.013, SPEC)
+            assert got.shape == P.shape
+            rows = np.array([flow(field, p, -0.013, SPEC) for p in P])
+            assert got.tobytes() == rows.tobytes()
+
+    def test_stack_chart_exit_of_one_row(self):
+        fr = constant_frame(0.0, 0.0)
+        chart = ChartBox(center=np.zeros(3), halfwidth=0.1)
+        P = np.array([[0.0, 0.0, 0.0], [0.08, 0.0, 0.0], [-0.05, 0.02, 0.0]])
+        assert np.all(chart.contains(flow(fr.X, P[[0, 2]], 0.05, SPEC)))
+        with pytest.raises(ChartExitError) as ei:
+            flow(fr.X, P, 0.05, SPEC, chart=chart)
+        assert ei.value.exit_time == pytest.approx(0.02, abs=SPEC.step)
 
 
 class TestPatches:
@@ -140,6 +202,27 @@ class TestPatches:
         patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4), k=4)
         rep2 = tangency_report(patch2, fr, fr.planes)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("order", ["xy", "yx"])
+    def test_stacked_patch_equals_row_by_row(self, phi_perturbed, order):
+        x0 = IN_SUPPORT
+        patch = build_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, spec=SPEC, order=order)
+        ref = reference_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, SPEC.step, order)
+        assert patch.points.tobytes() == ref.tobytes()
+        # the shear bends the patch: its nodes are off the plane through x0
+        assert planarity_defect(patch) > 1e-7
+
+    def test_patch_sweep_one_coefficients_call_per_stage(self):
+        sizes = []
+
+        class Counting(AdaptedFrame):
+            def coefficients(self, P):
+                sizes.append(len(P))
+                return np.tile([0.2, -0.3], (len(P), 1))
+
+        build_patch(Counting(), np.zeros(3), 0.02, 5, spec=FlowSpec(step=4e-3))
+        # n - 1 grid gaps of 3 RK4 steps, 4 stages each: the spine, then all rows
+        assert sizes == [1] * 48 + [5] * 48
 
     def test_chart_exit_suggests_epsilon(self):
         fr = constant_frame(0.0, 0.0)
