@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Diffeo, cocycle
 from .errors import ChartExitError, ConvergenceError
-from .frames import AdaptedFrame, PullbackFrame, aligned_pairs
+from .frames import AdaptedFrame, PullbackFrame, aligned_pairs, fd_stencil
 from .geometry import project_along
 from .splitting import compute_fast_line, fitted_rate, pullback_planes, swept_growth
 
@@ -37,22 +37,12 @@ class BracketSample:
     h: float
     c: float
     error: float  # Richardson estimate from the h/2 vs h/4 pair
-    X_of_b: float
-    Y_of_a: float
     order_ratio: float  # |c(h)-c(h/2)| / |c(h/2)-c(h/4)|, ~4 for clean 2nd order
     resolved: bool
 
     @property
     def norm(self):
         return abs(self.c)
-
-
-def fd_stencil(x, h):
-    """The centered-difference stencil of x as a (7,3) stack: rows x, x + h e1,
-    x - h e1, x + h e2, x - h e2, x + h e3, x - h e3."""
-    x = np.asarray(x, dtype=float)
-    E = h * np.eye(3)
-    return np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])
 
 
 def _coefficient_c(vals, h):
@@ -65,7 +55,7 @@ def _coefficient_c(vals, h):
     da_dx3 = (a3p - a3m) / (2 * h)
     X_of_b = db_dx1 + a0 * db_dx3
     Y_of_a = da_dx2 + b0 * da_dx3
-    return X_of_b, Y_of_a
+    return X_of_b - Y_of_a
 
 
 def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSample:
@@ -88,8 +78,7 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
                     f"FD stencil point {q} leaves the chart; retry with h < {s / 4:g}"
                 )
     vals = frame.coefficients(np.concatenate(stencils))  # all three levels in one call
-    diffs = [_coefficient_c(vals[7 * i : 7 * i + 7], s) for i, s in enumerate(steps)]
-    cs = [Xb - Ya for Xb, Ya in diffs]
+    cs = [_coefficient_c(vals[7 * i : 7 * i + 7], s) for i, s in enumerate(steps)]
     d01 = abs(cs[0] - cs[1])
     d12 = abs(cs[1] - cs[2])
     err = d12 / 3.0
@@ -112,8 +101,6 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
         h=h,
         c=float(c),
         error=float(err),
-        X_of_b=float(diffs[2][0]),
-        Y_of_a=float(diffs[2][1]),
         order_ratio=float(order_ratio),
         resolved=bool(resolved),
     )
@@ -191,7 +178,6 @@ class BoundEntry:
     h: float  # depth-adapted FD step used for this entry
     c: float  # signed bracket coefficient of the depth-k pullback frame
     lhs: float  # |c^(k)|
-    lhs_error: float
     resolved: bool
     rhs: float  # vol ratio of the converged splitting at depth k
     quotient: float | None  # lhs / rhs where lhs is resolved
@@ -266,7 +252,6 @@ def bound_curve(
                 h=h_k,
                 c=bs.c,
                 lhs=bs.norm,
-                lhs_error=bs.error,
                 resolved=bs.resolved,
                 rhs=rhs,
                 quotient=quot,

@@ -10,48 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import Diffeo, ShearPerturbation, ToralAutomorphism
 from .errors import ConfigError
+from .frames import constant_frame, contact_frame
 from .geometry import Plane2
-
-_CONFIG_KEYS = {
-    "map",
-    "samples",
-    "random_samples",
-    "e0",
-    "k_max",
-    "k_plane",
-    "k_line",
-    "epsilon",
-    "n",
-    "h",
-    "step",
-    "t",
-    "k_list",
-    "slice_x2",
-    "grid_n",
-    "delta",
-    "seed",
-    "k_leaf",
-    "synthetic_field",
-}
 
 
 def canonical_json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def load_json_file(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _number_rows(value, key, width):
@@ -70,12 +40,24 @@ def write_canonical_json(path, obj):
         fh.write(canonical_json_bytes(obj))
 
 
+# the scalar fields: each config key is converted by the type of its field
+# (annotations are strings under ``from __future__ import annotations``)
+_SCALAR_TYPES = {"int": int, "float": float}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    map_spec: dict
+    """The experiment a config file describes; this class is its schema.
+
+    Each field but ``raw`` is read from the config key named by its ``key``
+    metadata, or else by the field's own name; ``raw`` is the loaded dict,
+    whose canonical bytes the config hash covers.
+    """
+
+    map_spec: dict = field(metadata={"key": "map"})
     samples: tuple = ()
     random_samples: int = 0
-    e0_basis: tuple | None = None  # None = coordinate plane span(e1, e2)
+    e0_basis: tuple | None = field(default=None, metadata={"key": "e0"})  # None = span(e1, e2)
     k_max: int = 20
     k_plane: int = 400
     k_line: int = 600
@@ -95,34 +77,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
+        if not isinstance(d, dict):
+            raise ConfigError("a config must be a JSON object")
+        schema = {f.metadata.get("key", f.name): f for f in fields(cls) if f.name != "raw"}
+        unknown = set(d) - set(schema)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "map" not in d:
-            raise ConfigError("config requires a 'map' entry with at least a 'matrix'")
-        m = d["map"]
-        if "matrix" not in m:
-            raise ConfigError("map spec requires a 'matrix' entry")
+        m = d.get("map")
+        if not isinstance(m, dict) or "matrix" not in m:
+            raise ConfigError("config requires a 'map' object with at least a 'matrix'")
         kwargs = {}
-        for key, attr, typ in [
-            ("k_max", "k_max", int),
-            ("k_plane", "k_plane", int),
-            ("k_line", "k_line", int),
-            ("epsilon", "epsilon", float),
-            ("n", "n", int),
-            ("h", "h", float),
-            ("step", "step", float),
-            ("t", "t", float),
-            ("slice_x2", "slice_x2", float),
-            ("grid_n", "grid_n", int),
-            ("delta", "delta", float),
-            ("seed", "seed", int),
-            ("random_samples", "random_samples", int),
-            ("k_leaf", "k_leaf", int),
-        ]:
-            if key in d:
+        for key, f in schema.items():
+            typ = _SCALAR_TYPES.get(f.type)
+            if typ is not None and key in d:
                 try:
-                    kwargs[attr] = typ(d[key])
+                    kwargs[f.name] = typ(d[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"config key {key!r} must be a {typ.__name__}") from exc
         if "samples" in d:
@@ -171,27 +140,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        d, _ = load_json_file(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            d = json.loads(data.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(d)
 
-    def to_dict(self) -> dict:
-        return self.raw if self.raw else {"map": self.map_spec, "samples": list(self.samples)}
-
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
+        return canonical_json_bytes(self.raw)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def build_diffeo(self) -> Diffeo:
+        specs = self.map_spec.get("shears", [])
+        if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+            raise ConfigError("map 'shears' must be a list of shear objects")
         shears = []
-        for s in self.map_spec.get("shears", []):
+        for s in specs:
             missing = {"axis", "center", "radius", "amplitude"} - set(s)
             if missing:
                 raise ConfigError(f"shear spec missing keys: {sorted(missing)}")
-            shears.append(
-                ShearPerturbation(s["axis"], s["center"], s["radius"], s["amplitude"])
-            )
+            try:
+                center = [float(c) for c in s["center"]]
+                radius, amplitude = float(s["radius"]), float(s["amplitude"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("shear center, radius and amplitude must be numbers") from exc
+            if len(center) != 3:
+                raise ConfigError("shear center must be a list of 3 numbers")
+            shears.append(ShearPerturbation(s["axis"], center, radius, amplitude))
         try:
             auto = ToralAutomorphism(np.asarray(self.map_spec["matrix"]))
         except ConfigError:
@@ -203,8 +182,6 @@ class ExperimentConfig:
     def build_synthetic_frame(self):
         if self.synthetic_field is None:
             return None
-        from .frames import constant_frame, contact_frame
-
         if self.synthetic_field["kind"] == "contact":
             return contact_frame()
         return constant_frame(

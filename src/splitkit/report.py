@@ -9,7 +9,10 @@ config.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import canonical_json_bytes
@@ -37,8 +40,6 @@ def write_json(path, obj):
 
 def jsonable(v):
     """Recursively coerce numpy scalars/arrays into plain JSON types."""
-    import numpy as np
-
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -60,19 +61,13 @@ class RunTimer:
     def __init__(self):
         self.blocks = []
 
+    @contextmanager
     def time(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                timer.blocks.append((name, time.perf_counter() - self.start))
-                return False
-
-        return _Ctx()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.blocks.append((name, time.perf_counter() - start))
 
     def write_sidecar(self, path):
         lines = [f"{name}\t{seconds:.6f}s" for name, seconds in self.blocks]

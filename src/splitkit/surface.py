@@ -266,7 +266,8 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
 
     lhs: norm of the variational transport of e3 by the time-t X-flow at x.
     rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
-    Returns (lhs, rhs, relative error).
+    Returns (lhs, rhs, relative error, resolved), where ``resolved`` is the
+    integrator-load flag of the transport behind lhs (``TransportResult``).
     """
     x = np.asarray(x, dtype=float)
     res = pushforward_vector(frame, x, t, spec=spec, v=np.array([0.0, 0.0, 1.0]))
@@ -280,7 +281,7 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     out = flow(g, np.concatenate([x, [0.0]]), t, spec)
     rhs = float(np.exp(out[3]))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, rel
+    return lhs, rhs, rel, res.resolved
 
 
 @dataclass(frozen=True)

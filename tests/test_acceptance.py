@@ -258,7 +258,7 @@ def test_criterion_08_surface_machinery():
     planar_ok = planar < 1e-9
 
     # (iii) vertical-growth formula on a = x3 at step 1e-3: both sides e^t
-    lhs, rhs, rel = pushforward_norm_identity(
+    lhs, rhs, rel, _ = pushforward_norm_identity(
         exp_frame, np.array([0.0, 0.0, 1.0]), 0.2, FlowSpec(step=1e-3)
     )
     identity_ok = rel <= 1e-4 and abs(lhs - np.exp(0.2)) < 1e-4

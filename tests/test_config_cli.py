@@ -31,6 +31,13 @@ def base_config(**extra):
     return d
 
 
+SHEAR = {"axis": 0, "center": [0.0, 0.5, 0.5], "radius": 0.2, "amplitude": 0.05}
+
+
+def with_shear(**change):
+    return base_config(map={"matrix": MATRIX, "shears": [{**SHEAR, **change}]})
+
+
 class TestConfig:
     def test_canonical_roundtrip_bytes(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -137,6 +144,38 @@ class TestCliExitCodes:
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "amplitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg_dict",
+        [
+            3,
+            ["map"],
+            base_config(map=5),
+            base_config(map={"matrix": MATRIX, "shears": 5}),
+            base_config(map={"matrix": MATRIX, "shears": [5]}),
+            with_shear(center="ab"),
+            with_shear(center=[0, 0.5]),
+            with_shear(radius="x"),
+            with_shear(amplitude="x"),
+        ],
+        ids=[
+            "top-level-number",
+            "top-level-list",
+            "map-number",
+            "shears-number",
+            "shear-number",
+            "center-string",
+            "center-two-numbers",
+            "radius-string",
+            "amplitude-string",
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg_dict):
+        path = tmp_path / "cfg.json"
+        write_canonical_json(path, cfg_dict)
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("splitkit: ") and err.count("\n") == 1
+
 
 class TestCliOutputs:
     def run_twice(self, tmp_path, command, cfg_dict, env=None):
@@ -201,15 +240,40 @@ class TestCliOutputs:
         assert uniq["results"]["hartman"]["bounded"] is True
         assert uniq["results"]["leaf"]["lipschitz"] == pytest.approx(1.0, abs=0.05)
 
-    def test_report_hash_matches_config_file(self, tmp_path):
+    @pytest.mark.parametrize("command", ["splitting", "bracket", "surface", "uniqueness"])
+    def test_report_hash_matches_config_file(self, tmp_path, capsys, command):
         d = base_config(k_plane=500, k_line=700)
         path = tmp_path / "cfg.json"
         write_canonical_json(path, d)
         out = tmp_path / "o"
-        assert main(["splitting", "--config", str(path), "--out", str(out)]) == 0
-        rep = json.loads((out / "splitting.json").read_bytes())
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        written = (out / f"{command}.json").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == written
+        rep = json.loads(written)
+        assert rep["command"] == command
         assert rep["config_hash"] == hash_file(path)
         assert rep["tool_version"]
+
+    def test_pushforward_identity_carries_load_flag(self, tmp_path):
+        linear = base_config()
+        perturbed = base_config(
+            map={"matrix": MATRIX, "shears": [SHEAR]},
+            samples=[[0.5, 0.75, 0.75]],
+            k_plane=20,
+            t=0.005,
+            epsilon=0.015,
+        )
+        flags = []
+        for name, d in (("linear", linear), ("perturbed", perturbed)):
+            path = tmp_path / f"{name}.json"
+            write_canonical_json(path, d)
+            out = tmp_path / name
+            assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
+            rep = json.loads((out / "surface.json").read_bytes())
+            flags.append(rep["results"]["pushforward_identity"]["resolved"])
+        # the linear frame is constant, so the transport carries no load; the
+        # depth-20 perturbed frame's gradient puts ||J|| dt far above 0.5
+        assert flags == [True, False]
 
 
 class TestIdentityMapThroughCli:
@@ -257,6 +321,29 @@ class TestConfigNumericValidation:
     def test_bad_numeric_rejected(self, key, value):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(**{key: value}))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "random_samples",
+            "k_max",
+            "k_plane",
+            "k_line",
+            "epsilon",
+            "n",
+            "h",
+            "step",
+            "t",
+            "slice_x2",
+            "grid_n",
+            "delta",
+            "k_leaf",
+            "seed",
+        ],
+    )
+    def test_non_numeric_scalar_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be a (int|float)"):
+            ExperimentConfig.from_dict(base_config(**{key: "x"}))
 
     def test_even_patch_grid_rejected_in_library(self):
         from splitkit.frames import constant_frame

@@ -233,12 +233,12 @@ class TestPatches:
 
 class TestPushforward:
     def test_norm_identity_constant(self):
-        lhs, rhs, rel = pushforward_norm_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, SPEC)
+        lhs, rhs, rel, _ = pushforward_norm_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, SPEC)
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_identity_exponential(self):
-        lhs, rhs, rel = pushforward_norm_identity(
+        lhs, rhs, rel, _ = pushforward_norm_identity(
             exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2, SPEC
         )
         assert lhs == pytest.approx(np.exp(0.2), abs=1e-5)
@@ -247,9 +247,27 @@ class TestPushforward:
 
     def test_norm_identity_contact(self):
         for t in (0.1, 0.25):
-            lhs, rhs, rel = pushforward_norm_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, SPEC)
+            lhs, rhs, rel, _ = pushforward_norm_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, SPEC)
             assert lhs == pytest.approx(1.0, abs=1e-10)
             assert rhs == pytest.approx(1.0, abs=1e-10)
+
+    def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
+        import splitkit.frames as frames
+
+        sizes = []
+        kernel = frames.pullback_planes
+
+        def counting(phi, P, E0, k):
+            sizes.append(len(P))
+            return kernel(phi, P, E0, k)
+
+        monkeypatch.setattr(frames, "pullback_planes", counting)
+        pushforward_vector(PullbackFrame(phi_perturbed, 20), IN_SUPPORT, 0.005, SPEC)
+        # 5 RK4 steps of 4 stages each way: the backward X-flow pulls back each
+        # stage point, Y is read at the preimage, and each variational stage
+        # pulls back its whole gradient stencil, centre first, so that X at the
+        # centre is a cache hit (at the first stage the centre is the preimage)
+        assert sizes == [1] * 20 + [1] + [6] + [7] * 19
 
     def test_contact_pushforward_closed_form(self):
         # (X-flow_t)_* Y at x equals e2 + (x1 - t) e3 for the contact frame
