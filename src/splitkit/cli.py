@@ -18,7 +18,7 @@ from .bracket import bound_curve, bracket_coefficient, invariance_identity_resid
 from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
-from .frames import PullbackFrame, coefficient_grid_rows, pullback_plane_at
+from .frames import PullbackFrame, coefficient_grid_rows
 from .geometry import principal_angle
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report, fitted_rate, pullback_planes, swept_growth
@@ -49,7 +49,7 @@ def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
     if not shears:
         return
     base = Diffeo.from_matrix(np.asarray(cfg.map_spec["matrix"]))
-    E_lin = pullback_plane_at(base, np.zeros(3), None, 300)
+    E_lin = pullback_planes(base, np.zeros((1, 3)), None, 300)[0]
     aperture = 0.5  # radians; generous cone half-width around the linear plane
     points = np.random.default_rng(0).uniform(0.0, 1.0, (64, 3))
     pulled = pullback_planes(phi, points, E_lin, 1)

@@ -35,12 +35,17 @@ def _number_rows(value, key, width):
     return rows
 
 
-def write_canonical_json(path, obj):
-    with open(path, "wb") as fh:
-        fh.write(canonical_json_bytes(obj))
+def _number(value, key, typ):
+    """A config number of type ``typ``: any JSON number but a boolean, and
+    for an int one with no fractional part (20.0 reads as 20)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a {typ.__name__}, got {value!r}")
+    if typ is int and not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} must be a int, got {value!r}")
+    return typ(value)
 
 
-# the scalar fields: each config key is converted by the type of its field
+# the scalar fields: each config key is read as a number of its field's type
 # (annotations are strings under ``from __future__ import annotations``)
 _SCALAR_TYPES = {"int": int, "float": float}
 
@@ -88,19 +93,14 @@ class ExperimentConfig:
             raise ConfigError("config requires a 'map' object with at least a 'matrix'")
         kwargs = {}
         for key, f in schema.items():
-            typ = _SCALAR_TYPES.get(f.type)
-            if typ is not None and key in d:
-                try:
-                    kwargs[f.name] = typ(d[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config key {key!r} must be a {typ.__name__}") from exc
+            if f.type in _SCALAR_TYPES and key in d:
+                kwargs[f.name] = _number(d[key], key, _SCALAR_TYPES[f.type])
         if "samples" in d:
             kwargs["samples"] = _number_rows(d["samples"], "samples", 3)
         if "k_list" in d:
-            try:
-                kwargs["k_list"] = tuple(int(k) for k in d["k_list"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("config key 'k_list' must be a list of integers") from exc
+            if not isinstance(d["k_list"], list):
+                raise ConfigError("config key 'k_list' must be a list of integers")
+            kwargs["k_list"] = tuple(_number(k, "k_list", int) for k in d["k_list"])
         if "synthetic_field" in d and d["synthetic_field"] is not None:
             sf = d["synthetic_field"]
             if not isinstance(sf, dict) or sf.get("kind") not in ("contact", "constant"):

@@ -345,16 +345,12 @@ def _push_forward(diffs, basis):
 def _push_forward_line(diffs, v):
     """Push a vector forward with normalization: v_0 = ``v``, v_(i+1) = D_i v_i / ||D_i v_i||.
 
-    Returns the vectors v_0..v_k and the sum of the log norms log ||D_i v_i||.
+    Returns the last vector v_k.
     """
-    vs = [v]
-    log_n = 0.0
     for D in diffs:
-        w = D @ vs[-1]
-        n = np.linalg.norm(w)
-        log_n += np.log(n)
-        vs.append(w / n)
-    return vs, log_n
+        w = D @ v
+        v = w / np.linalg.norm(w)
+    return v
 
 
 def cocycle(phi: Diffeo, x, k: int, direction="forward") -> Cocycle:

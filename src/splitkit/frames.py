@@ -13,23 +13,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Diffeo, _differentials, _orbit_records, _push_forward
-from .errors import ChartExitError, ChartUnsuitableError
+from .errors import ChartUnsuitableError
 from .geometry import Plane2
-from .splitting import _as_plane_field, pullback_planes
+from .splitting import _field_bases, _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
 SVD_TIE_TOL = 1e-12
 
 
-def adapted_coefficients(plane: Plane2):
-    """Graph coefficients (a, b) of a plane with X = e1 + a e3, Y = e2 + b e3."""
-    n = plane.normal
-    if abs(n[2]) <= CHART_NORMAL_TOL:
+def adapted_coefficients(B):
+    """Graph coefficients (a, b), shape (N, 2), with X = e1 + a e3 and
+    Y = e2 + b e3, of the planes spanned by a (3, 2, N) basis stack.
+
+    The unit normal is the cross product over its length, the square root of
+    a row dot product through ``np.matmul``: that is the BLAS dot which
+    ``np.linalg.norm`` of one 3-vector calls, so every row is bitwise what
+    ``Plane2(B[:, :, n]).normal`` gives, whatever N is.
+    """
+    c = np.ascontiguousarray(np.cross(B[:, 0], B[:, 1], axis=0).T)
+    n = c / np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+    low = np.abs(n[:, 2]) <= CHART_NORMAL_TOL
+    if low.any():
         raise ChartUnsuitableError(
-            f"chart unsuitable: |normal_3| = {abs(n[2]):.3e} <= {CHART_NORMAL_TOL:g}; "
-            "permute coordinates so the plane is a graph over (x1, x2)"
+            f"chart unsuitable: |normal_3| = {abs(n[low.argmax(), 2]):.3e} <= "
+            f"{CHART_NORMAL_TOL:g}; permute coordinates so the plane is a graph over (x1, x2)"
         )
-    return float(-n[0] / n[2]), float(-n[1] / n[2])
+    return np.stack([-n[:, 0] / n[:, 2], -n[:, 1] / n[:, 2]], axis=1)
 
 
 def plane_from_coefficients(a, b) -> Plane2:
@@ -45,15 +54,13 @@ def fd_stencil(x, h):
 
 
 class AdaptedFrame:
-    """Base class: a coefficient pair (a, b) evaluable over a chart domain.
+    """Base class: a coefficient pair (a, b) evaluable at points of the chart.
 
     ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
     and an (N, 2) array for a stack of shape (N, 3); so do the frame fields
     ``X`` and ``Y``, with one vector per point.  ``plane`` and the gradient
     take one point.
     """
-
-    domain = None  # None = whole torus; else (lo, hi) arrays for a box
 
     def coefficients(self, p):
         raise NotImplementedError
@@ -81,16 +88,6 @@ class AdaptedFrame:
         """Planes at the rows of an (N,3) stack, from one coefficients call."""
         return [plane_from_coefficients(a, b) for a, b in self.coefficients(P)]
 
-    def in_domain(self, p):
-        if self.domain is None:
-            return True
-        lo, hi = self.domain
-        return bool(np.all(p >= lo) and np.all(p <= hi))
-
-    def _require_domain(self, p):
-        if not self.in_domain(p):
-            raise ChartExitError(f"point {np.asarray(p)} outside frame domain")
-
     def gradient_a(self, p, h=1e-6):
         """Centered differences of a at p, from one coefficients call on the
         whole stencil; its centre row makes the frame's value at p a cache hit."""
@@ -101,17 +98,15 @@ class AdaptedFrame:
 class AnalyticFrame(AdaptedFrame):
     """Coefficients given by closed-form functions, with an optional gradient of a."""
 
-    def __init__(self, a, b, grad_a=None, domain=None):
+    def __init__(self, a, b, grad_a=None):
         self._a = a
         self._b = b
         self._grad_a = grad_a
-        self.domain = domain
 
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
         if p.ndim == 2:
             return np.array([self.coefficients(q) for q in p]).reshape(-1, 2)
-        self._require_domain(p)
         return float(self._a(p)), float(self._b(p))
 
     def gradient_a(self, p, h=1e-6):
@@ -129,18 +124,15 @@ def contact_frame() -> AnalyticFrame:
     return AnalyticFrame(lambda p: 0.0, lambda p: p[0], grad_a=lambda p: np.zeros(3))
 
 
-def pullback_plane_at(phi: Diffeo, p, E0=None, k=1) -> Plane2:
-    """The depth-k pullback plane at a single point: ``pullback_planes`` at N = 1."""
-    return pullback_planes(phi, np.asarray(p, dtype=float)[None], E0, k)[0]
-
-
 class PullbackFrame(AdaptedFrame):
     """Adapted frame of the depth-k pullback plane field, evaluated on demand.
 
     Evaluations are cached by point key; the field is pure, so a cached
     value never goes stale. The points of a stack that miss the cache are
-    pulled back together in one kernel call, and a value is bitwise the same
-    whether it was computed alone or in a batch.
+    pulled back together in one kernel call and their bases converted in one
+    ``adapted_coefficients`` call, and a value is bitwise the same whether
+    it was computed alone or in a batch. At k = 0 the frame is E0 itself,
+    converted from the bases its planes store.
     """
 
     def __init__(self, phi: Diffeo, k: int, E0=None):
@@ -160,11 +152,10 @@ class PullbackFrame(AdaptedFrame):
         if missing:
             P = rows[list(missing.values())]
             if self.k == 0:
-                planes = [_as_plane_field(self.E0)(q) for q in P]
+                B = _field_bases(self.E0, P, orthonormal=False)
             else:
-                planes = pullback_planes(self.phi, P, self.E0, self.k)
-            for key, plane in zip(missing, planes):
-                self._cache[key] = adapted_coefficients(plane)
+                B = _pullback_bases(self.phi, P, self.E0, self.k)
+            self._cache.update(zip(missing, map(tuple, adapted_coefficients(B).tolist())))
         if p.ndim == 1:
             return self._cache[keys[0]]
         return np.array([self._cache[key] for key in keys]).reshape(-1, 2)

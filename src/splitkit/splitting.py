@@ -25,36 +25,40 @@ DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DEFAULT_L0 = Line1(np.array([0.0, 0.0, 1.0]))
 
 
-def _as_plane_field(E0):
-    if E0 is None:
-        return lambda p: DEFAULT_E0
-    if isinstance(E0, Plane2):
-        return lambda p: E0
-    return E0
+def _plane_at(E0, p) -> Plane2:
+    """The plane at a point of E0: None (the coordinate plane), a constant
+    ``Plane2`` or a field mapping a point to a ``Plane2``."""
+    return DEFAULT_E0 if E0 is None else E0(p) if callable(E0) else E0
 
 
-def _as_line_field(L0):
-    if L0 is None:
-        return lambda p: DEFAULT_L0
-    if isinstance(L0, Line1):
-        return lambda p: L0
-    return L0
+def _field_bases(E0, P, orthonormal=True):
+    """The bases of E0 at the rows of an (N,3) stack, as a (3, 2, N) stack:
+    orthonormalised, or as the planes store them. A constant plane is
+    converted once and broadcast; a field is evaluated row by row."""
+    basis = Plane2.orthonormal_basis if orthonormal else (lambda E: E.basis)
+    if callable(E0):
+        return np.stack([basis(E0(p)) for p in P], axis=-1)
+    return np.broadcast_to(basis(_plane_at(E0, None))[:, :, None], (3, 2, len(P)))
 
 
-def pullback_planes(phi: Diffeo, P, E0=None, k=1):
-    """The depth-k pullback planes D(phi^-k) E0(phi^k p) at the rows p of an
-    (N,3) stack, from one kernel call.
+def _pullback_bases(phi: Diffeo, P, E0, k):
+    """Orthonormal bases (3, 2, N) of the depth-k pullback planes
+    D(phi^-k) E0(phi^k p) at the rows p of an (N,3) stack, from one kernel call.
 
-    E0 is evaluated row by row at the orbit endpoints and the kernel uses
-    elementwise arithmetic only, so each row's plane is bitwise the same
+    E0 seeds the kernel at the orbit endpoints, and the kernel uses
+    elementwise arithmetic only, so each row's basis is bitwise the same
     whatever else is in the stack.
     """
     pts, recs = _orbit_records(phi, np.asarray(P, dtype=float), k)
-    field = _as_plane_field(E0)
-    Q = np.stack([field(p).orthonormal_basis() for p in pts[-1]], axis=-1)
+    Q = _field_bases(E0, pts[-1])
     for Q, _ in _pull_back(phi, recs, Q):
         pass  # the last basis yielded is Q_0
-    return [Plane2(Q[:, :, n]) for n in range(Q.shape[2])]
+    return Q
+
+
+def pullback_planes(phi: Diffeo, P, E0=None, k=1):
+    """The depth-k pullback planes at the rows of an (N,3) stack, as ``Plane2``s."""
+    return [Plane2(Q) for Q in np.moveaxis(_pullback_bases(phi, P, E0, k), 2, 0)]
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,6 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     """
     if k < 1:
         raise ValueError("pullback depth k must be >= 1")
-    field = _as_plane_field(E0)
     pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
     pts = [p[0] for p in pts]
 
@@ -103,12 +106,12 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     # estimate must run much deeper than the pullback itself; it is only
     # matrix-vector work, so depth is cheap
     fast_est = compute_fast_line(phi, pts[-1], k=300)
-    seed_flag = line_plane_angle(fast_est, field(pts[-1])) <= MIN_FAST_ANGLE
+    seed_flag = line_plane_angle(fast_est, _plane_at(E0, pts[-1])) <= MIN_FAST_ANGLE
 
-    entries = [PullbackEntry(0, field(pts[0]), np.pi / 2, seed_flag)]
+    entries = [PullbackEntry(0, _plane_at(E0, pts[0]), np.pi / 2, seed_flag)]
     converged = False
     for j in range(1, k + 1):
-        Q = field(pts[j]).orthonormal_basis()[:, :, None]
+        Q = _field_bases(E0, pts[j][None])
         Rs = []
         for Q, R in _pull_back(phi, recs[:j], Q):
             Rs.append(R)
@@ -132,7 +135,8 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
 
 
 def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
-    """Push a seed direction forward along the backward orbit of x.
+    """Push a seed direction L0 (a ``Line1``, default e3) forward along the
+    backward orbit of x.
 
     Power iteration: the result approximates the most expanded line at x,
     converging at the spectral gap of the cocycle, and is exactly invariant
@@ -140,11 +144,9 @@ def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
     """
     if k < 0:
         raise ValueError("iteration depth k must be >= 0")
-    field = _as_line_field(L0)
     back = orbit(phi, x, k, direction="inverse")
     diffs = _differentials(phi, np.array(back[:0:-1]).reshape(-1, 3))
-    vs, _ = _push_forward_line(diffs, field(back[-1]).direction)
-    return Line1(vs[-1])
+    return Line1(_push_forward_line(diffs, (DEFAULT_L0 if L0 is None else L0).direction))
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,13 @@ class GrowthTable:
         return float(np.max(np.abs(self.log_s1 + self.log_s2 + self.log_f)))
 
 
-def _accumulate_growth(step_diffs, planes, line_dirs) -> GrowthTable:
+def _accumulate_growth(step_diffs, planes, line) -> GrowthTable:
     """Accumulate restricted growth between per-orbit-point anchored bases.
 
-    ``planes[i]`` is an orthonormal 3x2 basis at orbit point i, ``line_dirs``
-    the line directions there; the 2x2 step matrices Q_{i+1}^T D_i Q_i are
-    multiplied with rescaling, the restricted determinant as a log sum.
+    ``planes[i]`` is an orthonormal 3x2 basis at orbit point i; the 2x2 step
+    matrices Q_{i+1}^T D_i Q_i are multiplied with rescaling, the restricted
+    determinant as a log sum. ``line``, the unit line direction at orbit
+    point 0, is pushed forward with normalisation, its log norms summed.
     """
     k_max = len(step_diffs)
     T = np.eye(2)
@@ -217,9 +220,11 @@ def _accumulate_growth(step_diffs, planes, line_dirs) -> GrowthTable:
         log_s2[i] = np.log(sv[0]) + log_acc
         log_s1[i] = log_det_acc - log_s2[i]
 
-        w = D @ line_dirs[i]
-        log_f_acc += np.log(np.linalg.norm(w))
+        w = D @ line
+        n = np.linalg.norm(w)
+        log_f_acc += np.log(n)
         log_f[i] = log_f_acc
+        line = w / n
     return GrowthTable(
         log_s1=log_s1, log_s2=log_s2, log_f=log_f, max_anchor_defect=max_defect
     )
@@ -237,13 +242,12 @@ def swept_growth(
     map).
     """
     pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k_max + burn_in_plane)
-    seed = _as_plane_field(E0)(pts[-1][0]).orthonormal_basis()
-    planes = [seed] + [Q[:, :, 0] for Q, _ in _pull_back(phi, recs, seed[:, :, None])]
+    seed = _field_bases(E0, pts[-1])
+    planes = [seed[:, :, 0]] + [Q[:, :, 0] for Q, _ in _pull_back(phi, recs, seed)]
     planes.reverse()  # the basis at orbit point i is planes[i]
     diffs = _differentials(phi, np.concatenate(pts[:k_max]))
     f = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction
-    lines, _ = _push_forward_line(diffs, f)
-    return _accumulate_growth(diffs, planes, lines)
+    return _accumulate_growth(diffs, planes, f)
 
 
 def eventual_k0(log_ratios) -> int | None:

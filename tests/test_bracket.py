@@ -9,7 +9,6 @@ from splitkit.bracket import (
     invariance_identity_residual,
     vector_field_bracket,
 )
-from splitkit.errors import ChartExitError
 from splitkit.frames import AnalyticFrame, constant_frame, contact_frame
 from splitkit.geometry import project_along
 from conftest import RATE_VOL
@@ -79,13 +78,6 @@ class TestBracketCoefficient:
         fine = bracket_coefficient(fr, np.zeros(3), h=1e-8)
         assert fine.c == pytest.approx(1e-9, rel=1e-4)
         assert not fine.resolved
-
-    def test_stencil_leaves_chart(self):
-        box = AnalyticFrame(
-            lambda p: 0.1, lambda p: 0.2, domain=(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-        )
-        with pytest.raises(ChartExitError, match="h <"):
-            bracket_coefficient(box, np.array([0.99999, 0.5, 0.0]), h=1e-4)
 
 
 class TestFrameIndependence:
@@ -183,3 +175,22 @@ class TestBoundCurve:
             phi_perturbed, np.zeros(3), 5, h=3e-6, E0=tilt_E0, k_plane=500, k_line=800
         )
         assert bc.limit_lhs <= 5.0 * max(bc.limit_lhs_error, 1e-11)
+
+    def test_limit_two_ladders_smooth_field(self, tilt_E0):
+        # the identity map pulls the tilt field back to itself, so the limit
+        # frame is smooth with c = 0.2 pi cos(2 pi x1): both ladders resolve it
+        x = np.array([0.1, 0.3, 0.7])
+        bc = bound_curve(Diffeo.identity(), x, 2, h=1e-3, E0=tilt_E0, k_plane=3, k_line=3)
+        assert bc.limit_resolved
+        assert bc.limit_lhs == pytest.approx(0.2 * np.pi * np.cos(0.2 * np.pi), rel=1e-6)
+
+    def test_limit_two_ladders_reject_fd_artefact(self, phi_perturbed):
+        # the sample (0, 0, 0) of configs/perturbed.json at depth 500: the
+        # h = 1e-4 ladder alone passes its Richardson test, but the h/10
+        # ladder does not, since the deep perturbed frame has no derivative
+        from splitkit.frames import PullbackFrame
+
+        x = np.zeros(3)
+        assert bracket_coefficient(PullbackFrame(phi_perturbed, 500), x, 1e-4).resolved
+        bc = bound_curve(phi_perturbed, x, 2, h=1e-4, k_plane=500, k_line=800)
+        assert not bc.limit_resolved

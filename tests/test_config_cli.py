@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from splitkit.cli import main
-from splitkit.config import ExperimentConfig, hash_file, write_canonical_json
+from splitkit.config import ExperimentConfig, hash_file
 from splitkit.errors import ConfigError
+from splitkit.report import write_json
 
 MATRIX = [[-3, 0, 2], [1, 2, -3], [0, -1, 1]]
 
@@ -41,14 +42,14 @@ def with_shear(**change):
 class TestConfig:
     def test_canonical_roundtrip_bytes(self, tmp_path):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, base_config())
+        write_json(path, base_config())
         original = path.read_bytes()
         cfg = ExperimentConfig.from_file(path)
         assert cfg.canonical_bytes() == original
 
     def test_config_hash_matches_file_rehash(self, tmp_path):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, base_config())
+        write_json(path, base_config())
         cfg = ExperimentConfig.from_file(path)
         assert cfg.config_hash() == hash_file(path)
 
@@ -100,13 +101,13 @@ class TestCliExitCodes:
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, base_config(typo=1))
+        write_json(path, base_config(typo=1))
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_empty_k_list_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, base_config(k_list=[]))
+        write_json(path, base_config(k_list=[]))
         assert main(["surface", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "k_list" in capsys.readouterr().err
 
@@ -126,7 +127,7 @@ class TestCliExitCodes:
             k_line=400,
         )
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "non-convergence" in capsys.readouterr().err
 
@@ -140,7 +141,7 @@ class TestCliExitCodes:
             }
         )
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "amplitude" in capsys.readouterr().err
 
@@ -171,7 +172,7 @@ class TestCliExitCodes:
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg_dict):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, cfg_dict)
+        write_json(path, cfg_dict)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("splitkit: ") and err.count("\n") == 1
@@ -180,7 +181,7 @@ class TestCliExitCodes:
 class TestCliOutputs:
     def run_twice(self, tmp_path, command, cfg_dict, env=None):
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, cfg_dict)
+        write_json(path, cfg_dict)
         outs = []
         old = dict(os.environ)
         if env:
@@ -209,7 +210,7 @@ class TestCliOutputs:
     def test_bracket_contact_synthetic_row(self, tmp_path, capsys):
         d = base_config(synthetic_field={"kind": "contact"}, samples=[[0.0, 0.0, 0.0]], k_max=6)
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         out = tmp_path / "o"
         assert main(["bracket", "--config", str(path), "--out", str(out)]) == 0
         lines = (out / "bracket.csv").read_text().splitlines()
@@ -225,7 +226,7 @@ class TestCliOutputs:
     def test_surface_and_uniqueness_reports(self, tmp_path):
         d = base_config()
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         out = tmp_path / "o"
         assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
         surf = json.loads((out / "surface.json").read_bytes())
@@ -244,7 +245,7 @@ class TestCliOutputs:
     def test_report_hash_matches_config_file(self, tmp_path, capsys, command):
         d = base_config(k_plane=500, k_line=700)
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
         written = (out / f"{command}.json").read_bytes()
@@ -266,7 +267,7 @@ class TestCliOutputs:
         flags = []
         for name, d in (("linear", linear), ("perturbed", perturbed)):
             path = tmp_path / f"{name}.json"
-            write_canonical_json(path, d)
+            write_json(path, d)
             out = tmp_path / name
             assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
             rep = json.loads((out / "surface.json").read_bytes())
@@ -285,7 +286,7 @@ class TestIdentityMapThroughCli:
             k_max=6,
         )
         path = tmp_path / "cfg.json"
-        write_canonical_json(path, d)
+        write_json(path, d)
         out = tmp_path / "o"
         assert main(["splitting", "--config", str(path), "--out", str(out)]) == 0
         rep = json.loads((out / "splitting.json").read_bytes())
@@ -316,11 +317,26 @@ class TestConfigNumericValidation:
             ("synthetic_field", "contact"),
             ("synthetic_field", {"kind": "constant", "a": "x"}),
             ("e0", [[1, 0, 0], [0, 1, 0]]),
+            ("seed", 1.7),
+            ("k_max", 3.9),
+            ("k_plane", True),
+            ("k_line", "600"),
+            ("epsilon", True),
+            ("h", "1e-4"),
+            ("k_list", [1, 2.5]),
+            ("k_list", [1, False]),
+            ("k_list", ["3"]),
+            ("k_list", "12"),
         ],
     )
     def test_bad_numeric_rejected(self, key, value):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(**{key: value}))
+
+    def test_integral_float_reads_as_int(self):
+        cfg = ExperimentConfig.from_dict(base_config(k_max=20.0, k_list=[1.0, 2]))
+        assert type(cfg.k_max) is int and cfg.k_max == 20
+        assert cfg.k_list == (1, 2) and all(type(k) is int for k in cfg.k_list)
 
     @pytest.mark.parametrize(
         "key",

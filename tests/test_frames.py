@@ -9,10 +9,10 @@ from splitkit.frames import (
     adapted_coefficients,
     aligned_pairs,
     plane_from_coefficients,
-    pullback_plane_at,
     svd_orthonormal_pair,
 )
 from splitkit.dynamics import orbit
+from splitkit.splitting import pullback_planes
 from splitkit.geometry import exterior_square, principal_angle, wedge_coordinates
 from conftest import DET_SLOW, SHEAR, SLOW_PLANE_COEFFS
 
@@ -26,25 +26,36 @@ def solve_qr_pullback(phi, p, E0: Plane2, k):
     return Plane2(Q)
 
 
+def coefficients_of(plane: Plane2):
+    """``adapted_coefficients`` of one plane, as an (a, b) tuple."""
+    return tuple(adapted_coefficients(plane.basis[:, :, None])[0])
+
+
+def normal_coefficients(B):
+    """(-n[0]/n[2], -n[1]/n[2]) from the normal of ``Plane2(B)``, per row."""
+    n = Plane2(B).normal
+    return -n[0] / n[2], -n[1] / n[2]
+
+
 class TestAdaptedCoefficients:
     def test_coordinate_plane(self):
         P = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        assert adapted_coefficients(P) == pytest.approx((0.0, 0.0))
+        assert coefficients_of(P) == pytest.approx((0.0, 0.0))
 
     def test_contact_plane(self):
         # kernel of dx3 - x1 dx2 at x1 = 0.7: normal (0, -0.7, 1)
         P = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.7])
-        a, b = adapted_coefficients(P)
+        a, b = coefficients_of(P)
         assert a == pytest.approx(0.0, abs=1e-14)
         assert b == pytest.approx(0.7, abs=1e-14)
 
     def test_slow_eigenplane(self, slow_plane):
-        a, b = adapted_coefficients(slow_plane)
+        a, b = coefficients_of(slow_plane)
         assert a == pytest.approx(SLOW_PLANE_COEFFS[0], abs=1e-9)
         assert b == pytest.approx(SLOW_PLANE_COEFFS[1], abs=1e-9)
 
     def test_reconstruction_in_plane(self, slow_plane):
-        a, b = adapted_coefficients(slow_plane)
+        a, b = coefficients_of(slow_plane)
         assert slow_plane.contains([1.0, 0.0, a], tol=1e-10)
         assert slow_plane.contains([0.0, 1.0, b], tol=1e-10)
 
@@ -52,13 +63,44 @@ class TestAdaptedCoefficients:
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b = rng.uniform(-3.0, 3.0, 2)
-            got = adapted_coefficients(plane_from_coefficients(a, b))
+            got = coefficients_of(plane_from_coefficients(a, b))
             assert got == pytest.approx((a, b), abs=1e-12)
 
     def test_chart_unsuitable(self):
         P = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         with pytest.raises(ChartUnsuitableError, match="permute"):
-            adapted_coefficients(P)
+            coefficients_of(P)
+
+    def test_chart_unsuitable_names_first_bad_row(self):
+        B = np.stack(
+            [plane_from_coefficients(0.1, 0.2).basis, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])],
+            axis=-1,
+        )
+        with pytest.raises(ChartUnsuitableError, match="0.000e"):
+            adapted_coefficients(B)
+
+    def test_bitwise_equal_to_plane_normal(self, phi_perturbed):
+        # every basis the kernel yields on a depth-500 pullback of 20 rows is
+        # the row's pullback at a depth from 1 to 500: 10,000 kernel rows; the
+        # normal's length is the guarded part, since a plain sum of squares,
+        # np.linalg.norm(axis=0) or nested np.hypot differ from the BLAS dot
+        # of one 3-vector in the last bit on some rows
+        from splitkit.dynamics import _orbit_records, _pull_back
+        from splitkit.splitting import _field_bases
+
+        X = np.random.default_rng(5).uniform(0, 1, (20, 3))
+        X[:10, 1:] = np.asarray(SHEAR["center"])[1:] + np.random.default_rng(6).uniform(
+            -0.15, 0.15, (10, 2)
+        )
+        pts, recs = _orbit_records(phi_perturbed, X, 500)
+        stacks = [Q for Q, _ in _pull_back(phi_perturbed, recs, _field_bases(None, pts[-1]))]
+        Q = np.concatenate(stacks, axis=2)
+        assert Q.shape[2] == 10_000
+        got = adapted_coefficients(Q)
+        want = np.array([normal_coefficients(Q[:, :, n]) for n in range(Q.shape[2])])
+        assert got.tobytes() == want.tobytes()
+        for n in range(0, Q.shape[2], 97):
+            assert adapted_coefficients(Q[:, :, n : n + 1]).tobytes() == got[n].tobytes()
 
 
 class TestSvdPair:
@@ -86,7 +128,7 @@ class TestSvdPair:
     def test_det_cross_check_by_wedge(self, phi_perturbed):
         # |det of the restriction| equals the wedge-norm expansion factor
         x = np.array([0.3, 0.55, 0.42])
-        E = pullback_plane_at(phi_perturbed, x, None, 6)
+        E = pullback_planes(phi_perturbed, [x], None, 6)[0]
         pair = svd_orthonormal_pair(phi_perturbed, x, E, 3)
         from splitkit import cocycle
 
@@ -104,6 +146,17 @@ class TestPullbackFrame:
         a, b = fr.coefficients(p)
         assert a == pytest.approx(0.0, abs=1e-14)
         assert b == pytest.approx(0.1 * np.sin(2 * np.pi * 0.25), abs=1e-14)
+
+    def test_depth_zero_bitwise_field_coefficients(self, phi_perturbed, tilt_E0):
+        # lifted flow points leave [0, 1)^3; the field is read where they are
+        from splitkit.splitting import DEFAULT_E0
+
+        P = np.random.default_rng(4).uniform(-0.5, 1.5, (50, 3))
+        const = plane_from_coefficients(0.3, -0.7)
+        for E0, field in ((tilt_E0, tilt_E0), (None, lambda p: DEFAULT_E0), (const, lambda p: const)):
+            got = PullbackFrame(phi_perturbed, 0, E0=E0).coefficients(P)
+            want = np.array([normal_coefficients(field(p).basis) for p in P])
+            assert got.tobytes() == want.tobytes()
 
     def test_linear_pullback_constant_in_x(self, phi_linear):
         fr = PullbackFrame(phi_linear, 5)
@@ -127,7 +180,7 @@ class TestPullbackFrame:
         E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         for x in X:
             for k in (1, 30):
-                got = pullback_plane_at(phi_perturbed, x, E0, k)
+                got = pullback_planes(phi_perturbed, [x], E0, k)[0]
                 assert principal_angle(got, solve_qr_pullback(phi_perturbed, x, E0, k)) < 1e-12
 
     def test_fields_of_a_stack_equal_rows(self, phi_perturbed, tilt_E0):
@@ -161,7 +214,7 @@ class TestPullbackFrame:
         def no_pullback(*args):
             raise AssertionError("cache miss")
 
-        monkeypatch.setattr("splitkit.frames.pullback_planes", no_pullback)
+        monkeypatch.setattr("splitkit.frames._pullback_bases", no_pullback)
         assert np.array_equal(batch.coefficients(P), got)
         assert len(batch._cache) == 11
 
@@ -169,21 +222,9 @@ class TestPullbackFrame:
 class TestAlignedPairField:
     def test_continuous_over_stencil(self, phi_linear, tilt_E0):
         points = np.vstack([np.zeros(3), 1e-4 * np.eye(3)])
-        planes = [pullback_plane_at(phi_linear, p, tilt_E0, 3) for p in points]
+        planes = [pullback_planes(phi_linear, [p], tilt_E0, 3)[0] for p in points]
         Z, W = aligned_pairs(phi_linear, points, planes, 3)
         for i in range(1, 4):
             assert np.linalg.norm(Z[i] - Z[0]) < 1e-2
             assert np.linalg.norm(W[i] - W[0]) < 1e-2
 
-
-class TestGridFrame:
-    """A frame restricted to a box domain."""
-
-    def test_domain_enforced(self):
-        box = AnalyticFrame(
-            lambda p: 0.0, lambda p: 0.0, domain=(np.zeros(3), np.array([0.5, 0.5, 0.0]))
-        )
-        from splitkit.errors import ChartExitError
-
-        with pytest.raises(ChartExitError):
-            box.coefficients(np.array([0.9, 0.2, 0.0]))

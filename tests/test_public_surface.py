@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "splitkit"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # kept for the tests that use them as oracles and fixtures
-ORACLES = {"wedge_coordinates", "write_canonical_json", "hash_file"}
+ORACLES = {"wedge_coordinates", "hash_file"}
 METHOD_ORACLES = {"dynamics.Diffeo.identity"}
 
 

@@ -255,13 +255,13 @@ class TestPushforward:
         import splitkit.frames as frames
 
         sizes = []
-        kernel = frames.pullback_planes
+        kernel = frames._pullback_bases
 
         def counting(phi, P, E0, k):
             sizes.append(len(P))
             return kernel(phi, P, E0, k)
 
-        monkeypatch.setattr(frames, "pullback_planes", counting)
+        monkeypatch.setattr(frames, "_pullback_bases", counting)
         pushforward_vector(PullbackFrame(phi_perturbed, 20), IN_SUPPORT, 0.005, SPEC)
         # 5 RK4 steps of 4 stages each way: the backward X-flow pulls back each
         # stage point, Y is read at the preimage, and each variational stage
