@@ -16,8 +16,8 @@ import numpy as np
 from .dynamics import Diffeo, cocycle
 from .errors import ConvergenceError
 from .frames import AdaptedFrame, PullbackFrame, aligned_pairs, fd_stencil
-from .geometry import project_along
-from .splitting import compute_fast_line, fitted_rate, pullback_planes, swept_growth
+from .geometry import Line1, project_along
+from .splitting import _growth_along, compute_fast_line, fitted_rate, pullback_planes
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
@@ -127,12 +127,17 @@ def invariance_identity_residual(
     E0=None,
     k_plane=400,
     k_line=600,
+    fast_line: Line1 | None = None,
 ) -> InvarianceResidual:
     """Residuals of the projected-bracket transport identities at depth k.
 
     Brackets are taken of the orthonormal pair field of the converged slow
     plane; both identities hold exactly for an exactly invariant splitting,
     so the residual measures convergence quality, not FD noise.
+
+    ``fast_line`` is the depth-``k_line`` fast line at x when the caller
+    already has it (``BoundCurve.fast_line``); it is reused at phi^k(x) too
+    when that is x itself, as at a periodic sample.
     """
     x = np.asarray(x, dtype=float)
     co = cocycle(phi, x, k)
@@ -141,7 +146,7 @@ def invariance_identity_residual(
     stencil = fd_stencil(x, h)
     planes = pullback_planes(phi, np.vstack([stencil, y]), E0, k_plane)
     E_x, E_y = planes[0], planes[-1]
-    F_x = compute_fast_line(phi, x, k=k_line)
+    F_x = compute_fast_line(phi, x, k=k_line) if fast_line is None else fast_line
 
     v = vector_field_bracket(*aligned_pairs(phi, stencil, planes[:-1], k), h)
     if np.linalg.norm(v) < DEGENERATE_TOL:
@@ -151,7 +156,7 @@ def invariance_identity_residual(
     if co.overflow:
         raise ConvergenceError("cocycle overflow: reduce k or use log-scale ratios")
     D = co.final
-    F_y = compute_fast_line(phi, y, k=k_line)
+    F_y = F_x if y.tobytes() == x.tobytes() else compute_fast_line(phi, y, k=k_line)
 
     lhs = project_along(D @ v, E_y, F_y)
     rhs = D @ pv
@@ -186,6 +191,7 @@ class BoundCurve:
     limit_lhs_error: float
     limit_resolved: bool  # resolved at steps h and h/10, and the two agree
     rate_rhs: float  # fitted per-step decay of the rhs
+    fast_line: Line1  # depth-k_line fast line at the point; it seeds the growth sweep
 
     def resolved_quotients(self):
         return [(e.k, e.quotient) for e in self.entries if e.resolved]
@@ -234,7 +240,8 @@ def bound_curve(
     the Richardson test of one ladder with an FD artefact.
     """
     x = np.asarray(x, dtype=float)
-    growth = swept_growth(phi, x, k_max, E0=E0, burn_in_plane=k_plane, burn_in_line=k_line)
+    fast_line = compute_fast_line(phi, x, k=k_line)
+    growth = _growth_along(phi, x, k_max, E0, k_plane, fast_line.direction)
     log_vol = growth.log_vol()
     log_f = growth.log_f
 
@@ -268,4 +275,5 @@ def bound_curve(
         limit_lhs_error=limit.error,
         limit_resolved=limit.resolved and fine.resolved and agree,
         rate_rhs=fitted_rate(log_vol),
+        fast_line=fast_line,
     )

@@ -191,7 +191,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                 rows.append((x1, x2, x3, k, h, c, lhs, rhs, quot))
             res = invariance_identity_residual(
                 phi, p, min(3, cfg.k_max), h=cfg.h, E0=cfg.initial_plane(),
-                k_plane=cfg.k_plane, k_line=cfg.k_line,
+                k_plane=cfg.k_plane, k_line=cfg.k_line, fast_line=curve.fast_line,
             )
             rm = curve.running_max()
             summaries.append(

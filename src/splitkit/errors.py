@@ -26,11 +26,16 @@ class ChartUnsuitableError(SplitkitError):
 
 
 class ChartExitError(SplitkitError):
-    """A flow trajectory or patch left the local chart box."""
+    """A flow trajectory or patch left the local chart box.
 
-    def __init__(self, message, exit_time=None):
+    ``exit_time`` is the flow time of the first step that ended outside;
+    ``row`` is the first row of a stacked flow that was outside then.
+    """
+
+    def __init__(self, message, exit_time=None, row=None):
         super().__init__(message)
         self.exit_time = exit_time
+        self.row = row
 
 
 class ConvergenceError(SplitkitError):

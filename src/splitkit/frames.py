@@ -74,10 +74,17 @@ class AdaptedFrame:
         return self._graph_field(p, 1)
 
     def _graph_field(self, p, which):
+        """X (``which`` = 0) or Y (1) from one coefficients call; on a stack,
+        ``which`` may also be a sequence with one column per row."""
         c = np.asarray(self.coefficients(p), dtype=float)
         out = np.zeros(np.shape(p))
-        out[..., which] = 1.0
-        out[..., 2] = c[..., which]
+        if np.ndim(which):
+            rows = np.arange(len(which))
+            out[rows, which] = 1.0
+            out[:, 2] = c[rows, which]
+        else:
+            out[..., which] = 1.0
+            out[..., 2] = c[..., which]
         return out
 
     def plane(self, p) -> Plane2:

@@ -241,12 +241,17 @@ def swept_growth(
     normalization (stable, since the fast line attracts under the forward
     map).
     """
+    line = compute_fast_line(phi, x, L0=L0, k=burn_in_line)
+    return _growth_along(phi, x, k_max, E0, burn_in_plane, line.direction)
+
+
+def _growth_along(phi: Diffeo, x, k_max: int, E0, burn_in_plane, f) -> GrowthTable:
+    """``swept_growth`` with the unit fast direction ``f`` at x given as is."""
     pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k_max + burn_in_plane)
     seed = _field_bases(E0, pts[-1])
     planes = [seed[:, :, 0]] + [Q[:, :, 0] for Q, _ in _pull_back(phi, recs, seed)]
     planes.reverse()  # the basis at orbit point i is planes[i]
     diffs = _differentials(phi, np.concatenate(pts[:k_max]))
-    f = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction
     return _accumulate_growth(diffs, planes, f)
 
 

@@ -69,11 +69,14 @@ def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = Non
         k3 = field(Y + 0.5 * dt * k2)
         k4 = field(Y + dt * k3)
         Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if chart is not None and not np.all(chart.contains(Y[:, :3])):
-            raise ChartExitError(
-                f"trajectory left the chart at time {(i + 1) * dt:.6g}",
-                exit_time=(i + 1) * dt,
-            )
+        if chart is not None:
+            outside = ~chart.contains(Y[:, :3])
+            if outside.any():
+                raise ChartExitError(
+                    f"trajectory left the chart at time {(i + 1) * dt:.6g}",
+                    exit_time=(i + 1) * dt,
+                    row=int(outside.argmax()),
+                )
     return Y.reshape(y.shape)
 
 
@@ -104,21 +107,68 @@ class SurfacePatch:
                 yield i, j
 
 
-def _sweep(field, starts, grid, i0, spec, chart):
+def _sweep(field, starts, grid, i0, spec, chart, names):
     """Flow every row of an (N, 3) stack of starts to each time of ``grid``.
 
     Node [m, i] is the ``field``-flow of ``starts[m]`` for time ``grid[i]``,
     reached step by step outward from ``grid[i0]`` = 0; all rows step together.
+    A row that leaves the chart raises ``ChartExitError`` naming its patch,
+    ``names[m]``, with the flow time from ``grid[i0]`` of the step outside.
     """
     out = np.empty((len(starts), len(grid), 3))
     out[:, i0] = starts
     for side in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
         q, prev = starts, i0
         for i in side:
-            q = flow(field, q, grid[i] - grid[prev], spec, chart)
+            try:
+                q = flow(field, q, grid[i] - grid[prev], spec, chart)
+            except ChartExitError as exc:
+                t = grid[prev] - grid[i0] + exc.exit_time
+                raise ChartExitError(
+                    f"patch {names[exc.row]} left the chart at flow time {t:.6g}; "
+                    "reduce epsilon",
+                    exit_time=t,
+                ) from None
             out[:, i] = q
             prev = i
     return out
+
+
+def _build_patches(frame, seeds, orders, epsilon, n, spec, chart, k=None, names=None):
+    """Patches at several seeds, each in its own flow order, integrated as one stack.
+
+    The spines of all seeds flow together first (one row per seed), then all
+    n rows of every patch (n per seed), so each RK4 stage is one
+    ``coefficients`` call.  Rows of a stack are bitwise independent, so each
+    patch equals the one built from its seed alone.  ``names`` label the
+    patches in a chart-exit error (default: their orders).
+    """
+    if n < 3:
+        raise ValueError("grid needs n >= 3 for interior finite differences")
+    if n % 2 == 0:
+        raise ValueError("grid needs odd n: rows are integrated outward from t = 0")
+    seeds = np.asarray(seeds, dtype=float)
+    names = list(orders if names is None else names)
+    ts = ss = np.linspace(-epsilon, epsilon, n)
+    i0 = n // 2  # the grid is symmetric, so its middle node is t = 0
+
+    # a spine follows the first field through its seed, then the patch's n
+    # rows follow the second field from its spine; node [m, i] is at time
+    # grid[m] of the first field, so xy patches are transposed to [t, s]
+    xy = np.array([order == "xy" for order in orders])
+    first = xy.astype(int)  # xy: the Y-flow (column 1) first; yx: the X-flow
+    second = np.repeat(1 - first, n)
+    spines = _sweep(lambda P: frame._graph_field(P, first), seeds, ss, i0, spec, chart, names)
+    rows = _sweep(
+        lambda P: frame._graph_field(P, second),
+        spines.reshape(-1, 3), ts, i0, spec, chart, [name for name in names for _ in range(n)],
+    )
+    points = rows.reshape(len(seeds), n, n, 3)
+    points[xy] = points[xy].swapaxes(1, 2)
+    return [
+        SurfacePatch(x0=x, epsilon=epsilon, n=n, ts=ts, ss=ss, points=P, k=k, spec=spec)
+        for x, P in zip(seeds, points)
+    ]
 
 
 def build_patch(
@@ -134,27 +184,12 @@ def build_patch(
     """Grid of W(t, s) = X-flow_t . Y-flow_s (x0) over (-eps, eps)^2.
 
     ``order="yx"`` composes the flows the other way round; it exists for the
-    commutator-defect diagnostic only.
+    commutator-defect diagnostic only.  One seed of ``_build_patches``.
     """
-    if n < 3:
-        raise ValueError("grid needs n >= 3 for interior finite differences")
-    if n % 2 == 0:
-        raise ValueError("grid needs odd n: rows are integrated outward from t = 0")
     x0 = np.asarray(x0, dtype=float)
     if chart is None:
         chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    ts = ss = np.linspace(-epsilon, epsilon, n)
-    i0 = n // 2  # the grid is symmetric, so its middle node is t = 0
-
-    # the spine follows the first field through x0, then all n rows follow
-    # the second field from the spine together; node [m, i] is at time grid[m]
-    # of the first field, so the xy order is transposed to the [t, s] layout
-    first, second = (frame.Y, frame.X) if order == "xy" else (frame.X, frame.Y)
-    spine = _sweep(first, x0[None], ss, i0, spec, chart)[0]
-    points = _sweep(second, spine, ts, i0, spec, chart)
-    if order == "xy":
-        points = np.ascontiguousarray(points.swapaxes(0, 1))
-    return SurfacePatch(x0=x0, epsilon=epsilon, n=n, ts=ts, ss=ss, points=points, k=k, spec=spec)
+    return _build_patches(frame, x0[None], (order,), epsilon, n, spec, chart, k=k)[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import Diffeo
 from .frames import AdaptedFrame, PullbackFrame
-from .surface import ChartBox, FlowSpec, SurfacePatch, build_patch
+from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
 
 # slack of the two-step decrease test on the slice distances
 DECREASE_SLACK = 1e-9
@@ -121,24 +121,27 @@ def leaf_divergence(
 
     The seed displacement is along the first orthonormal direction of the
     frame's plane at x0, so both seeds lie on the same candidate leaf when
-    the frame is integrable.
+    the frame is integrable.  The xy and yx patches at x0 and the xy patches
+    at x0 + delta u and x0 + delta/2 u are integrated as one stack.
     """
     x0 = np.asarray(x0, dtype=float)
     chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    p_xy = build_patch(frame, x0, epsilon, n, spec=spec, chart=chart, order="xy")
-    p_yx = build_patch(frame, x0, epsilon, n, spec=spec, chart=chart, order="yx")
-    mismatch = _patch_distance(p_xy, p_yx)
-
     u = frame.plane(x0).orthonormal_basis()[:, 0]
-
-    def lip(d):
-        shifted = build_patch(frame, x0 + d * u, epsilon, n, spec=spec, chart=chart, order="xy")
-        return _patch_distance(p_xy, shifted) / d
-
-    l1 = lip(delta)
-    l2 = lip(delta / 2)
+    half = delta / 2
+    p_xy, p_yx, p_delta, p_half = _build_patches(
+        frame,
+        [x0, x0, x0 + delta * u, x0 + half * u],
+        ("xy", "yx", "xy", "xy"),
+        epsilon,
+        n,
+        spec,
+        chart,
+        names=("xy", "yx", "+delta", "+delta/2"),
+    )
+    l1 = _patch_distance(p_xy, p_delta) / delta
+    l2 = _patch_distance(p_xy, p_half) / half
     return LeafComparison(
-        order_mismatch=float(mismatch),
+        order_mismatch=_patch_distance(p_xy, p_yx),
         delta=float(delta),
         lipschitz=float(l1),
         lipschitz_refined=float(l2),

@@ -194,3 +194,51 @@ class TestBoundCurve:
         assert bracket_coefficient(PullbackFrame(phi_perturbed, 500), x, 1e-4).resolved
         bc = bound_curve(phi_perturbed, x, 2, h=1e-4, k_plane=500, k_line=800)
         assert not bc.limit_resolved
+
+
+class TestFastLineOnce:
+    def test_bracket_run_computes_each_line_once(self, tmp_path, monkeypatch):
+        # (0, 0, 0) is a fixed point of phi^3 outside the shear support, so its
+        # invariance check ends where it starts; (0.5, 0.75, 0.75) does not
+        import splitkit.bracket
+        import splitkit.splitting
+        from splitkit.cli import main
+        from splitkit.report import write_json
+
+        calls = []
+        original = splitkit.splitting.compute_fast_line
+
+        def counting(phi, x, L0=None, k=40):
+            calls.append((np.asarray(x, dtype=float).tobytes(), k))
+            return original(phi, x, L0=L0, k=k)
+
+        monkeypatch.setattr(splitkit.splitting, "compute_fast_line", counting)
+        monkeypatch.setattr(splitkit.bracket, "compute_fast_line", counting)
+        cfg = {
+            "map": {
+                "matrix": [[-3, 0, 2], [1, 2, -3], [0, -1, 1]],
+                "shears": [
+                    {"axis": 0, "center": [0.0, 0.5, 0.5], "radius": 0.2, "amplitude": 0.05}
+                ],
+            },
+            "samples": [[0.0, 0.0, 0.0], [0.5, 0.75, 0.75]],
+            "k_max": 4,
+            "k_plane": 100,
+            "k_line": 300,
+        }
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg)
+        assert main(["bracket", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == len(set(calls)) == 3
+        assert {k for _, k in calls} == {300}
+
+    def test_shared_fast_line_same_residual(self, phi_perturbed):
+        x = np.array([0.5, 0.75, 0.75])
+        bc = bound_curve(phi_perturbed, x, 3, k_plane=100, k_line=300)
+        shared = invariance_identity_residual(
+            phi_perturbed, x, 3, k_plane=100, k_line=300, fast_line=bc.fast_line
+        )
+        alone = invariance_identity_residual(phi_perturbed, x, 3, k_plane=100, k_line=300)
+        assert not shared.degenerate
+        assert shared.residual == alone.residual
+        assert shared.norm_identity_rel_err == alone.norm_identity_rel_err

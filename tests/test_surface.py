@@ -14,6 +14,7 @@ from splitkit.frames import (
 from splitkit.surface import (
     ChartBox,
     FlowSpec,
+    _build_patches,
     build_patch,
     flow,
     planarity_defect,
@@ -137,6 +138,7 @@ class TestFlow:
         with pytest.raises(ChartExitError) as ei:
             flow(fr.X, P, 0.05, SPEC, chart=chart)
         assert ei.value.exit_time == pytest.approx(0.02, abs=SPEC.step)
+        assert ei.value.row == 1
 
 
 class TestPatches:
@@ -211,6 +213,21 @@ class TestPatches:
         assert patch.points.tobytes() == ref.tobytes()
         # the shear bends the patch: its nodes are off the plane through x0
         assert planarity_defect(patch) > 1e-7
+
+    def test_stacked_seeds_equal_separate_builds(self, phi_perturbed):
+        # four seeds in both orders, one stack; each patch is bitwise the
+        # patch built from its seed alone, with a frame of its own
+        u = np.array([0.6, 0.0, 0.8])
+        seeds = [IN_SUPPORT, IN_SUPPORT, IN_SUPPORT + 1e-3 * u, IN_SUPPORT + 5e-4 * u]
+        orders = ("xy", "yx", "yx", "xy")
+        chart = ChartBox(center=IN_SUPPORT.copy())
+        frame = PullbackFrame(phi_perturbed, 10)
+        stacked = _build_patches(frame, seeds, orders, 0.02, 5, SPEC, chart)
+        for patch, x0, order in zip(stacked, seeds, orders):
+            fresh = PullbackFrame(phi_perturbed, 10)
+            alone = build_patch(fresh, x0, 0.02, 5, spec=SPEC, order=order)
+            assert patch.points.tobytes() == alone.points.tobytes()
+            assert patch.x0.tobytes() == alone.x0.tobytes()
 
     def test_patch_sweep_one_coefficients_call_per_stage(self):
         sizes = []

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from splitkit.frames import AnalyticFrame, constant_frame, contact_frame
+from splitkit.errors import ChartExitError
+from splitkit.frames import AdaptedFrame, AnalyticFrame, constant_frame, contact_frame
 from splitkit.surface import FlowSpec
 from splitkit.uniqueness import (
     hartman_slice_report,
@@ -84,3 +85,37 @@ class TestLeafDivergence:
         )
         leaf = leaf_divergence(fr, np.array([0.4, 0.6, 0.5]), 0.04, 7, 1e-4, spec=SPEC)
         assert leaf.order_mismatch < 1e-9
+
+    def test_one_stack_of_four_seeds(self):
+        shapes = []
+
+        class Counting(AdaptedFrame):
+            def coefficients(self, P):
+                shapes.append(np.shape(P))
+                if np.ndim(P) == 1:
+                    return 0.2, -0.3
+                return np.tile([0.2, -0.3], (len(P), 1))
+
+        leaf_divergence(Counting(), np.zeros(3), 0.02, 5, 1e-4, spec=FlowSpec(step=4e-3))
+        # the plane at x0 gives the seed shift; then n - 1 grid gaps of 3 RK4
+        # steps, 4 stages each: the four spines, then all 4 n rows
+        assert shapes == [(3,)] + [(4, 3)] * 48 + [(20, 3)] * 48
+
+    def test_chart_exit_beyond_halfwidth(self):
+        # a = b = 0: the xy spine moves along e2 at unit speed and leaves the
+        # 0.45 box at time 0.45; the yx spine leaves at the same step, and
+        # the error names the first patch of the stack
+        step = 1e-2
+        with pytest.raises(ChartExitError, match="patch xy left") as ei:
+            leaf_divergence(constant_frame(0.0, 0.0), np.zeros(3), 0.5, 5, 1e-4, FlowSpec(step))
+        assert ei.value.exit_time == pytest.approx(0.45, abs=step)
+
+    def test_chart_exit_names_shifted_patch(self):
+        # the seed shift is along e1 here, so every spine stays inside and
+        # the rows of the +delta patch leave first, at |t| = 0.45 - delta
+        step = 1e-2
+        fr = constant_frame(0.0, 0.0)
+        assert np.allclose(fr.plane(np.zeros(3)).orthonormal_basis()[:, 0], [1.0, 0.0, 0.0])
+        with pytest.raises(ChartExitError, match="patch \\+delta left") as ei:
+            leaf_divergence(fr, np.zeros(3), 0.4, 5, 0.1, FlowSpec(step))
+        assert abs(ei.value.exit_time) == pytest.approx(0.35, abs=step)
