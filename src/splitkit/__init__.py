@@ -3,7 +3,7 @@ diagnostics for diffeomorphisms of the 3-torus."""
 
 __version__ = "0.1.0"
 
-from .dynamics import PAPER_MATRIX, Cocycle, Diffeo, ShearPerturbation, ToralAutomorphism, cocycle
+from .dynamics import PAPER_MATRIX, Diffeo, ShearPerturbation, ToralAutomorphism
 from .errors import (
     ChartExitError,
     ChartUnsuitableError,
@@ -34,11 +34,9 @@ from .splitting import (
 __all__ = [
     "__version__",
     "PAPER_MATRIX",
-    "Cocycle",
     "Diffeo",
     "ShearPerturbation",
     "ToralAutomorphism",
-    "cocycle",
     "ChartExitError",
     "ChartUnsuitableError",
     "ConfigError",

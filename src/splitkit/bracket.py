@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, cocycle
+from .dynamics import Diffeo, _orbit_records, _tangent
 from .errors import ConvergenceError
 from .frames import AdaptedFrame, PullbackFrame, aligned_pairs, fd_stencil
 from .geometry import Line1, project_along
@@ -27,6 +27,7 @@ DEGENERATE_TOL = 1e-13  # bracket norms below this vanish to FD precision
 # rounding noise at depths 1 to 4 and about 25 at depth 6, and the Richardson
 # order test is what rejects the noisier entries above this floor.
 ROUNDOFF_ULPS = 8
+COCYCLE_OVERFLOW_NORM = 1e12  # D(phi^k) entries past this: use log-scale ratios
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def invariance_identity_residual(
     when that is x itself, as at a periodic sample.
     """
     x = np.asarray(x, dtype=float)
-    co = cocycle(phi, x, k)
-    y = co.points[-1]
+    pts, recs = _orbit_records(phi, x[None], k)
+    y = pts[-1][0]
     # x, its stencil and phi^k(x), pulled back once and shared
     stencil = fd_stencil(x, h)
     planes = pullback_planes(phi, np.vstack([stencil, y]), E0, k_plane)
@@ -153,9 +154,15 @@ def invariance_identity_residual(
         return InvarianceResidual(x, k, 0.0, 0.0, True)
 
     pv = project_along(v, E_x, F_x)
-    if co.overflow:
+    # D(phi^k): the identity pushed through each recorded step, and the k
+    # one-step differentials multiplied densely (pushing one product through
+    # all k steps rounds differently); the guard checks every partial product
+    D, overflow = np.eye(3), False
+    for rec in recs:
+        D = _tangent(phi, rec, np.eye(3)[:, :, None])[:, :, 0] @ D
+        overflow |= np.max(np.abs(D)) > COCYCLE_OVERFLOW_NORM
+    if overflow:
         raise ConvergenceError("cocycle overflow: reduce k or use log-scale ratios")
-    D = co.final
     F_y = F_x if y.tobytes() == x.tobytes() else compute_fast_line(phi, y, k=k_line)
 
     lhs = project_along(D @ v, E_y, F_y)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,18 +29,27 @@ def _number_rows(value, key, width):
     """A list of lists of ``width`` numbers, as a tuple of float tuples."""
     try:
         rows = tuple(tuple(float(c) for c in v) for v in value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be a list of {width}-number lists") from exc
     if any(len(r) != width for r in rows):
         raise ConfigError(f"each entry of config key {key!r} must have {width} coordinates")
+    if not all(math.isfinite(c) for r in rows for c in r):
+        raise ConfigError(f"config key {key!r} must hold finite numbers, got {value!r}")
     return rows
 
 
 def _number(value, key, typ):
-    """A config number of type ``typ``: any JSON number but a boolean, and
+    """A config number of type ``typ``: any finite JSON number but a boolean
+    (``json`` reads NaN, Infinity and integers beyond the float range), and
     for an int one with no fractional part (20.0 reads as 20)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a {typ.__name__}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if typ is int and not float(value).is_integer():
         raise ConfigError(f"config key {key!r} must be a int, got {value!r}")
     return typ(value)
@@ -106,10 +116,11 @@ class ExperimentConfig:
             if not isinstance(sf, dict) or sf.get("kind") not in ("contact", "constant"):
                 raise ConfigError("synthetic_field.kind must be 'contact' or 'constant'")
             try:
-                for c in ("a", "b"):
-                    float(sf.get(c, 0.0))
-            except (TypeError, ValueError) as exc:
+                finite = all(math.isfinite(float(sf.get(c, 0.0))) for c in ("a", "b"))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("synthetic_field 'a' and 'b' must be numbers") from exc
+            if not finite:
+                raise ConfigError("synthetic_field 'a' and 'b' must be finite")
             kwargs["synthetic_field"] = sf
         if "e0" in d and d["e0"] is not None:
             basis = d["e0"].get("basis") if isinstance(d["e0"], dict) else None
@@ -166,10 +177,13 @@ class ExperimentConfig:
             try:
                 center = [float(c) for c in s["center"]]
                 radius, amplitude = float(s["radius"]), float(s["amplitude"])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("shear center, radius and amplitude must be numbers") from exc
             if len(center) != 3:
                 raise ConfigError("shear center must be a list of 3 numbers")
+            for key, values in (("center", center), ("radius", [radius]), ("amplitude", [amplitude])):
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError(f"shear {key} must be finite, got {s[key]!r}")
             shears.append(ShearPerturbation(s["axis"], center, radius, amplitude))
         try:
             auto = ToralAutomorphism(np.asarray(self.map_spec["matrix"]))

@@ -2,13 +2,14 @@
 
 Maps are compositions of two primitive kinds: integer toral automorphisms and
 volume-preserving coordinate shears with a smooth compactly supported bump.
-Differentials are analytic (chain rule over the stages), so cocycles carry no
-finite-difference noise.
+Each stage maps (N,3) stacks of points and (3, c, N) stacks of tangent
+vectors: ``advance`` and ``retreat`` move points forward and back, ``push``
+and ``pull`` apply the differential and its exact inverse at a recorded
+point.  Differentials are analytic (chain rule over the stages), so cocycles
+carry no finite-difference noise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .geometry import GRAM_TOL, adjugate3, det3, torus_delta, wrap_point
 # 2-plane is volume dominated but not center-bunched.
 PAPER_MATRIX = np.array([[-3, 0, 2], [1, 2, -3], [0, -1, 1]], dtype=np.int64)
 PAPER_MATRIX.setflags(write=False)
-
-COCYCLE_OVERFLOW_NORM = 1e12
 
 
 class ToralAutomorphism:
@@ -48,22 +47,17 @@ class ToralAutomorphism:
         self._Minvf = Minv.astype(float)
         self._Minvf.setflags(write=False)
 
-    def apply(self, x):
-        # the kernel's step at N = 1, so scalar and stacked orbits agree bit for bit
-        return self.advance(np.asarray(x, dtype=float)[None])[0][0]
-
-    def apply_inverse(self, x):
-        return wrap_point(self._Minvf @ x)
-
-    def differential(self, x):
-        return self._Mf
-
-    def differential_inverse(self, x):
-        return self._Minvf
-
     def advance(self, Y):
         """Images of the rows of an (N,3) stack; the differential needs no record."""
         return wrap_point(Y @ self._Mf.T), None
+
+    def retreat(self, Y):
+        """Inverse images of the rows of an (N,3) stack.
+
+        Each row's bits match a per-row gemv only at N = 1: above it,
+        OpenBLAS gemm rounds some rows differently, so backward orbits run one
+        row at a time (README)."""
+        return wrap_point(Y @ self._Minvf.T)
 
     def push(self, V, record):
         return _times(self._Mf, V)
@@ -133,38 +127,6 @@ class ShearPerturbation:
         g = np.where(live, dh * d.T / np.where(live, r, 1.0), 0.0)
         return bump, g
 
-    def bump_gradient(self, x):
-        """Gradient of the bump as a 3-vector (component ``axis`` is 0)."""
-        _, g = self._bump(np.asarray(x, dtype=float)[None], gradient=True)
-        grad = np.zeros(3)
-        grad[self._plane] = g[:, 0]
-        return grad
-
-    def in_support(self, x):
-        return bool(self._planar_offsets(np.asarray(x, dtype=float)[None])[1][0] < self.radius)
-
-    def apply(self, x):
-        return self._shifted(np.array(x, dtype=float)[None], 1.0)[0]
-
-    def apply_inverse(self, x):
-        return self._shifted(np.array(x, dtype=float)[None], -1.0)[0]
-
-    def _shifted(self, Y, sign):
-        bump = self._bump(Y)
-        if bump is not None:  # adding zeros would change no bit after the wrap
-            Y[:, self.axis] += sign * bump
-        return wrap_point(Y)
-
-    def differential(self, x):
-        D = np.eye(3)
-        D[self.axis, :] += self.bump_gradient(x)
-        return D
-
-    def differential_inverse(self, x):
-        D = np.eye(3)
-        D[self.axis, :] -= self.bump_gradient(x)
-        return D
-
     def advance(self, Y):
         """Images of the rows of an (N,3) stack and the bump gradients there."""
         bump, g = self._bump(Y, gradient=True)
@@ -172,6 +134,15 @@ class ShearPerturbation:
             Y = Y.copy()
             Y[:, self.axis] += bump
         return wrap_point(Y), g
+
+    def retreat(self, Y):
+        """Inverse images of the rows of an (N,3) stack: the bump does not
+        depend on the sheared coordinate, so subtracting it is exact."""
+        bump = self._bump(Y)
+        if bump is not None:  # adding zeros would change no bit after the wrap
+            Y = Y.copy()
+            Y[:, self.axis] -= bump
+        return wrap_point(Y)
 
     def push(self, V, g):
         """(I + e_axis grad^T) V for a stack V of shape (3, c, N)."""
@@ -202,57 +173,42 @@ class Diffeo:
     def from_matrix(cls, matrix):
         return cls((ToralAutomorphism(matrix),))
 
+    # N = 1 views of the stacked kernel below
     def apply(self, x):
-        y = wrap_point(np.asarray(x, dtype=float))
-        for stage in self.stages:
-            y = stage.apply(y)
-        return y
+        pts, _ = _orbit_records(self, np.asarray(x, dtype=float)[None], 1)
+        return pts[1][0]
 
     def apply_inverse(self, x):
-        y = wrap_point(np.asarray(x, dtype=float))
+        Y = wrap_point(np.asarray(x, dtype=float)[None])
         for stage in reversed(self.stages):
-            y = stage.apply_inverse(y)
-        return y
+            Y = stage.retreat(Y)
+        return Y[0]
 
     def differential(self, x):
-        D = np.eye(3)
-        y = wrap_point(np.asarray(x, dtype=float))
-        for stage in self.stages:
-            D = stage.differential(y) @ D
-            y = stage.apply(y)
-        return D
+        return _differentials(self, np.asarray(x, dtype=float)[None])[0]
 
     def differential_inverse(self, x):
-        """Differential of the inverse map at x."""
-        D = np.eye(3)
-        y = wrap_point(np.asarray(x, dtype=float))
-        for stage in reversed(self.stages):
-            D = stage.differential_inverse(y) @ D
-            y = stage.apply_inverse(y)
-        return D
+        """D(phi^-1) at x: the exact stage inverses, recorded at phi^-1(x)."""
+        _, (rec,) = _orbit_records(self, self.apply_inverse(x)[None], 1)
+        return _tangent(self, rec, np.eye(3)[:, :, None], inverse=True)[:, :, 0]
 
     def shear_stages(self):
         return [s for s in self.stages if isinstance(s, ShearPerturbation)]
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Orbit points and the product D(phi^k) (or D(phi^-k)) along them."""
-
-    point: np.ndarray
-    horizon: int
-    direction: str  # "forward" | "inverse"
-    points: tuple  # orbit points, length horizon + 1
-    final: np.ndarray  # D(phi^(+-horizon)) at point
-    overflow: bool = False
-
-
 def orbit(phi: Diffeo, x, k: int, direction="forward"):
-    """Orbit points x, phi(x), ..., phi^k(x) (or backward for "inverse")."""
-    step = phi.apply if direction == "forward" else phi.apply_inverse
+    """Orbit points x, phi(x), ..., phi^k(x) (or backward for "inverse").
+
+    A backward orbit steps one row at a time: only at N = 1 does
+    ``ToralAutomorphism.retreat`` round a row the same way in every stack."""
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if direction == "forward":
+        pts, _ = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
+        return [p[0] for p in pts]
     pts = [wrap_point(np.asarray(x, dtype=float))]
     for _ in range(k):
-        pts.append(step(pts[-1]))
+        pts.append(phi.apply_inverse(pts[-1]))
     return pts
 
 
@@ -353,49 +309,15 @@ def _push_forward_line(diffs, v):
     return v
 
 
-def cocycle(phi: Diffeo, x, k: int, direction="forward") -> Cocycle:
-    """Assemble D(phi^k) (or D(phi^-k)) stepwise with its orbit points.
-
-    Stops early with ``overflow=True`` once the cumulative product norm
-    exceeds 1e12; callers needing large k should use the log-scale routines
-    in :mod:`splitkit.splitting`.
-    """
-    if k < 0:
-        raise ValueError("cocycle horizon must be >= 0")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    diff = phi.differential if direction == "forward" else phi.differential_inverse
-    step = phi.apply if direction == "forward" else phi.apply_inverse
-
-    pts = [wrap_point(np.asarray(x, dtype=float))]
-    M = np.eye(3)
-    overflow = False
-    for _ in range(k):
-        M = diff(pts[-1]) @ M
-        pts.append(step(pts[-1]))
-        if np.max(np.abs(M)) > COCYCLE_OVERFLOW_NORM:
-            overflow = True
-            break
-    return Cocycle(
-        point=pts[0],
-        horizon=len(pts) - 1,
-        direction=direction,
-        points=tuple(pts),
-        final=M,
-        overflow=overflow,
-    )
-
-
 def orbit_support_report(phi: Diffeo, x, k: int):
     """Which forward-orbit steps of x land in the support of some shear stage.
 
     The perturbation analysis assumes reference orbits that avoid the support;
     this reports the fact instead of assuming it.
     """
-    shears = phi.shear_stages()
-    pts = orbit(phi, x, k)
-    hits = []
-    for j, p in enumerate(pts):
-        if any(s.in_support(p) for s in shears):
-            hits.append(j)
+    P = np.array(orbit(phi, x, k))
+    inside = np.zeros(len(P), dtype=bool)
+    for shear in phi.shear_stages():
+        inside |= shear._planar_offsets(P)[1] < shear.radius
+    hits = np.flatnonzero(inside).tolist()
     return {"steps_in_support": hits, "orbit_avoids_support": not hits}

@@ -35,6 +35,42 @@ SHEAR = dict(axis=0, center=(0.0, 0.5, 0.5), radius=0.2, amplitude=0.05)
 FIXED_EXACT = (np.zeros(3), np.array([0.5, 0.0, 0.5]))
 
 
+def shear_bump(shear, x):
+    """The bump of ``shear`` at x and its gradient (a 3-vector), in closed
+    form: g = A cos^4(pi r / 2R) of the wrapped planar distance r."""
+    j, k = shear.plane_axes
+    d = (np.array([x[j], x[k]]) - shear.center[[j, k]] + 0.5) % 1.0 - 0.5
+    r = np.hypot(d[0], d[1])
+    grad = np.zeros(3)
+    if r >= shear.radius:
+        return 0.0, grad
+    z = np.pi * r / (2.0 * shear.radius)
+    if r > 0.0:
+        dg_dr = -4.0 * shear.amplitude * np.cos(z) ** 3 * np.sin(z) * np.pi / (2.0 * shear.radius)
+        grad[[j, k]] = dg_dr * d / r
+    return shear.amplitude * np.cos(z) ** 4, grad
+
+
+def dense_differential(phi, x):
+    """D phi at x as a product of per-stage dense matrices, I + e_axis grad(g)^T
+    for a shear and M for an automorphism: an oracle for the stacked kernel."""
+    D = np.eye(3)
+    y = np.asarray(x, dtype=float) % 1.0
+    for stage in phi.stages:
+        if isinstance(stage, ShearPerturbation):
+            g, grad = shear_bump(stage, y)
+            S = np.eye(3)
+            S[stage.axis] += grad
+            D = S @ D
+            y = y.copy()
+            y[stage.axis] += g
+        else:
+            D = stage.matrix @ D
+            y = stage.matrix @ y
+        y = y % 1.0
+    return D
+
+
 @pytest.fixture(scope="session")
 def phi_linear():
     return Diffeo.from_matrix(PAPER_MATRIX)

@@ -177,6 +177,31 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("splitkit: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "cfg_dict, message",
+        [
+            (base_config(h=float("nan")), "'h' must be finite"),
+            (base_config(epsilon=float("inf")), "'epsilon' must be finite"),
+            (base_config(step=float("nan")), "'step' must be finite"),
+            (base_config(samples=[[float("nan"), 0.0, 0.0]]), "'samples' must hold finite"),
+            (with_shear(amplitude=float("nan")), "shear amplitude must be finite"),
+            (base_config(k_max=10**400), "'k_max' must be finite"),
+            (base_config(samples=[[10**400, 0.0, 0.0]]), "'samples' must be a list"),
+            (with_shear(radius=10**400), "radius and amplitude must be numbers"),
+            (base_config(synthetic_field={"kind": "constant", "a": float("inf")}), "must be finite"),
+        ],
+        ids=["h-nan", "epsilon-inf", "step-nan", "sample-nan", "amplitude-nan",
+             "k_max-huge", "sample-huge", "radius-huge", "synthetic-inf"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, cfg_dict, message):
+        # json reads the NaN and Infinity tokens that write_json emits, and
+        # integers of any size
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg_dict)
+        assert main(["bracket", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliOutputs:
     def run_twice(self, tmp_path, command, cfg_dict, env=None):

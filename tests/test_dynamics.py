@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from splitkit import PAPER_MATRIX, Diffeo, cocycle
+from splitkit import PAPER_MATRIX, Diffeo
+from splitkit.bracket import invariance_identity_residual
 from splitkit.dynamics import (
-    COCYCLE_OVERFLOW_NORM,
     ShearPerturbation,
     ToralAutomorphism,
     _gram_schmidt,
@@ -13,9 +13,9 @@ from splitkit.dynamics import (
     orbit,
     orbit_support_report,
 )
-from splitkit.errors import ConfigError, DegeneratePlaneError
+from splitkit.errors import ConfigError, ConvergenceError, DegeneratePlaneError
 from splitkit.geometry import torus_delta
-from conftest import SHEAR
+from conftest import SHEAR, dense_differential, shear_bump
 
 
 def fd_differential(phi, x, h=1e-5):
@@ -26,6 +26,17 @@ def fd_differential(phi, x, h=1e-5):
         e[i] = h
         D[:, i] = torus_delta(phi.apply(x + e), phi.apply(x - e)) / (2 * h)
     return D
+
+
+def cocycle(phi, points, inverse=False):
+    """The product of the one-step differentials at ``points``, the first
+    applied first, or of their exact inverses: the identity pushed (pulled)
+    through each point's recorded step with ``_tangent``."""
+    V = np.eye(3)[:, :, None]
+    for p in points:
+        _, (rec,) = _orbit_records(phi, np.asarray(p, dtype=float)[None], 1)
+        V = _tangent(phi, rec, V, inverse=inverse)
+    return V[:, :, 0]
 
 
 class TestToralAutomorphism:
@@ -71,19 +82,21 @@ class TestApply:
 class TestShear:
     def setup_method(self):
         self.shear = ShearPerturbation(**SHEAR)
+        self.phi = Diffeo((self.shear,))
 
     def test_outside_support_is_identity(self):
         x = np.array([0.3, 0.1, 0.05])  # far from the (x2,x3) support disc
-        assert not self.shear.in_support(x)
-        assert np.all(self.shear.apply(x) == x)
-        assert np.all(self.shear.differential(x) == np.eye(3))
+        assert orbit_support_report(self.phi, x, 0)["orbit_avoids_support"]
+        assert np.all(self.phi.apply(x) == x)
+        assert np.all(self.phi.differential(x) == np.eye(3))
 
     def test_interior_differential_structure(self):
         x = np.array([0.7, 0.55, 0.42])
-        assert self.shear.in_support(x)
-        D = self.shear.differential(x)
-        g = self.shear.bump_gradient(x)
+        assert orbit_support_report(self.phi, x, 0)["steps_in_support"] == [0]
+        D = self.phi.differential(x)
+        _, g = shear_bump(self.shear, x)
         assert g[self.shear.axis] == 0.0
+        assert np.any(g != 0.0)
         assert np.allclose(D, np.eye(3) + np.outer([1.0, 0.0, 0.0], g))
 
     def test_gradient_matches_fd(self):
@@ -91,16 +104,14 @@ class TestShear:
         h = 1e-5
         for _ in range(40):
             x = rng.uniform(0, 1, 3)
-            D = self.shear.differential(x)
-            Dfd = fd_differential(Diffeo((self.shear,)), x, h)
+            D = self.phi.differential(x)
+            Dfd = fd_differential(self.phi, x, h)
             assert np.max(np.abs(D - Dfd)) < 1e-8
 
     def test_exact_inverse(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            x = rng.uniform(0, 1, 3)
-            y = self.shear.apply(x)
-            assert np.max(np.abs(torus_delta(self.shear.apply_inverse(y), x))) < 1e-15
+        X = np.random.default_rng(2).uniform(0, 1, (40, 3))
+        Y, _ = self.shear.advance(X)
+        assert np.max(np.abs(torus_delta(self.shear.retreat(Y), X))) < 1e-15
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -140,55 +151,53 @@ class TestComposedMap:
 
 class TestCocycle:
     def test_zero_horizon(self, phi_linear):
-        co = cocycle(phi_linear, [0.3, 0.4, 0.5], 0)
-        assert co.horizon == 0
-        assert np.all(co.final == np.eye(3))
-        assert len(co.points) == 1
+        pts, recs = _orbit_records(phi_linear, np.array([[0.3, 0.4, 0.5]]), 0)
+        assert len(pts) == 1 and recs == []
+        assert np.all(cocycle(phi_linear, []) == np.eye(3))
 
     def test_matrix_square(self, phi_linear):
-        co = cocycle(phi_linear, [0.1, 0.2, 0.3], 2)
+        D = cocycle(phi_linear, orbit(phi_linear, [0.1, 0.2, 0.3], 2)[:-1])
         A = PAPER_MATRIX.astype(float)
-        assert np.allclose(co.final, A @ A, atol=1e-12)
+        assert np.allclose(D, A @ A, atol=1e-12)
 
     def test_forward_then_inverse_linear(self, phi_linear):
         x = np.array([0.3, 0.4, 0.5])
         for k in (1, 4, 10):
-            fwd = cocycle(phi_linear, x, k)
-            bwd = cocycle(phi_linear, fwd.points[-1], k, direction="inverse")
-            assert np.max(np.abs(bwd.final @ fwd.final - np.eye(3))) < 1e-8
+            fwd = orbit(phi_linear, x, k)
+            bwd = orbit(phi_linear, fwd[-1], k, direction="inverse")
+            F = cocycle(phi_linear, fwd[:-1])
+            B = cocycle(phi_linear, bwd[1:], inverse=True)
+            assert np.max(np.abs(B @ F - np.eye(3))) < 1e-8
 
     def test_forward_then_inverse_perturbed(self, phi_perturbed):
         # At a generic point the backward retrace drifts by roundoff amplified
         # at the inverse map's expansion rate, so the deep-horizon check only
         # holds along exactly periodic orbits.
-        x = np.array([0.3, 0.4, 0.5])
-        for k in (1, 4):
-            fwd = cocycle(phi_perturbed, x, k)
-            bwd = cocycle(phi_perturbed, fwd.points[-1], k, direction="inverse")
-            assert np.max(np.abs(bwd.final @ fwd.final - np.eye(3))) < 1e-8
-        fwd = cocycle(phi_perturbed, np.zeros(3), 10)
-        bwd = cocycle(phi_perturbed, fwd.points[-1], 10, direction="inverse")
-        assert np.max(np.abs(bwd.final @ fwd.final - np.eye(3))) < 1e-8
+        for x, ks in ((np.array([0.3, 0.4, 0.5]), (1, 4)), (np.zeros(3), (10,))):
+            for k in ks:
+                fwd = orbit(phi_perturbed, x, k)
+                bwd = orbit(phi_perturbed, fwd[-1], k, direction="inverse")
+                F = cocycle(phi_perturbed, fwd[:-1])
+                B = cocycle(phi_perturbed, bwd[1:], inverse=True)
+                assert np.max(np.abs(B @ F - np.eye(3))) < 1e-8
 
     def test_multiplicativity(self, phi_perturbed):
         x = np.array([0.21, 0.82, 0.43])
+        pts = orbit(phi_perturbed, x, 8)
         for j in range(8):
-            co = cocycle(phi_perturbed, x, j)
             assert np.allclose(
-                cocycle(phi_perturbed, x, j + 1).final,
-                phi_perturbed.differential(co.points[-1]) @ co.final,
+                cocycle(phi_perturbed, pts[: j + 1]),
+                dense_differential(phi_perturbed, pts[j]) @ cocycle(phi_perturbed, pts[:j]),
                 atol=1e-10,
             )
 
-    def test_overflow_guard(self, phi_linear):
-        co = cocycle(phi_linear, [0.1, 0.7, 0.3], 40)
-        assert co.overflow
-        assert co.horizon < 40
-        assert np.max(np.abs(co.final)) > COCYCLE_OVERFLOW_NORM
+    def test_overflow_guard(self, phi_perturbed):
+        with pytest.raises(ConvergenceError, match="overflow"):
+            invariance_identity_residual(phi_perturbed, [0.3, 0.55, 0.45], 26, k_plane=60, k_line=80)
 
     def test_bad_direction(self, phi_linear):
         with pytest.raises(ValueError, match="direction"):
-            cocycle(phi_linear, np.zeros(3), 1, direction="sideways")
+            orbit(phi_linear, np.zeros(3), 1, direction="sideways")
 
 
 class TestOrbitSupport:
@@ -238,7 +247,7 @@ class TestKernel:
         pulled = _tangent(phi_perturbed, rec, V, inverse=True)
         pushed = _tangent(phi_perturbed, rec, V)
         for n, x in enumerate(X):
-            D = phi_perturbed.differential(x)
+            D = dense_differential(phi_perturbed, x)
             assert np.max(np.abs(pulled[:, :, n] - np.linalg.solve(D, V[:, :, n]))) < 1e-13
             assert np.max(np.abs(pushed[:, :, n] - D @ V[:, :, n])) < 1e-13
 

@@ -15,9 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitkit"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
-# kept for the tests that use them as oracles and fixtures
+# kept for the tests that use them as oracles and fixtures;
+# Diffeo.differential_inverse also because perfbench/tracing.py wraps it by
+# name (ROADMAP item 4 deletes it with the tracer)
 ORACLES = {"wedge_coordinates", "hash_file"}
-METHOD_ORACLES = {"dynamics.Diffeo.identity"}
+METHOD_ORACLES = {"dynamics.Diffeo.identity", "dynamics.Diffeo.differential_inverse"}
 
 
 def referenced_names(node):
@@ -120,3 +122,18 @@ def test_every_public_method_has_a_caller():
         qual for qual, name in methods if qual not in METHOD_ORACLES and name not in uses.names
     )
     assert not orphans, f"public methods with no caller in src/ or the acceptance suite: {orphans}"
+
+
+# one map implementation: a stage moves (N,3) point stacks and (3, c, N)
+# tangent stacks, and nothing else
+STAGE_PROTOCOL = {"advance", "retreat", "push", "pull"}
+
+
+def test_stages_define_only_the_stacked_protocol():
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text(encoding="utf-8"))
+    stages = {s.name: s for s in tree.body if isinstance(s, ast.ClassDef)}
+    for name in ("ToralAutomorphism", "ShearPerturbation"):
+        public = {
+            fn.name for fn in stages[name].body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        }
+        assert public == STAGE_PROTOCOL, f"{name} defines {sorted(public)}"
