@@ -28,7 +28,6 @@ from .splitting import (
     compute_fast_line,
     compute_slow_plane,
     domination_report,
-    splitting_sample,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "compute_fast_line",
     "compute_slow_plane",
     "domination_report",
-    "splitting_sample",
 ]

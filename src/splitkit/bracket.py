@@ -248,7 +248,7 @@ def bound_curve(
     """
     x = np.asarray(x, dtype=float)
     fast_line = compute_fast_line(phi, x, k=k_line)
-    growth = _growth_along(phi, x, k_max, E0, k_plane, fast_line.direction)
+    (growth,) = _growth_along(phi, x[None], k_max, E0, k_plane, fast_line.direction[None])
     log_vol = growth.log_vol()
     log_f = growth.log_f
 

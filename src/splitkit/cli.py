@@ -19,7 +19,6 @@ from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows
-from .geometry import principal_angle
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report, fitted_rate, pullback_planes, swept_growth
 from .surface import (
@@ -40,24 +39,37 @@ QUOTED_EIGENVALUES = (-0.11, 3.11, -3.21)
 def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
     """Refuse shear amplitudes that break one-step plane-cone invariance.
 
-    The unperturbed slow plane must stay within a fixed cone under one
-    pullback step at the shear's strongest points; otherwise the perturbed
-    splitting cannot be tracked from the linear one and the experiment
-    configuration is rejected.
+    The linear slow plane E (normal n) must stay within a cone under one
+    pullback step. As A^-1 E = E, a shear pulls E back to (I - e_axis
+    grad(g)^T) E, of normal n + n_axis grad(g), with grad(g) in the disc of
+    radius |amplitude| (2 pi / R) 3 sqrt(3) / 16 (cos^3 z sin z is largest at
+    z = pi/6). The angle from n grows along each ray of the disc and is
+    1-Lipschitz in grad(g): its supremum is at most its maximum on a rim grid
+    plus the grid's half spacing. Several shears give a product bound: each
+    tilt is distorted by at most sigma_1^3 of every shear before it.
     """
     shears = phi.shear_stages()
     if not shears:
         return
     base = Diffeo.from_matrix(np.asarray(cfg.map_spec["matrix"]))
-    E_lin = pullback_planes(base, np.zeros((1, 3)), None, 300)[0]
+    n = pullback_planes(base, np.zeros((1, 3)), None, 300)[0].normal
     aperture = 0.5  # radians; generous cone half-width around the linear plane
-    points = np.random.default_rng(0).uniform(0.0, 1.0, (64, 3))
-    pulled = pullback_planes(phi, points, E_lin, 1)
-    worst = max(principal_angle(E, E_lin) for E in pulled)
-    if worst > aperture:
+    nodes = 16384  # gradient directions on the rim of each disc
+    rim = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+    bound, distortion = 0.0, 1.0
+    for shear in shears:
+        G = abs(shear.amplitude) * (2.0 * np.pi / shear.radius) * 3.0 * np.sqrt(3.0) / 16.0
+        m = np.tile(n, (nodes, 1))
+        m[:, shear.plane_axes] += n[shear.axis] * G * np.column_stack([np.cos(rim), np.sin(rim)])
+        angles = np.arctan2(np.linalg.norm(np.cross(n, m), axis=1), m @ n)
+        tilt = min(angles.max() + G * np.pi / nodes, np.pi / 2)
+        bound += np.arcsin(min(1.0, distortion * np.sin(tilt)))
+        distortion *= ((G + np.sqrt(G * G + 4.0)) / 2.0) ** 3
+    bound = min(bound, np.pi / 2)
+    if bound > aperture:
         raise ConfigError(
-            f"shear amplitude too large: one-step pullback tilts the reference plane by "
-            f"{worst:.3f} rad (> {aperture} rad cone); reduce the amplitude"
+            f"shear amplitude too large: one-step pullback tilts the reference plane by up to "
+            f"{bound:.3f} rad (an upper bound; the cone is {aperture} rad); reduce the amplitude"
         )
 
 
@@ -160,7 +172,7 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
             for d in rep.samples
         ],
         "excluded": [{"point": list(p), "residual": r} for p, r in rep.excluded],
-        "orbit_support": [orbit_support_report(phi, p, cfg.k_max) for p in pts],
+        "orbit_support": orbit_support_report(phi, np.array(pts).reshape(-1, 3), cfg.k_max),
     }
 
 

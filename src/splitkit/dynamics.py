@@ -52,12 +52,10 @@ class ToralAutomorphism:
         return wrap_point(Y @ self._Mf.T), None
 
     def retreat(self, Y):
-        """Inverse images of the rows of an (N,3) stack.
-
-        Each row's bits match a per-row gemv only at N = 1: above it,
-        OpenBLAS gemm rounds some rows differently, so backward orbits run one
-        row at a time (README)."""
-        return wrap_point(Y @ self._Minvf.T)
+        """Inverse images of the rows of an (N,3) stack: one BLAS call per
+        row, so each row's bits do not depend on N; one gemm over the stack
+        rounds some rows differently (README)."""
+        return wrap_point((Y[:, None, :] @ self._Minvf.T)[:, 0])
 
     def push(self, V, record):
         return _times(self._Mf, V)
@@ -173,19 +171,17 @@ class Diffeo:
     def from_matrix(cls, matrix):
         return cls((ToralAutomorphism(matrix),))
 
-    # N = 1 views of the stacked kernel below
+    # views of the stacked kernel below, at one point or at the rows of an (N,3) stack
     def apply(self, x):
-        pts, _ = _orbit_records(self, np.asarray(x, dtype=float)[None], 1)
-        return pts[1][0]
+        return orbit(self, x, 1)[1]
 
     def apply_inverse(self, x):
-        Y = wrap_point(np.asarray(x, dtype=float)[None])
-        for stage in reversed(self.stages):
-            Y = stage.retreat(Y)
-        return Y[0]
+        return orbit(self, x, 1, direction="inverse")[1]
 
     def differential(self, x):
-        return _differentials(self, np.asarray(x, dtype=float)[None])[0]
+        X = np.asarray(x, dtype=float)
+        D = _differentials(self, X.reshape(-1, 3))
+        return D if X.ndim == 2 else D[0]
 
     def differential_inverse(self, x):
         """D(phi^-1) at x: the exact stage inverses, recorded at phi^-1(x)."""
@@ -197,19 +193,22 @@ class Diffeo:
 
 
 def orbit(phi: Diffeo, x, k: int, direction="forward"):
-    """Orbit points x, phi(x), ..., phi^k(x) (or backward for "inverse").
-
-    A backward orbit steps one row at a time: only at N = 1 does
-    ``ToralAutomorphism.retreat`` round a row the same way in every stack."""
+    """Orbit points x, phi(x), ..., phi^k(x) (or backward for "inverse") of
+    one point, or of the rows of an (N,3) stack stepped together: every stage
+    step is row-independent, so each row's bits do not depend on N."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    X = np.asarray(x, dtype=float)
     if direction == "forward":
-        pts, _ = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
-        return [p[0] for p in pts]
-    pts = [wrap_point(np.asarray(x, dtype=float))]
-    for _ in range(k):
-        pts.append(phi.apply_inverse(pts[-1]))
-    return pts
+        pts = _orbit_records(phi, X.reshape(-1, 3), k)[0]
+    else:
+        Y = wrap_point(X.reshape(-1, 3))
+        pts = [Y]
+        for _ in range(k):
+            for stage in reversed(phi.stages):
+                Y = stage.retreat(Y)
+            pts.append(Y)
+    return pts if X.ndim == 2 else [p[0] for p in pts]
 
 
 def _orbit_records(phi: Diffeo, X, k: int):
@@ -298,26 +297,18 @@ def _push_forward(diffs, basis):
     return Qs, Rs
 
 
-def _push_forward_line(diffs, v):
-    """Push a vector forward with normalization: v_0 = ``v``, v_(i+1) = D_i v_i / ||D_i v_i||.
-
-    Returns the last vector v_k.
-    """
-    for D in diffs:
-        w = D @ v
-        v = w / np.linalg.norm(w)
-    return v
-
-
 def orbit_support_report(phi: Diffeo, x, k: int):
     """Which forward-orbit steps of x land in the support of some shear stage.
 
-    The perturbation analysis assumes reference orbits that avoid the support;
+    x is one point, or an (N,3) stack for a list of N reports. The
+    perturbation analysis assumes reference orbits that avoid the support;
     this reports the fact instead of assuming it.
     """
-    P = np.array(orbit(phi, x, k))
-    inside = np.zeros(len(P), dtype=bool)
+    X = np.asarray(x, dtype=float)
+    P = np.array(orbit(phi, X.reshape(-1, 3), k))  # (k+1, N, 3)
+    inside = np.zeros(P.shape[:2], dtype=bool)
     for shear in phi.shear_stages():
-        inside |= shear._planar_offsets(P)[1] < shear.radius
-    hits = np.flatnonzero(inside).tolist()
-    return {"steps_in_support": hits, "orbit_avoids_support": not hits}
+        inside |= shear._planar_offsets(P.reshape(-1, 3))[1].reshape(P.shape[:2]) < shear.radius
+    hits = [np.flatnonzero(row).tolist() for row in inside.T]
+    reports = [{"steps_in_support": h, "orbit_avoids_support": not h} for h in hits]
+    return reports if X.ndim == 2 else reports[0]

@@ -36,20 +36,26 @@ def torus_delta(p, q):
     return d
 
 
-def unit(v):
-    n = np.linalg.norm(v)
-    if n < GRAM_TOL:
+def _row_dots(U, V):
+    """Row-by-row ``u @ v`` of two (N, m) stacks, one BLAS dot per row."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def _row_norms(V):
+    """``np.linalg.norm`` of each row of an (N, m) stack, bit for bit."""
+    V = np.ascontiguousarray(V)
+    return np.sqrt(_row_dots(V, V))
+
+
+def unit_lines(V, tol=1e-12):
+    """The rows of an (N,3) stack at unit length, each sign flipped so that
+    its first component larger than ``tol`` is positive."""
+    n = _row_norms(V)
+    if (n < GRAM_TOL).any():
         raise ValueError("cannot normalize a (near-)zero vector")
-    return np.asarray(v, dtype=float) / n
-
-
-def sign_normalize(v, tol=1e-12):
-    """Flip the sign so the first component larger than ``tol`` is positive."""
-    v = np.asarray(v, dtype=float)
-    for c in v:
-        if abs(c) > tol:
-            return v if c > 0 else -v
-    return v
+    V = V / n[:, None]
+    first = V[np.arange(len(V)), (np.abs(V) > tol).argmax(axis=1)]
+    return np.where((first < -tol)[:, None], -V, V)
 
 
 def det3(M):
@@ -82,15 +88,9 @@ class Line1:
     direction: np.ndarray
 
     def __post_init__(self):
-        d = sign_normalize(unit(self.direction))
+        d = unit_lines(np.asarray(self.direction, dtype=float)[None])[0]
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
-
-    def angle_to(self, other: "Line1") -> float:
-        # atan2 of cross and dot stays accurate for near-parallel lines
-        c = abs(float(self.direction @ other.direction))
-        s = float(np.linalg.norm(np.cross(self.direction, other.direction)))
-        return float(np.arctan2(s, c))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class Plane2:
         gram = np.linalg.det(B.T @ B)
         if gram <= GRAM_TOL:
             raise DegeneratePlaneError(f"degenerate plane: Gram determinant {gram:.3e}")
-        n = sign_normalize(unit(np.cross(B[:, 0], B[:, 1])))
+        n = unit_lines(np.cross(B[:, 0], B[:, 1])[None])[0]
         B.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "basis", B)
@@ -117,29 +117,45 @@ class Plane2:
 
     def orthonormal_basis(self):
         """Gram-Schmidt of the stored pair, shape (3, 2)."""
-        q1 = unit(self.basis[:, 0])
-        w = self.basis[:, 1] - (self.basis[:, 1] @ q1) * q1
-        return np.column_stack([q1, unit(w)])
+        return orthonormal_bases(self.basis[None])[0]
 
     def contains(self, v, tol=1e-10):
         return abs(float(self.normal @ v)) <= tol * max(1.0, float(np.linalg.norm(v)))
 
 
 def principal_angle(P: Plane2, Q: Plane2) -> float:
-    """Largest principal angle between two 2-planes, in [0, pi/2].
+    """Largest principal angle between two 2-planes, in [0, pi/2]."""
+    return float(plane_angles(P.basis[None], Q.basis[None])[0])
 
-    The cosine route loses resolution below sqrt(2 eps) ~ 1.5e-8, so small
-    angles are recomputed from the projection onto the orthogonal complement
-    (the sine of the angle), which is accurate down to machine precision.
+
+def line_angles(U, V):
+    """Angles between the lines of two (N,3) stacks of unit directions; atan2
+    of cross and dot stays accurate for near-parallel lines."""
+    return np.arctan2(_row_norms(np.cross(U, V)), np.abs(_row_dots(U, V)))
+
+
+def orthonormal_bases(B):
+    """Gram-Schmidt of each 3x2 basis of an (N, 3, 2) stack."""
+    B = np.ascontiguousarray(B, dtype=float)
+    q1 = B[:, :, 0] / _row_norms(B[:, :, 0])[:, None]
+    w = B[:, :, 1] - _row_dots(B[:, :, 1], q1)[:, None] * q1
+    return np.stack([q1, w / _row_norms(w)[:, None]], axis=2)
+
+
+def plane_angles(A, B):
+    """Largest principal angles, in [0, pi/2], between the planes spanned by
+    two (N, 3, 2) basis stacks. The cosine route loses resolution below
+    sqrt(2 eps) ~ 1.5e-8, so small angles are recomputed from the projection
+    onto the orthogonal complement (the sine), accurate to machine precision.
     """
-    A = P.orthonormal_basis()
-    B = Q.orthonormal_basis()
-    s = np.linalg.svd(A.T @ B, compute_uv=False)
-    theta = float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
-    if theta < 1e-4:
-        resid = B - A @ (A.T @ B)
-        sines = np.linalg.svd(resid, compute_uv=False)
-        return float(np.arcsin(np.clip(sines.max(), -1.0, 1.0)))
+    A = orthonormal_bases(A)
+    B = orthonormal_bases(B)
+    C = A.swapaxes(1, 2) @ B
+    theta = np.arccos(np.clip(np.linalg.svd(C, compute_uv=False).min(axis=1), -1.0, 1.0))
+    small = theta < 1e-4
+    if small.any():
+        sines = np.linalg.svd(B[small] - A[small] @ C[small], compute_uv=False)
+        theta[small] = np.arcsin(np.clip(sines.max(axis=1), -1.0, 1.0))
     return theta
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _orbit_records, _pull_back, _push_forward_line, orbit
-from .geometry import Line1, Plane2, line_plane_angle, principal_angle
+from .dynamics import Diffeo, _differentials, _orbit_records, _pull_back, orbit
+from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
+from .geometry import principal_angle, unit_lines
 
 ANGLE_CONVERGENCE_TOL = 1e-10
 RESIDUAL_TOL = 1e-6
@@ -136,17 +137,25 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
 
 def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
     """Push a seed direction L0 (a ``Line1``, default e3) forward along the
-    backward orbit of x.
+    backward orbit of x: the N = 1 view of ``_fast_lines``."""
+    L0 = (DEFAULT_L0 if L0 is None else L0).direction
+    return Line1(_fast_lines(phi, np.asarray(x, dtype=float)[None], L0[None], k)[0])
 
-    Power iteration: the result approximates the most expanded line at x,
-    converging at the spectral gap of the cocycle, and is exactly invariant
-    when L0 is already the fast direction.
-    """
+
+def _fast_lines(phi: Diffeo, X, L, k):
+    """Push unit seeds L (N,3) forward with normalisation along the depth-k
+    backward orbits of the rows of X (N,3), to the rows: power iteration,
+    converging to the most expanded line at the spectral gap of the cocycle.
+    Each step is a batched product and row-dot norm, so each row's bits do
+    not depend on N."""
     if k < 0:
         raise ValueError("iteration depth k must be >= 0")
-    back = orbit(phi, x, k, direction="inverse")
-    diffs = _differentials(phi, np.array(back[:0:-1]).reshape(-1, 3))
-    return Line1(_push_forward_line(diffs, (DEFAULT_L0 if L0 is None else L0).direction))
+    back = orbit(phi, X, k, direction="inverse")
+    diffs = _differentials(phi, np.array(back[:0:-1]).reshape(-1, 3)).reshape(k, len(X), 3, 3)
+    for D in diffs:
+        w = (D @ L[:, :, None])[:, :, 0]
+        L = w / _row_norms(w)[:, None]
+    return L
 
 
 @dataclass(frozen=True)
@@ -169,10 +178,6 @@ class GrowthTable:
     log_f: np.ndarray
     max_anchor_defect: float = 0.0
 
-    @property
-    def k_max(self):
-        return len(self.log_f)
-
     def log_dyn(self):
         return self.log_s2 - self.log_f
 
@@ -188,71 +193,67 @@ class GrowthTable:
         return float(np.max(np.abs(self.log_s1 + self.log_s2 + self.log_f)))
 
 
-def _accumulate_growth(step_diffs, planes, line) -> GrowthTable:
-    """Accumulate restricted growth between per-orbit-point anchored bases.
+def _accumulate_growth(diffs, planes, F) -> list:
+    """Restricted growth of N orbits between anchored bases, one table each.
 
-    ``planes[i]`` is an orthonormal 3x2 basis at orbit point i; the 2x2 step
-    matrices Q_{i+1}^T D_i Q_i are multiplied with rescaling, the restricted
-    determinant as a log sum. ``line``, the unit line direction at orbit
-    point 0, is pushed forward with normalisation, its log norms summed.
+    ``diffs`` (k, N, 3, 3) are the step differentials and ``planes``
+    (k + 1, N, 3, 2) orthonormal bases at orbit points 0..k; the 2x2 step
+    matrices Q_(i+1)^T D_i Q_i are multiplied with rescaling, the restricted
+    determinant as a log sum. The unit lines ``F`` (N,3) at orbit point 0 are
+    pushed forward with normalisation, their log norms summed. Every product
+    is batched, one BLAS or LAPACK call per row, so each row's bits do not
+    depend on N.
     """
-    k_max = len(step_diffs)
-    T = np.eye(2)
-    log_acc = 0.0
-    log_det_acc = 0.0
-    log_f_acc = 0.0
-    log_s1 = np.empty(k_max)
-    log_s2 = np.empty(k_max)
-    log_f = np.empty(k_max)
-    max_defect = 0.0
-    for i, D in enumerate(step_diffs):
+    k_max, N = diffs.shape[:2]
+    T = np.broadcast_to(np.eye(2), (N, 2, 2))
+    log_acc, log_det_acc, log_f_acc, max_defect = np.zeros((4, N))
+    log_s1, log_s2, log_f = np.empty((3, N, k_max))
+    for i, D in enumerate(diffs):
         img = D @ planes[i]
-        M = planes[i + 1].T @ img
+        M = planes[i + 1].swapaxes(1, 2) @ img
         # anchored-basis residual: image component orthogonal to the next plane
         resid = img - planes[i + 1] @ M
-        max_defect = max(max_defect, float(np.linalg.norm(resid) / np.linalg.norm(img)))
-        log_det_acc += np.log(abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]))
+        defect = _row_norms(resid.reshape(N, 6)) / _row_norms(img.reshape(N, 6))
+        max_defect = np.maximum(max_defect, defect)
+        log_det_acc += np.log(abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]))
         T = M @ T
-        scale = np.max(np.abs(T))
+        scale = np.abs(T).max(axis=(1, 2))
         log_acc += np.log(scale)
-        T = T / scale
+        T = T / scale[:, None, None]
         sv = np.linalg.svd(T, compute_uv=False)
-        log_s2[i] = np.log(sv[0]) + log_acc
-        log_s1[i] = log_det_acc - log_s2[i]
+        log_s2[:, i] = np.log(sv[:, 0]) + log_acc
+        log_s1[:, i] = log_det_acc - log_s2[:, i]
 
-        w = D @ line
-        n = np.linalg.norm(w)
+        w = (D @ F[:, :, None])[:, :, 0]
+        n = _row_norms(w)
         log_f_acc += np.log(n)
-        log_f[i] = log_f_acc
-        line = w / n
-    return GrowthTable(
-        log_s1=log_s1, log_s2=log_s2, log_f=log_f, max_anchor_defect=max_defect
-    )
+        log_f[:, i] = log_f_acc
+        F = w / n[:, None]
+    tables = zip(log_s1, log_s2, log_f, max_defect.tolist())
+    return [GrowthTable(*logs, max_anchor_defect=d) for *logs, d in tables]
 
 
 def swept_growth(
     phi: Diffeo, x, k_max: int, E0=None, L0=None, burn_in_plane=400, burn_in_line=600
 ) -> GrowthTable:
-    """Restricted growth with pullback-anchored planes along the orbit.
-
-    One extended forward orbit and a single backward sweep give the
-    depth >= burn_in_plane pullback plane at every orbit point; the fast line
-    is seeded by deep backward power iteration at x and pushed forward with
-    normalization (stable, since the fast line attracts under the forward
-    map).
-    """
-    line = compute_fast_line(phi, x, L0=L0, k=burn_in_line)
-    return _growth_along(phi, x, k_max, E0, burn_in_plane, line.direction)
+    """The N = 1 view of ``_growth_along``, with the fast line at x from
+    depth-burn_in_line backward power iteration."""
+    F = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction[None]
+    return _growth_along(phi, np.asarray(x, dtype=float)[None], k_max, E0, burn_in_plane, F)[0]
 
 
-def _growth_along(phi: Diffeo, x, k_max: int, E0, burn_in_plane, f) -> GrowthTable:
-    """``swept_growth`` with the unit fast direction ``f`` at x given as is."""
-    pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k_max + burn_in_plane)
+def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
+    """Restricted growth along the orbits of the rows of X (N,3), one table
+    per row: one extended forward orbit and one backward sweep give the
+    depth >= burn_in_plane pullback plane at every orbit point, and the unit
+    fast lines F (N,3) at the rows are pushed forward (the fast line attracts)."""
+    pts, recs = _orbit_records(phi, X, k_max + burn_in_plane)
     seed = _field_bases(E0, pts[-1])
-    planes = [seed[:, :, 0]] + [Q[:, :, 0] for Q, _ in _pull_back(phi, recs, seed)]
-    planes.reverse()  # the basis at orbit point i is planes[i]
-    diffs = _differentials(phi, np.concatenate(pts[:k_max]))
-    return _accumulate_growth(diffs, planes, f)
+    planes = [seed] + [Q for Q, _ in _pull_back(phi, recs, seed)]
+    # the bases at orbit points 0..k_max, as (k_max + 1, N, 3, 2)
+    planes = np.ascontiguousarray(np.transpose(planes[: -k_max - 2 : -1], (0, 3, 1, 2)))
+    diffs = _differentials(phi, np.concatenate(pts[:k_max])).reshape(k_max, len(X), 3, 3)
+    return _accumulate_growth(diffs, planes, F)
 
 
 def eventual_k0(log_ratios) -> int | None:
@@ -286,33 +287,6 @@ class SplittingSample:
     converged: bool
 
 
-def splitting_sample(phi: Diffeo, x, E0=None, k_plane=400, k_line=600) -> SplittingSample:
-    """Splitting at x with an invariance residual from independent recomputation.
-
-    The residual is the angle defect of one map step: the plane and line are
-    recomputed from scratch at phi(x) and compared with the pushed-forward
-    plane and line from x.
-    """
-    x = np.asarray(x, dtype=float)
-    y = phi.apply(x)
-    E, Ey = pullback_planes(phi, np.array([x, y]), E0, k_plane)
-    F = compute_fast_line(phi, x, k=k_line)
-    Fy = compute_fast_line(phi, y, k=k_line)
-
-    D = phi.differential(x)
-    pushed_plane = Plane2(D @ E.basis)
-    pushed_line = Line1(D @ F.direction)
-    residual = principal_angle(pushed_plane, Ey) + pushed_line.angle_to(Fy)
-    return SplittingSample(
-        point=x,
-        plane=E,
-        line=F,
-        k_used=k_plane,
-        residual=float(residual),
-        converged=bool(residual < RESIDUAL_TOL),
-    )
-
-
 @dataclass(frozen=True)
 class SampleDomination:
     sample: SplittingSample
@@ -327,11 +301,9 @@ class SampleDomination:
 
     def table_rows(self):
         """Rows (k, dyn_ratio, vol_ratio, bunch_ratio) for CSV output."""
-        rows = []
-        ld, lv, lb = self.growth.log_dyn(), self.growth.log_vol(), self.growth.log_bunch()
-        for j in range(self.growth.k_max):
-            rows.append((j + 1, float(np.exp(ld[j])), float(np.exp(lv[j])), float(np.exp(lb[j]))))
-        return rows
+        g = self.growth
+        ratios = np.exp([g.log_dyn(), g.log_vol(), g.log_bunch()]).T.tolist()
+        return [(k, *r) for k, r in enumerate(ratios, 1)]
 
 
 @dataclass(frozen=True)
@@ -347,23 +319,11 @@ class DominationReport:
         return len(self.samples)
 
 
-def _analyze_point(phi, p, k_max, E0, k_plane, k_line):
-    s = splitting_sample(phi, p, E0=E0, k_plane=k_plane, k_line=k_line)
-    if not s.converged:
-        return s
-    # the sample's depth-k_line fast line seeds the growth sweep as it is
-    g = swept_growth(phi, s.point, k_max, E0=E0, L0=s.line, burn_in_plane=k_plane, burn_in_line=0)
-    return SampleDomination(
-        sample=s,
-        growth=g,
-        k0_dyn=eventual_k0(g.log_dyn()),
-        k0_vol=eventual_k0(g.log_vol()),
-        k0_bunch=eventual_k0(g.log_bunch()),
-        rate_dyn=fitted_rate(g.log_dyn()),
-        rate_vol=fitted_rate(g.log_vol()),
-        rate_bunch=fitted_rate(g.log_bunch()),
-        volume_identity_max_abs=g.volume_identity_max_abs(),
-    )
+def _dominated(sample: SplittingSample, g: GrowthTable) -> SampleDomination:
+    """A converged sample's k0 and fitted rate of each ratio, in (dyn, vol, bunch) order."""
+    logs = (g.log_dyn(), g.log_vol(), g.log_bunch())
+    k0s, rates = map(eventual_k0, logs), map(fitted_rate, logs)
+    return SampleDomination(sample, g, *k0s, *rates, g.volume_identity_max_abs())
 
 
 def domination_report(
@@ -376,18 +336,36 @@ def domination_report(
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 
-    Unconverged samples are excluded and listed in the report.  Verdicts
-    hold when every converged sample admits a finite k0 with the ratio below
-    1 from k0 on; the bunching verdict is reported as a *failure* flag, true
-    when the squared-norm ratio still exceeds 1 at depth k_max.  Results are
-    reduced in input order.
+    A sample's invariance residual compares the plane and line pushed from x
+    with those recomputed at phi(x); samples above ``RESIDUAL_TOL`` are
+    excluded and listed. Verdicts hold when every converged sample admits a
+    finite k0 with the ratio below 1 from k0 on; the bunching verdict is a
+    *failure* flag, true when the squared-norm ratio still exceeds 1 at depth
+    k_max. The samples run as one stack (one pullback, one power iteration,
+    one growth sweep), and each sample's numbers are bitwise those of a
+    one-sample report.
     """
-    results = [_analyze_point(phi, p, k_max, E0, k_plane, k_line) for p in sample_points]
-    per_sample = [r for r in results if isinstance(r, SampleDomination)]
-    excluded = [(r.point, r.residual) for r in results if isinstance(r, SplittingSample)]
+    X = np.asarray(sample_points, dtype=float).reshape(-1, 3)
+    N = len(X)
+    XY = np.concatenate([X, phi.apply(X)])
+    E = np.ascontiguousarray(_pullback_bases(phi, XY, E0, k_plane).transpose(2, 0, 1))
+    F_raw = _fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line)
+    F = unit_lines(F_raw)
+    D = phi.differential(X)
+    pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
+    residual = plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
+    ok = residual < RESIDUAL_TOL
+    samples = [
+        SplittingSample(x, Plane2(B), Line1(f), k_plane, float(r), bool(c))
+        for x, B, f, r, c in zip(X, E, F_raw, residual, ok)
+    ]
+    # each converged sample's line seeds the sweep normalised once more, as
+    # swept_growth(..., L0=sample.line, burn_in_line=0) takes it
+    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, unit_lines(F[:N][ok]))
+    per_sample = [_dominated(s, g) for s, g in zip((s for s in samples if s.converged), growth)]
     return DominationReport(
         samples=tuple(per_sample),
-        excluded=tuple(excluded),
+        excluded=tuple((s.point, s.residual) for s in samples if not s.converged),
         verdict_dyn=bool(per_sample) and all(d.k0_dyn is not None for d in per_sample),
         verdict_vol=bool(per_sample) and all(d.k0_vol is not None for d in per_sample),
         verdict_bunch_fails=bool(per_sample)

@@ -145,6 +145,27 @@ class TestCliExitCodes:
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "amplitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude, code", [(0.47, 2), (0.45, 0)])
+    def test_amplitude_gate_is_exact(self, tmp_path, capsys, amplitude, code):
+        # the worst one-step tilt of the linear plane over the shipped shear's
+        # gradient disc is 0.511 rad at amplitude 0.47 and 0.487 at 0.45,
+        # against a 0.5 rad cone
+        path = tmp_path / "cfg.json"
+        write_json(path, {**with_shear(amplitude=amplitude), "k_plane": 500, "k_line": 800})
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert "upper bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitudes, code", [((0.05, 0.05), 0), ((0.3, 0.3), 2)])
+    def test_amplitude_gate_bounds_composed_shears(self, tmp_path, amplitudes, code):
+        # one shear of amplitude 0.3 passes alone; two in one step pass only
+        # if the product bound of their tilts stays inside the cone
+        shears = [{**SHEAR, "amplitude": a} for a in amplitudes]
+        path = tmp_path / "cfg.json"
+        cfg = base_config(map={"matrix": MATRIX, "shears": shears}, k_plane=500, k_line=800)
+        write_json(path, cfg)
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+
     @pytest.mark.parametrize(
         "cfg_dict",
         [

@@ -209,6 +209,12 @@ class TestOrbitSupport:
         rep = orbit_support_report(phi_perturbed, [0.3, 0.55, 0.42], 5)
         assert 0 in rep["steps_in_support"]
 
+    def test_stack_matches_single_reports(self, phi_perturbed):
+        X = np.vstack([np.zeros(3), [0.3, 0.55, 0.42], support_points(5, 8)])
+        assert orbit_support_report(phi_perturbed, X, 12) == [
+            orbit_support_report(phi_perturbed, x, 12) for x in X
+        ]
+
     def test_orbit_length(self, phi_perturbed):
         assert len(orbit(phi_perturbed, np.zeros(3), 7)) == 8
 
@@ -264,3 +270,21 @@ class TestKernel:
         V[:, 1, 2] = -2.5 * V[:, 0, 2]
         with pytest.raises(DegeneratePlaneError):
             _gram_schmidt(V)
+
+    def test_backward_orbit_batch_size_invariance(self, phi_perturbed):
+        # half the rows start inside the support; a row's backward orbit and
+        # inverse step are bitwise the same at N = 1, 7 and 2,000
+        X = np.random.default_rng(6).uniform(0, 1, (2000, 3))
+        X[::2] = support_points(1000, 7)
+        shear, auto = phi_perturbed.stages
+        assert (shear._planar_offsets(X)[1] < shear.radius)[::2].all()
+        big = np.array(orbit(phi_perturbed, X, 300, direction="inverse"))
+        seven = np.array(orbit(phi_perturbed, X[:7], 300, direction="inverse"))
+        assert big[:, :7].tobytes() == seven.tobytes()
+        R = auto.retreat(big[-1])
+        assert auto.retreat(big[-1][:7]).tobytes() == R[:7].tobytes()
+        for n in range(7):
+            single = np.array(orbit(phi_perturbed, X[n], 300, direction="inverse"))
+            assert single.tobytes() == big[:, n].tobytes()
+            assert auto.retreat(big[-1][n : n + 1])[0].tobytes() == R[n].tobytes()
+            assert phi_perturbed.apply_inverse(X[n]).tobytes() == big[1, n].tobytes()

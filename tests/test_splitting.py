@@ -10,10 +10,9 @@ from splitkit.splitting import (
     domination_report,
     eventual_k0,
     fitted_rate,
-    splitting_sample,
     swept_growth,
 )
-from splitkit.geometry import principal_angle
+from splitkit.geometry import line_angles, principal_angle
 from conftest import (
     FIXED_EXACT,
     FLAT_BUNCH_1,
@@ -25,6 +24,10 @@ from conftest import (
 )
 
 COORD_PLANE = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+
+def line_angle(L, M):
+    return line_angles(L.direction[None], M.direction[None])[0]
 
 
 class TestPullback:
@@ -61,11 +64,11 @@ class TestFastLine:
     def test_identity_map(self):
         L0 = Line1(np.array([0.3, -0.2, 0.9]))
         got = compute_fast_line(Diffeo.identity(), [0.5, 0.5, 0.5], L0=L0, k=7)
-        assert got.angle_to(L0) < 1e-15
+        assert line_angle(got, L0) < 1e-15
 
     def test_eigendirection_invariant(self, phi_linear, fast_line):
         got = compute_fast_line(phi_linear, [0.3, 0.7, 0.1], L0=fast_line, k=25)
-        assert got.angle_to(fast_line) < 1e-12
+        assert line_angle(got, fast_line) < 1e-12
 
     def test_power_iteration_rate(self, phi_linear, fast_line):
         # the spectral gap of this matrix is ~3%, so convergence is slow:
@@ -73,7 +76,7 @@ class TestFastLine:
         angles = []
         for k in (40, 80, 120):
             got = compute_fast_line(phi_linear, np.zeros(3), k=k)
-            angles.append(got.angle_to(fast_line))
+            angles.append(line_angle(got, fast_line))
         r1 = (angles[1] / angles[0]) ** (1.0 / 40)
         r2 = (angles[2] / angles[1]) ** (1.0 / 40)
         assert abs(r1 - RATE_DYN) < 0.01
@@ -81,7 +84,7 @@ class TestFastLine:
 
     def test_deep_iteration_tightens(self, phi_linear, fast_line):
         got = compute_fast_line(phi_linear, np.zeros(3), k=600)
-        assert got.angle_to(fast_line) < 1e-6
+        assert line_angle(got, fast_line) < 1e-6
 
 
 def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):
@@ -139,13 +142,14 @@ class TestRestrictedGrowth:
 
 class TestSplittingSample:
     def test_linear_converges(self, phi_linear):
-        s = splitting_sample(phi_linear, [0.3, 0.4, 0.5], k_plane=500, k_line=800)
+        rep = domination_report(phi_linear, [[0.3, 0.4, 0.5]], 4, k_plane=500, k_line=800)
+        s = rep.samples[0].sample
         assert s.converged
         assert s.residual < 1e-6
 
     def test_shallow_depth_flagged(self, phi_linear):
-        s = splitting_sample(phi_linear, [0.3, 0.4, 0.5], k_plane=20, k_line=30)
-        assert not s.converged
+        rep = domination_report(phi_linear, [[0.3, 0.4, 0.5]], 4, k_plane=20, k_line=30)
+        assert rep.n_converged == 0 and len(rep.excluded) == 1
 
 
 class TestEventualK0:
@@ -157,6 +161,61 @@ class TestEventualK0:
 
     def test_never(self):
         assert eventual_k0(np.array([-0.5, 0.1])) is None
+
+
+def sample_bytes(d):
+    """Every number of one converged sample's report, as bytes."""
+    s, g = d.sample, d.growth
+    arrays = (s.point, s.plane.basis, s.line.direction, g.log_s1, g.log_s2, g.log_f)
+    scalars = (s.residual, g.max_anchor_defect, d.volume_identity_max_abs)
+    scalars += (d.rate_dyn, d.rate_vol, d.rate_bunch)
+    return (
+        tuple(np.asarray(a, dtype=float).tobytes() for a in arrays),
+        np.array(scalars).tobytes(),
+        (s.k_used, s.converged, d.k0_dyn, d.k0_vol, d.k0_bunch),
+    )
+
+
+class TestStackedReport:
+    # two support-avoiding fixed points, one support-crossing (excluded) sample
+    # and a generic point whose orbit enters the support
+    POINTS = [np.zeros(3), [0.3, 0.55, 0.42], [0.5, 0.0, 0.5], [0.21, 0.82, 0.43]]
+
+    def test_stack_equals_one_sample_reports(self, phi_perturbed):
+        kw = dict(k_plane=500, k_line=800)
+        rep = domination_report(phi_perturbed, self.POINTS, 20, **kw)
+        singles = [domination_report(phi_perturbed, [p], 20, **kw) for p in self.POINTS]
+        assert rep.n_converged == 2 and len(rep.excluded) == 2
+        assert [sample_bytes(d) for d in rep.samples] == [
+            sample_bytes(d) for r in singles for d in r.samples
+        ]
+        assert [(p.tobytes(), r) for p, r in rep.excluded] == [
+            (p.tobytes(), r) for s in singles for p, r in s.excluded
+        ]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_pullback_for_the_samples_and_one_for_the_sweep(self, phi_linear, monkeypatch, n):
+        # the sample planes come from one _pullback_bases call over x and
+        # phi(x); the growth sweep pulls back once over the converged rows
+        import splitkit.splitting as splitting
+
+        calls = []
+        planes, sweep = splitting._pullback_bases, splitting._pull_back
+
+        def counting_planes(phi, P, E0, k):
+            calls.append(("planes", len(P)))
+            return planes(phi, P, E0, k)
+
+        def counting_sweep(phi, recs, Q):
+            calls.append(("sweep", Q.shape[-1]))
+            return sweep(phi, recs, Q)
+
+        monkeypatch.setattr(splitting, "_pullback_bases", counting_planes)
+        monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
+        pts = [np.zeros(3), np.array([0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.5])][:n]
+        rep = domination_report(phi_linear, pts, 5, k_plane=500, k_line=800)
+        assert rep.n_converged == n
+        assert calls == [("planes", 2 * n), ("sweep", 2 * n), ("sweep", n)]
 
 
 class TestDominationReport:
