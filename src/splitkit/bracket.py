@@ -16,8 +16,8 @@ import numpy as np
 from .dynamics import Diffeo, _orbit_records, _tangent
 from .errors import ConvergenceError
 from .frames import AdaptedFrame, PullbackFrame, aligned_pairs, fd_stencil
-from .geometry import Line1, project_along
-from .splitting import _growth_along, compute_fast_line, fitted_rate, pullback_planes
+from .geometry import Line1, Plane2, project_along
+from .splitting import _growth_along, _pullback_bases, compute_fast_line, fitted_rate
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
@@ -145,11 +145,11 @@ def invariance_identity_residual(
     y = pts[-1][0]
     # x, its stencil and phi^k(x), pulled back once and shared
     stencil = fd_stencil(x, h)
-    planes = pullback_planes(phi, np.vstack([stencil, y]), E0, k_plane)
-    E_x, E_y = planes[0], planes[-1]
+    B = _pullback_bases(phi, np.vstack([stencil, y]), E0, k_plane)
+    E_x, E_y = Plane2(B[:, :, 0]), Plane2(B[:, :, -1])
     F_x = compute_fast_line(phi, x, k=k_line) if fast_line is None else fast_line
 
-    v = vector_field_bracket(*aligned_pairs(phi, stencil, planes[:-1], k), h)
+    v = vector_field_bracket(*aligned_pairs(phi, stencil, B[:, :, :-1], k), h)
     if np.linalg.norm(v) < DEGENERATE_TOL:
         return InvarianceResidual(x, k, 0.0, 0.0, True)
 

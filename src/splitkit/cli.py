@@ -20,7 +20,7 @@ from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows
 from .report import RunTimer, run_report, write_csv, write_json
-from .splitting import domination_report, fitted_rate, pullback_planes, swept_growth
+from .splitting import domination_report, fitted_rate, swept_growth
 from .surface import (
     FlowSpec,
     build_patch,
@@ -36,23 +36,40 @@ from .uniqueness import leaf_divergence, pullback_hartman_report
 QUOTED_EIGENVALUES = (-0.11, 3.11, -3.21)
 
 
+def _slow_plane_normal(matrix):
+    """Unit normal of the automorphism's slow plane: the real left
+    eigenvector of its eigenvalue of largest modulus, which annihilates the
+    other two eigenvectors. That eigenvalue must be real and simple in
+    modulus, or the matrix has no slow plane to guard."""
+    w, V = np.linalg.eig(np.asarray(matrix, dtype=float).T)
+    mod = np.abs(w)
+    top = mod.argmax()
+    if w[top].imag != 0.0 or np.sort(mod)[-2] >= (1.0 - 1e-9) * mod[top]:
+        raise ConfigError(
+            "the automorphism's eigenvalue of largest modulus is not real and simple in "
+            "modulus, so there is no slow plane for the shear-amplitude guard"
+        )
+    n = V[:, top].real
+    return n / np.linalg.norm(n)
+
+
 def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
     """Refuse shear amplitudes that break one-step plane-cone invariance.
 
-    The linear slow plane E (normal n) must stay within a cone under one
-    pullback step. As A^-1 E = E, a shear pulls E back to (I - e_axis
-    grad(g)^T) E, of normal n + n_axis grad(g), with grad(g) in the disc of
-    radius |amplitude| (2 pi / R) 3 sqrt(3) / 16 (cos^3 z sin z is largest at
-    z = pi/6). The angle from n grows along each ray of the disc and is
-    1-Lipschitz in grad(g): its supremum is at most its maximum on a rim grid
-    plus the grid's half spacing. Several shears give a product bound: each
-    tilt is distorted by at most sigma_1^3 of every shear before it.
+    The linear slow plane E (normal n, from ``_slow_plane_normal``) must
+    stay within a cone under one pullback step. As A^-1 E = E, a shear pulls
+    E back to (I - e_axis grad(g)^T) E, of normal n + n_axis grad(g), with
+    grad(g) in the disc of radius |amplitude| (2 pi / R) 3 sqrt(3) / 16
+    (cos^3 z sin z is largest at z = pi/6). The angle from n grows along
+    each ray of the disc and is 1-Lipschitz in grad(g): its supremum is at
+    most its maximum on a rim grid plus the grid's half spacing. Several
+    shears give a product bound: each tilt is distorted by at most sigma_1^3
+    of every shear before it.
     """
     shears = phi.shear_stages()
     if not shears:
         return
-    base = Diffeo.from_matrix(np.asarray(cfg.map_spec["matrix"]))
-    n = pullback_planes(base, np.zeros((1, 3)), None, 300)[0].normal
+    n = _slow_plane_normal(cfg.map_spec["matrix"])
     aperture = 0.5  # radians; generous cone half-width around the linear plane
     nodes = 16384  # gradient directions on the rim of each disc
     rim = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
@@ -240,7 +257,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
             frame = PullbackFrame(phi, k, E0=E0)
             frames.append((k, frame))
             patch = build_patch(frame, x0, cfg.epsilon, cfg.n, spec=spec, k=k)
-            rep = tangency_report(patch, frame, frame.planes, limit_frame.planes)
+            rep = tangency_report(patch, frame, limit_frame)
             per_k.append(
                 {
                     "k": k,

@@ -131,6 +131,10 @@ class ExperimentConfig:
                 raise ConfigError("e0.basis must hold exactly 2 vectors")
         cfg = cls(map_spec=m, raw=d, **kwargs)
         cfg.build_diffeo()  # validate the map spec eagerly
+        if cfg.random_samples < 0:
+            raise ConfigError("config key 'random_samples' must be >= 0")
+        if cfg.random_samples > 0 and cfg.seed < 0:
+            raise ConfigError("config key 'seed' must be >= 0 to draw 'random_samples'")
         if not cfg.samples and cfg.random_samples <= 0:
             raise ConfigError("config needs 'samples' or a positive 'random_samples'")
         for name in ("epsilon", "h", "step", "t", "delta"):

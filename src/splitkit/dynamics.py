@@ -282,21 +282,6 @@ def _pull_back(phi: Diffeo, recs, Q):
         yield Q, R
 
 
-def _push_forward(diffs, basis):
-    """Push a 3x2 basis forward: Q_0 = ``basis``, Q_(i+1) R_i = D_i Q_i.
-
-    Returns the bases Q_0..Q_k and the factors R_0..R_(k-1) as returned by
-    ``_gram_schmidt``.
-    """
-    Qs = [basis]
-    Rs = []
-    for D in diffs:
-        Q, R = _gram_schmidt((D @ Qs[-1])[:, :, None])
-        Qs.append(Q[:, :, 0])
-        Rs.append(R)
-    return Qs, Rs
-
-
 def orbit_support_report(phi: Diffeo, x, k: int):
     """Which forward-orbit steps of x land in the support of some shear stage.
 

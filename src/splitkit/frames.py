@@ -8,13 +8,11 @@ Frames come from analytic formulas or from dynamical pullback at depth k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _orbit_records, _push_forward
+from .dynamics import Diffeo, _differentials, _gram_schmidt, _orbit_records
 from .errors import ChartUnsuitableError
-from .geometry import Plane2
+from .geometry import Plane2, _row_dots, orthonormal_bases
 from .splitting import _field_bases, _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
@@ -91,10 +89,6 @@ class AdaptedFrame:
         a, b = self.coefficients(p)
         return plane_from_coefficients(a, b)
 
-    def planes(self, P):
-        """Planes at the rows of an (N,3) stack, from one coefficients call."""
-        return [plane_from_coefficients(a, b) for a, b in self.coefficients(P)]
-
     def gradient_a(self, p, h=1e-6):
         """Centered differences of a at p, from one coefficients call on the
         whole stencil; its centre row makes the frame's value at p a cache hit."""
@@ -168,75 +162,46 @@ class PullbackFrame(AdaptedFrame):
         return np.array([self._cache[key] for key in keys]).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
-class OrthonormalPair:
-    """Orthonormal basis of a plane aligned with the right singular vectors
-    of the depth-k restricted cocycle, so the product of the image norms
-    equals |det| of the restriction."""
+def aligned_pairs(phi: Diffeo, points, bases, k: int):
+    """Orthonormal pairs (Z, W), each (N, 3), of the planes that a (3, 2, N)
+    basis stack spans at the rows of ``points`` (N, 3): the right singular
+    vectors of D(phi^k) restricted to each plane, so the product of their
+    image norms is |det| of the restriction, sign-aligned to the pair at row 0.
 
-    Z: np.ndarray
-    W: np.ndarray
-    log_image_norms: tuple  # (log ||D(phi^k) Z||, log ||D(phi^k) W||)
-    isotropic: bool
-    k: int
-
-    @property
-    def log_det(self):
-        return self.log_image_norms[0] + self.log_image_norms[1]
-
-
-def svd_orthonormal_pair(phi: Diffeo, x, E: Plane2, k: int) -> OrthonormalPair:
-    """Right-singular-vector pair of D(phi^k) restricted to E at x.
-
-    On a singular-value tie the SVD direction is arbitrary; the stored basis
-    is then used unchanged and the pair flagged isotropic.
+    The bases are orthonormalised and pushed forward through the one-step
+    differentials of all orbits, one Gram-Schmidt per step; the 2x2 R
+    factors multiply, rescaled per step, into a matrix with the same right
+    singular vectors. On a singular-value tie the SVD direction is
+    arbitrary, so the orthonormalised basis is kept. SVD vectors carry an
+    arbitrary sign per point; aligning to row 0 makes the field continuous
+    over a finite-difference stencil. Every product is batched, one BLAS or
+    LAPACK call per row, so each row's bits do not depend on N.
     """
-    Q0 = E.orthonormal_basis()
-    if k == 0:
-        return OrthonormalPair(Q0[:, 0], Q0[:, 1], (0.0, 0.0), True, 0)
-    pts, _ = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
-    diffs = _differentials(phi, np.concatenate(pts[:-1]))
-    T = np.eye(2)
-    log_acc = 0.0
-    for r11, r12, r22 in _push_forward(diffs, Q0)[1]:
-        T = np.array([[r11[0], r12[0]], [0.0, r22[0]]]) @ T
-        scale = np.max(np.abs(T))
-        log_acc += np.log(scale)
-        T = T / scale
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[0] - sv[1] <= SVD_TIE_TOL * sv[0]:
-        return OrthonormalPair(
-            Q0[:, 0], Q0[:, 1], (np.log(sv[0]) + log_acc, np.log(sv[1]) + log_acc), True, k
-        )
-    _, _, Vt = np.linalg.svd(T)
-    Z = Q0 @ Vt[0]
-    W = Q0 @ Vt[1]
-    return OrthonormalPair(
-        Z, W, (np.log(sv[0]) + log_acc, np.log(sv[1]) + log_acc), False, k
-    )
-
-
-def aligned_pairs(phi: Diffeo, points, planes, k: int):
-    """SVD pairs (Z, W) at the rows of ``points``, each (N, 3), sign-aligned
-    to the pair at row 0.
-
-    SVD vectors carry an arbitrary sign per point; aligning to the reference
-    pair makes the field continuous over a finite-difference stencil.
-    """
-    pairs = [svd_orthonormal_pair(phi, p, E, k) for p, E in zip(points, planes)]
-    ref = pairs[0]
-    Zs, Ws = [], []
-    for pr in pairs:
-        Z, W = pr.Z, pr.W
-        if abs(Z @ ref.Z) < abs(W @ ref.Z):
-            Z, W = W, Z  # singular directions crossed between stencil points
-        if Z @ ref.Z < 0:
-            Z = -Z
-        if W @ ref.W < 0:
-            W = -W
-        Zs.append(Z)
-        Ws.append(W)
-    return np.array(Zs), np.array(Ws)
+    P = np.asarray(points, dtype=float)
+    N = len(P)
+    Q0 = orthonormal_bases(np.transpose(bases, (2, 0, 1)))
+    T = np.broadcast_to(np.eye(2), (N, 2, 2))
+    if k > 0:
+        pts, _ = _orbit_records(phi, P, k)
+        diffs = _differentials(phi, np.concatenate(pts[:-1])).reshape(k, N, 3, 3)
+        Q = Q0
+        R = np.zeros((N, 2, 2))
+        for D in diffs:
+            V, (R[:, 0, 0], R[:, 0, 1], R[:, 1, 1]) = _gram_schmidt((D @ Q).transpose(1, 2, 0))
+            Q = np.ascontiguousarray(V.transpose(2, 0, 1))
+            T = R @ T
+            T = T / np.abs(T).max(axis=(1, 2))[:, None, None]
+    _, sv, Vt = np.linalg.svd(T)
+    tie = (sv[:, 0] - sv[:, 1] <= SVD_TIE_TOL * sv[:, 0])[:, None]
+    Z = np.where(tie, Q0[:, :, 0], (Q0 @ Vt[:, 0, :, None])[:, :, 0])
+    W = np.where(tie, Q0[:, :, 1], (Q0 @ Vt[:, 1, :, None])[:, :, 0])
+    Z0, W0 = np.tile(Z[0], (N, 1)), np.tile(W[0], (N, 1))
+    # singular directions crossed between stencil points
+    swap = (np.abs(_row_dots(Z, Z0)) < np.abs(_row_dots(W, Z0)))[:, None]
+    Z, W = np.where(swap, W, Z), np.where(swap, Z, W)
+    Z = np.where((_row_dots(Z, Z0) < 0)[:, None], -Z, Z)
+    W = np.where((_row_dots(W, W0) < 0)[:, None], -W, W)
+    return Z, W
 
 
 def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):

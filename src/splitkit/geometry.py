@@ -81,6 +81,15 @@ def adjugate3(M):
     return out
 
 
+def check_spans(B):
+    """Raise DegeneratePlaneError unless every 3x2 basis of an (N, 3, 2)
+    stack spans a plane: its Gram determinant must exceed ``GRAM_TOL``."""
+    gram = np.linalg.det(B.swapaxes(1, 2) @ B)
+    bad = gram <= GRAM_TOL
+    if bad.any():
+        raise DegeneratePlaneError(f"degenerate plane: Gram determinant {gram[bad.argmax()]:.3e}")
+
+
 @dataclass(frozen=True)
 class Line1:
     """A 1-dimensional direction, unit length and sign-normalized."""
@@ -102,9 +111,7 @@ class Plane2:
 
     def __post_init__(self):
         B = np.array(self.basis, dtype=float).reshape(3, 2)
-        gram = np.linalg.det(B.T @ B)
-        if gram <= GRAM_TOL:
-            raise DegeneratePlaneError(f"degenerate plane: Gram determinant {gram:.3e}")
+        check_spans(B[None])
         n = unit_lines(np.cross(B[:, 0], B[:, 1])[None])[0]
         B.setflags(write=False)
         n.setflags(write=False)

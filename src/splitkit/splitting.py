@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _orbit_records, _pull_back, orbit
+from .dynamics import Diffeo, _differentials, _gram_schmidt, _orbit_records, _pull_back
+from .dynamics import _tangent, orbit
 from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
 from .geometry import principal_angle, unit_lines
 
 ANGLE_CONVERGENCE_TOL = 1e-10
 RESIDUAL_TOL = 1e-6
 MIN_FAST_ANGLE = 1e-3
+FAST_LINE_ROWS = 1 << 15  # one-step differentials per kernel call in ``_fast_lines``
 
 DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DEFAULT_L0 = Line1(np.array([0.0, 0.0, 1.0]))
@@ -57,11 +59,6 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     return Q
 
 
-def pullback_planes(phi: Diffeo, P, E0=None, k=1):
-    """The depth-k pullback planes at the rows of an (N,3) stack, as ``Plane2``s."""
-    return [Plane2(Q) for Q in np.moveaxis(_pullback_bases(phi, P, E0, k), 2, 0)]
-
-
 @dataclass(frozen=True)
 class PullbackEntry:
     k: int
@@ -89,9 +86,10 @@ class PullbackSequence:
 def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     """Pull E0 back along the forward orbit of x for 1..k steps.
 
-    Entry j is the plane D(phi^-j) E0(phi^j x); iteration stops early once
-    consecutive entries agree to ``ANGLE_CONVERGENCE_TOL``.  Both the
-    stopping angle and the depth reached are recorded rather than assumed.
+    Entry j is the plane D(phi^-j) E0(phi^j x), bitwise the depth-j
+    pullback alone; the sequence ends at the first depth where consecutive
+    entries agree to ``ANGLE_CONVERGENCE_TOL``.  Both the stopping angle and
+    the depth reached are recorded rather than assumed.
 
     An initial plane containing the fast direction at the orbit endpoint
     pulls back to a *different* invariant plane without any conditioning
@@ -109,29 +107,32 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     fast_est = compute_fast_line(phi, pts[-1], k=300)
     seed_flag = line_plane_angle(fast_est, _plane_at(E0, pts[-1])) <= MIN_FAST_ANGLE
 
-    entries = [PullbackEntry(0, _plane_at(E0, pts[0]), np.pi / 2, seed_flag)]
-    converged = False
-    for j in range(1, k + 1):
-        Q = _field_bases(E0, pts[j][None])
-        Rs = []
-        for Q, R in _pull_back(phi, recs[:j], Q):
-            Rs.append(R)
-        flagged = any(
-            abs(r11[0] * r22[0]) < 1e-300
-            or np.linalg.cond([[r11[0], r12[0]], [0.0, r22[0]]]) > 1e12
-            for r11, r12, r22 in Rs
+    # one backward sweep: column c holds the depth-(k - c) chain, seeded at
+    # orbit point k - c, so at step i the chains deeper than i are live
+    Q = np.array(_field_bases(E0, np.array(pts[:0:-1])))
+    flagged = np.zeros(k, dtype=bool)
+    R = np.zeros((k, 2, 2))
+    for i in reversed(range(k)):
+        live = k - i
+        Q[:, :, :live], (r11, r12, r22) = _gram_schmidt(
+            _tangent(phi, recs[i], Q[:, :, :live], inverse=True)
         )
-        plane = Plane2(Q[:, :, 0])
-        step = principal_angle(plane, entries[-1].plane)
-        entries.append(PullbackEntry(j, plane, step, flagged))
-        if step < ANGLE_CONVERGENCE_TOL:
-            converged = True
-            break
+        R[:live, 0, 0], R[:live, 0, 1], R[:live, 1, 1] = r11, r12, r22
+        flagged[:live] |= (np.abs(r11 * r22) < 1e-300) | (np.linalg.cond(R[:live]) > 1e12)
+    first = _plane_at(E0, pts[0])
+    bases = np.concatenate([first.basis[None], Q[:, :, ::-1].transpose(2, 0, 1)])
+    steps = plane_angles(bases[1:], bases[:-1])
+    done = np.flatnonzero(steps < ANGLE_CONVERGENCE_TOL)
+    depth = int(done[0]) + 1 if len(done) else k
+    entries = [PullbackEntry(0, first, np.pi / 2, seed_flag)] + [
+        PullbackEntry(j, Plane2(bases[j]), float(steps[j - 1]), bool(flagged[k - j]))
+        for j in range(1, depth + 1)
+    ]
     return PullbackSequence(
         point=pts[0],
         entries=tuple(entries),
-        k_used=entries[-1].k,
-        converged=converged,
+        k_used=depth,
+        converged=bool(len(done)),
     )
 
 
@@ -147,14 +148,19 @@ def _fast_lines(phi: Diffeo, X, L, k):
     backward orbits of the rows of X (N,3), to the rows: power iteration,
     converging to the most expanded line at the spectral gap of the cocycle.
     Each step is a batched product and row-dot norm, so each row's bits do
-    not depend on N."""
+    not depend on N. The differentials are built in blocks of steps, at
+    most ``FAST_LINE_ROWS`` rows per kernel call, so memory stays bounded
+    as k N grows."""
     if k < 0:
         raise ValueError("iteration depth k must be >= 0")
-    back = orbit(phi, X, k, direction="inverse")
-    diffs = _differentials(phi, np.array(back[:0:-1]).reshape(-1, 3)).reshape(k, len(X), 3, 3)
-    for D in diffs:
-        w = (D @ L[:, :, None])[:, :, 0]
-        L = w / _row_norms(w)[:, None]
+    back = orbit(phi, X, k, direction="inverse")[:0:-1]
+    block = max(1, FAST_LINE_ROWS // max(1, len(X)))
+    for s in range(0, k, block):
+        steps = back[s : s + block]
+        diffs = _differentials(phi, np.concatenate(steps)).reshape(len(steps), len(X), 3, 3)
+        for D in diffs:
+            w = (D @ L[:, :, None])[:, :, 0]
+            L = w / _row_norms(w)[:, None]
     return L
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import Diffeo
 from .errors import ChartExitError
 from .frames import AdaptedFrame, PullbackFrame
-from .geometry import Plane2, principal_angle
+from .geometry import _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
 DEFAULT_EPSILON = 0.05
@@ -93,18 +93,6 @@ class SurfacePatch:
 
     def grid_spacing(self):
         return 2.0 * self.epsilon / (self.n - 1)
-
-    def fd_tangents(self, i, j):
-        """Central-difference tangent pair at an interior node."""
-        d = self.grid_spacing()
-        dt = (self.points[i + 1, j] - self.points[i - 1, j]) / (2 * d)
-        ds = (self.points[i, j + 1] - self.points[i, j - 1]) / (2 * d)
-        return dt, ds
-
-    def interior(self):
-        for i in range(1, self.n - 1):
-            for j in range(1, self.n - 1):
-                yield i, j
 
 
 def _sweep(field, starts, grid, i0, spec, chart, names):
@@ -204,40 +192,45 @@ class TangencyReport:
     angles: np.ndarray  # (n-2, n-2): angle to the own plane at interior node [i-1, j-1]
 
 
-def tangency_report(
-    patch: SurfacePatch, frame: AdaptedFrame, plane_field, limit_field=None
-) -> TangencyReport:
-    """Angles between FD tangent planes of a patch and reference plane fields.
+def _graph_bases(C):
+    """Bases [e1 + a e3 | e2 + b e3], as an (N, 3, 2) stack, of (N, 2) coefficient pairs."""
+    B = np.zeros((len(C), 3, 2))
+    B[:, 0, 0] = B[:, 1, 1] = 1.0
+    B[:, 2] = C
+    return B
 
-    A plane field maps the (M,3) stack of interior nodes to their M planes
-    (``AdaptedFrame.planes``), so each field is evaluated in one call.
+
+def tangency_report(
+    patch: SurfacePatch, frame: AdaptedFrame, limit: AdaptedFrame | None = None
+) -> TangencyReport:
+    """Angles between the FD tangent planes of a patch and the planes of
+    ``frame`` (and of a second, limit frame) at its interior nodes.
+
+    The central-difference tangent pairs are slices of the node grid, each
+    frame's coefficients are read once over the interior-node stack, and
+    the angles come from one ``plane_angles`` call per frame.
     """
-    nodes = list(patch.interior())
-    P = np.array([patch.points[i, j] for i, j in nodes])
-    a = frame.coefficients(P)[:, 0]
-    own = plane_field(P)
-    limit = limit_field(P) if limit_field is not None else None
-    angles = []
-    angles_limit = []
-    max_norm = 0.0
-    max_defect = 0.0
-    for m, (i, j) in enumerate(nodes):
-        dt, ds = patch.fd_tangents(i, j)
-        tangent = Plane2.spanned_by(dt, ds)
-        angles.append(principal_angle(tangent, own[m]))
-        if limit is not None:
-            angles_limit.append(principal_angle(tangent, limit[m]))
-        max_norm = max(max_norm, float(np.linalg.norm(dt)), float(np.linalg.norm(ds)))
-        max_defect = max(max_defect, float(np.linalg.norm(dt - np.array([1.0, 0.0, a[m]]))))
+    W = patch.points
+    d2 = 2 * patch.grid_spacing()
+    dt = ((W[2:, 1:-1] - W[:-2, 1:-1]) / d2).reshape(-1, 3)
+    ds = ((W[1:-1, 2:] - W[1:-1, :-2]) / d2).reshape(-1, 3)
+    tangents = np.stack([dt, ds], axis=2)
+    check_spans(tangents)
+    P = W[1:-1, 1:-1].reshape(-1, 3)
+    own = _graph_bases(frame.coefficients(P))
+    angles = plane_angles(tangents, own)
+    angles_limit = None
+    if limit is not None:
+        angles_limit = plane_angles(tangents, _graph_bases(limit.coefficients(P)))
     return TangencyReport(
         k=patch.k,
         max_angle=float(np.max(angles)),
         mean_angle=float(np.mean(angles)),
-        max_angle_limit=float(np.max(angles_limit)) if angles_limit else None,
-        mean_angle_limit=float(np.mean(angles_limit)) if angles_limit else None,
-        max_tangent_norm=max_norm,
-        max_dWdt_defect=max_defect,
-        angles=np.reshape(angles, (patch.n - 2, patch.n - 2)),
+        max_angle_limit=None if limit is None else float(np.max(angles_limit)),
+        mean_angle_limit=None if limit is None else float(np.mean(angles_limit)),
+        max_tangent_norm=float(max(_row_norms(dt).max(), _row_norms(ds).max())),
+        max_dWdt_defect=float(_row_norms(dt - own[:, :, 0]).max()),
+        angles=angles.reshape(patch.n - 2, patch.n - 2),
     )
 
 

@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from splitkit.cli import main
+from splitkit.cli import _slow_plane_normal, main
 from splitkit.config import ExperimentConfig, hash_file
 from splitkit.errors import ConfigError
+from splitkit.geometry import line_angles
 from splitkit.report import write_json
 
 MATRIX = [[-3, 0, 2], [1, 2, -3], [0, -1, 1]]
@@ -165,6 +166,33 @@ class TestCliExitCodes:
         cfg = base_config(map={"matrix": MATRIX, "shears": shears}, k_plane=500, k_line=800)
         write_json(path, cfg)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+
+    def test_guard_normal_is_left_eigenvector(self):
+        # the slow plane's normal spans an M^T-invariant line
+        M = np.array(MATRIX, dtype=float)
+        n = _slow_plane_normal(MATRIX)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert line_angles((M.T @ n)[None], n[None])[0] < 1e-12
+
+    def test_guard_needs_real_simple_dominant_eigenvalue(self, tmp_path, capsys):
+        # x^3 + x + 1: a complex pair of modulus 1.21 dominates a real -0.68
+        path = tmp_path / "cfg.json"
+        companion = [[0, 0, -1], [1, 0, -1], [0, 1, 0]]
+        write_json(path, base_config(map={"matrix": companion, "shears": [SHEAR]}))
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "not real and simple" in capsys.readouterr().err
+
+    def test_negative_random_samples_rejected(self):
+        with pytest.raises(ConfigError, match="'random_samples' must be >= 0"):
+            ExperimentConfig.from_dict(base_config(random_samples=-1))
+
+    @pytest.mark.parametrize("source", ["config", "--seed"])
+    def test_negative_seed_with_random_samples_exits_2(self, tmp_path, capsys, source):
+        path = tmp_path / "cfg.json"
+        write_json(path, base_config(random_samples=2, seed=-1 if source == "config" else 3))
+        argv = ["splitting", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--seed", "-1"] if source == "--seed" else [])) == 2
+        assert "'seed' must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "cfg_dict",

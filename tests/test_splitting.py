@@ -1,10 +1,15 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from splitkit import Diffeo, Line1, Plane2
+from splitkit import Diffeo, Line1, Plane2, splitting
+from splitkit.dynamics import _orbit_records, _pull_back
 from splitkit.splitting import (
+    DEFAULT_L0,
+    _field_bases,
+    _pullback_bases,
     compute_fast_line,
     compute_slow_plane,
     domination_report,
@@ -59,6 +64,26 @@ class TestPullback:
         # geometric decay once the transient has passed
         assert steps[-1] < steps[0]
 
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_entries_bitwise_per_depth(self, phi_perturbed, tilt_E0, field):
+        # each entry is the depth-j pullback alone, its flag read off that
+        # pullback's own R factors and its step angle off the entry before
+        E0 = tilt_E0 if field else None
+        x = np.array([0.3, 0.52, 0.45])
+        seq = compute_slow_plane(phi_perturbed, x, E0=E0, k=12)
+        assert len(seq.entries) == 13 and not seq.converged
+        pts, recs = _orbit_records(phi_perturbed, x[None], 12)
+        for prev, e in zip(seq.entries, seq.entries[1:]):
+            want = _pullback_bases(phi_perturbed, x[None], E0, e.k)[:, :, 0]
+            assert e.plane.basis.tobytes() == want.tobytes()
+            Rs = [R for _, R in _pull_back(phi_perturbed, recs[: e.k], _field_bases(E0, pts[e.k]))]
+            flag = any(
+                abs(r11[0] * r22[0]) < 1e-300 or np.linalg.cond([[r11[0], r12[0]], [0.0, r22[0]]]) > 1e12
+                for r11, r12, r22 in Rs
+            )
+            assert e.flagged is flag
+            assert e.angle_step == principal_angle(e.plane, prev.plane)
+
 
 class TestFastLine:
     def test_identity_map(self):
@@ -85,6 +110,21 @@ class TestFastLine:
     def test_deep_iteration_tightens(self, phi_linear, fast_line):
         got = compute_fast_line(phi_linear, np.zeros(3), k=600)
         assert line_angle(got, fast_line) < 1e-6
+
+    def test_blocked_sweep_bitwise_and_bounded(self, phi_perturbed, monkeypatch):
+        # 512 rows at depth 800 take 13 blocks of differentials; one block of
+        # all 409,600 peaks near 94 MB
+        X = np.random.default_rng(8).uniform(0, 1, (512, 3))
+        L = np.broadcast_to(DEFAULT_L0.direction, X.shape)
+        tracemalloc.start()
+        try:
+            got = splitting._fast_lines(phi_perturbed, X, L, 800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(splitting, "FAST_LINE_ROWS", 512 * 800)
+        assert got.tobytes() == splitting._fast_lines(phi_perturbed, X, L, 800).tobytes()
+        assert peak < 32e6
 
 
 def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from splitkit.errors import ChartExitError
+from splitkit import Plane2, principal_angle
+from splitkit.errors import ChartExitError, DegeneratePlaneError
 from splitkit.frames import (
     AdaptedFrame,
     AnalyticFrame,
     PullbackFrame,
+    adapted_coefficients,
     constant_frame,
     contact_frame,
 )
 from splitkit.surface import (
     ChartBox,
     FlowSpec,
+    SurfacePatch,
     _build_patches,
     build_patch,
     flow,
@@ -151,7 +154,7 @@ class TestPatches:
         fr = constant_frame(0.2, -0.3)
         x0 = np.array([0.5, 0.5, 0.5])
         patch = build_patch(fr, x0, 0.05, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, fr.planes)
+        rep = tangency_report(patch, fr)
         assert rep.max_angle < 1e-8
         assert rep.max_dWdt_defect < 1e-10
         assert rep.max_tangent_norm <= 1.05 * np.sqrt(1.0 + 0.3**2)
@@ -190,7 +193,7 @@ class TestPatches:
     def test_dWdt_identity_curved(self):
         fr = exp_frame()
         patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, fr.planes)
+        rep = tangency_report(patch, fr)
         # FD tangents carry an O(grid^2) truncation error on curved patches
         assert rep.max_dWdt_defect < 5e-4
 
@@ -198,11 +201,11 @@ class TestPatches:
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
         patch = build_patch(fr, x0, 0.03, 7, spec=SPEC, k=4)
-        rep = tangency_report(patch, fr, fr.planes)
+        rep = tangency_report(patch, fr)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
         patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4), k=4)
-        rep2 = tangency_report(patch2, fr, fr.planes)
+        rep2 = tangency_report(patch2, fr)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
     @pytest.mark.parametrize("order", ["xy", "yx"])
@@ -311,13 +314,44 @@ class TestPushforward:
 
 
 class TestTangencySeries:
+    def test_report_bitwise_per_node(self, phi_perturbed, tilt_E0):
+        # every node's angles, tangent norms and dW/dt defect, one node at a time
+        fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
+        limit = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
+        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, spec=SPEC, k=4)
+        rep = tangency_report(patch, fr, limit)
+        P, d = patch.points, patch.grid_spacing()
+        own, lim, norms, defects = [], [], [], []
+        for i in range(1, 6):
+            for j in range(1, 6):
+                dt = (P[i + 1, j] - P[i - 1, j]) / (2 * d)
+                ds = (P[i, j + 1] - P[i, j - 1]) / (2 * d)
+                tangent = Plane2.spanned_by(dt, ds)
+                own.append(principal_angle(tangent, fr.plane(P[i, j])))
+                lim.append(principal_angle(tangent, limit.plane(P[i, j])))
+                norms += [np.linalg.norm(dt), np.linalg.norm(ds)]
+                defects.append(np.linalg.norm(dt - fr.X(P[i, j])))
+        assert rep.angles.tobytes() == np.reshape(own, (5, 5)).tobytes()
+        assert (rep.max_angle, rep.mean_angle) == (max(own), np.mean(own))
+        assert (rep.max_angle_limit, rep.mean_angle_limit) == (max(lim), np.mean(lim))
+        assert (rep.max_tangent_norm, rep.max_dWdt_defect) == (max(norms), max(defects))
+
+    def test_degenerate_tangent_pair_raises(self):
+        # nodes on a line: the FD tangents at every node are parallel
+        ts = np.linspace(-0.05, 0.05, 5)
+        points = (ts[:, None] + ts[None, :])[:, :, None] * np.array([1.0, 0.0, 0.0])
+        patch = SurfacePatch(np.zeros(3), 0.05, 5, ts, ts, points, None, SPEC)
+        with pytest.raises(DegeneratePlaneError, match="Gram determinant"):
+            tangency_report(patch, constant_frame(0.0, 0.0))
+
     def test_linear_patch_vs_true_eigenplane(self, slow_plane):
         from conftest import SLOW_PLANE_COEFFS
 
         fr = constant_frame(*SLOW_PLANE_COEFFS)
         patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, spec=SPEC)
-        rep = tangency_report(patch, fr, lambda P: [slow_plane] * len(P))
-        assert rep.max_angle < 1e-8
+        eigen = constant_frame(*adapted_coefficients(slow_plane.basis[:, :, None])[0])
+        rep = tangency_report(patch, fr, eigen)
+        assert rep.max_angle_limit < 1e-8
 
     def test_perturbed_series_decreasing_towards_limit(self, phi_perturbed, tilt_E0):
         # tangency defect against the (deep-pullback) limit plane shrinks
@@ -328,6 +362,6 @@ class TestTangencySeries:
         for k in range(1, 9):
             fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
             patch = build_patch(fr, np.zeros(3), 0.02, 5, spec=FlowSpec(step=1e-3), k=k)
-            rep = tangency_report(patch, fr, fr.planes, limit.planes)
+            rep = tangency_report(patch, fr, limit)
             maxima.append(rep.max_angle_limit)
         assert np.mean(maxima[4:]) < np.mean(maxima[:4])
