@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Diffeo, _orbit_records, _tangent
 from .errors import ConvergenceError
-from .frames import AdaptedFrame, PullbackFrame, aligned_pairs, fd_stencil
+from .frames import AdaptedFrame, PullbackFrame, _coefficients, aligned_pairs, fd_stencil
 from .geometry import Line1, Plane2, project_along
 from .splitting import _growth_along, _pullback_bases, compute_fast_line, fitted_rate
 
@@ -70,9 +70,19 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     Nor does a value below the rounding error of its own differences count,
     however the three levels happen to line up.
     """
+    return _bracket_sample(x, h, frame.coefficients(_ladder(x, h)))
+
+
+def _ladder(x, h):
+    """The stencils of ``bracket_coefficient``'s three step levels, as one
+    (21,3) stack: ``fd_stencil`` of x at h, h/2 and h/4."""
+    return np.concatenate([fd_stencil(x, h / d) for d in (1, 2, 4)])
+
+
+def _bracket_sample(x, h, vals) -> BracketSample:
+    """The validated sample of ``bracket_coefficient`` from the (21,2)
+    coefficients on ``_ladder(x, h)``."""
     steps = [h / d for d in (1, 2, 4)]
-    # all three levels in one call
-    vals = frame.coefficients(np.concatenate([fd_stencil(x, s) for s in steps]))
     cs = [_coefficient_c(vals[7 * i : 7 * i + 7], s) for i, s in enumerate(steps)]
     d01 = abs(cs[0] - cs[1])
     d12 = abs(cs[1] - cs[2])
@@ -252,11 +262,20 @@ def bound_curve(
     log_vol = growth.log_vol()
     log_f = growth.log_f
 
+    # the ladders of every depth at its adapted step, and the limit frame's
+    # at h and h/10, from one call
+    limit_frame = PullbackFrame(phi, k_plane, E0=E0)
+    h_ks = [h * float(np.exp(-log_f[k - 1])) for k in range(1, k_max + 1)]
+    ladders = [(PullbackFrame(phi, k, E0=E0), h_k) for k, h_k in enumerate(h_ks, 1)]
+    ladders += [(limit_frame, h), (limit_frame, h / 10)]
+    vals = _coefficients(
+        [frame for frame, _ in ladders for _ in range(21)],
+        np.concatenate([_ladder(x, step) for _, step in ladders]),
+    ).reshape(-1, 21, 2)
+    *samples, limit, fine = [_bracket_sample(x, step, v) for (_, step), v in zip(ladders, vals)]
+
     entries = []
-    for k in range(1, k_max + 1):
-        frame = PullbackFrame(phi, k, E0=E0)
-        h_k = h * float(np.exp(-log_f[k - 1]))
-        bs = bracket_coefficient(frame, x, h_k)
+    for k, (h_k, bs) in enumerate(zip(h_ks, samples), 1):
         rhs = float(np.exp(log_vol[k - 1]))
         quot = bs.norm / rhs if bs.resolved else None
         entries.append(
@@ -270,9 +289,6 @@ def bound_curve(
                 quotient=quot,
             )
         )
-    limit_frame = PullbackFrame(phi, k_plane, E0=E0)
-    limit = bracket_coefficient(limit_frame, x, h)
-    fine = bracket_coefficient(limit_frame, x, h / 10)
     agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
     return BoundCurve(
         point=x,

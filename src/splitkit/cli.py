@@ -22,8 +22,9 @@ from .frames import PullbackFrame, coefficient_grid_rows
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report, fitted_rate, swept_growth
 from .surface import (
+    ChartBox,
     FlowSpec,
-    build_patch,
+    _build_patches,
     pushforward_convergence_series,
     pushforward_norm_identity,
     tangency_report,
@@ -250,13 +251,22 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
     E0 = cfg.initial_plane()
     limit_frame = PullbackFrame(phi, cfg.k_plane, E0=E0)
 
-    frames = []
+    frames = [(k, PullbackFrame(phi, k, E0=E0)) for k in cfg.k_list]
     per_k = []
     with timer.time("surface"):
-        for k in cfg.k_list:
-            frame = PullbackFrame(phi, k, E0=E0)
-            frames.append((k, frame))
-            patch = build_patch(frame, x0, cfg.epsilon, cfg.n, spec=spec, k=k)
+        # the patches of all depths, as one stack
+        patches = _build_patches(
+            [frame for _, frame in frames],
+            [x0] * len(frames),
+            ["xy"] * len(frames),
+            cfg.epsilon,
+            cfg.n,
+            spec,
+            ChartBox(center=x0.copy()),
+            ks=list(cfg.k_list),
+            names=[f"k={k}" for k in cfg.k_list],
+        )
+        for (k, frame), patch in zip(frames, patches):
             rep = tangency_report(patch, frame, limit_frame)
             per_k.append(
                 {

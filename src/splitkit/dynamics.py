@@ -222,13 +222,20 @@ def _orbit_records(phi: Diffeo, X, k: int):
     pts = [Y]
     recs = []
     for _ in range(k):
-        rec = []
-        for stage in phi.stages:
-            Y, r = stage.advance(Y)
-            rec.append(r)
+        Y, rec = _advance(phi, Y)
         pts.append(Y)
         recs.append(rec)
     return pts, recs
+
+
+def _advance(phi: Diffeo, Y):
+    """One forward step of the rows of an (N,3) stack: their images and the
+    stage records at them, in stage order."""
+    rec = []
+    for stage in phi.stages:
+        Y, r = stage.advance(Y)
+        rec.append(r)
+    return Y, rec
 
 
 def _tangent(phi: Diffeo, rec, V, inverse=False):

@@ -13,7 +13,7 @@ import numpy as np
 from .dynamics import Diffeo, _differentials, _gram_schmidt, _orbit_records
 from .errors import ChartUnsuitableError
 from .geometry import Plane2, _row_dots, orthonormal_bases
-from .splitting import _field_bases, _pullback_bases
+from .splitting import _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
 SVD_TIE_TOL = 1e-12
@@ -26,9 +26,14 @@ def adapted_coefficients(B):
     The unit normal is the cross product over its length, the square root of
     a row dot product through ``np.matmul``: that is the BLAS dot which
     ``np.linalg.norm`` of one 3-vector calls, so every row is bitwise what
-    ``Plane2(B[:, :, n]).normal`` gives, whatever N is.
+    ``Plane2(B[:, :, n]).normal`` gives, whatever N is. The cross product is
+    written out as the products and differences ``np.cross`` makes.
     """
-    c = np.ascontiguousarray(np.cross(B[:, 0], B[:, 1], axis=0).T)
+    u, v = B[:, 0], B[:, 1]
+    c = np.empty((B.shape[2], 3))
+    c[:, 0] = u[1] * v[2] - u[2] * v[1]
+    c[:, 1] = u[2] * v[0] - u[0] * v[2]
+    c[:, 2] = u[0] * v[1] - u[1] * v[0]
     n = c / np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
     low = np.abs(n[:, 2]) <= CHART_NORMAL_TOL
     if low.any():
@@ -36,7 +41,18 @@ def adapted_coefficients(B):
             f"chart unsuitable: |normal_3| = {abs(n[low.argmax(), 2]):.3e} <= "
             f"{CHART_NORMAL_TOL:g}; permute coordinates so the plane is a graph over (x1, x2)"
         )
-    return np.stack([-n[:, 0] / n[:, 2], -n[:, 1] / n[:, 2]], axis=1)
+    return -n[:, :2] / n[:, 2:]
+
+
+def _graph_vectors(C, which):
+    """The fields X = e1 + a e3 (``which`` = 0) or Y = e2 + b e3 (1) of (N, 2)
+    coefficient pairs, as an (N,3) stack; ``which`` may also be a sequence
+    with one column per row."""
+    rows = np.arange(len(C))
+    out = np.zeros((len(C), 3))
+    out[rows, which] = 1.0
+    out[:, 2] = C[rows, which]
+    return out
 
 
 def plane_from_coefficients(a, b) -> Plane2:
@@ -72,18 +88,9 @@ class AdaptedFrame:
         return self._graph_field(p, 1)
 
     def _graph_field(self, p, which):
-        """X (``which`` = 0) or Y (1) from one coefficients call; on a stack,
-        ``which`` may also be a sequence with one column per row."""
-        c = np.asarray(self.coefficients(p), dtype=float)
-        out = np.zeros(np.shape(p))
-        if np.ndim(which):
-            rows = np.arange(len(which))
-            out[rows, which] = 1.0
-            out[:, 2] = c[rows, which]
-        else:
-            out[..., which] = 1.0
-            out[..., 2] = c[..., which]
-        return out
+        """X (``which`` = 0) or Y (1) from one coefficients call."""
+        C = np.asarray(self.coefficients(p), dtype=float).reshape(-1, 2)
+        return _graph_vectors(C, which).reshape(np.shape(p))
 
     def plane(self, p) -> Plane2:
         a, b = self.coefficients(p)
@@ -145,21 +152,83 @@ class PullbackFrame(AdaptedFrame):
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
         rows = p.reshape(-1, 3)
-        keys = [q.tobytes() for q in rows]
-        missing = {}  # key -> first row index, for the distinct misses in order
-        for i, key in enumerate(keys):
-            if key not in self._cache:
-                missing.setdefault(key, i)
-        if missing:
-            P = rows[list(missing.values())]
-            if self.k == 0:
-                B = _field_bases(self.E0, P, orthonormal=False)
-            else:
-                B = _pullback_bases(self.phi, P, self.E0, self.k)
-            self._cache.update(zip(missing, map(tuple, adapted_coefficients(B).tolist())))
-        if p.ndim == 1:
-            return self._cache[keys[0]]
-        return np.array([self._cache[key] for key in keys]).reshape(-1, 2)
+        pairs = _pulled([self] * len(rows), rows)
+        return pairs[0] if p.ndim == 1 else np.array(pairs).reshape(-1, 2)
+
+
+def _pulled(frames, P):
+    """Coefficient pairs, one (a, b) tuple per row of an (N,3) stack, of
+    ``PullbackFrame``s that share a map and E0, one frame per row.
+
+    The rows that miss their frame's cache, each distinct (frame, point)
+    once, are pulled back in one kernel call at each frame's depth and
+    converted in one ``adapted_coefficients`` call.
+    """
+    keys = [q.tobytes() for q in P]
+    missing = {}  # (frame, key) -> first row, for the distinct misses in order
+    for n, (frame, key) in enumerate(zip(frames, keys)):
+        if key not in frame._cache:
+            missing.setdefault((frame, key), n)
+    if missing:
+        rows = list(missing.values())
+        depths = [frames[n].k for n in rows]
+        B = _pullback_bases(frames[0].phi, P[rows], frames[0].E0, depths)
+        for (frame, key), ab in zip(missing, map(tuple, adapted_coefficients(B).tolist())):
+            frame._cache[key] = ab
+    return [frame._cache[key] for frame, key in zip(frames, keys)]
+
+
+def _graph_field_of(frames, which):
+    """The field X (``which`` = 0) or Y (1), row n read off ``frames[n]``,
+    as a map of (N,3) stacks, for ``flow``; ``which`` may also be a
+    sequence with one column per row."""
+    return lambda P: _graph_vectors(_coefficients(frames, P), which)
+
+
+def _gradients_a(frames, P, h):
+    """The gradients (N,3) of the coefficient a at the rows of an (N,3)
+    stack, row n of ``frames[n]``. Each frame that keeps the
+    finite-difference ``AdaptedFrame.gradient_a`` differences its stencil
+    at step h, centre first, and all those stencils go in one
+    ``_coefficients`` call; any other frame gives its own gradient row by
+    row."""
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    fd = [type(f).gradient_a is AdaptedFrame.gradient_a for f in frames]
+    G = np.empty((len(P), 3))
+    rows = np.flatnonzero(fd)
+    if len(rows):
+        stencils = np.concatenate([fd_stencil(P[n], h) for n in rows])
+        a = _coefficients([frames[n] for n in rows for _ in range(7)], stencils)[:, 0].reshape(-1, 7)
+        G[rows] = (a[:, 1::2] - a[:, 2::2]) / (2 * h)
+    for n in np.flatnonzero(np.logical_not(fd)):
+        G[n] = frames[n].gradient_a(P[n], h=h)
+    return G
+
+
+def _coefficients(frames, P):
+    """Coefficient pairs (N, 2) at the rows of an (N,3) stack, row n read off
+    ``frames[n]``: bitwise what each frame's own ``coefficients`` gives.
+
+    The ``PullbackFrame``s that share a map and E0 fetch their cache misses
+    in one kernel call, one depth per row; any other frame evaluates its own
+    rows in one ``coefficients`` call.
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    shared = {
+        frame: (id(frame.phi), id(frame.E0)) if isinstance(frame, PullbackFrame) else id(frame)
+        for frame in dict.fromkeys(frames)
+    }
+    groups = {}
+    for n, frame in enumerate(frames):
+        groups.setdefault(shared[frame], []).append(n)
+    C = np.empty((len(P), 2))
+    for rows in groups.values():
+        group = [frames[n] for n in rows]
+        if isinstance(group[0], PullbackFrame):
+            C[rows] = _pulled(group, P[rows])
+        else:
+            C[rows] = group[0].coefficients(P[rows])
+    return C
 
 
 def aligned_pairs(phi: Diffeo, points, bases, k: int):
@@ -205,14 +274,17 @@ def aligned_pairs(phi: Diffeo, points, bases, k: int):
 
 
 def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):
-    """Rows (x1, x2, x3, k, a, b) over a regular grid, for plotting dumps."""
+    """Rows (x1, x2, x3, k, a, b) over a regular grid, for plotting dumps;
+    the coefficients of all the frames come from one call."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
     grid = np.array([[xv, yv, x3] for xv in xs for yv in ys])
-    rows = []
-    for k, frame in frames_by_k:
-        for (xv, yv, _), (a, b) in zip(grid, frame.coefficients(grid)):
-            rows.append((float(xv), float(yv), float(x3), int(k), float(a), float(b)))
-    return rows
+    frames = [frame for _, frame in frames_by_k for _ in grid]
+    C = _coefficients(frames, np.tile(grid, (len(frames_by_k), 1))).reshape(-1, len(grid), 2)
+    return [
+        (float(xv), float(yv), float(x3), int(k), float(a), float(b))
+        for (k, _), pairs in zip(frames_by_k, C)
+        for (xv, yv, _), (a, b) in zip(grid, pairs)
+    ]

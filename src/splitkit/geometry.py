@@ -123,8 +123,15 @@ class Plane2:
         return cls(np.column_stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)]))
 
     def orthonormal_basis(self):
-        """Gram-Schmidt of the stored pair, shape (3, 2)."""
-        return orthonormal_bases(self.basis[None])[0]
+        """Gram-Schmidt of the stored pair, shape (3, 2), read-only. It is
+        made on first use and kept, so a constant plane that seeds many
+        kernel calls is converted once."""
+        Q = self.__dict__.get("_orthonormal")
+        if Q is None:
+            Q = orthonormal_bases(self.basis[None])[0]
+            Q.setflags(write=False)
+            object.__setattr__(self, "_orthonormal", Q)
+        return Q
 
     def contains(self, v, tol=1e-10):
         return abs(float(self.normal @ v)) <= tol * max(1.0, float(np.linalg.norm(v)))

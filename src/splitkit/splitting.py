@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _gram_schmidt, _orbit_records, _pull_back
-from .dynamics import _tangent, orbit
+from .dynamics import Diffeo, _advance, _differentials, _gram_schmidt, _orbit_records
+from .dynamics import _pull_back, _tangent, orbit
 from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
-from .geometry import principal_angle, unit_lines
+from .geometry import principal_angle, unit_lines, wrap_point
 
 ANGLE_CONVERGENCE_TOL = 1e-10
 RESIDUAL_TOL = 1e-6
@@ -45,18 +45,45 @@ def _field_bases(E0, P, orthonormal=True):
 
 
 def _pullback_bases(phi: Diffeo, P, E0, k):
-    """Orthonormal bases (3, 2, N) of the depth-k pullback planes
-    D(phi^-k) E0(phi^k p) at the rows p of an (N,3) stack, from one kernel call.
+    """Orthonormal bases (3, 2, N) of the pullback planes D(phi^-k) E0(phi^k p)
+    at the rows p of an (N,3) stack, from one kernel call. ``k`` is one
+    depth for every row or one depth per row; a depth-0 row keeps the basis
+    its E0 plane stores.
 
-    E0 seeds the kernel at the orbit endpoints, and the kernel uses
-    elementwise arithmetic only, so each row's basis is bitwise the same
-    whatever else is in the stack.
+    The rows run deepest first. Step i of the forward orbit advances only
+    the rows deeper than i, and the backward sweep takes each row in, seeded
+    with E0 at its own orbit endpoint, when it reaches that row's depth: the
+    rows of one depth join the stack together and step with the deeper ones.
+    The kernel uses elementwise arithmetic only, so each row's basis is
+    bitwise the same whatever else is in the stack, at whatever depths.
     """
-    pts, recs = _orbit_records(phi, np.asarray(P, dtype=float), k)
-    Q = _field_bases(E0, pts[-1])
-    for Q, _ in _pull_back(phi, recs, Q):
-        pass  # the last basis yielded is Q_0
-    return Q
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    depth = (np.zeros(len(P), dtype=int) + k).tolist()
+    order = sorted(range(len(P)), key=depth.__getitem__, reverse=True)  # stable
+    d = [depth[n] for n in order]  # deepest first
+    if d and d[-1] < 0:
+        raise ValueError("pullback depth k must be >= 0")
+    Y = wrap_point(P[order])
+    recs = []
+    live = len(d)
+    for i in range(d[0] if d else 0):
+        while d[live - 1] <= i:
+            live -= 1  # the rows of depth i are at their orbit endpoints
+        Y[:live], rec = _advance(phi, Y[:live])
+        recs.append(rec)
+    # the rows of each depth join the sweep at their endpoints, and the live
+    # rows step down to the next depth; a depth-0 row is E0 at the point as
+    # given, which may lie outside [0, 1)^3
+    starts = [n for n in range(len(d)) if n == 0 or d[n] != d[n - 1]]
+    Q = np.empty((3, 2, 0))
+    for lo, hi in zip(starts, [*starts[1:], len(d)]):
+        ends = Y[lo:hi] if d[lo] else P[order[lo:hi]]
+        Q = np.concatenate([Q, _field_bases(E0, ends, orthonormal=d[lo] > 0)], axis=2)
+        for Q, _ in _pull_back(phi, recs[d[hi] if hi < len(d) else 0 : d[lo]], Q):
+            pass  # the last basis yielded is the one at the next depth
+    out = np.empty_like(Q)
+    out[:, :, order] = Q
+    return out
 
 
 @dataclass(frozen=True)

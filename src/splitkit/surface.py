@@ -16,13 +16,15 @@ import numpy as np
 
 from .dynamics import Diffeo
 from .errors import ChartExitError
-from .frames import AdaptedFrame, PullbackFrame
+from .frames import AdaptedFrame, PullbackFrame, _coefficients, _gradients_a, _graph_field_of
+from .frames import _graph_vectors
 from .geometry import _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
 DEFAULT_EPSILON = 0.05
 DEFAULT_GRID_N = 21
 DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational equation
+MAX_STEP_LOAD = 0.5  # largest ||J|| dt at which the explicit transport counts as resolved
 
 
 @dataclass(frozen=True)
@@ -122,20 +124,24 @@ def _sweep(field, starts, grid, i0, spec, chart, names):
     return out
 
 
-def _build_patches(frame, seeds, orders, epsilon, n, spec, chart, k=None, names=None):
-    """Patches at several seeds, each in its own flow order, integrated as one stack.
+def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, names=None):
+    """Patches at several seeds, each of its own frame and in its own flow
+    order, integrated as one stack.
 
     The spines of all seeds flow together first (one row per seed), then all
     n rows of every patch (n per seed), so each RK4 stage is one
-    ``coefficients`` call.  Rows of a stack are bitwise independent, so each
-    patch equals the one built from its seed alone.  ``names`` label the
-    patches in a chart-exit error (default: their orders).
+    ``_coefficients`` call, and one kernel call for the pullback frames of
+    all depths. Rows of a stack are bitwise independent, so each patch
+    equals the one built from its seed and frame alone. ``ks`` label the
+    patches' depths (default None), and ``names`` label the patches in a
+    chart-exit error (default: their orders).
     """
     if n < 3:
         raise ValueError("grid needs n >= 3 for interior finite differences")
     if n % 2 == 0:
         raise ValueError("grid needs odd n: rows are integrated outward from t = 0")
     seeds = np.asarray(seeds, dtype=float)
+    ks = [None] * len(seeds) if ks is None else ks
     names = list(orders if names is None else names)
     ts = ss = np.linspace(-epsilon, epsilon, n)
     i0 = n // 2  # the grid is symmetric, so its middle node is t = 0
@@ -146,16 +152,16 @@ def _build_patches(frame, seeds, orders, epsilon, n, spec, chart, k=None, names=
     xy = np.array([order == "xy" for order in orders])
     first = xy.astype(int)  # xy: the Y-flow (column 1) first; yx: the X-flow
     second = np.repeat(1 - first, n)
-    spines = _sweep(lambda P: frame._graph_field(P, first), seeds, ss, i0, spec, chart, names)
+    spines = _sweep(_graph_field_of(frames, first), seeds, ss, i0, spec, chart, names)
     rows = _sweep(
-        lambda P: frame._graph_field(P, second),
+        _graph_field_of([frame for frame in frames for _ in range(n)], second),
         spines.reshape(-1, 3), ts, i0, spec, chart, [name for name in names for _ in range(n)],
     )
     points = rows.reshape(len(seeds), n, n, 3)
     points[xy] = points[xy].swapaxes(1, 2)
     return [
         SurfacePatch(x0=x, epsilon=epsilon, n=n, ts=ts, ss=ss, points=P, k=k, spec=spec)
-        for x, P in zip(seeds, points)
+        for x, P, k in zip(seeds, points, ks)
     ]
 
 
@@ -177,7 +183,7 @@ def build_patch(
     x0 = np.asarray(x0, dtype=float)
     if chart is None:
         chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    return _build_patches(frame, x0[None], (order,), epsilon, n, spec, chart, k=k)[0]
+    return _build_patches([frame], x0[None], (order,), epsilon, n, spec, chart, ks=[k])[0]
 
 
 @dataclass(frozen=True)
@@ -206,9 +212,9 @@ def tangency_report(
     """Angles between the FD tangent planes of a patch and the planes of
     ``frame`` (and of a second, limit frame) at its interior nodes.
 
-    The central-difference tangent pairs are slices of the node grid, each
-    frame's coefficients are read once over the interior-node stack, and
-    the angles come from one ``plane_angles`` call per frame.
+    The central-difference tangent pairs are slices of the node grid, the
+    coefficients of both frames are read in one call over the interior-node
+    stack, and the angles come from one ``plane_angles`` call per frame.
     """
     W = patch.points
     d2 = 2 * patch.grid_spacing()
@@ -217,11 +223,13 @@ def tangency_report(
     tangents = np.stack([dt, ds], axis=2)
     check_spans(tangents)
     P = W[1:-1, 1:-1].reshape(-1, 3)
-    own = _graph_bases(frame.coefficients(P))
+    fields = [frame] if limit is None else [frame, limit]
+    C = _coefficients([f for f in fields for _ in P], np.tile(P, (len(fields), 1)))
+    own = _graph_bases(C[: len(P)])
     angles = plane_angles(tangents, own)
     angles_limit = None
     if limit is not None:
-        angles_limit = plane_angles(tangents, _graph_bases(limit.coefficients(P)))
+        angles_limit = plane_angles(tangents, _graph_bases(C[len(P) :]))
     return TangencyReport(
         k=patch.k,
         max_angle=float(np.max(angles)),
@@ -258,35 +266,58 @@ class TransportResult:
 
     @property
     def resolved(self):
-        return self.max_step_load < 0.5
+        return self.max_step_load < MAX_STEP_LOAD
+
+
+def _pushforwards(frames, X, t, spec, grad_h, V=None, Y=None):
+    """Variational transports by the time-t X-flows of ``frames``, one frame
+    per row, stepped as one stack: the vectors V (N,3) given at the time -t
+    preimages Y (N,3) of the rows of X (N,3) are pushed forward to X.
+    Without Y the preimages come from one backward flow of the stack, and
+    V defaults to the frames' Y there. Returns the vectors (N,3) and each
+    row's largest step load ||J|| |dt|.
+
+    J(p) = e3 grad(a)(p)^T comes from one ``_gradients_a`` call per RK4
+    stage, whose stencils put X at their centres in the cache. J w is a
+    batched (N,3,3) by (N,3,1) product and ||J|| the row norm of the
+    flattened J, so each row's bits do not depend on the stack.
+    """
+    Y = flow(_graph_field_of(frames, 0), X, -t, spec) if Y is None else Y
+    V = _graph_vectors(_coefficients(frames, Y), 1) if V is None else V
+    N = len(Y)
+    dt = t / max(1, math.ceil(abs(t) / spec.step))
+    load = np.zeros(N)
+
+    def g(S):
+        J = np.zeros((N, 3, 3))
+        J[:, 2] = _gradients_a(frames, S[:, :3], grad_h)
+        np.fmax(load, _row_norms(J.reshape(N, 9)) * abs(dt), out=load)
+        along = _graph_vectors(_coefficients(frames, S[:, :3]), 0)
+        return np.concatenate([along, (J @ S[:, 3:, None])[:, :, 0]], axis=1)
+
+    out = flow(g, np.concatenate([Y, V], axis=1), t, spec)
+    return out[:, 3:], load
 
 
 def pushforward_vector(
-    frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec(), v=None, grad_h=DEFAULT_GRAD_H
+    frame: AdaptedFrame,
+    x,
+    t,
+    spec: FlowSpec = FlowSpec(),
+    v=None,
+    grad_h=DEFAULT_GRAD_H,
+    preimage=None,
 ) -> TransportResult:
     """Transport of a vector (default Y at the pulled-back base) by the X-flow.
 
     Returns the pushforward of Y (or of v given at the time ``-t`` preimage)
-    evaluated at x: the preimage is found by flowing backward, then the
-    variational equation is integrated forward along the X-flow.
+    evaluated at x: the preimage is found by flowing backward, unless the
+    caller already has it (``preimage``), then the variational equation is
+    integrated forward along the X-flow. The N = 1 view of ``_pushforwards``.
     """
-    x = np.asarray(x, dtype=float)
-    y = flow(frame.X, x, -t, spec)
-    v0 = np.asarray(frame.Y(y) if v is None else v, dtype=float)
-
-    n = max(1, math.ceil(abs(t) / spec.step))
-    dt = t / n
-    load = [0.0]
-
-    def g(S):
-        # the state (p, w) is a one-row stack; J(p) = e3 grad(a)(p)^T
-        J = np.zeros((3, 3))
-        J[2, :] = frame.gradient_a(S[0, :3], h=grad_h)
-        load[0] = max(load[0], float(np.linalg.norm(J) * abs(dt)))
-        return np.concatenate([frame.X(S[:, :3]), (J @ S[0, 3:])[None]], axis=1)
-
-    out = flow(g, np.concatenate([y, v0]), t, spec)
-    return TransportResult(vector=out[3:], max_step_load=load[0])
+    x, v, y = (None if u is None else np.asarray(u, dtype=float)[None] for u in (x, v, preimage))
+    vec, load = _pushforwards([frame], x, t, spec, grad_h, V=v, Y=y)
+    return TransportResult(vector=vec[0], max_step_load=float(load[0]))
 
 
 def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
@@ -296,10 +327,13 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
     Returns (lhs, rhs, relative error, resolved), where ``resolved`` is the
     integrator-load flag of the transport behind lhs (``TransportResult``).
+
+    One backward pass serves both sides: the quadrature's position columns
+    step with the negated field and the negated time step, and negation is
+    exact, so they end bitwise at flow(frame.X, x, -t), where the transport
+    starts.
     """
     x = np.asarray(x, dtype=float)
-    res = pushforward_vector(frame, x, t, spec=spec, v=np.array([0.0, 0.0, 1.0]))
-    lhs = float(np.linalg.norm(res.vector))
 
     # quadrature of da/dx3 along tau -> X-flow_{-tau}(x), via an augmented ODE
     def g(S):
@@ -308,6 +342,8 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
 
     out = flow(g, np.concatenate([x, [0.0]]), t, spec)
     rhs = float(np.exp(out[3]))
+    res = pushforward_vector(frame, x, t, spec, v=[0.0, 0.0, 1.0], preimage=out[:3])
+    lhs = float(np.linalg.norm(res.vector))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return lhs, rhs, rel, res.resolved
 
@@ -336,19 +372,19 @@ def pushforward_convergence_series(
     Deep frames oscillate at the cocycle's compression scale, so entries are
     flagged unresolved once the variational load exceeds the explicit-step
     budget; asserting trends on unresolved entries would test the integrator,
-    not the frames.
+    not the frames. The transports of all depths step as one stack, one row
+    per frame, once at the step and once at half of it; each row is bitwise
+    the per-depth ``pushforward_vector``.
     """
     x0 = np.asarray(x0, dtype=float)
-    half = FlowSpec(step=spec.step / 2)
-    vals = []
-    flags = []
-    for k in k_list:
-        frame = PullbackFrame(phi, k, E0=E0)
-        res = pushforward_vector(frame, x0, t, spec=spec, grad_h=grad_h)
-        chk = pushforward_vector(frame, x0, t, spec=half, grad_h=grad_h)
-        v = float(np.linalg.norm(res.vector - frame.Y(x0)))
-        v2 = float(np.linalg.norm(chk.vector - frame.Y(x0)))
-        agree = abs(v - v2) <= max(0.25 * max(v, v2), 1e-9)
-        vals.append(v)
-        flags.append(bool(res.resolved and chk.resolved and agree))
-    return PushforwardSeries(ks=tuple(k_list), values=np.array(vals), resolved=tuple(flags))
+    frames = [PullbackFrame(phi, k, E0=E0) for k in k_list]
+    X = np.tile(x0, (len(frames), 1))
+    vec, load = _pushforwards(frames, X, t, spec, grad_h)
+    chk, chk_load = _pushforwards(frames, X, t, FlowSpec(step=spec.step / 2), grad_h)
+    # each frame's Y at x0, a cache hit: its backward flow started there
+    Y = np.array([frame.Y(x0) for frame in frames])
+    vals = _row_norms(vec - Y)
+    halved = _row_norms(chk - Y)
+    agree = np.abs(vals - halved) <= np.maximum(0.25 * np.maximum(vals, halved), 1e-9)
+    flags = (load < MAX_STEP_LOAD) & (chk_load < MAX_STEP_LOAD) & agree
+    return PushforwardSeries(ks=tuple(k_list), values=vals, resolved=tuple(flags.tolist()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Diffeo
-from .frames import AdaptedFrame, PullbackFrame
+from .frames import AdaptedFrame, PullbackFrame, _coefficients
 from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
 
 # slack of the two-step decrease test on the slice distances
@@ -52,12 +52,16 @@ def hartman_slice_report(
     grid = np.array([[xv, slice_x2, zv] for xv in xs for zv in zs])
     up = grid + np.array([0.0, 0.0, h])
     down = grid - np.array([0.0, 0.0, h])
-    a_lim = limit_frame.coefficients(grid)[:, 0]
+    # the limit on the grid, then each frame on the grid and its two shifts,
+    # from one call
+    pts = np.concatenate([grid, up, down])
+    row_frames = [limit_frame] * len(grid) + [frame for _, frame in frames for _ in pts]
+    a = _coefficients(row_frames, np.concatenate([grid] + [pts] * len(frames)))[:, 0]
+    a_lim = a[: len(grid)]
     ks = []
     sup_d = []
     sup_dist = []
-    for k, frame in frames:
-        a_k, a_up, a_down = np.split(frame.coefficients(np.concatenate([grid, up, down]))[:, 0], 3)
+    for (k, _), (a_k, a_up, a_down) in zip(frames, a[len(grid) :].reshape(-1, 3, len(grid))):
         da = (a_up - a_down) / (2 * h)
         ks.append(int(k))
         sup_d.append(float(np.max(np.abs(da))))
@@ -129,7 +133,7 @@ def leaf_divergence(
     u = frame.plane(x0).orthonormal_basis()[:, 0]
     half = delta / 2
     p_xy, p_yx, p_delta, p_half = _build_patches(
-        frame,
+        [frame] * 4,
         [x0, x0, x0 + delta * u, x0 + half * u],
         ("xy", "yx", "xy", "xy"),
         epsilon,

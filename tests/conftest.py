@@ -71,6 +71,21 @@ def dense_differential(phi, x):
     return D
 
 
+def counting_kernel(monkeypatch):
+    """Record (rows, sorted depths) of every kernel call that frames make."""
+    import splitkit.frames as frames
+
+    calls = []
+    kernel = frames._pullback_bases
+
+    def counting(phi, P, E0, k):
+        calls.append((len(P), sorted(set(np.atleast_1d(k).tolist()))))
+        return kernel(phi, P, E0, k)
+
+    monkeypatch.setattr(frames, "_pullback_bases", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def phi_linear():
     return Diffeo.from_matrix(PAPER_MATRIX)

@@ -9,9 +9,9 @@ from splitkit.bracket import (
     invariance_identity_residual,
     vector_field_bracket,
 )
-from splitkit.frames import AnalyticFrame, constant_frame, contact_frame
+from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import project_along
-from conftest import RATE_VOL
+from conftest import RATE_VOL, counting_kernel
 
 E3_LINE = Line1(np.array([0.0, 0.0, 1.0]))
 
@@ -242,3 +242,23 @@ class TestFastLineOnce:
         assert not shared.degenerate
         assert shared.residual == alone.residual
         assert shared.norm_identity_rel_err == alone.norm_identity_rel_err
+
+
+class TestStackedLadders:
+    def test_bound_curve_one_kernel_call_bitwise_per_depth(self, phi_perturbed, tilt_E0, monkeypatch):
+        # the ladders of every depth and both limit ladders come from one
+        # kernel call, and each sample is bitwise its own bracket_coefficient
+        calls = counting_kernel(monkeypatch)
+        x, h = np.array([0.3, 0.52, 0.45]), 1e-4
+        bc = bound_curve(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
+        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        monkeypatch.undo()
+        for e in bc.entries:
+            bs = bracket_coefficient(PullbackFrame(phi_perturbed, e.k, E0=tilt_E0), x, e.h)
+            assert (bs.c, bs.norm, bs.resolved) == (e.c, e.lhs, e.resolved)
+        limit_frame = PullbackFrame(phi_perturbed, 30, E0=tilt_E0)
+        limit = bracket_coefficient(limit_frame, x, h)
+        fine = bracket_coefficient(limit_frame, x, h / 10)
+        assert (bc.limit_lhs, bc.limit_lhs_error) == (limit.norm, limit.error)
+        agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
+        assert bc.limit_resolved is (limit.resolved and fine.resolved and agree)

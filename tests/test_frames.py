@@ -80,6 +80,16 @@ class TestAdaptedCoefficients:
         with pytest.raises(ChartUnsuitableError, match="0.000e"):
             adapted_coefficients(B)
 
+    def test_cross_product_is_np_cross(self):
+        # 10,000 random bases: the products and differences written out are
+        # bitwise np.cross, and so is every coefficient pair
+        B = np.random.default_rng(9).uniform(-1.0, 1.0, (3, 2, 10_000))
+        B[:2] = 0.3 * B[:2] + np.eye(2)[:, :, None]  # graphs over (x1, x2)
+        c = np.ascontiguousarray(np.cross(B[:, 0], B[:, 1], axis=0).T)
+        n = c / np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+        want = np.stack([-n[:, 0] / n[:, 2], -n[:, 1] / n[:, 2]], axis=1)
+        assert adapted_coefficients(B).tobytes() == want.tobytes()
+
     def test_bitwise_equal_to_plane_normal(self, phi_perturbed):
         # every basis the kernel yields on a depth-500 pullback of 20 rows is
         # the row's pullback at a depth from 1 to 500: 10,000 kernel rows; the

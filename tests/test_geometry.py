@@ -10,6 +10,7 @@ from splitkit.geometry import (
     adjugate3,
     det3,
     exterior_square,
+    orthonormal_bases,
     principal_angle,
     project_along,
     torus_delta,
@@ -63,6 +64,17 @@ class TestPlane:
         P = Plane2.spanned_by(E1, E2)
         with pytest.raises(ValueError):
             P.basis[0, 0] = 2.0
+
+    def test_orthonormal_basis_made_once(self):
+        # 10,000 random planes: the kept basis is bitwise the Gram-Schmidt of
+        # the stored pair, made on the first call and read-only
+        B = np.random.default_rng(8).uniform(-1.0, 1.0, (10_000, 3, 2))
+        want = orthonormal_bases(B)
+        for basis, w in zip(B, want):
+            P = Plane2(basis)
+            Q = P.orthonormal_basis()
+            assert Q.tobytes() == w.tobytes()
+            assert P.orthonormal_basis() is Q and not Q.flags.writeable
 
 
 class TestPrincipalAngle:

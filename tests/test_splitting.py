@@ -85,6 +85,42 @@ class TestPullback:
             assert e.angle_step == principal_angle(e.plane, prev.plane)
 
 
+class TestPerRowDepth:
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_rows_bitwise_per_depth(self, phi_perturbed, tilt_E0, field):
+        # a mixed stack, depths out of order with repeats and depth-0 rows,
+        # two rows outside [0, 1)^3 and one in the shear support: each row
+        # equals one call per depth and the orbit-then-sweep of its point alone
+        E0 = tilt_E0 if field else None
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.random((9, 3)), [[0.3, 0.52, 0.45]], rng.uniform(-0.5, 1.5, (2, 3))])
+        ks = [3, 0, 7, 1, 3, 12, 0, 7, 1, 5, 0, 2]
+        got = _pullback_bases(phi_perturbed, X, E0, ks)
+        for depth in set(ks):
+            rows = [n for n, k in enumerate(ks) if k == depth]
+            alone = _pullback_bases(phi_perturbed, X[rows], E0, depth)
+            assert got[:, :, rows].tobytes() == alone.tobytes()
+        for n, (x, k) in enumerate(zip(X, ks)):
+            if k == 0:  # the basis E0 stores, at the point as given
+                want = _field_bases(E0, x[None], orthonormal=False)
+            else:
+                pts, recs = _orbit_records(phi_perturbed, x[None], k)
+                *_, (want, _) = _pull_back(phi_perturbed, recs, _field_bases(E0, pts[-1]))
+            assert got[:, :, n : n + 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_one_row(self, phi_perturbed, tilt_E0, k):
+        x = np.array([[0.3, 0.52, 0.45]])
+        for E0 in (None, tilt_E0):
+            one = _pullback_bases(phi_perturbed, x, E0, [k])
+            assert one.shape == (3, 2, 1)
+            assert one.tobytes() == _pullback_bases(phi_perturbed, x, E0, k).tobytes()
+
+    def test_negative_depth_rejected(self, phi_perturbed):
+        with pytest.raises(ValueError, match="depth"):
+            _pullback_bases(phi_perturbed, np.zeros((2, 3)), None, [2, -1])
+
+
 class TestFastLine:
     def test_identity_map(self):
         L0 = Line1(np.array([0.3, -0.2, 0.9]))

@@ -26,6 +26,7 @@ from splitkit.surface import (
     pushforward_vector,
     tangency_report,
 )
+from conftest import counting_kernel
 
 SPEC = FlowSpec(step=1e-3)
 
@@ -65,6 +66,24 @@ def reference_patch(frame, x0, epsilon, n, step, order):
     first, second = (frame.Y, frame.X) if order == "xy" else (frame.X, frame.Y)
     rows = np.array([row(q, second) for q in row(x0, first)])
     return rows.swapaxes(0, 1) if order == "xy" else rows
+
+
+def transport_reference(frame, x, t, step, grad_h=1e-6, v=None):
+    """Pushforward of Y (or of v given at the preimage) by the X-flow and its
+    largest step load, one state, one 3x3 matvec and one ``np.linalg.norm``
+    per RK4 stage."""
+    y = rk4_point(frame.X, x, -t, step)
+    dt = t / max(1, math.ceil(abs(t) / step))
+    loads = [0.0]
+
+    def g(S):
+        J = np.zeros((3, 3))
+        J[2] = frame.gradient_a(S[:3], h=grad_h)
+        loads.append(float(np.linalg.norm(J) * abs(dt)))
+        return np.concatenate([frame.X(S[:3]), J @ S[3:]])
+
+    v = frame.Y(y) if v is None else v
+    return rk4_point(g, np.concatenate([y, v]), t, step)[3:], max(loads)
 
 
 def exp_frame():
@@ -225,12 +244,41 @@ class TestPatches:
         orders = ("xy", "yx", "yx", "xy")
         chart = ChartBox(center=IN_SUPPORT.copy())
         frame = PullbackFrame(phi_perturbed, 10)
-        stacked = _build_patches(frame, seeds, orders, 0.02, 5, SPEC, chart)
+        stacked = _build_patches([frame] * 4, seeds, orders, 0.02, 5, SPEC, chart)
         for patch, x0, order in zip(stacked, seeds, orders):
             fresh = PullbackFrame(phi_perturbed, 10)
             alone = build_patch(fresh, x0, 0.02, 5, spec=SPEC, order=order)
             assert patch.points.tobytes() == alone.points.tobytes()
             assert patch.x0.tobytes() == alone.x0.tobytes()
+
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_stacked_depths_equal_build_patch(self, phi_perturbed, tilt_E0, field):
+        # the patches of several depths in one stack, as the surface command
+        # builds them: each is bitwise the patch built alone
+        E0 = tilt_E0 if field else None
+        ks = [1, 2, 4]
+        frames = [PullbackFrame(phi_perturbed, k, E0=E0) for k in ks]
+        chart = ChartBox(center=IN_SUPPORT.copy())
+        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart, ks=ks)
+        for patch, k in zip(stacked, ks):
+            fresh = PullbackFrame(phi_perturbed, k, E0=E0)
+            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, spec=SPEC, k=k)
+            assert patch.points.tobytes() == alone.points.tobytes()
+            assert patch.k == alone.k == k
+
+    def test_stacked_depths_one_kernel_call_per_stage(self, phi_perturbed, tilt_E0, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        frames = [PullbackFrame(phi_perturbed, k, E0=tilt_E0) for k in (1, 2, 3)]
+        chart = ChartBox(center=IN_SUPPORT.copy())
+        _build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, FlowSpec(step=4e-3), chart)
+        # n - 1 grid gaps of 3 RK4 steps, 4 stages each: the spines, then all
+        # rows, and every stage that misses pulls back the three depths
+        # together. Each sweep's second side starts from the nodes its first
+        # side started from, a cache hit; the rows start on the spine nodes,
+        # which the spines' next steps put in the cache, except the two end
+        # nodes of each spine
+        assert [rows for rows, _ in calls] == [3] * 47 + [6] + [15] * 46
+        assert all(depths == [1, 2, 3] for _, depths in calls)
 
     def test_patch_sweep_one_coefficients_call_per_stage(self):
         sizes = []
@@ -288,6 +336,75 @@ class TestPushforward:
         # pulls back its whole gradient stencil, centre first, so that X at the
         # centre is a cache hit (at the first stage the centre is the preimage)
         assert sizes == [1] * 20 + [1] + [6] + [7] * 19
+
+    @pytest.mark.parametrize("frame", ["depth 2", "depth 6", "exp"])
+    def test_identity_transport_starts_at_backward_flow_endpoint(
+        self, phi_perturbed, monkeypatch, frame
+    ):
+        # the quadrature's position columns end bitwise where the backward
+        # X-flow ends, and the transport starts there without a second flow
+        import splitkit.surface as surface
+
+        if frame == "exp":
+            fr, x, t = exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2
+        else:
+            fr, x, t = PullbackFrame(phi_perturbed, int(frame[-1])), IN_SUPPORT, 0.004
+        preimages = []
+        transport = surface.pushforward_vector
+
+        def spy(*args, **kwargs):
+            preimages.append(kwargs["preimage"])
+            return transport(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "pushforward_vector", spy)
+        lhs, *_ = pushforward_norm_identity(fr, x, t, SPEC)
+        assert preimages[0].tobytes() == flow(fr.X, x, -t, SPEC).tobytes()
+        e3 = np.array([0.0, 0.0, 1.0])
+        assert lhs == np.linalg.norm(transport(fr, x, t, SPEC, v=e3).vector)
+
+    def test_stacked_transport_rows_bitwise_reference(self):
+        # a curved analytic frame with a full gradient at 200 random points and
+        # random vectors, one stack: each row's vector and load are bitwise
+        # the one-state reference, whose J w is a 3x3 matvec and whose load
+        # is np.linalg.norm(J)
+        from splitkit.surface import _pushforwards
+
+        fr = AnalyticFrame(
+            lambda p: 0.3 * np.sin(2 * np.pi * p[0]) + 0.2 * p[1] * p[2] ** 2,
+            lambda p: 0.1 * np.cos(2 * np.pi * p[1]) * p[2],
+            grad_a=lambda p: np.array(
+                [0.6 * np.pi * np.cos(2 * np.pi * p[0]), 0.2 * p[2] ** 2, 0.4 * p[1] * p[2]]
+            ),
+        )
+        rng = np.random.default_rng(12)
+        X, V = rng.uniform(0.0, 1.0, (200, 3)), rng.standard_normal((200, 3))
+        vec, load = _pushforwards([fr] * 200, X, 0.05, SPEC, 1e-6, V=V)
+        for x, v, got, L in zip(X, V, vec, load):
+            w, want = transport_reference(fr, x, 0.05, SPEC.step, v=v)
+            assert got.tobytes() == w.tobytes() and L == want
+
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_series_rows_bitwise_per_depth(self, phi_perturbed, tilt_E0, field, monkeypatch):
+        E0 = tilt_E0 if field else None
+        ks, t = [1, 2, 3], 0.004
+        calls = counting_kernel(monkeypatch)
+        ser = pushforward_convergence_series(phi_perturbed, IN_SUPPORT, ks, t, SPEC, E0=E0)
+        # the depths step together: per flow, at most one kernel call per RK4
+        # stage back and forth (4 steps at h, 8 at h/2) and one for Y at the
+        # preimages; the h/2 flow's first stage, at x0, is a cache hit
+        assert len(calls) == (16 + 1 + 16) + (32 + 1 + 32) - 1
+        for k, value, resolved in zip(ks, ser.values, ser.resolved):
+            fr = PullbackFrame(phi_perturbed, k, E0=E0)
+            w, load = transport_reference(fr, IN_SUPPORT, t, SPEC.step)
+            w2, load2 = transport_reference(fr, IN_SUPPORT, t, SPEC.step / 2)
+            want = np.linalg.norm(w - fr.Y(IN_SUPPORT))
+            want2 = np.linalg.norm(w2 - fr.Y(IN_SUPPORT))
+            assert value.tobytes() == want.tobytes()
+            agree = abs(want - want2) <= max(0.25 * max(want, want2), 1e-9)
+            assert resolved is bool(load < 0.5 and load2 < 0.5 and agree)
+            res = pushforward_vector(fr, IN_SUPPORT, t, SPEC)
+            assert res.vector.tobytes() == w.tobytes() and res.max_step_load == load
+        assert ser.values.max() > 0
 
     def test_contact_pushforward_closed_form(self):
         # (X-flow_t)_* Y at x equals e2 + (x1 - t) e3 for the contact frame

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from splitkit.errors import ChartExitError
-from splitkit.frames import AdaptedFrame, AnalyticFrame, constant_frame, contact_frame
+from splitkit.frames import AdaptedFrame, AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.surface import FlowSpec
 from splitkit.uniqueness import (
     hartman_slice_report,
     leaf_divergence,
     pullback_hartman_report,
 )
+from conftest import counting_kernel
 
 SPEC = FlowSpec(step=1e-3)
 
@@ -119,3 +120,22 @@ class TestLeafDivergence:
         with pytest.raises(ChartExitError, match="patch \\+delta left") as ei:
             leaf_divergence(fr, np.zeros(3), 0.4, 5, 0.1, FlowSpec(step))
         assert abs(ei.value.exit_time) == pytest.approx(0.35, abs=step)
+
+
+class TestStackedSlice:
+    def test_pullback_report_one_kernel_call_bitwise(self, phi_perturbed, monkeypatch):
+        # the slice frames of every depth and the limit frame come from one
+        # kernel call, and each sup is bitwise that of the frame read alone
+        calls = counting_kernel(monkeypatch)
+        rep = pullback_hartman_report(phi_perturbed, 0.5, 4, k_ref=30, grid_n=3, h=1e-5)
+        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        monkeypatch.undo()
+        xs = np.linspace(0.0, 1.0, 3, endpoint=False)
+        grid = np.array([[xv, 0.5, zv] for xv in xs for zv in xs])
+        shift = np.array([0.0, 0.0, 1e-5])
+        a_lim = PullbackFrame(phi_perturbed, 30).coefficients(grid)[:, 0]
+        for k, sup_d, dist in zip(rep.ks, rep.sup_da_dx3, rep.sup_distance):
+            frame = PullbackFrame(phi_perturbed, k)
+            a_k, a_up, a_down = (frame.coefficients(p)[:, 0] for p in (grid, grid + shift, grid - shift))
+            assert sup_d == float(np.max(np.abs((a_up - a_down) / 2e-5)))
+            assert dist == float(np.max(np.abs(a_k - a_lim)))
