@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _orbit_records, _tangent
+from .dynamics import Diffeo, _differentials, _orbit_records
 from .errors import ConvergenceError
-from .frames import AdaptedFrame, PullbackFrame, _coefficients, aligned_pairs, fd_stencil
+from .frames import AdaptedFrame, PullbackFrame, _jacobians, aligned_pairs, fd_stencil
 from .geometry import Line1, Plane2, project_along
 from .splitting import _growth_along, _pullback_bases, compute_fast_line, fitted_rate
 
@@ -46,19 +46,6 @@ class BracketSample:
         return abs(self.c)
 
 
-def _coefficient_c(vals, h):
-    """c = X(b) - Y(a) by centered differences at step h, from the (7,2)
-    coefficients on ``fd_stencil(x, h)``."""
-    (a0, b0), (a1p, b1p), (a1m, b1m), (a2p, b2p), (a2m, b2m), (a3p, b3p), (a3m, b3m) = vals
-    db_dx1 = (b1p - b1m) / (2 * h)
-    db_dx3 = (b3p - b3m) / (2 * h)
-    da_dx2 = (a2p - a2m) / (2 * h)
-    da_dx3 = (a3p - a3m) / (2 * h)
-    X_of_b = db_dx1 + a0 * db_dx3
-    Y_of_a = da_dx2 + b0 * da_dx3
-    return X_of_b - Y_of_a
-
-
 def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSample:
     """Centered-difference bracket coefficient with a validated error bar.
 
@@ -70,45 +57,38 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     Nor does a value below the rounding error of its own differences count,
     however the three levels happen to line up.
     """
-    return _bracket_sample(x, h, frame.coefficients(_ladder(x, h)))
+    return _bracket_samples([frame], x, [h])[0]
 
 
-def _ladder(x, h):
-    """The stencils of ``bracket_coefficient``'s three step levels, as one
-    (21,3) stack: ``fd_stencil`` of x at h, h/2 and h/4."""
-    return np.concatenate([fd_stencil(x, h / d) for d in (1, 2, 4)])
-
-
-def _bracket_sample(x, h, vals) -> BracketSample:
-    """The validated sample of ``bracket_coefficient`` from the (21,2)
-    coefficients on ``_ladder(x, h)``."""
-    steps = [h / d for d in (1, 2, 4)]
-    cs = [_coefficient_c(vals[7 * i : 7 * i + 7], s) for i, s in enumerate(steps)]
-    d01 = abs(cs[0] - cs[1])
-    d12 = abs(cs[1] - cs[2])
-    err = d12 / 3.0
-    c = cs[2]
-    converged_tol = max(RESOLVED_ABS_FLOOR, 0.02 * abs(c))
-    if max(d01, d12) <= converged_tol:
-        order_ratio = 4.0  # all three levels agree; order test moot
-        order_ok = True
-    else:
-        order_ratio = d01 / max(d12, 1e-300)
-        order_ok = 2.0 <= order_ratio <= 8.0
-    # rounding bound of the finest level: each (a, b) carries an absolute
-    # error of ROUNDOFF_ULPS * eps * (1 + |a| + |b|), and c sums four
-    # differences of them, two weighted by a and b, divided by 2 (h/4)
-    a0, b0 = (abs(v) for v in vals[14])
-    floor = ROUNDOFF_ULPS * np.finfo(float).eps * (1 + a0 + b0) * (2 + a0 + b0) / (h / 4)
-    resolved = order_ok and abs(c) > max(4.0 * err, RESOLVED_ABS_FLOOR, floor)
-    return BracketSample(
-        point=np.asarray(x, dtype=float),
-        h=h,
-        c=float(c),
-        error=float(err),
-        order_ratio=float(order_ratio),
-        resolved=bool(resolved),
-    )
+def _bracket_samples(frames, x, hs):
+    """The samples of ``bracket_coefficient`` at x, one per frame and step
+    h, from one ``_jacobians`` call over all their ladders (h, h/2, h/4)."""
+    x = np.asarray(x, dtype=float)
+    steps = [h / d for h in hs for d in (1, 2, 4)]
+    C, J = _jacobians([f for f in frames for _ in range(3)], np.tile(x, (len(steps), 1)), steps)
+    # c = X(b) - Y(a), with X = e1 + a e3 and Y = e2 + b e3
+    c = (J[:, 1, 0] + C[:, 0] * J[:, 1, 2]) - (J[:, 0, 1] + C[:, 1] * J[:, 0, 2])
+    samples = []
+    for h, cs, (a0, b0) in zip(hs, c.reshape(-1, 3), np.abs(C[2::3])):
+        d01 = abs(cs[0] - cs[1])
+        d12 = abs(cs[1] - cs[2])
+        err = d12 / 3.0
+        converged_tol = max(RESOLVED_ABS_FLOOR, 0.02 * abs(cs[2]))
+        if max(d01, d12) <= converged_tol:
+            order_ratio = 4.0  # all three levels agree; order test moot
+            order_ok = True
+        else:
+            order_ratio = d01 / max(d12, 1e-300)
+            order_ok = 2.0 <= order_ratio <= 8.0
+        # rounding bound of the finest level: each (a, b) carries an absolute
+        # error of ROUNDOFF_ULPS * eps * (1 + |a| + |b|), and c sums four
+        # differences of them, two weighted by a and b, divided by 2 (h/4)
+        floor = ROUNDOFF_ULPS * np.finfo(float).eps * (1 + a0 + b0) * (2 + a0 + b0) / (h / 4)
+        resolved = order_ok and abs(cs[2]) > max(4.0 * err, RESOLVED_ABS_FLOOR, floor)
+        samples.append(
+            BracketSample(x, h, float(cs[2]), float(err), float(order_ratio), bool(resolved))
+        )
+    return samples
 
 
 def vector_field_bracket(U, V, h):
@@ -151,8 +131,8 @@ def invariance_identity_residual(
     when that is x itself, as at a periodic sample.
     """
     x = np.asarray(x, dtype=float)
-    pts, recs = _orbit_records(phi, x[None], k)
-    y = pts[-1][0]
+    pts = np.concatenate(_orbit_records(phi, x[None], k)[0])
+    y = pts[-1]
     # x, its stencil and phi^k(x), pulled back once and shared
     stencil = fd_stencil(x, h)
     B = _pullback_bases(phi, np.vstack([stencil, y]), E0, k_plane)
@@ -164,12 +144,12 @@ def invariance_identity_residual(
         return InvarianceResidual(x, k, 0.0, 0.0, True)
 
     pv = project_along(v, E_x, F_x)
-    # D(phi^k): the identity pushed through each recorded step, and the k
-    # one-step differentials multiplied densely (pushing one product through
-    # all k steps rounds differently); the guard checks every partial product
+    # D(phi^k): the k one-step differentials along the orbit, multiplied
+    # densely (pushing one product through all k steps rounds differently);
+    # the guard checks every partial product
     D, overflow = np.eye(3), False
-    for rec in recs:
-        D = _tangent(phi, rec, np.eye(3)[:, :, None])[:, :, 0] @ D
+    for D_i in _differentials(phi, pts[:-1]):
+        D = D_i @ D
         overflow |= np.max(np.abs(D)) > COCYCLE_OVERFLOW_NORM
     if overflow:
         raise ConvergenceError("cocycle overflow: reduce k or use log-scale ratios")
@@ -266,13 +246,8 @@ def bound_curve(
     # at h and h/10, from one call
     limit_frame = PullbackFrame(phi, k_plane, E0=E0)
     h_ks = [h * float(np.exp(-log_f[k - 1])) for k in range(1, k_max + 1)]
-    ladders = [(PullbackFrame(phi, k, E0=E0), h_k) for k, h_k in enumerate(h_ks, 1)]
-    ladders += [(limit_frame, h), (limit_frame, h / 10)]
-    vals = _coefficients(
-        [frame for frame, _ in ladders for _ in range(21)],
-        np.concatenate([_ladder(x, step) for _, step in ladders]),
-    ).reshape(-1, 21, 2)
-    *samples, limit, fine = [_bracket_sample(x, step, v) for (_, step), v in zip(ladders, vals)]
+    frames = [PullbackFrame(phi, k, E0=E0) for k in range(1, k_max + 1)]
+    *samples, limit, fine = _bracket_samples(frames + [limit_frame] * 2, x, h_ks + [h, h / 10])
 
     entries = []
     for k, (h_k, bs) in enumerate(zip(h_ks, samples), 1):

@@ -25,9 +25,17 @@ def canonical_json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _is_number(value):
+    """A JSON number: an int or a float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number_rows(value, key, width):
-    """A list of lists of ``width`` numbers, as a tuple of float tuples."""
+    """A list of lists of ``width`` numbers, as a tuple of float tuples; the
+    numbers follow ``_number``'s type rule."""
     try:
+        if not all(_is_number(c) for v in value for c in v):
+            raise TypeError
         rows = tuple(tuple(float(c) for c in v) for v in value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be a list of {width}-number lists") from exc
@@ -42,7 +50,7 @@ def _number(value, key, typ):
     """A config number of type ``typ``: any finite JSON number but a boolean
     (``json`` reads NaN, Infinity and integers beyond the float range), and
     for an int one with no fractional part (20.0 reads as 20)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"config key {key!r} must be a {typ.__name__}, got {value!r}")
     try:
         finite = math.isfinite(value)
@@ -53,6 +61,16 @@ def _number(value, key, typ):
     if typ is int and not float(value).is_integer():
         raise ConfigError(f"config key {key!r} must be a int, got {value!r}")
     return typ(value)
+
+
+def _known_keys(obj, name, keys):
+    """Reject the keys of a nested config object that ``keys`` does not list."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in config object {name!r}: {sorted(unknown)}")
+
+
+_SHEAR_KEYS = ("axis", "center", "radius", "amplitude")
 
 
 # the scalar fields: each config key is read as a number of its field's type
@@ -101,6 +119,7 @@ class ExperimentConfig:
         m = d.get("map")
         if not isinstance(m, dict) or "matrix" not in m:
             raise ConfigError("config requires a 'map' object with at least a 'matrix'")
+        _known_keys(m, "map", ("matrix", "shears"))
         kwargs = {}
         for key, f in schema.items():
             if f.type in _SCALAR_TYPES and key in d:
@@ -115,17 +134,15 @@ class ExperimentConfig:
             sf = d["synthetic_field"]
             if not isinstance(sf, dict) or sf.get("kind") not in ("contact", "constant"):
                 raise ConfigError("synthetic_field.kind must be 'contact' or 'constant'")
-            try:
-                finite = all(math.isfinite(float(sf.get(c, 0.0))) for c in ("a", "b"))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError("synthetic_field 'a' and 'b' must be numbers") from exc
-            if not finite:
-                raise ConfigError("synthetic_field 'a' and 'b' must be finite")
+            _known_keys(sf, "synthetic_field", ("kind", "a", "b"))
+            for c in ("a", "b"):
+                _number(sf.get(c, 0.0), f"synthetic_field.{c}", float)
             kwargs["synthetic_field"] = sf
         if "e0" in d and d["e0"] is not None:
             basis = d["e0"].get("basis") if isinstance(d["e0"], dict) else None
             if basis is None:
                 raise ConfigError("e0 must be {'basis': [[...], [...]]} or omitted")
+            _known_keys(d["e0"], "e0", ("basis",))
             kwargs["e0_basis"] = _number_rows(basis, "e0.basis", 3)
             if len(kwargs["e0_basis"]) != 2:
                 raise ConfigError("e0.basis must hold exactly 2 vectors")
@@ -174,23 +191,29 @@ class ExperimentConfig:
         if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
             raise ConfigError("map 'shears' must be a list of shear objects")
         shears = []
-        for s in specs:
-            missing = {"axis", "center", "radius", "amplitude"} - set(s)
+        for i, s in enumerate(specs):
+            name = f"map.shears[{i}]"
+            _known_keys(s, name, _SHEAR_KEYS)
+            missing = set(_SHEAR_KEYS) - set(s)
             if missing:
                 raise ConfigError(f"shear spec missing keys: {sorted(missing)}")
-            try:
-                center = [float(c) for c in s["center"]]
-                radius, amplitude = float(s["radius"]), float(s["amplitude"])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError("shear center, radius and amplitude must be numbers") from exc
-            if len(center) != 3:
-                raise ConfigError("shear center must be a list of 3 numbers")
-            for key, values in (("center", center), ("radius", [radius]), ("amplitude", [amplitude])):
-                if not all(map(math.isfinite, values)):
+            axis = _number(s["axis"], f"{name}.axis", int)
+            (center,) = _number_rows([s["center"]], f"{name}.center", 3)
+            for key in ("radius", "amplitude"):
+                try:
+                    if not _is_number(s[key]):
+                        raise TypeError
+                    finite = math.isfinite(float(s[key]))
+                except (TypeError, OverflowError) as exc:
+                    raise ConfigError(
+                        f"shear center, radius and amplitude must be numbers, got {name}.{key} = {s[key]!r}"
+                    ) from exc
+                if not finite:
                     raise ConfigError(f"shear {key} must be finite, got {s[key]!r}")
-            shears.append(ShearPerturbation(s["axis"], center, radius, amplitude))
+            shears.append(ShearPerturbation(axis, center, float(s["radius"]), float(s["amplitude"])))
+        matrix = _number_rows(self.map_spec["matrix"], "map.matrix", 3)
         try:
-            auto = ToralAutomorphism(np.asarray(self.map_spec["matrix"]))
+            auto = ToralAutomorphism(np.asarray(matrix))
         except ConfigError:
             raise
         except Exception as exc:

@@ -56,15 +56,17 @@ def _graph_vectors(C, which):
 
 
 def plane_from_coefficients(a, b) -> Plane2:
-    return Plane2.spanned_by([1.0, 0.0, a], [0.0, 1.0, b])
+    return Plane2.spanned_by(*_graph_vectors(np.array([[a, b], [a, b]], dtype=float), [0, 1]))
 
 
 def fd_stencil(x, h):
     """The centered-difference stencil of x as a (7,3) stack: rows x, x + h e1,
-    x - h e1, x + h e2, x - h e2, x + h e3, x - h e3."""
+    x - h e1, x + h e2, x - h e2, x + h e3, x - h e3. For an (N,3) stack of
+    points, with one step for all or one per row, an (N,7,3) stack."""
     x = np.asarray(x, dtype=float)
-    E = h * np.eye(3)
-    return np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])
+    E = np.asarray(h, dtype=float)[..., None, None] * np.eye(3)
+    moved = [op(x, E[..., i, :]) for i in range(3) for op in (np.add, np.subtract)]
+    return np.stack([x, *moved], axis=-2)
 
 
 class AdaptedFrame:
@@ -72,9 +74,12 @@ class AdaptedFrame:
 
     ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
     and an (N, 2) array for a stack of shape (N, 3); so do the frame fields
-    ``X`` and ``Y``, with one vector per point.  ``plane`` and the gradient
-    take one point.
+    ``X`` and ``Y``, with one vector per point.  ``plane`` takes one point.
+    ``grad_a`` is the closed-form gradient of a, or None where the
+    derivatives are centred differences (``_jacobians``).
     """
+
+    grad_a = None
 
     def coefficients(self, p):
         raise NotImplementedError
@@ -96,12 +101,6 @@ class AdaptedFrame:
         a, b = self.coefficients(p)
         return plane_from_coefficients(a, b)
 
-    def gradient_a(self, p, h=1e-6):
-        """Centered differences of a at p, from one coefficients call on the
-        whole stencil; its centre row makes the frame's value at p a cache hit."""
-        vals = self.coefficients(fd_stencil(p, h))[:, 0]
-        return (vals[1::2] - vals[2::2]) / (2 * h)
-
 
 class AnalyticFrame(AdaptedFrame):
     """Coefficients given by closed-form functions, with an optional gradient of a."""
@@ -109,18 +108,13 @@ class AnalyticFrame(AdaptedFrame):
     def __init__(self, a, b, grad_a=None):
         self._a = a
         self._b = b
-        self._grad_a = grad_a
+        self.grad_a = grad_a
 
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
         if p.ndim == 2:
             return np.array([self.coefficients(q) for q in p]).reshape(-1, 2)
         return float(self._a(p)), float(self._b(p))
-
-    def gradient_a(self, p, h=1e-6):
-        if self._grad_a is not None:
-            return np.asarray(self._grad_a(np.asarray(p, dtype=float)), dtype=float)
-        return super().gradient_a(p, h)
 
 
 def constant_frame(a, b) -> AnalyticFrame:
@@ -185,24 +179,35 @@ def _graph_field_of(frames, which):
     return lambda P: _graph_vectors(_coefficients(frames, P), which)
 
 
+def _jacobians(frames, P, h):
+    """Coefficient pairs (N, 2) at the rows of an (N,3) stack, row n of
+    ``frames[n]``, and their centred differences d(a, b)/dx_j (N, 2, 3) at
+    step h, one for all rows or one per row.
+
+    Every row's ``fd_stencil``, centre first, goes in one ``_coefficients``
+    call: the pairs are the centres' values, bitwise each frame's own, and
+    the misses of all pullback frames make one kernel call. Frame
+    coefficients are differenced only here and in the Hartman slice report.
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    h = np.broadcast_to(np.asarray(h, dtype=float), len(P))
+    stencils = fd_stencil(P, h).reshape(-1, 3)
+    C = _coefficients([f for f in frames for _ in range(7)], stencils).reshape(-1, 7, 2)
+    J = (C[:, 1::2] - C[:, 2::2]).transpose(0, 2, 1) / (2 * h)[:, None, None]
+    return C[:, 0], J
+
+
 def _gradients_a(frames, P, h):
     """The gradients (N,3) of the coefficient a at the rows of an (N,3)
-    stack, row n of ``frames[n]``. Each frame that keeps the
-    finite-difference ``AdaptedFrame.gradient_a`` differences its stencil
-    at step h, centre first, and all those stencils go in one
-    ``_coefficients`` call; any other frame gives its own gradient row by
-    row."""
+    stack, row n of ``frames[n]``: a frame's closed-form ``grad_a`` where it
+    has one, and else the centred differences of ``_jacobians`` at step h,
+    all those rows in one call."""
     P = np.asarray(P, dtype=float).reshape(-1, 3)
-    fd = [type(f).gradient_a is AdaptedFrame.gradient_a for f in frames]
-    G = np.empty((len(P), 3))
-    rows = np.flatnonzero(fd)
-    if len(rows):
-        stencils = np.concatenate([fd_stencil(P[n], h) for n in rows])
-        a = _coefficients([frames[n] for n in rows for _ in range(7)], stencils)[:, 0].reshape(-1, 7)
-        G[rows] = (a[:, 1::2] - a[:, 2::2]) / (2 * h)
-    for n in np.flatnonzero(np.logical_not(fd)):
-        G[n] = frames[n].gradient_a(P[n], h=h)
-    return G
+    G = np.array([np.zeros(3) if f.grad_a is None else f.grad_a(p) for f, p in zip(frames, P)], dtype=float)
+    fd = [n for n, f in enumerate(frames) if f.grad_a is None]
+    if fd:
+        G[fd] = _jacobians([frames[n] for n in fd], P[fd], h)[1][:, 0]
+    return G.reshape(-1, 3)
 
 
 def _coefficients(frames, P):

@@ -198,14 +198,6 @@ class TangencyReport:
     angles: np.ndarray  # (n-2, n-2): angle to the own plane at interior node [i-1, j-1]
 
 
-def _graph_bases(C):
-    """Bases [e1 + a e3 | e2 + b e3], as an (N, 3, 2) stack, of (N, 2) coefficient pairs."""
-    B = np.zeros((len(C), 3, 2))
-    B[:, 0, 0] = B[:, 1, 1] = 1.0
-    B[:, 2] = C
-    return B
-
-
 def tangency_report(
     patch: SurfacePatch, frame: AdaptedFrame, limit: AdaptedFrame | None = None
 ) -> TangencyReport:
@@ -225,11 +217,13 @@ def tangency_report(
     P = W[1:-1, 1:-1].reshape(-1, 3)
     fields = [frame] if limit is None else [frame, limit]
     C = _coefficients([f for f in fields for _ in P], np.tile(P, (len(fields), 1)))
-    own = _graph_bases(C[: len(P)])
+    # bases [X | Y], (N, 3, 2), of both frames
+    bases = np.stack([_graph_vectors(C, 0), _graph_vectors(C, 1)], axis=2)
+    own = bases[: len(P)]
     angles = plane_angles(tangents, own)
     angles_limit = None
     if limit is not None:
-        angles_limit = plane_angles(tangents, _graph_bases(C[len(P) :]))
+        angles_limit = plane_angles(tangents, bases[len(P) :])
     return TangencyReport(
         k=patch.k,
         max_angle=float(np.max(angles)),
@@ -337,8 +331,8 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
 
     # quadrature of da/dx3 along tau -> X-flow_{-tau}(x), via an augmented ODE
     def g(S):
-        da_dx3 = frame.gradient_a(S[0, :3], h=DEFAULT_GRAD_H)[2]
-        return np.concatenate([-frame.X(S[:, :3]), [[da_dx3]]], axis=1)
+        da_dx3 = _gradients_a([frame], S[:, :3], DEFAULT_GRAD_H)[:, 2:]
+        return np.concatenate([-frame.X(S[:, :3]), da_dx3], axis=1)
 
     out = flow(g, np.concatenate([x, [0.0]]), t, spec)
     rhs = float(np.exp(out[3]))

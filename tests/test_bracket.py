@@ -130,6 +130,14 @@ class TestInvarianceIdentities:
         assert res.residual < 1e-3
         assert res.norm_identity_rel_err < 1e-8
 
+    def test_depth_zero_is_identity(self, phi_perturbed):
+        # D(phi^0) = I, so both identities hold exactly at phi^0(x) = x
+        res = invariance_identity_residual(
+            phi_perturbed, np.array([0.3, 0.52, 0.45]), 0, k_plane=100, k_line=300
+        )
+        assert not res.degenerate
+        assert res.residual == 0.0 and res.norm_identity_rel_err == 0.0
+
 
 class TestBoundCurve:
     def test_linear_involutive_initial(self, phi_linear):
@@ -244,7 +252,47 @@ class TestFastLineOnce:
         assert shared.norm_identity_rel_err == alone.norm_identity_rel_err
 
 
+def ladder_reference(frame, x, h):
+    """c = X(b) - Y(a) at steps h, h/2 and h/4, each from the frame's own
+    coefficients on the 7-point stencil, differenced one scalar at a time."""
+    cs = []
+    for s in (h, h / 2, h / 4):
+        E = s * np.eye(3)
+        vals = frame.coefficients(np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]]))
+        (a0, b0), (_, b1p), (_, b1m), (a2p, _), (a2m, _), (a3p, b3p), (a3m, b3m) = vals
+        db_dx1 = (b1p - b1m) / (2 * s)
+        db_dx3 = (b3p - b3m) / (2 * s)
+        da_dx2 = (a2p - a2m) / (2 * s)
+        da_dx3 = (a3p - a3m) / (2 * s)
+        cs.append((db_dx1 + a0 * db_dx3) - (da_dx2 + b0 * da_dx3))
+    return cs
+
+
 class TestStackedLadders:
+    @pytest.mark.parametrize("kind", ["contact", "constant", "curved", "pullback"])
+    def test_bracket_coefficient_bitwise_ladder_reference(self, phi_perturbed, kind):
+        def frame():
+            if kind == "contact":
+                return contact_frame()
+            if kind == "constant":
+                return constant_frame(0.7, -1.3)
+            if kind == "curved":
+                return AnalyticFrame(
+                    lambda p: 0.2 * np.sin(2 * np.pi * p[1]) * p[2],
+                    lambda p: 0.3 * np.cos(2 * np.pi * p[0]) + p[0] * p[2] ** 2,
+                )
+            return PullbackFrame(phi_perturbed, 6)
+
+        x, h = np.array([0.3, 0.52, 0.45]), 1e-4
+        bs = bracket_coefficient(frame(), x, h)
+        cs = ladder_reference(frame(), x, h)
+        d01, d12 = abs(cs[0] - cs[1]), abs(cs[1] - cs[2])
+        assert bs.c == cs[2] and bs.error == d12 / 3.0
+        if max(d01, d12) > max(1e-11, 0.02 * abs(cs[2])):
+            assert bs.order_ratio == d01 / max(d12, 1e-300)
+        if kind in ("curved", "pullback"):
+            assert bs.c != 0.0
+
     def test_bound_curve_one_kernel_call_bitwise_per_depth(self, phi_perturbed, tilt_E0, monkeypatch):
         # the ladders of every depth and both limit ladders come from one
         # kernel call, and each sample is bitwise its own bracket_coefficient

@@ -206,6 +206,19 @@ class TestCliExitCodes:
             with_shear(center=[0, 0.5]),
             with_shear(radius="x"),
             with_shear(amplitude="x"),
+            base_config(map={"matrix": MATRIX, "shear": [SHEAR]}),
+            with_shear(axis=True),
+            with_shear(amplitude="0.05"),
+            with_shear(bogus=1),
+            base_config(e0={"basis": [[1, 0, 0], [0, 1, 0]], "bogus": 1}),
+            base_config(synthetic_field={"kind": "contact", "bogus": 1}),
+            base_config(samples=[["0.5", 0.0, 0.0]]),
+            base_config(samples=[[True, 0.0, 0.0]]),
+            base_config(e0={"basis": [["1", 0, 0], [0, 1, 0]]}),
+            base_config(e0={"basis": [[True, 0, 0], [0, 1, 0]]}),
+            base_config(synthetic_field={"kind": "constant", "a": "0.5"}),
+            base_config(synthetic_field={"kind": "constant", "a": True}),
+            base_config(map={"matrix": [[-3, 0, 2], [True, 2, -3], [0, -1, True]]}),
         ],
         ids=[
             "top-level-number",
@@ -217,6 +230,19 @@ class TestCliExitCodes:
             "center-two-numbers",
             "radius-string",
             "amplitude-string",
+            "map-shear-typo",
+            "axis-bool",
+            "amplitude-numeric-string",
+            "shear-unknown-key",
+            "e0-unknown-key",
+            "synthetic-unknown-key",
+            "sample-string",
+            "sample-bool",
+            "e0-basis-string",
+            "e0-basis-bool",
+            "synthetic-a-string",
+            "synthetic-a-bool",
+            "matrix-bool",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg_dict):

@@ -8,6 +8,7 @@ from splitkit.frames import (
     AnalyticFrame,
     PullbackFrame,
     adapted_coefficients,
+    _jacobians,
     aligned_pairs,
     fd_stencil,
     plane_from_coefficients,
@@ -15,7 +16,7 @@ from splitkit.frames import (
 from splitkit.dynamics import _gram_schmidt, orbit
 from splitkit.splitting import _pullback_bases
 from splitkit.geometry import exterior_square, principal_angle, wedge_coordinates
-from conftest import DET_SLOW, SHEAR, SLOW_PLANE_COEFFS, dense_differential
+from conftest import DET_SLOW, SHEAR, SLOW_PLANE_COEFFS, counting_kernel, dense_differential
 
 
 def solve_qr_pullback(phi, p, E0: Plane2, k):
@@ -310,3 +311,48 @@ class TestAlignedPairField:
             Zo, Wo = self.align(oracle)
             assert Z.tobytes() == Zo.tobytes() and W.tobytes() == Wo.tobytes()
 
+
+
+def jacobian_reference(frame, x, h):
+    """The pair (a, b) at x and its centred differences (2, 3) at step h, from
+    the frame's own coefficients on the 7-point stencil written out here."""
+    E = h * np.eye(3)
+    C = np.asarray(frame.coefficients(np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])))
+    return C[0], ((C[1::2] - C[2::2]) / (2 * h)).T
+
+
+class TestJacobians:
+    def test_stencil_stack_equals_rows(self):
+        P = np.random.default_rng(7).uniform(0, 1, (5, 3))
+        h = np.array([1e-3, 1e-4, 2.5e-5, 1e-6, 3e-2])
+        S = fd_stencil(P, h)
+        assert S.shape == (5, 7, 3)
+        for x, step, rows in zip(P, h, S):
+            E = step * np.eye(3)
+            want = np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])
+            assert rows.tobytes() == want.tobytes() == fd_stencil(x, step).tobytes()
+
+    def test_mixed_frames_rows_bitwise_one_kernel_call(self, phi_perturbed, monkeypatch):
+        # an analytic frame and pullback frames at depths 0, 1 and 6, each
+        # row with its own point and step: every row is bitwise its frame's
+        # own differences, and the pullback rows make one kernel call
+        def frames():
+            curved = AnalyticFrame(
+                lambda p: 0.3 * np.sin(2 * np.pi * p[0]) + 0.2 * p[1] * p[2] ** 2,
+                lambda p: 0.1 * np.cos(2 * np.pi * p[1]) * p[2],
+            )
+            deep = PullbackFrame(phi_perturbed, 6)
+            return [curved, PullbackFrame(phi_perturbed, 0), PullbackFrame(phi_perturbed, 1), deep, deep]
+
+        rng = np.random.default_rng(8)
+        P = np.asarray(SHEAR["center"]) + rng.uniform(-0.1, 0.1, (5, 3))
+        h = np.array([1e-4, 3e-5, 1e-3, 1e-5, 2e-4])
+        calls = counting_kernel(monkeypatch)
+        C, J = _jacobians(frames(), P, h)
+        assert [depths for _, depths in calls] == [[0, 1, 6]]
+        assert C.shape == (5, 2) and J.shape == (5, 2, 3)
+        monkeypatch.undo()
+        for frame, x, step, c, j in zip(frames(), P, h, C, J):
+            want_c, want_j = jacobian_reference(frame, x, step)
+            assert c.tobytes() == want_c.tobytes() and j.tobytes() == want_j.tobytes()
+        assert np.abs(J[3]).max() > 0

@@ -71,14 +71,21 @@ def reference_patch(frame, x0, epsilon, n, step, order):
 def transport_reference(frame, x, t, step, grad_h=1e-6, v=None):
     """Pushforward of Y (or of v given at the preimage) by the X-flow and its
     largest step load, one state, one 3x3 matvec and one ``np.linalg.norm``
-    per RK4 stage."""
+    per RK4 stage; grad(a) is the frame's closed form, or else centred
+    differences on the 7-point stencil, centre first."""
     y = rk4_point(frame.X, x, -t, step)
     dt = t / max(1, math.ceil(abs(t) / step))
     loads = [0.0]
 
     def g(S):
         J = np.zeros((3, 3))
-        J[2] = frame.gradient_a(S[:3], h=grad_h)
+        if frame.grad_a is not None:
+            J[2] = frame.grad_a(S[:3])
+        else:  # centred differences of a, the stencil in one coefficients call
+            E = grad_h * np.eye(3)
+            p = S[:3]
+            a = frame.coefficients(np.array([p, p + E[0], p - E[0], p + E[1], p - E[1], p + E[2], p - E[2]]))[:, 0]
+            J[2] = (a[1::2] - a[2::2]) / (2 * grad_h)
         loads.append(float(np.linalg.norm(J) * abs(dt)))
         return np.concatenate([frame.X(S[:3]), J @ S[3:]])
 
