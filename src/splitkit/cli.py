@@ -2,8 +2,10 @@
 
 Subcommands mirror the library modules; each writes CSV series and a JSON
 summary (byte-identical across runs of the same config) plus a timing
-sidecar.  Exit codes: 0 success, 2 configuration/validation error, 3
-numerical non-convergence.
+sidecar.  A subcommand imports the layers above ``splitting`` that it runs
+(``bracket``, ``surface``, ``uniqueness``) when it is called, so a process
+loads only its own.  Exit codes: 0 success, 2 configuration/validation
+error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -14,22 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bracket import bound_curve, bracket_coefficient, invariance_identity_residual
 from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report, fitted_rate, swept_growth
-from .surface import (
-    ChartBox,
-    FlowSpec,
-    _build_patches,
-    pushforward_convergence_series,
-    pushforward_norm_identity,
-    tangency_report,
-)
-from .uniqueness import leaf_divergence, pullback_hartman_report
 
 # Two-decimal eigenvalue tuple quoted alongside the built-in example matrix.
 # The computed spectrum of PAPER_MATRIX is (-0.1001, -3.1110, +3.2111); the
@@ -195,6 +187,8 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
 
 
 def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .bracket import bound_curve, bracket_coefficient, invariance_identity_residual
+
     pts = cfg.sample_points()
     rows = []
     summaries = []
@@ -246,6 +240,15 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 
 def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .surface import (
+        ChartBox,
+        FlowSpec,
+        _build_patches,
+        pushforward_convergence_series,
+        pushforward_norm_identity,
+        tangency_report,
+    )
+
     x0 = cfg.sample_points()[0]
     spec = FlowSpec(step=cfg.step)
     E0 = cfg.initial_plane()
@@ -316,6 +319,9 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 
 def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .surface import FlowSpec
+    from .uniqueness import leaf_divergence, pullback_hartman_report
+
     x0 = cfg.sample_points()[0]
     E0 = cfg.initial_plane()
     with timer.time("uniqueness"):

@@ -34,8 +34,8 @@ class FlowSpec:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, not {self.step!r}")
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,39 @@ def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = Non
     """Endpoint of the time-t flow of y' = field(y) (t of either sign) in fixed RK4 steps.
 
     ``y0`` is one state of shape (d,) or a stack of N states of shape (N, d);
-    ``field`` maps an (N, d) stack to an (N, d) stack.  All rows take the same
-    steps with elementwise arithmetic, so a row's endpoint is bitwise the same
-    whatever else is in the stack.  With a chart, the first three coordinates
-    of every row are checked after each step.
+    ``field`` maps an (N, d) stack to an (N, d) stack.  ``t`` is one time for
+    all rows or one per row: row n takes ceil(|t_n| / step) steps of t_n over
+    that count (none at t_n = 0) with elementwise arithmetic, so its endpoint
+    is bitwise the same whatever else is in the stack.  A row that has taken
+    its steps keeps its endpoint while the others go on; the field still sees
+    it there.  With a chart, the first three coordinates of every row are
+    checked after each step.
     """
     y = np.array(y0, dtype=float)
-    if t == 0.0:
-        return y
-    n = max(1, math.ceil(abs(t) / spec.step))
-    dt = t / n
     Y = y.reshape(-1, y.shape[-1])
-    for i in range(n):
+    T = np.broadcast_to(np.asarray(t, dtype=float), len(Y))
+    bad = ~np.isfinite(T)
+    if bad.any():
+        n = int(bad.argmax())
+        raise ValueError(f"flow time of row {n} is not finite: {float(T[n])}")
+    steps = np.where(T == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(T) / spec.step)))
+    dt = T / np.maximum(steps, 1.0)
+    for i in range(int(steps.max(initial=0.0))):
+        live = i < steps
+        h = np.where(live, dt, 0.0)[:, None]
         k1 = field(Y)
-        k2 = field(Y + 0.5 * dt * k1)
-        k3 = field(Y + 0.5 * dt * k2)
-        k4 = field(Y + dt * k3)
-        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = field(Y + 0.5 * h * k1)
+        k3 = field(Y + 0.5 * h * k2)
+        k4 = field(Y + h * k3)
+        Y = np.where(live[:, None], Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), Y)
         if chart is not None:
             outside = ~chart.contains(Y[:, :3])
             if outside.any():
+                row = int(outside.argmax())
                 raise ChartExitError(
-                    f"trajectory left the chart at time {(i + 1) * dt:.6g}",
-                    exit_time=(i + 1) * dt,
-                    row=int(outside.argmax()),
+                    f"trajectory left the chart at time {(i + 1) * dt[row]:.6g}",
+                    exit_time=(i + 1) * dt[row],
+                    row=row,
                 )
     return Y.reshape(y.shape)
 
@@ -97,30 +106,36 @@ class SurfacePatch:
         return 2.0 * self.epsilon / (self.n - 1)
 
 
-def _sweep(field, starts, grid, i0, spec, chart, names):
+def _sweep(frames, which, starts, grid, i0, spec, chart, names):
     """Flow every row of an (N, 3) stack of starts to each time of ``grid``.
 
-    Node [m, i] is the ``field``-flow of ``starts[m]`` for time ``grid[i]``,
-    reached step by step outward from ``grid[i0]`` = 0; all rows step together.
-    A row that leaves the chart raises ``ChartExitError`` naming its patch,
-    ``names[m]``, with the flow time from ``grid[i0]`` of the step outside.
+    Node [m, i] is the flow of ``starts[m]`` for time ``grid[i]`` along the
+    field X (``which`` 0) or Y (1) of ``frames[m]``, reached gap by gap
+    outward from ``grid[i0]`` = 0 on a grid with as many gaps on each side.
+    Both sides of a gap step as one 2N-row stack, each row with its own time,
+    so each RK4 stage is one field evaluation. A row that leaves the chart
+    raises ``ChartExitError`` naming its patch, ``names[m]``, with the signed
+    flow time from ``grid[i0]`` of the step outside.
     """
-    out = np.empty((len(starts), len(grid), 3))
+    N = len(starts)
+    field = _graph_field_of(list(frames) * 2, np.tile(which, 2))
+    out = np.empty((N, len(grid), 3))
     out[:, i0] = starts
-    for side in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
-        q, prev = starts, i0
-        for i in side:
-            try:
-                q = flow(field, q, grid[i] - grid[prev], spec, chart)
-            except ChartExitError as exc:
-                t = grid[prev] - grid[i0] + exc.exit_time
-                raise ChartExitError(
-                    f"patch {names[exc.row]} left the chart at flow time {t:.6g}; "
-                    "reduce epsilon",
-                    exit_time=t,
-                ) from None
-            out[:, i] = q
-            prev = i
+    q = np.concatenate([starts, starts])
+    for g in range(1, i0 + 1):
+        ahead, behind = i0 + g, i0 - g
+        t = np.repeat([grid[ahead] - grid[ahead - 1], grid[behind] - grid[behind + 1]], N)
+        try:
+            q = flow(field, q, t, spec, chart)
+        except ChartExitError as exc:
+            prev = ahead - 1 if exc.row < N else behind + 1
+            t = grid[prev] - grid[i0] + exc.exit_time
+            raise ChartExitError(
+                f"patch {names[exc.row % N]} left the chart at flow time {t:.6g}; "
+                "reduce epsilon",
+                exit_time=t,
+            ) from None
+        out[:, ahead], out[:, behind] = q[:N], q[N:]
     return out
 
 
@@ -128,10 +143,10 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, name
     """Patches at several seeds, each of its own frame and in its own flow
     order, integrated as one stack.
 
-    The spines of all seeds flow together first (one row per seed), then all
-    n rows of every patch (n per seed), so each RK4 stage is one
-    ``_coefficients`` call, and one kernel call for the pullback frames of
-    all depths. Rows of a stack are bitwise independent, so each patch
+    The spines of all seeds flow together first (one row per seed and
+    side), then all n rows of every patch (n per seed and side), so each RK4
+    stage is one ``_coefficients`` call, and one kernel call for the
+    pullback frames of all depths. Rows of a stack are bitwise independent, so each patch
     equals the one built from its seed and frame alone. ``ks`` label the
     patches' depths (default None), and ``names`` label the patches in a
     chart-exit error (default: their orders).
@@ -152,9 +167,9 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, name
     xy = np.array([order == "xy" for order in orders])
     first = xy.astype(int)  # xy: the Y-flow (column 1) first; yx: the X-flow
     second = np.repeat(1 - first, n)
-    spines = _sweep(_graph_field_of(frames, first), seeds, ss, i0, spec, chart, names)
+    spines = _sweep(frames, first, seeds, ss, i0, spec, chart, names)
     rows = _sweep(
-        _graph_field_of([frame for frame in frames for _ in range(n)], second),
+        [frame for frame in frames for _ in range(n)], second,
         spines.reshape(-1, 3), ts, i0, spec, chart, [name for name in names for _ in range(n)],
     )
     points = rows.reshape(len(seeds), n, n, 3)

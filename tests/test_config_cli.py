@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitkit
 from splitkit.cli import _slow_plane_normal, main
 from splitkit.config import ExperimentConfig, hash_file
 from splitkit.errors import ConfigError
@@ -276,6 +280,17 @@ class TestCliExitCodes:
         assert main(["bracket", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_loads_no_experiment_layer():
+    # the bracket, surface and uniqueness layers load with their subcommands
+    code = (
+        "import sys, splitkit.cli; "
+        "print([m for m in ('splitkit.bracket', 'splitkit.surface', 'splitkit.uniqueness') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCliOutputs:

@@ -68,6 +68,28 @@ def reference_patch(frame, x0, epsilon, n, step, order):
     return rows.swapaxes(0, 1) if order == "xy" else rows
 
 
+def per_side_patch(frame, x0, epsilon, n, spec, order):
+    """Patch nodes of one seed with each side of each sweep flowed on its
+    own: one ``flow`` call per grid gap and side, the side ahead first."""
+    grid = np.linspace(-epsilon, epsilon, n)
+    i0 = n // 2
+
+    def sweep(field, starts):
+        out = np.empty((len(starts), n, 3))
+        out[:, i0] = starts
+        for side in (range(i0 + 1, n), range(i0 - 1, -1, -1)):
+            q, prev = starts, i0
+            for i in side:
+                q = flow(field, q, grid[i] - grid[prev], spec)
+                out[:, i] = q
+                prev = i
+        return out
+
+    first, second = (frame.Y, frame.X) if order == "xy" else (frame.X, frame.Y)
+    rows = sweep(second, sweep(first, np.asarray(x0, dtype=float)[None])[0])
+    return rows.swapaxes(0, 1) if order == "xy" else rows
+
+
 def transport_reference(frame, x, t, step, grad_h=1e-6, v=None):
     """Pushforward of Y (or of v given at the preimage) by the X-flow and its
     largest step load, one state, one 3x3 matvec and one ``np.linalg.norm``
@@ -150,6 +172,59 @@ class TestFlow:
         with pytest.raises(ValueError):
             FlowSpec(step=-1.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            FlowSpec(step=step)
+
+    @pytest.mark.parametrize(
+        "y0, t, message",
+        [
+            (np.zeros(3), math.nan, "row 0 is not finite: nan"),
+            (np.zeros(3), math.inf, "row 0 is not finite: inf"),
+            (np.zeros(3), -math.inf, "row 0 is not finite: -inf"),
+            (np.zeros((4, 3)), [0.01, -0.02, math.nan, 0.0], "row 2 is not finite: nan"),
+        ],
+    )
+    def test_non_finite_time_rejected(self, y0, t, message):
+        with pytest.raises(ValueError, match=f"flow time of {message}"):
+            flow(constant_frame(0.0, 0.0).X, y0, t, SPEC)
+
+    def test_per_row_times_bitwise_one_row_flows(self, phi_perturbed):
+        # rows of 13, 11, 0, 2, 0 and 10 steps, of both signs, in one stack:
+        # each row is bitwise its own one-row flow, and every RK4 stage is
+        # one field call for the whole stack
+        fr = PullbackFrame(phi_perturbed, 10)
+        P = IN_SUPPORT + np.random.default_rng(3).uniform(-0.05, 0.05, (6, 3))
+        times = np.array([0.013, -0.0105, 0.0, 0.0015, -0.0, 0.0091])
+        calls = []
+
+        def counted(S):
+            calls.append(len(S))
+            return fr.X(S)
+
+        got = flow(counted, P, times, SPEC)
+        assert calls == [6] * (4 * 13)
+        rows = np.array([flow(fr.X, p, t, SPEC) for p, t in zip(P, times)])
+        assert got.tobytes() == rows.tobytes()
+        assert got[[2, 4]].tobytes() == P[[2, 4]].tobytes()
+
+    def test_per_row_times_bitwise_transport_state(self):
+        # a 4-column state, X-flow positions with a vector column that grows
+        # at the rate a, as the variational transport's states do
+        fr = exp_frame()
+
+        def g(S):
+            return np.concatenate([fr.X(S[:, :3]), fr.coefficients(S[:, :3])[:, :1] * S[:, 3:]], axis=1)
+
+        S = np.array([[0.0, 0.1, 0.5, 1.0], [0.2, 0.0, -0.3, 2.0], [0.1, 0.1, 0.1, -1.0], [0.0, 0.0, 0.9, 0.5]])
+        times = [0.0072, -0.004, 0.0, -0.0101]
+        got = flow(g, S, times, SPEC)
+        rows = np.array([flow(g, s, t, SPEC) for s, t in zip(S, times)])
+        assert got.tobytes() == rows.tobytes()
+        # a = x3 is constant along the X-flow of x3 e^t, so v grows by exp(x3 (e^t - 1))
+        assert got[0, 3] == pytest.approx(np.exp(0.5 * np.expm1(0.0072)), rel=1e-12)
+
     def test_stack_equals_rows_bitwise(self, phi_perturbed):
         fr = PullbackFrame(phi_perturbed, 10)
         P = IN_SUPPORT + np.random.default_rng(2).uniform(-0.05, 0.05, (6, 3))
@@ -167,6 +242,18 @@ class TestFlow:
         with pytest.raises(ChartExitError) as ei:
             flow(fr.X, P, 0.05, SPEC, chart=chart)
         assert ei.value.exit_time == pytest.approx(0.02, abs=SPEC.step)
+        assert ei.value.row == 1
+
+    def test_stack_chart_exit_of_one_negative_time_row(self):
+        fr = constant_frame(0.0, 0.0)
+        chart = ChartBox(center=np.zeros(3), halfwidth=0.1)
+        P = np.array([[0.0, 0.0, 0.0], [-0.08, 0.0, 0.0], [0.05, 0.02, 0.0]])
+        times = [0.05, -0.05, -0.05]
+        assert np.all(chart.contains(flow(fr.X, P[[0, 2]], [0.05, -0.05], SPEC)))
+        with pytest.raises(ChartExitError) as ei:
+            flow(fr.X, P, times, SPEC, chart=chart)
+        assert ei.value.exit_time == pytest.approx(-0.02, abs=SPEC.step)
+        assert ei.value.exit_time < 0
         assert ei.value.row == 1
 
 
@@ -278,13 +365,14 @@ class TestPatches:
         frames = [PullbackFrame(phi_perturbed, k, E0=tilt_E0) for k in (1, 2, 3)]
         chart = ChartBox(center=IN_SUPPORT.copy())
         _build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, FlowSpec(step=4e-3), chart)
-        # n - 1 grid gaps of 3 RK4 steps, 4 stages each: the spines, then all
-        # rows, and every stage that misses pulls back the three depths
-        # together. Each sweep's second side starts from the nodes its first
-        # side started from, a cache hit; the rows start on the spine nodes,
-        # which the spines' next steps put in the cache, except the two end
-        # nodes of each spine
-        assert [rows for rows, _ in calls] == [3] * 47 + [6] + [15] * 46
+        # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
+        # spines, then all rows, both sides of a gap in one stack, and every
+        # stage pulls back the three depths together. Both sides of the
+        # spines start at the three seeds, so the first stage pulls back
+        # those three once; the rows start on the spine nodes, which the
+        # spines' next steps put in the cache, except the two end nodes of
+        # each spine
+        assert [rows for rows, _ in calls] == [3] + [6] * 23 + [6] + [30] * 23
         assert all(depths == [1, 2, 3] for _, depths in calls)
 
     def test_patch_sweep_one_coefficients_call_per_stage(self):
@@ -296,8 +384,36 @@ class TestPatches:
                 return np.tile([0.2, -0.3], (len(P), 1))
 
         build_patch(Counting(), np.zeros(3), 0.02, 5, spec=FlowSpec(step=4e-3))
-        # n - 1 grid gaps of 3 RK4 steps, 4 stages each: the spine, then all rows
-        assert sizes == [1] * 48 + [5] * 48
+        # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
+        # spine, then all rows, both sides of a gap in one stack
+        assert sizes == [2] * 24 + [10] * 24
+
+    def test_shipped_grid_both_sides_bitwise_per_side_flows(self, phi_perturbed):
+        # the shipped perturbed grid: epsilon 0.03, n = 7, depth 10. Rounding
+        # in the grid makes the + side take 11, 11, 10 steps per gap and the
+        # - side 10, 10, 11, and both sides step in one stack
+        grid = np.linspace(-0.03, 0.03, 7)
+        assert [math.ceil(abs(grid[i] - grid[i - 1]) / SPEC.step) for i in (4, 5, 6)] == [11, 11, 10]
+        assert [math.ceil(abs(grid[i] - grid[i + 1]) / SPEC.step) for i in (2, 1, 0)] == [10, 10, 11]
+        seeds = [IN_SUPPORT, IN_SUPPORT + np.array([1e-3, 0.0, 0.0])]
+        orders = ("xy", "yx")
+        chart = ChartBox(center=IN_SUPPORT.copy())
+        frame = PullbackFrame(phi_perturbed, 10)
+        stacked = _build_patches([frame] * 2, seeds, orders, 0.03, 7, SPEC, chart)
+        for patch, x0, order in zip(stacked, seeds, orders):
+            ref = per_side_patch(PullbackFrame(phi_perturbed, 10), x0, 0.03, 7, SPEC, order)
+            assert patch.points.tobytes() == ref.tobytes()
+
+    def test_chart_exit_earlier_minus_side_reported_first(self):
+        # X = e1 + 2 e3 from x3 = -0.1: in the second gap the - side rows
+        # leave the 0.45 box at t = -0.175, before the + side rows, which
+        # would leave at t = 0.275; the spines (along e2) stay inside
+        step = 1e-2
+        fr = constant_frame(2.0, 0.0)
+        chart = ChartBox(center=np.zeros(3))
+        with pytest.raises(ChartExitError, match="patch xy left") as ei:
+            build_patch(fr, np.array([0.0, 0.0, -0.1]), 0.3, 5, spec=FlowSpec(step), chart=chart)
+        assert ei.value.exit_time == pytest.approx(-0.175, abs=step)
 
     def test_chart_exit_suggests_epsilon(self):
         fr = constant_frame(0.0, 0.0)

@@ -98,9 +98,10 @@ class TestLeafDivergence:
                 return np.tile([0.2, -0.3], (len(P), 1))
 
         leaf_divergence(Counting(), np.zeros(3), 0.02, 5, 1e-4, spec=FlowSpec(step=4e-3))
-        # the plane at x0 gives the seed shift; then n - 1 grid gaps of 3 RK4
-        # steps, 4 stages each: the four spines, then all 4 n rows
-        assert shapes == [(3,)] + [(4, 3)] * 48 + [(20, 3)] * 48
+        # the plane at x0 gives the seed shift; then (n - 1) / 2 gaps on each
+        # side of 3 RK4 steps, 4 stages each: the four spines, then all 4 n
+        # rows, both sides of a gap in one stack
+        assert shapes == [(3,)] + [(8, 3)] * 24 + [(40, 3)] * 24
 
     def test_chart_exit_beyond_halfwidth(self):
         # a = b = 0: the xy spine moves along e2 at unit speed and leaves the
