@@ -28,6 +28,10 @@ from .splitting import domination_report, fitted_rate, swept_growth
 # reports carry both so the discrepancy is visible, not silently corrected.
 QUOTED_EIGENVALUES = (-0.11, 3.11, -3.21)
 
+# Largest node count per side of the leaf-patch grid (`uniqueness`) and of
+# the `coefficients.csv` grid (`surface`); the reports record the count used.
+GRID_CAP = 9
+
 
 def _slow_plane_normal(matrix):
     """Unit normal of the automorphism's slow plane: the real left
@@ -307,11 +311,13 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                 )
             )
     write_csv(out_dir / "surface.csv", ["t", "s", "x1", "x2", "x3", "defect_angle"], rows)
+    grid_n = min(cfg.n, GRID_CAP)
     grid_rows = coefficient_grid_rows(
-        frames, x0 - cfg.epsilon, x0 + cfg.epsilon, min(cfg.n, 9), x3=float(x0[2])
+        frames, x0 - cfg.epsilon, x0 + cfg.epsilon, grid_n, x3=float(x0[2])
     )
     write_csv(out_dir / "coefficients.csv", ["x1", "x2", "x3", "k", "a", "b"], grid_rows)
     return {
+        "coefficient_grid_n": grid_n,
         "tangency_per_k": per_k,
         "pushforward_identity": {"lhs": lhs, "rhs": rhs, "rel_err": rel, "resolved": resolved},
         "pushforward_series": series_payload,
@@ -324,13 +330,14 @@ def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: Run
 
     x0 = cfg.sample_points()[0]
     E0 = cfg.initial_plane()
+    leaf_n = min(cfg.n, GRID_CAP)
     with timer.time("uniqueness"):
         hart = pullback_hartman_report(
             phi, cfg.slice_x2, cfg.k_max, E0=E0, grid_n=cfg.grid_n, h=cfg.h
         )
         frame = PullbackFrame(phi, cfg.k_leaf, E0=E0)
         leaf = leaf_divergence(
-            frame, x0, cfg.epsilon, min(cfg.n, 9), cfg.delta, spec=FlowSpec(step=cfg.step)
+            frame, x0, cfg.epsilon, leaf_n, cfg.delta, spec=FlowSpec(step=cfg.step)
         )
     return {
         "hartman": {
@@ -341,6 +348,7 @@ def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: Run
             "slice_x2": hart.slice_x2,
         },
         "leaf": {
+            "n": leaf_n,
             "order_mismatch": leaf.order_mismatch,
             "lipschitz": leaf.lipschitz,
             "lipschitz_refined": leaf.lipschitz_refined,

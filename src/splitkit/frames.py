@@ -75,11 +75,8 @@ class AdaptedFrame:
     ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
     and an (N, 2) array for a stack of shape (N, 3); so do the frame fields
     ``X`` and ``Y``, with one vector per point.  ``plane`` takes one point.
-    ``grad_a`` is the closed-form gradient of a, or None where the
-    derivatives are centred differences (``_jacobians``).
+    Derivatives of the coefficients are centred differences (``_jacobians``).
     """
-
-    grad_a = None
 
     def coefficients(self, p):
         raise NotImplementedError
@@ -103,12 +100,11 @@ class AdaptedFrame:
 
 
 class AnalyticFrame(AdaptedFrame):
-    """Coefficients given by closed-form functions, with an optional gradient of a."""
+    """Coefficients given by closed-form functions of a point."""
 
-    def __init__(self, a, b, grad_a=None):
+    def __init__(self, a, b):
         self._a = a
         self._b = b
-        self.grad_a = grad_a
 
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
@@ -118,12 +114,12 @@ class AnalyticFrame(AdaptedFrame):
 
 
 def constant_frame(a, b) -> AnalyticFrame:
-    return AnalyticFrame(lambda p: a, lambda p: b, grad_a=lambda p: np.zeros(3))
+    return AnalyticFrame(lambda p: a, lambda p: b)
 
 
 def contact_frame() -> AnalyticFrame:
     """The kernel of dx3 - x1 dx2: a = 0, b = x1, bracket coefficient 1."""
-    return AnalyticFrame(lambda p: 0.0, lambda p: p[0], grad_a=lambda p: np.zeros(3))
+    return AnalyticFrame(lambda p: 0.0, lambda p: p[0])
 
 
 class PullbackFrame(AdaptedFrame):
@@ -195,19 +191,6 @@ def _jacobians(frames, P, h):
     C = _coefficients([f for f in frames for _ in range(7)], stencils).reshape(-1, 7, 2)
     J = (C[:, 1::2] - C[:, 2::2]).transpose(0, 2, 1) / (2 * h)[:, None, None]
     return C[:, 0], J
-
-
-def _gradients_a(frames, P, h):
-    """The gradients (N,3) of the coefficient a at the rows of an (N,3)
-    stack, row n of ``frames[n]``: a frame's closed-form ``grad_a`` where it
-    has one, and else the centred differences of ``_jacobians`` at step h,
-    all those rows in one call."""
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    G = np.array([np.zeros(3) if f.grad_a is None else f.grad_a(p) for f, p in zip(frames, P)], dtype=float)
-    fd = [n for n, f in enumerate(frames) if f.grad_a is None]
-    if fd:
-        G[fd] = _jacobians([frames[n] for n in fd], P[fd], h)[1][:, 0]
-    return G.reshape(-1, 3)
 
 
 def _coefficients(frames, P):

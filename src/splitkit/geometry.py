@@ -133,9 +133,6 @@ class Plane2:
             object.__setattr__(self, "_orthonormal", Q)
         return Q
 
-    def contains(self, v, tol=1e-10):
-        return abs(float(self.normal @ v)) <= tol * max(1.0, float(np.linalg.norm(v)))
-
 
 def principal_angle(P: Plane2, Q: Plane2) -> float:
     """Largest principal angle between two 2-planes, in [0, pi/2]."""

@@ -16,15 +16,14 @@ import numpy as np
 
 from .dynamics import Diffeo
 from .errors import ChartExitError
-from .frames import AdaptedFrame, PullbackFrame, _coefficients, _gradients_a, _graph_field_of
-from .frames import _graph_vectors
+from .frames import AdaptedFrame, PullbackFrame, _coefficients, _graph_field_of, _graph_vectors, _jacobians
 from .geometry import _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
 DEFAULT_EPSILON = 0.05
 DEFAULT_GRID_N = 21
 DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational equation
-MAX_STEP_LOAD = 0.5  # largest ||J|| dt at which the explicit transport counts as resolved
+MAX_STEP_LOAD = 0.5  # largest |grad(a)| dt at which the explicit transport counts as resolved
 
 
 @dataclass(frozen=True)
@@ -260,101 +259,60 @@ def planarity_defect(patch: SurfacePatch) -> float:
     return float(np.max(np.abs((pts - c) @ normal)))
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    """Variationally transported vector plus an explicit-integrator load check.
-
-    ``max_step_load`` is the largest ||J|| * dt seen along the trajectory; a
-    fixed-step explicit scheme only resolves the transport while this stays
-    well below 1, so results with load >= ~0.5 are flagged unresolved instead
-    of being reported as measurements.
-    """
-
-    vector: np.ndarray
-    max_step_load: float
-
-    @property
-    def resolved(self):
-        return self.max_step_load < MAX_STEP_LOAD
-
-
-def _pushforwards(frames, X, t, spec, grad_h, V=None, Y=None):
+def _pushforwards(frames, X, t, spec, grad_h, V=None):
     """Variational transports by the time-t X-flows of ``frames``, one frame
-    per row, stepped as one stack: the vectors V (N,3) given at the time -t
-    preimages Y (N,3) of the rows of X (N,3) are pushed forward to X.
-    Without Y the preimages come from one backward flow of the stack, and
-    V defaults to the frames' Y there. Returns the vectors (N,3) and each
-    row's largest step load ||J|| |dt|.
+    per row, from one backward RK4 pass of the stack: the vectors V (N,3)
+    given at the time -t preimages of the rows of X (N,3), by default the
+    frames' Y there, are pushed forward to X. Returns the vectors (N,3),
+    each row's largest step load |grad(a)| |dt|, and the integral of da/dx3
+    along each row's backward trajectory (N,).
 
-    J(p) = e3 grad(a)(p)^T comes from one ``_gradients_a`` call per RK4
-    stage, whose stencils put X at their centres in the cache. J w is a
-    batched (N,3,3) by (N,3,1) product and ||J|| the row norm of the
-    flattened J, so each row's bits do not depend on the stack.
+    Row n's state (p, q, m) starts at (x, 0, e3): p' = -X(p) flows to the
+    preimage y, q' = da/dx3, and m' = -(a_1, a_2, 0) - a_3 m, with a_j =
+    da/dx_j at p. As J = e3 grad(a)^T for a graph frame, D(X-flow_-t)(x) has
+    rows e1, e2 and m, so v at y is pushed to (v1, v2, (v3 - m1 v1 - m2 v2)
+    / m3) with no forward pass. One ``_jacobians`` call per RK4 stage gives
+    the pairs and grad(a), and every operation is by row, so each row's bits
+    do not depend on the stack. An explicit fixed-step scheme resolves the
+    transport only while the load stays well below 1 (``MAX_STEP_LOAD``).
     """
-    Y = flow(_graph_field_of(frames, 0), X, -t, spec) if Y is None else Y
-    V = _graph_vectors(_coefficients(frames, Y), 1) if V is None else V
-    N = len(Y)
+    N = len(X)
     dt = t / max(1, math.ceil(abs(t) / spec.step))
     load = np.zeros(N)
 
     def g(S):
-        J = np.zeros((N, 3, 3))
-        J[:, 2] = _gradients_a(frames, S[:, :3], grad_h)
-        np.fmax(load, _row_norms(J.reshape(N, 9)) * abs(dt), out=load)
-        along = _graph_vectors(_coefficients(frames, S[:, :3]), 0)
-        return np.concatenate([along, (J @ S[:, 3:, None])[:, :, 0]], axis=1)
+        C, J = _jacobians(frames, S[:, :3], grad_h)
+        G = J[:, 0]
+        np.fmax(load, _row_norms(G) * abs(dt), out=load)
+        dm = -(G[:, 2:] * S[:, 4:])
+        dm[:, :2] -= G[:, :2]
+        return np.concatenate([-_graph_vectors(C, 0), G[:, 2:], dm], axis=1)
 
-    out = flow(g, np.concatenate([Y, V], axis=1), t, spec)
-    return out[:, 3:], load
-
-
-def pushforward_vector(
-    frame: AdaptedFrame,
-    x,
-    t,
-    spec: FlowSpec = FlowSpec(),
-    v=None,
-    grad_h=DEFAULT_GRAD_H,
-    preimage=None,
-) -> TransportResult:
-    """Transport of a vector (default Y at the pulled-back base) by the X-flow.
-
-    Returns the pushforward of Y (or of v given at the time ``-t`` preimage)
-    evaluated at x: the preimage is found by flowing backward, unless the
-    caller already has it (``preimage``), then the variational equation is
-    integrated forward along the X-flow. The N = 1 view of ``_pushforwards``.
-    """
-    x, v, y = (None if u is None else np.asarray(u, dtype=float)[None] for u in (x, v, preimage))
-    vec, load = _pushforwards([frame], x, t, spec, grad_h, V=v, Y=y)
-    return TransportResult(vector=vec[0], max_step_load=float(load[0]))
+    start = np.zeros((N, 7))
+    start[:, :3], start[:, 6] = X, 1.0
+    S = flow(g, start, t, spec)
+    m = S[:, 4:]
+    V = _graph_vectors(_coefficients(frames, S[:, :3]), 1) if V is None else V
+    vec = np.array(V, dtype=float)
+    vec[:, 2] = (vec[:, 2] - m[:, 0] * vec[:, 0] - m[:, 1] * vec[:, 1]) / m[:, 2]
+    return vec, load, S[:, 3]
 
 
 def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
     """Both sides of the growth formula for the vertical direction under the X-flow.
 
-    lhs: norm of the variational transport of e3 by the time-t X-flow at x.
+    lhs: norm of the pushforward of e3 by the time-t X-flow at x.
     rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
     Returns (lhs, rhs, relative error, resolved), where ``resolved`` is the
-    integrator-load flag of the transport behind lhs (``TransportResult``).
-
-    One backward pass serves both sides: the quadrature's position columns
-    step with the negated field and the negated time step, and negation is
-    exact, so they end bitwise at flow(frame.X, x, -t), where the transport
-    starts.
+    integrator-load flag of the pass. Both sides are one row of
+    ``_pushforwards``.
     """
-    x = np.asarray(x, dtype=float)
-
-    # quadrature of da/dx3 along tau -> X-flow_{-tau}(x), via an augmented ODE
-    def g(S):
-        da_dx3 = _gradients_a([frame], S[:, :3], DEFAULT_GRAD_H)[:, 2:]
-        return np.concatenate([-frame.X(S[:, :3]), da_dx3], axis=1)
-
-    out = flow(g, np.concatenate([x, [0.0]]), t, spec)
-    rhs = float(np.exp(out[3]))
-    res = pushforward_vector(frame, x, t, spec, v=[0.0, 0.0, 1.0], preimage=out[:3])
-    lhs = float(np.linalg.norm(res.vector))
+    X = np.asarray(x, dtype=float)[None]
+    vec, load, q = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
+    lhs = float(np.linalg.norm(vec[0]))
+    rhs = float(np.exp(q[0]))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, rel, res.resolved
+    return lhs, rhs, rel, bool(load[0] < MAX_STEP_LOAD)
 
 
 @dataclass(frozen=True)
@@ -383,14 +341,14 @@ def pushforward_convergence_series(
     budget; asserting trends on unresolved entries would test the integrator,
     not the frames. The transports of all depths step as one stack, one row
     per frame, once at the step and once at half of it; each row is bitwise
-    the per-depth ``pushforward_vector``.
+    the depth's own one-row pass.
     """
     x0 = np.asarray(x0, dtype=float)
     frames = [PullbackFrame(phi, k, E0=E0) for k in k_list]
     X = np.tile(x0, (len(frames), 1))
-    vec, load = _pushforwards(frames, X, t, spec, grad_h)
-    chk, chk_load = _pushforwards(frames, X, t, FlowSpec(step=spec.step / 2), grad_h)
-    # each frame's Y at x0, a cache hit: its backward flow started there
+    vec, load, _ = _pushforwards(frames, X, t, spec, grad_h)
+    chk, chk_load, _ = _pushforwards(frames, X, t, FlowSpec(step=spec.step / 2), grad_h)
+    # each frame's Y at x0, a cache hit: its backward pass started there
     Y = np.array([frame.Y(x0) for frame in frames])
     vals = _row_norms(vec - Y)
     halved = _row_norms(chk - Y)

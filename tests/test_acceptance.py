@@ -241,10 +241,7 @@ def test_criterion_07_invariance_identities(phi_linear):
 
 def test_criterion_08_surface_machinery():
     # (i) global order 4 on a closed-form (exponential) flow
-    exp_frame = AnalyticFrame(
-        lambda p: p[2], lambda p: 0.0,
-        grad_a=lambda p: np.array([0.0, 0.0, 1.0]),
-    )
+    exp_frame = AnalyticFrame(lambda p: p[2], lambda p: 0.0)
     errs = [
         abs(flow(exp_frame.X, np.array([0.0, 0.0, 1.0]), 0.5, FlowSpec(step=s))[2] - np.exp(0.5))
         for s in (1e-2, 5e-3, 2.5e-3)

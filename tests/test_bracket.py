@@ -20,7 +20,6 @@ def tilt_frame():
     return AnalyticFrame(
         lambda p: 0.0,
         lambda p: 0.1 * np.sin(2 * np.pi * p[0]),
-        grad_a=lambda p: np.zeros(3),
     )
 
 

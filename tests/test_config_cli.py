@@ -388,8 +388,22 @@ class TestCliOutputs:
             rep = json.loads((out / "surface.json").read_bytes())
             flags.append(rep["results"]["pushforward_identity"]["resolved"])
         # the linear frame is constant, so the transport carries no load; the
-        # depth-20 perturbed frame's gradient puts ||J|| dt far above 0.5
+        # depth-20 perturbed frame's gradient puts |grad(a)| dt far above 0.5
         assert flags == [True, False]
+
+    @pytest.mark.parametrize("n, used", [(5, 5), (21, 9)])
+    def test_grid_caps_reported(self, tmp_path, n, used):
+        # the leaf patches and coefficients.csv use at most 9 nodes a side,
+        # and the reports say how many they used
+        path = tmp_path / "cfg.json"
+        write_json(path, base_config(n=n))
+        out = tmp_path / "o"
+        assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "surface.json").read_bytes())["results"]["coefficient_grid_n"] == used
+        assert len((out / "coefficients.csv").read_text().splitlines()) == 1 + 2 * used**2
+        assert len((out / "surface.csv").read_text().splitlines()) == 1 + n**2
+        assert main(["uniqueness", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "uniqueness.json").read_bytes())["results"]["leaf"]["n"] == used
 
 
 class TestIdentityMapThroughCli:

@@ -18,12 +18,12 @@ from splitkit.surface import (
     FlowSpec,
     SurfacePatch,
     _build_patches,
+    _pushforwards,
     build_patch,
     flow,
     planarity_defect,
     pushforward_convergence_series,
     pushforward_norm_identity,
-    pushforward_vector,
     tangency_report,
 )
 from conftest import counting_kernel
@@ -91,37 +91,52 @@ def per_side_patch(frame, x0, epsilon, n, spec, order):
 
 
 def transport_reference(frame, x, t, step, grad_h=1e-6, v=None):
-    """Pushforward of Y (or of v given at the preimage) by the X-flow and its
-    largest step load, one state, one 3x3 matvec and one ``np.linalg.norm``
-    per RK4 stage; grad(a) is the frame's closed form, or else centred
-    differences on the 7-point stencil, centre first."""
-    y = rk4_point(frame.X, x, -t, step)
+    """Pushforward of Y (or of v given at the preimage) by the X-flow, its
+    largest step load and the integral of da/dx3, from one backward pass of
+    one state (p, q, m): grad(a) is the centred difference on the 7-point
+    stencil, centre first, in one coefficients call, and the load is
+    ``np.linalg.norm``; v is pushed by the inverse of the matrix with rows
+    e1, e2 and m."""
     dt = t / max(1, math.ceil(abs(t) / step))
+    E = grad_h * np.eye(3)
     loads = [0.0]
 
     def g(S):
+        p = S[:3]
+        C = frame.coefficients(np.array([p, p + E[0], p - E[0], p + E[1], p - E[1], p + E[2], p - E[2]]))
+        G = (C[1::2, 0] - C[2::2, 0]) / (2 * grad_h)
+        loads.append(float(np.linalg.norm(G) * abs(dt)))
+        dm = -(G[2] * S[4:])
+        dm[:2] -= G[:2]
+        return np.concatenate([-frame.X(p), G[2:], dm])
+
+    S = rk4_point(g, np.concatenate([x, [0.0, 0.0, 0.0, 1.0]]), t, step)
+    m = S[4:]
+    v = frame.Y(S[:3]) if v is None else np.asarray(v, dtype=float)
+    w = np.array([v[0], v[1], (v[2] - m[0] * v[0] - m[1] * v[1]) / m[2]])
+    return w, max(loads), S[3]
+
+
+def forward_transport(frame, x, t, step, grad_h=1e-6, v=None):
+    """The same pushforward by a forward pass: flow x back to its preimage,
+    then carry (p, v) forward with p' = X(p) and v' = J(p) v."""
+    y = rk4_point(frame.X, x, -t, step)
+    E = grad_h * np.eye(3)
+
+    def g(S):
+        p = S[:3]
+        a = frame.coefficients(np.array([p + E[0], p - E[0], p + E[1], p - E[1], p + E[2], p - E[2]]))[:, 0]
         J = np.zeros((3, 3))
-        if frame.grad_a is not None:
-            J[2] = frame.grad_a(S[:3])
-        else:  # centred differences of a, the stencil in one coefficients call
-            E = grad_h * np.eye(3)
-            p = S[:3]
-            a = frame.coefficients(np.array([p, p + E[0], p - E[0], p + E[1], p - E[1], p + E[2], p - E[2]]))[:, 0]
-            J[2] = (a[1::2] - a[2::2]) / (2 * grad_h)
-        loads.append(float(np.linalg.norm(J) * abs(dt)))
-        return np.concatenate([frame.X(S[:3]), J @ S[3:]])
+        J[2] = (a[0::2] - a[1::2]) / (2 * grad_h)
+        return np.concatenate([frame.X(p), J @ S[3:]])
 
     v = frame.Y(y) if v is None else v
-    return rk4_point(g, np.concatenate([y, v]), t, step)[3:], max(loads)
+    return rk4_point(g, np.concatenate([y, v]), t, step)[3:]
 
 
 def exp_frame():
     """a = x3: the X-flow multiplies x3 by e^t (closed form, genuinely curved)."""
-    return AnalyticFrame(
-        lambda p: p[2],
-        lambda p: 0.0,
-        grad_a=lambda p: np.array([0.0, 0.0, 1.0]),
-    )
+    return AnalyticFrame(lambda p: p[2], lambda p: 0.0)
 
 
 class TestFlow:
@@ -443,68 +458,92 @@ class TestPushforward:
             assert rhs == pytest.approx(1.0, abs=1e-10)
 
     def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
-        import splitkit.frames as frames
+        calls = counting_kernel(monkeypatch)
+        _pushforwards([PullbackFrame(phi_perturbed, 20)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
+        # 5 backward RK4 steps of 4 stages: each stage pulls back its whole
+        # gradient stencil, centre first, and Y is read at the preimage
+        assert [rows for rows, _ in calls] == [7] * 20 + [1]
 
-        sizes = []
-        kernel = frames._pullback_bases
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_identity_is_one_pass(self, phi_perturbed, monkeypatch, k):
+        # both sides of the identity come from one backward pass: one kernel
+        # call per stage (4 RK4 steps of 4 stages), none for a forward
+        # transport or a second quadrature, and each side is the one-state
+        # reference's, bit for bit
+        calls = counting_kernel(monkeypatch)
+        fr = PullbackFrame(phi_perturbed, k)
+        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, IN_SUPPORT, 0.004, SPEC)
+        assert [rows for rows, _ in calls] == [7] * 16
+        fresh = PullbackFrame(phi_perturbed, k)
+        w, load, q = transport_reference(fresh, IN_SUPPORT, 0.004, SPEC.step, v=[0.0, 0.0, 1.0])
+        assert (lhs, rhs) == (np.linalg.norm(w), np.exp(q))
+        assert rel == abs(lhs - rhs) / rhs and resolved is bool(load < 0.5)
 
-        def counting(phi, P, E0, k):
-            sizes.append(len(P))
-            return kernel(phi, P, E0, k)
-
-        monkeypatch.setattr(frames, "_pullback_bases", counting)
-        pushforward_vector(PullbackFrame(phi_perturbed, 20), IN_SUPPORT, 0.005, SPEC)
-        # 5 RK4 steps of 4 stages each way: the backward X-flow pulls back each
-        # stage point, Y is read at the preimage, and each variational stage
-        # pulls back its whole gradient stencil, centre first, so that X at the
-        # centre is a cache hit (at the first stage the centre is the preimage)
-        assert sizes == [1] * 20 + [1] + [6] + [7] * 19
-
-    @pytest.mark.parametrize("frame", ["depth 2", "depth 6", "exp"])
-    def test_identity_transport_starts_at_backward_flow_endpoint(
-        self, phi_perturbed, monkeypatch, frame
-    ):
-        # the quadrature's position columns end bitwise where the backward
-        # X-flow ends, and the transport starts there without a second flow
-        import splitkit.surface as surface
-
+    @pytest.mark.parametrize("frame", ["depth 2", "depth 6", "exp", "curved"])
+    def test_identity_rhs_bitwise_separate_quadrature(self, phi_perturbed, frame):
+        # rhs is the quadrature of a (-X, da/dx3) state on its own, with
+        # da/dx3 the centred difference at step 1e-6, bit for bit: the
+        # transport columns that ride along do not touch it. That
+        # quadrature's positions end bitwise at the backward X-flow's end,
+        # as negating the field and the time step is exact
         if frame == "exp":
             fr, x, t = exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2
+        elif frame == "curved":
+            fr = AnalyticFrame(lambda p: np.sin(2 * np.pi * p[0]) + p[1] * p[2] ** 2, lambda p: p[2])
+            x, t = np.array([0.1, 0.4, 0.7]), 0.05
         else:
             fr, x, t = PullbackFrame(phi_perturbed, int(frame[-1])), IN_SUPPORT, 0.004
-        preimages = []
-        transport = surface.pushforward_vector
+        h = 1e-6
 
-        def spy(*args, **kwargs):
-            preimages.append(kwargs["preimage"])
-            return transport(*args, **kwargs)
+        def g(S):
+            p = S[:3]
+            a_up, a_down = fr.coefficients(np.array([p + [0.0, 0.0, h], p - [0.0, 0.0, h]]))[:, 0]
+            return np.concatenate([-fr.X(p), [(a_up - a_down) / (2 * h)]])
 
-        monkeypatch.setattr(surface, "pushforward_vector", spy)
+        S = rk4_point(g, np.concatenate([x, [0.0]]), t, SPEC.step)
+        _, rhs, _, _ = pushforward_norm_identity(fr, x, t, SPEC)
+        assert rhs == float(np.exp(S[3]))
+        assert S[:3].tobytes() == flow(fr.X, x, -t, SPEC).tobytes()
+
+    def test_off_diagonal_oracles_one_stack(self):
+        # a = x1 and a = x2: m = (-tau, 0, 1) and (0, -tau, 1), so the
+        # inverse pushes e1 to (1, 0, t) and e2 to (0, 1, t)
+        frames = [AnalyticFrame(lambda p: p[0], lambda p: 0.0), AnalyticFrame(lambda p: p[1], lambda p: 0.0)]
+        X = np.array([[0.1, 0.2, 0.3], [0.6, -0.2, 0.05]])
+        t = 0.2
+        vec, load, q = _pushforwards(frames, X, t, SPEC, 1e-6, V=np.eye(3)[:2])
+        assert np.allclose(vec, [[1.0, 0.0, t], [0.0, 1.0, t]], rtol=0.0, atol=1e-12)
+        assert np.allclose(load, SPEC.step, rtol=1e-9) and np.all(q == 0.0)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_backward_pass_agrees_with_forward_transport(self, phi_perturbed, k):
+        # inside the load budget the rank-one inverse of the backward pass
+        # and a forward transport from the preimage agree, for Y and for the
+        # identity's lhs, at depths 1 to 10 in the support
+        fr = PullbackFrame(phi_perturbed, k)
+        x, t = np.array([0.02, 0.52, 0.47]), 0.004
+        vec, load, _ = _pushforwards([fr], x[None], t, SPEC, 1e-6)
+        assert load[0] < 0.5
+        want = forward_transport(fr, x, t, SPEC.step)
+        assert np.linalg.norm(vec[0] - want) <= 1e-6 * np.linalg.norm(want)
         lhs, *_ = pushforward_norm_identity(fr, x, t, SPEC)
-        assert preimages[0].tobytes() == flow(fr.X, x, -t, SPEC).tobytes()
-        e3 = np.array([0.0, 0.0, 1.0])
-        assert lhs == np.linalg.norm(transport(fr, x, t, SPEC, v=e3).vector)
+        e3 = forward_transport(fr, x, t, SPEC.step, v=np.array([0.0, 0.0, 1.0]))
+        assert lhs == pytest.approx(np.linalg.norm(e3), rel=1e-6)
 
     def test_stacked_transport_rows_bitwise_reference(self):
-        # a curved analytic frame with a full gradient at 200 random points and
-        # random vectors, one stack: each row's vector and load are bitwise
-        # the one-state reference, whose J w is a 3x3 matvec and whose load
-        # is np.linalg.norm(J)
-        from splitkit.surface import _pushforwards
-
+        # a curved analytic frame at 200 random points and random vectors,
+        # one stack: each row's vector, load and da/dx3 integral are bitwise
+        # the one-state reference's, whose load is np.linalg.norm(grad(a))
         fr = AnalyticFrame(
             lambda p: 0.3 * np.sin(2 * np.pi * p[0]) + 0.2 * p[1] * p[2] ** 2,
             lambda p: 0.1 * np.cos(2 * np.pi * p[1]) * p[2],
-            grad_a=lambda p: np.array(
-                [0.6 * np.pi * np.cos(2 * np.pi * p[0]), 0.2 * p[2] ** 2, 0.4 * p[1] * p[2]]
-            ),
         )
         rng = np.random.default_rng(12)
         X, V = rng.uniform(0.0, 1.0, (200, 3)), rng.standard_normal((200, 3))
-        vec, load = _pushforwards([fr] * 200, X, 0.05, SPEC, 1e-6, V=V)
-        for x, v, got, L in zip(X, V, vec, load):
-            w, want = transport_reference(fr, x, 0.05, SPEC.step, v=v)
-            assert got.tobytes() == w.tobytes() and L == want
+        vec, load, q = _pushforwards([fr] * 200, X, 0.02, SPEC, 1e-6, V=V)
+        for x, v, got, L, Q in zip(X, V, vec, load, q):
+            w, want, integral = transport_reference(fr, x, 0.02, SPEC.step, v=v)
+            assert got.tobytes() == w.tobytes() and L == want and Q == integral
 
     @pytest.mark.parametrize("field", [None, "tilt"])
     def test_series_rows_bitwise_per_depth(self, phi_perturbed, tilt_E0, field, monkeypatch):
@@ -512,21 +551,21 @@ class TestPushforward:
         ks, t = [1, 2, 3], 0.004
         calls = counting_kernel(monkeypatch)
         ser = pushforward_convergence_series(phi_perturbed, IN_SUPPORT, ks, t, SPEC, E0=E0)
-        # the depths step together: per flow, at most one kernel call per RK4
-        # stage back and forth (4 steps at h, 8 at h/2) and one for Y at the
-        # preimages; the h/2 flow's first stage, at x0, is a cache hit
-        assert len(calls) == (16 + 1 + 16) + (32 + 1 + 32) - 1
+        # the depths step together: per pass, one kernel call per backward
+        # RK4 stage (4 steps at h, 8 at h/2) and one for Y at the preimages;
+        # the h/2 pass's first stage, at x0, is a cache hit
+        assert len(calls) == (16 + 1) + (32 + 1) - 1
         for k, value, resolved in zip(ks, ser.values, ser.resolved):
             fr = PullbackFrame(phi_perturbed, k, E0=E0)
-            w, load = transport_reference(fr, IN_SUPPORT, t, SPEC.step)
-            w2, load2 = transport_reference(fr, IN_SUPPORT, t, SPEC.step / 2)
+            w, load, _ = transport_reference(fr, IN_SUPPORT, t, SPEC.step)
+            w2, load2, _ = transport_reference(fr, IN_SUPPORT, t, SPEC.step / 2)
             want = np.linalg.norm(w - fr.Y(IN_SUPPORT))
             want2 = np.linalg.norm(w2 - fr.Y(IN_SUPPORT))
             assert value.tobytes() == want.tobytes()
             agree = abs(want - want2) <= max(0.25 * max(want, want2), 1e-9)
             assert resolved is bool(load < 0.5 and load2 < 0.5 and agree)
-            res = pushforward_vector(fr, IN_SUPPORT, t, SPEC)
-            assert res.vector.tobytes() == w.tobytes() and res.max_step_load == load
+            vec, row_load, _ = _pushforwards([fr], IN_SUPPORT[None], t, SPEC, 1e-6)
+            assert vec[0].tobytes() == w.tobytes() and row_load[0] == load
         assert ser.values.max() > 0
 
     def test_contact_pushforward_closed_form(self):
@@ -534,9 +573,9 @@ class TestPushforward:
         fr = contact_frame()
         x = np.array([0.4, 0.1, 0.2])
         t = 0.15
-        res = pushforward_vector(fr, x, t, SPEC)
-        assert np.allclose(res.vector, [0.0, 1.0, x[0] - t], atol=1e-10)
-        assert np.linalg.norm(res.vector - fr.Y(x)) == pytest.approx(t, abs=1e-10)
+        vec = _pushforwards([fr], x[None], t, SPEC, 1e-6)[0][0]
+        assert np.allclose(vec, [0.0, 1.0, x[0] - t], atol=1e-10)
+        assert np.linalg.norm(vec - fr.Y(x)) == pytest.approx(t, abs=1e-10)
 
     def test_series_zero_for_linear_involutive(self, phi_linear):
         ser = pushforward_convergence_series(phi_linear, np.zeros(3), [1, 3, 5, 8], 0.05, SPEC)
