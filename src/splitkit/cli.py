@@ -21,7 +21,7 @@ from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .frames import PullbackFrame, coefficient_grid_rows
 from .report import RunTimer, run_report, write_csv, write_json
-from .splitting import domination_report, fitted_rate, swept_growth
+from .splitting import domination_report
 
 # Two-decimal eigenvalue tuple quoted alongside the built-in example matrix.
 # The computed spectrum of PAPER_MATRIX is (-0.1001, -3.1110, +3.2111); the
@@ -87,45 +87,49 @@ def _amplitude_guard(phi: Diffeo, cfg: ExperimentConfig):
         )
 
 
+def _require_converged(rep):
+    """Raise ConvergenceError when a domination report kept no sample."""
+    if not rep.samples:
+        raise ConvergenceError(
+            "no sample reached the invariance residual tolerance; "
+            "increase k_plane/k_line or choose samples on support-avoiding orbits"
+        )
+
+
+def _verdicts(rep) -> dict:
+    """A domination report's verdicts, under their report keys."""
+    return {
+        "dynamically_dominated": rep.verdict_dyn,
+        "volume_dominated": rep.verdict_vol,
+        "bunching_fails": rep.verdict_bunch_fails,
+    }
+
+
 def cmd_paper_example(out_dir: Path | None) -> dict:
-    """One-shot report on the built-in example matrix."""
+    """One-shot report on the built-in example matrix: the splitting pass at
+    x = 0, with its k = 1 ratios, fitted rates and verdicts."""
     A = PAPER_MATRIX
-    Af = A.astype(float)
-    det = int(round(np.linalg.det(Af)))
-    trace = int(np.trace(A))
-    eig = np.linalg.eigvals(Af).real
+    phi = Diffeo.from_matrix(A)
+    eig = np.linalg.eigvals(A.astype(float)).real
     eig_by_mag = eig[np.argsort(np.abs(eig))]
 
-    phi = Diffeo.from_matrix(A)
-    x = np.zeros(3)
-    g = swept_growth(phi, x, 80, burn_in_plane=500, burn_in_line=800)
-    flat_k1 = {
-        "dyn_ratio_1": float(np.exp(g.log_dyn()[0])),
-        "vol_ratio_1": float(np.exp(g.log_vol()[0])),
-        "bunch_ratio_1": float(np.exp(g.log_bunch()[0])),
-    }
-    rates = {
-        "dyn": fitted_rate(g.log_dyn()),
-        "vol": fitted_rate(g.log_vol()),
-        "bunch": fitted_rate(g.log_bunch()),
-    }
-    verdicts = {
-        "dynamically_dominated": bool(np.all(g.log_dyn() < 0)),
-        "volume_dominated": bool(np.all(g.log_vol() < 0)),
-        "bunching_fails": bool(np.all(g.log_bunch() > 0)),
-    }
+    rep = domination_report(phi, [[0.0, 0.0, 0.0]], 80, k_plane=500, k_line=800)
+    _require_converged(rep)
+    (d,) = rep.samples
+    _, *ratios_1 = d.table_rows()[0]
+    verdicts = _verdicts(rep)
     quoted_match = [
         bool(np.min(np.abs(eig_by_mag - q)) <= 0.005) for q in QUOTED_EIGENVALUES
     ]
     results = {
         "matrix": A.tolist(),
-        "det": det,
-        "trace": trace,
+        "det": phi.stages[0].det,
+        "trace": int(np.trace(A)),
         "eigenvalues_by_magnitude": [float(v) for v in eig_by_mag],
         "quoted_eigenvalues": list(QUOTED_EIGENVALUES),
         "quoted_eigenvalues_match": quoted_match,
-        "flat_metric_k1": flat_k1,
-        "per_step_rates": rates,
+        "flat_metric_k1": dict(zip(("dyn_ratio_1", "vol_ratio_1", "bunch_ratio_1"), ratios_1)),
+        "per_step_rates": {"dyn": d.rate_dyn, "vol": d.rate_vol, "bunch": d.rate_bunch},
         "verdicts": verdicts,
         "volume_dominated_but_not_bunched": bool(
             verdicts["volume_dominated"] and verdicts["bunching_fails"]
@@ -148,12 +152,7 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
             k_plane=cfg.k_plane,
             k_line=cfg.k_line,
         )
-
-    if not rep.samples:
-        raise ConvergenceError(
-            "no sample reached the invariance residual tolerance; "
-            "increase k_plane/k_line or choose samples on support-avoiding orbits"
-        )
+    _require_converged(rep)
     rows = []
     for d in rep.samples:
         x1, x2, x3 = (float(c) for c in d.sample.point)
@@ -165,11 +164,7 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
         rows,
     )
     return {
-        "verdicts": {
-            "dynamically_dominated": rep.verdict_dyn,
-            "volume_dominated": rep.verdict_vol,
-            "bunching_fails": rep.verdict_bunch_fails,
-        },
+        "verdicts": _verdicts(rep),
         "samples": [
             {
                 "point": list(d.sample.point),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import Diffeo, ShearPerturbation, ToralAutomorphism
-from .errors import ConfigError
+from .errors import ConfigError, DegeneratePlaneError
 from .frames import constant_frame, contact_frame
 from .geometry import Plane2
 
@@ -148,6 +148,10 @@ class ExperimentConfig:
                 raise ConfigError("e0.basis must hold exactly 2 vectors")
         cfg = cls(map_spec=m, raw=d, **kwargs)
         cfg.build_diffeo()  # validate the map spec eagerly
+        try:
+            cfg.initial_plane()  # the span of e0.basis, by Plane2's Gram rule
+        except DegeneratePlaneError as exc:
+            raise ConfigError(f"config key 'e0.basis' must span a plane: {exc}") from exc
         if cfg.random_samples < 0:
             raise ConfigError("config key 'random_samples' must be >= 0")
         if cfg.random_samples > 0 and cfg.seed < 0:
@@ -199,18 +203,8 @@ class ExperimentConfig:
                 raise ConfigError(f"shear spec missing keys: {sorted(missing)}")
             axis = _number(s["axis"], f"{name}.axis", int)
             (center,) = _number_rows([s["center"]], f"{name}.center", 3)
-            for key in ("radius", "amplitude"):
-                try:
-                    if not _is_number(s[key]):
-                        raise TypeError
-                    finite = math.isfinite(float(s[key]))
-                except (TypeError, OverflowError) as exc:
-                    raise ConfigError(
-                        f"shear center, radius and amplitude must be numbers, got {name}.{key} = {s[key]!r}"
-                    ) from exc
-                if not finite:
-                    raise ConfigError(f"shear {key} must be finite, got {s[key]!r}")
-            shears.append(ShearPerturbation(axis, center, float(s["radius"]), float(s["amplitude"])))
+            radius, amplitude = (_number(s[key], f"{name}.{key}", float) for key in ("radius", "amplitude"))
+            shears.append(ShearPerturbation(axis, center, radius, amplitude))
         matrix = _number_rows(self.map_spec["matrix"], "map.matrix", 3)
         try:
             auto = ToralAutomorphism(np.asarray(matrix))

@@ -266,15 +266,6 @@ def _accumulate_growth(diffs, planes, F) -> list:
     return [GrowthTable(*logs, max_anchor_defect=d) for *logs, d in tables]
 
 
-def swept_growth(
-    phi: Diffeo, x, k_max: int, E0=None, L0=None, burn_in_plane=400, burn_in_line=600
-) -> GrowthTable:
-    """The N = 1 view of ``_growth_along``, with the fast line at x from
-    depth-burn_in_line backward power iteration."""
-    F = compute_fast_line(phi, x, L0=L0, k=burn_in_line).direction[None]
-    return _growth_along(phi, np.asarray(x, dtype=float)[None], k_max, E0, burn_in_plane, F)[0]
-
-
 def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
     """Restricted growth along the orbits of the rows of X (N,3), one table
     per row: one extended forward orbit and one backward sweep give the
@@ -392,9 +383,7 @@ def domination_report(
         SplittingSample(x, Plane2(B), Line1(f), k_plane, float(r), bool(c))
         for x, B, f, r, c in zip(X, E, F_raw, residual, ok)
     ]
-    # each converged sample's line seeds the sweep normalised once more, as
-    # swept_growth(..., L0=sample.line, burn_in_line=0) takes it
-    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, unit_lines(F[:N][ok]))
+    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, F[:N][ok])
     per_sample = [_dominated(s, g) for s, g in zip((s for s in samples if s.converged), growth)]
     return DominationReport(
         samples=tuple(per_sample),

@@ -169,12 +169,14 @@ class TestBoundCurve:
         assert abs(rm[19] - rm[9]) <= 0.05 * rm[9]
 
     def test_rhs_matches_domination_table(self, phi_linear, tilt_E0):
-        from splitkit.splitting import swept_growth
+        # the sample converges, so the table is the same sweep, bit for bit
+        from splitkit.splitting import domination_report
 
         bc = bound_curve(phi_linear, np.zeros(3), 8, E0=tilt_E0, k_plane=400, k_line=600)
-        g = swept_growth(phi_linear, np.zeros(3), 8, E0=tilt_E0, burn_in_plane=400, burn_in_line=600)
-        for e, lv in zip(bc.entries, g.log_vol()):
-            assert e.rhs == pytest.approx(float(np.exp(lv)), abs=1e-10)
+        rep = domination_report(phi_linear, [np.zeros(3)], 8, E0=tilt_E0, k_plane=400, k_line=600)
+        (d,) = rep.samples
+        assert [e.rhs for e in bc.entries] == [vol for _, _, vol, _ in d.table_rows()]
+        assert bc.rate_rhs == d.rate_vol
 
     def test_limit_bracket_within_measurement_floor(self, phi_perturbed, tilt_E0):
         # the converged plane field is involutive up to what FD can resolve

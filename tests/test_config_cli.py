@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import splitkit
+from splitkit import splitting
 from splitkit.cli import _slow_plane_normal, main
 from splitkit.config import ExperimentConfig, hash_file
 from splitkit.errors import ConfigError
@@ -103,6 +105,30 @@ class TestCliExitCodes:
         # and the report says so rather than papering over it
         assert r["quoted_eigenvalues_match"] == [False, False, False]
         assert (tmp_path / "paper_example.json").exists()
+
+    def test_paper_example_exits_3_when_sample_excluded(self, monkeypatch, capsys):
+        # a tolerance below every residual (an angle sum, >= 0) excludes x = 0
+        monkeypatch.setattr(splitting, "RESIDUAL_TOL", -1.0)
+        assert main(["paper-example"]) == 3
+        assert "non-convergence" in capsys.readouterr().err
+
+    def test_paper_example_is_the_splitting_pass(self, tmp_path, capsys):
+        # the same problem through `splitting` gives the same rates, verdicts
+        # and k = 1 ratios, bit for bit
+        path = tmp_path / "cfg.json"
+        write_json(path, {"map": {"matrix": MATRIX}, "samples": [[0, 0, 0]], "k_max": 80, "k_plane": 500, "k_line": 800})
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert main(["paper-example", "--out", str(tmp_path / "pe")]) == 0
+        split = json.loads((tmp_path / "s" / "splitting.json").read_text())["results"]
+        pe = json.loads((tmp_path / "pe" / "paper_example.json").read_text())["results"]
+        (sample,) = split["samples"]
+        assert {key: sample[f"rate_{key}"] for key in ("dyn", "vol", "bunch")} == pe["per_step_rates"]
+        assert split["verdicts"] == pe["verdicts"]
+        with open(tmp_path / "s" / "splitting.csv", newline="") as fh:
+            row_1 = next(csv.DictReader(fh))
+        assert row_1["k"] == "1"
+        ratios_1 = {f"{key}_1": float(row_1[key]) for key in ("dyn_ratio", "vol_ratio", "bunch_ratio")}
+        assert ratios_1 == pe["flat_metric_k1"]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -263,14 +289,15 @@ class TestCliExitCodes:
             (base_config(epsilon=float("inf")), "'epsilon' must be finite"),
             (base_config(step=float("nan")), "'step' must be finite"),
             (base_config(samples=[[float("nan"), 0.0, 0.0]]), "'samples' must hold finite"),
-            (with_shear(amplitude=float("nan")), "shear amplitude must be finite"),
+            (with_shear(amplitude=float("nan")), "'map.shears[0].amplitude' must be finite"),
             (base_config(k_max=10**400), "'k_max' must be finite"),
             (base_config(samples=[[10**400, 0.0, 0.0]]), "'samples' must be a list"),
-            (with_shear(radius=10**400), "radius and amplitude must be numbers"),
+            (with_shear(radius=10**400), "'map.shears[0].radius' must be finite"),
             (base_config(synthetic_field={"kind": "constant", "a": float("inf")}), "must be finite"),
+            (base_config(e0={"basis": [[1, 0, 0], [2, 0, 0]]}), "'e0.basis' must span a plane"),
         ],
         ids=["h-nan", "epsilon-inf", "step-nan", "sample-nan", "amplitude-nan",
-             "k_max-huge", "sample-huge", "radius-huge", "synthetic-inf"],
+             "k_max-huge", "sample-huge", "radius-huge", "synthetic-inf", "e0-parallel"],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, cfg_dict, message):
         # json reads the NaN and Infinity tokens that write_json emits, and

@@ -9,13 +9,13 @@ from splitkit.dynamics import _orbit_records, _pull_back
 from splitkit.splitting import (
     DEFAULT_L0,
     _field_bases,
+    _growth_along,
     _pullback_bases,
     compute_fast_line,
     compute_slow_plane,
     domination_report,
     eventual_k0,
     fitted_rate,
-    swept_growth,
 )
 from splitkit.geometry import line_angles, principal_angle
 from conftest import (
@@ -165,9 +165,8 @@ class TestFastLine:
 
 def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):
     """Swept growth seeded with the exact (invariant) eigen-fields: a short burn-in suffices."""
-    return swept_growth(
-        phi, x, k_max, E0=slow_plane, L0=fast_line, burn_in_plane=burn_in, burn_in_line=burn_in
-    )
+    F = compute_fast_line(phi, x, L0=fast_line, k=burn_in).direction[None]
+    return _growth_along(phi, np.asarray(x, dtype=float)[None], k_max, slow_plane, burn_in, F)[0]
 
 
 class TestRestrictedGrowth:
@@ -197,7 +196,8 @@ class TestRestrictedGrowth:
     def test_swept_matches_exact_fields(self, phi_linear, slow_plane, fast_line):
         x = np.array([0.3, 0.4, 0.5])
         g1 = exact_growth(phi_linear, x, 30, slow_plane, fast_line)
-        g2 = swept_growth(phi_linear, x, 30, burn_in_plane=500, burn_in_line=800)
+        F = compute_fast_line(phi_linear, x, k=800).direction[None]
+        (g2,) = _growth_along(phi_linear, x[None], 30, None, 500, F)
         assert np.max(np.abs(g1.log_dyn() - g2.log_dyn())) < 1e-6
         assert np.max(np.abs(g1.log_vol() - g2.log_vol())) < 1e-6
 
@@ -208,7 +208,8 @@ class TestRestrictedGrowth:
     def test_submultiplicativity_of_volume_ratio(self, phi_perturbed):
         # per-step log vol ratios multiply exactly along the orbit, so the
         # k-step ratio is bounded by the worst per-step ratio power
-        g = swept_growth(phi_perturbed, np.zeros(3), 20, burn_in_plane=400, burn_in_line=600)
+        F = compute_fast_line(phi_perturbed, np.zeros(3), k=600).direction[None]
+        (g,) = _growth_along(phi_perturbed, np.zeros((1, 3)), 20, None, 400, F)
         lv = g.log_vol()
         steps = np.diff(np.concatenate([[0.0], lv]))
         worst = steps.max()
