@@ -398,9 +398,9 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             cfg = ExperimentConfig.from_dict({**cfg.raw, "seed": args.seed})
-        args.out.mkdir(parents=True, exist_ok=True)
         phi = cfg.build_diffeo()
         _amplitude_guard(phi, cfg)
+        args.out.mkdir(parents=True, exist_ok=True)
         timer = RunTimer()
         results = _commands()[args.command](cfg, phi, args.out, timer)
         rep = run_report(args.command, cfg.config_hash(), results)

@@ -277,16 +277,23 @@ def _gram_schmidt(V):
     return Q, (norms[0], r12, r22)
 
 
-def _pull_back(phi: Diffeo, recs, Q):
+def _pull_back(phi: Diffeo, recs, Q, live=None):
     """Pull orthonormal bases Q (3, 2, N) back through the recorded steps,
-    last step first.
+    last step first; step i moves only the first ``live[i]`` columns (all by
+    default), so with the rows deepest first each row joins at its own depth.
 
-    Yields (Q_i, R_i) for i = k-1 down to 0, where Q_k = ``Q``,
-    Q_i R_i = D_i^-1 Q_(i+1) and R_i is as returned by ``_gram_schmidt``.
+    Yields (Q_i, R_i) for i = k-1 down to 0: the live columns after step i,
+    Q_i R_i = D_i^-1 Q_(i+1) with Q_k = ``Q``, R_i as ``_gram_schmidt`` gives it.
     """
-    for rec in reversed(recs):
-        Q, R = _gram_schmidt(_tangent(phi, rec, Q, inverse=True))
-        yield Q, R
+    Q = np.array(Q, dtype=float)  # the waiting columns stay as given
+    for i in reversed(range(len(recs))):
+        n = Q.shape[2] if live is None else live[i]
+        Qi, R = _gram_schmidt(_tangent(phi, recs[i], Q[:, :, :n], inverse=True))
+        if n < Q.shape[2]:
+            Q[:, :, :n] = Qi
+        else:  # all live from here on, as live[i] never decreases as i goes
+            Q = Qi  # down, so no later step writes into a yielded stack
+        yield Qi, R
 
 
 def orbit_support_report(phi: Diffeo, x, k: int):

@@ -10,12 +10,12 @@ assembled from those logs.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _advance, _differentials, _gram_schmidt, _orbit_records
-from .dynamics import _pull_back, _tangent, orbit
+from .dynamics import Diffeo, _advance, _differentials, _orbit_records, _pull_back, orbit
 from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
 from .geometry import principal_angle, unit_lines, wrap_point
 
@@ -39,8 +39,8 @@ def _field_bases(E0, P, orthonormal=True):
     orthonormalised, or as the planes store them. A constant plane is
     converted once and broadcast; a field is evaluated row by row."""
     basis = Plane2.orthonormal_basis if orthonormal else (lambda E: E.basis)
-    if callable(E0):
-        return np.stack([basis(E0(p)) for p in P], axis=-1)
+    if callable(E0):  # (N, 3, 2) to (3, 2, N), also for N = 0
+        return np.array([basis(E0(p)) for p in P]).reshape(-1, 3, 2).transpose(1, 2, 0)
     return np.broadcast_to(basis(_plane_at(E0, None))[:, :, None], (3, 2, len(P)))
 
 
@@ -48,14 +48,14 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     """Orthonormal bases (3, 2, N) of the pullback planes D(phi^-k) E0(phi^k p)
     at the rows p of an (N,3) stack, from one kernel call. ``k`` is one
     depth for every row or one depth per row; a depth-0 row keeps the basis
-    its E0 plane stores.
+    its E0 plane stores, at the point as given (which may lie outside
+    [0, 1)^3).
 
-    The rows run deepest first. Step i of the forward orbit advances only
-    the rows deeper than i, and the backward sweep takes each row in, seeded
-    with E0 at its own orbit endpoint, when it reaches that row's depth: the
-    rows of one depth join the stack together and step with the deeper ones.
-    The kernel uses elementwise arithmetic only, so each row's basis is
-    bitwise the same whatever else is in the stack, at whatever depths.
+    The rows run deepest first, and step i moves only the rows deeper than
+    i, in both halves: the forward orbit leaves each row at its own
+    endpoint, where E0 seeds it, and one backward sweep takes it in at its
+    depth. The kernel uses elementwise arithmetic only, so each row's basis
+    is bitwise the same whatever else is in the stack, at whatever depths.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     depth = (np.zeros(len(P), dtype=int) + k).tolist()
@@ -63,26 +63,18 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     d = [depth[n] for n in order]  # deepest first
     if d and d[-1] < 0:
         raise ValueError("pullback depth k must be >= 0")
+    live = (len(d) - np.cumsum(np.bincount(d, minlength=1))[:-1]).tolist()  # rows deeper than i
     Y = wrap_point(P[order])
     recs = []
-    live = len(d)
-    for i in range(d[0] if d else 0):
-        while d[live - 1] <= i:
-            live -= 1  # the rows of depth i are at their orbit endpoints
-        Y[:live], rec = _advance(phi, Y[:live])
+    for n in live:
+        Y[:n], rec = _advance(phi, Y[:n])
         recs.append(rec)
-    # the rows of each depth join the sweep at their endpoints, and the live
-    # rows step down to the next depth; a depth-0 row is E0 at the point as
-    # given, which may lie outside [0, 1)^3
-    starts = [n for n in range(len(d)) if n == 0 or d[n] != d[n - 1]]
-    Q = np.empty((3, 2, 0))
-    for lo, hi in zip(starts, [*starts[1:], len(d)]):
-        ends = Y[lo:hi] if d[lo] else P[order[lo:hi]]
-        Q = np.concatenate([Q, _field_bases(E0, ends, orthonormal=d[lo] > 0)], axis=2)
-        for Q, _ in _pull_back(phi, recs[d[hi] if hi < len(d) else 0 : d[lo]], Q):
-            pass  # the last basis yielded is the one at the next depth
-    out = np.empty_like(Q)
-    out[:, :, order] = Q
+    swept = live[0] if live else 0
+    Q = _field_bases(E0, Y[:swept])
+    for Q, _ in _pull_back(phi, recs, Q, live):
+        pass  # the last stack yielded holds every swept row at depth 0
+    out = np.empty((3, 2, len(d)))
+    out[:, :, order] = np.concatenate([Q, _field_bases(E0, P[order[swept:]], orthonormal=False)], axis=2)
     return out
 
 
@@ -135,17 +127,12 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     seed_flag = line_plane_angle(fast_est, _plane_at(E0, pts[-1])) <= MIN_FAST_ANGLE
 
     # one backward sweep: column c holds the depth-(k - c) chain, seeded at
-    # orbit point k - c, so at step i the chains deeper than i are live
-    Q = np.array(_field_bases(E0, np.array(pts[:0:-1])))
+    # orbit point k - c, so step i moves the k - i chains deeper than i
+    seeds = _field_bases(E0, np.array(pts[:0:-1]))
     flagged = np.zeros(k, dtype=bool)
-    R = np.zeros((k, 2, 2))
-    for i in reversed(range(k)):
-        live = k - i
-        Q[:, :, :live], (r11, r12, r22) = _gram_schmidt(
-            _tangent(phi, recs[i], Q[:, :, :live], inverse=True)
-        )
-        R[:live, 0, 0], R[:live, 0, 1], R[:live, 1, 1] = r11, r12, r22
-        flagged[:live] |= (np.abs(r11 * r22) < 1e-300) | (np.linalg.cond(R[:live]) > 1e12)
+    for Q, (r11, r12, r22) in _pull_back(phi, recs, seeds, range(k, 0, -1)):
+        R = np.stack([r11, r12, np.zeros_like(r11), r22], axis=-1).reshape(-1, 2, 2)
+        flagged[: len(r11)] |= (np.abs(r11 * r22) < 1e-300) | (np.linalg.cond(R) > 1e12)
     first = _plane_at(E0, pts[0])
     bases = np.concatenate([first.basis[None], Q[:, :, ::-1].transpose(2, 0, 1)])
     steps = plane_angles(bases[1:], bases[:-1])
@@ -273,9 +260,10 @@ def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
     fast lines F (N,3) at the rows are pushed forward (the fast line attracts)."""
     pts, recs = _orbit_records(phi, X, k_max + burn_in_plane)
     seed = _field_bases(E0, pts[-1])
-    planes = [seed] + [Q for Q, _ in _pull_back(phi, recs, seed)]
-    # the bases at orbit points 0..k_max, as (k_max + 1, N, 3, 2)
-    planes = np.ascontiguousarray(np.transpose(planes[: -k_max - 2 : -1], (0, 3, 1, 2)))
+    # only the bases at orbit points k_max..0, the last ones yielded, are read and kept
+    planes = collections.deque([seed], maxlen=k_max + 1)
+    planes.extend(Q for Q, _ in _pull_back(phi, recs, seed))
+    planes = np.ascontiguousarray(np.transpose(planes, (0, 3, 1, 2))[::-1])
     diffs = _differentials(phi, np.concatenate(pts[:k_max])).reshape(k_max, len(X), 3, 3)
     return _accumulate_growth(diffs, planes, F)
 

@@ -175,6 +175,7 @@ class TestCliExitCodes:
         write_json(path, d)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("amplitude, code", [(0.47, 2), (0.45, 0)])
     def test_amplitude_gate_is_exact(self, tmp_path, capsys, amplitude, code):
@@ -186,6 +187,7 @@ class TestCliExitCodes:
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == code
         if code:
             assert "upper bound" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("amplitudes, code", [((0.05, 0.05), 0), ((0.3, 0.3), 2)])
     def test_amplitude_gate_bounds_composed_shears(self, tmp_path, amplitudes, code):
@@ -205,12 +207,15 @@ class TestCliExitCodes:
         assert line_angles((M.T @ n)[None], n[None])[0] < 1e-12
 
     def test_guard_needs_real_simple_dominant_eigenvalue(self, tmp_path, capsys):
-        # x^3 + x + 1: a complex pair of modulus 1.21 dominates a real -0.68
-        path = tmp_path / "cfg.json"
+        # x^3 + x + 1: a complex pair of modulus 1.21 dominates a real -0.68;
+        # the identity's eigenvalue 1 is triple
         companion = [[0, 0, -1], [1, 0, -1], [0, 1, 0]]
-        write_json(path, base_config(map={"matrix": companion, "shears": [SHEAR]}))
-        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "not real and simple" in capsys.readouterr().err
+        for n, matrix in enumerate([companion, np.eye(3, dtype=int).tolist()]):
+            path, out = tmp_path / f"cfg{n}.json", tmp_path / f"o{n}"
+            write_json(path, base_config(map={"matrix": matrix, "shears": [SHEAR]}))
+            assert main(["splitting", "--config", str(path), "--out", str(out)]) == 2
+            assert "not real and simple" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_negative_random_samples_rejected(self):
         with pytest.raises(ConfigError, match="'random_samples' must be >= 0"):

@@ -137,3 +137,42 @@ def test_stages_define_only_the_stacked_protocol():
             fn.name for fn in stages[name].body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
         }
         assert public == STAGE_PROTOCOL, f"{name} defines {sorted(public)}"
+
+
+# one backward step: every pullback sweep runs through dynamics._pull_back;
+# differential_inverse stays as the kernel at N = 1 (see METHOD_ORACLES)
+INVERSE_TANGENT_CALLERS = {"dynamics._pull_back", "dynamics.Diffeo.differential_inverse"}
+
+
+class _InverseTangentCalls(ast.NodeVisitor):
+    """Qualified names of the functions that call ``_tangent(..., inverse=True)``."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.callers = set()
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        inverse = any(
+            kw.arg == "inverse" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in node.keywords
+        )
+        if name == "_tangent" and inverse:
+            self.callers.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_backward_step():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _InverseTangentCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers |= visitor.callers
+    assert callers == INVERSE_TANGENT_CALLERS

@@ -108,6 +108,26 @@ class TestPerRowDepth:
                 *_, (want, _) = _pull_back(phi_perturbed, recs, _field_bases(E0, pts[-1]))
             assert got[:, :, n : n + 1].tobytes() == want.tobytes()
 
+    def test_one_backward_sweep(self, phi_perturbed, monkeypatch):
+        # depths 1..10 and a depth-200 group: one _pull_back call of 200
+        # steps, step i moving the rows deeper than i, and each row as if alone
+        import splitkit.splitting as splitting
+
+        calls = []
+        sweep = splitting._pull_back
+
+        def counting_sweep(phi, recs, Q, live=None):
+            calls.append((len(recs), Q.shape[-1], live))
+            return sweep(phi, recs, Q, live)
+
+        monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
+        ks = [*range(1, 11), 200, 200, 200]
+        X = np.random.default_rng(12).random((len(ks), 3))
+        got = _pullback_bases(phi_perturbed, X, None, ks)
+        assert calls == [(200, 13, [13 - i for i in range(10)] + [3] * 190)]
+        for n, k in enumerate(ks[:11]):
+            assert got[:, :, n].tobytes() == _pullback_bases(phi_perturbed, X[n], None, k).tobytes()
+
     @pytest.mark.parametrize("k", [0, 1, 6])
     def test_one_row(self, phi_perturbed, tilt_E0, k):
         x = np.array([[0.3, 0.52, 0.45]])
@@ -283,9 +303,9 @@ class TestStackedReport:
             calls.append(("planes", len(P)))
             return planes(phi, P, E0, k)
 
-        def counting_sweep(phi, recs, Q):
+        def counting_sweep(phi, recs, Q, live=None):
             calls.append(("sweep", Q.shape[-1]))
-            return sweep(phi, recs, Q)
+            return sweep(phi, recs, Q, live)
 
         monkeypatch.setattr(splitting, "_pullback_bases", counting_planes)
         monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
