@@ -265,7 +265,6 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
             cfg.n,
             spec,
             ChartBox(center=x0.copy()),
-            ks=list(cfg.k_list),
             names=[f"k={k}" for k in cfg.k_list],
         )
         for (k, frame), patch in zip(frames, patches):
@@ -282,9 +281,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                 }
             )
         lhs, rhs, rel, resolved = pushforward_norm_identity(limit_frame, x0, cfg.t, spec=spec)
-        series = pushforward_convergence_series(
-            phi, x0, list(cfg.k_list), cfg.t, spec=spec, E0=E0
-        )
+        series = pushforward_convergence_series(frames, x0, cfg.t, spec=spec)
         series_payload = [
             {"k": int(k), "value": float(v), "resolved": bool(r)}
             for k, v, r in zip(series.ks, series.values, series.resolved)
@@ -321,15 +318,17 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
     from .surface import FlowSpec
-    from .uniqueness import leaf_divergence, pullback_hartman_report
+    from .uniqueness import hartman_slice_report, leaf_divergence
 
     x0 = cfg.sample_points()[0]
     E0 = cfg.initial_plane()
     leaf_n = min(cfg.n, GRID_CAP)
     with timer.time("uniqueness"):
-        hart = pullback_hartman_report(
-            phi, cfg.slice_x2, cfg.k_max, E0=E0, grid_n=cfg.grid_n, h=cfg.h
-        )
+        # the slow plane converges at the (possibly mild) domination gap, so
+        # the reference frame must sit far beyond the reported depths
+        frames = [(k, PullbackFrame(phi, k, E0=E0)) for k in range(1, cfg.k_max + 1)]
+        limit = PullbackFrame(phi, max(200, 2 * cfg.k_max), E0=E0)
+        hart = hartman_slice_report(frames, limit, cfg.slice_x2, grid_n=cfg.grid_n, h=cfg.h)
         frame = PullbackFrame(phi, cfg.k_leaf, E0=E0)
         leaf = leaf_divergence(
             frame, x0, cfg.epsilon, leaf_n, cfg.delta, spec=FlowSpec(step=cfg.step)

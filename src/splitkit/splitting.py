@@ -258,13 +258,18 @@ def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
     per row: one extended forward orbit and one backward sweep give the
     depth >= burn_in_plane pullback plane at every orbit point, and the unit
     fast lines F (N,3) at the rows are pushed forward (the fast line attracts)."""
-    pts, recs = _orbit_records(phi, X, k_max + burn_in_plane)
-    seed = _field_bases(E0, pts[-1])
+    pts, recs = _orbit_records(phi, X, k_max)
+    # the burn-in steps keep their records for the sweep, not their points
+    Y = pts.pop()
+    for _ in range(burn_in_plane):
+        Y, rec = _advance(phi, Y)
+        recs.append(rec)
+    seed = _field_bases(E0, Y)
     # only the bases at orbit points k_max..0, the last ones yielded, are read and kept
     planes = collections.deque([seed], maxlen=k_max + 1)
     planes.extend(Q for Q, _ in _pull_back(phi, recs, seed))
     planes = np.ascontiguousarray(np.transpose(planes, (0, 3, 1, 2))[::-1])
-    diffs = _differentials(phi, np.concatenate(pts[:k_max])).reshape(k_max, len(X), 3, 3)
+    diffs = _differentials(phi, np.concatenate(pts)).reshape(k_max, len(X), 3, 3)
     return _accumulate_growth(diffs, planes, F)
 
 

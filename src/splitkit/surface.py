@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo
 from .errors import ChartExitError
-from .frames import AdaptedFrame, PullbackFrame, _coefficients, _graph_field_of, _graph_vectors, _jacobians
+from .frames import AdaptedFrame, _coefficients, _graph_field_of, _graph_vectors, _jacobians
 from .geometry import _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
@@ -98,8 +97,6 @@ class SurfacePatch:
     ts: np.ndarray
     ss: np.ndarray
     points: np.ndarray  # shape (n, n, 3), index [i_t, j_s]
-    k: int | None
-    spec: FlowSpec
 
     def grid_spacing(self):
         return 2.0 * self.epsilon / (self.n - 1)
@@ -138,7 +135,7 @@ def _sweep(frames, which, starts, grid, i0, spec, chart, names):
     return out
 
 
-def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, names=None):
+def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
     """Patches at several seeds, each of its own frame and in its own flow
     order, integrated as one stack.
 
@@ -146,16 +143,14 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, name
     side), then all n rows of every patch (n per seed and side), so each RK4
     stage is one ``_coefficients`` call, and one kernel call for the
     pullback frames of all depths. Rows of a stack are bitwise independent, so each patch
-    equals the one built from its seed and frame alone. ``ks`` label the
-    patches' depths (default None), and ``names`` label the patches in a
-    chart-exit error (default: their orders).
+    equals the one built from its seed and frame alone. ``names`` label the
+    patches in a chart-exit error (default: their orders).
     """
     if n < 3:
         raise ValueError("grid needs n >= 3 for interior finite differences")
     if n % 2 == 0:
         raise ValueError("grid needs odd n: rows are integrated outward from t = 0")
     seeds = np.asarray(seeds, dtype=float)
-    ks = [None] * len(seeds) if ks is None else ks
     names = list(orders if names is None else names)
     ts = ss = np.linspace(-epsilon, epsilon, n)
     i0 = n // 2  # the grid is symmetric, so its middle node is t = 0
@@ -173,10 +168,7 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, ks=None, name
     )
     points = rows.reshape(len(seeds), n, n, 3)
     points[xy] = points[xy].swapaxes(1, 2)
-    return [
-        SurfacePatch(x0=x, epsilon=epsilon, n=n, ts=ts, ss=ss, points=P, k=k, spec=spec)
-        for x, P, k in zip(seeds, points, ks)
-    ]
+    return [SurfacePatch(x0=x, epsilon=epsilon, n=n, ts=ts, ss=ss, points=P) for x, P in zip(seeds, points)]
 
 
 def build_patch(
@@ -186,7 +178,6 @@ def build_patch(
     n: int = DEFAULT_GRID_N,
     spec: FlowSpec = FlowSpec(),
     chart: ChartBox | None = None,
-    k: int | None = None,
     order: str = "xy",
 ) -> SurfacePatch:
     """Grid of W(t, s) = X-flow_t . Y-flow_s (x0) over (-eps, eps)^2.
@@ -197,12 +188,11 @@ def build_patch(
     x0 = np.asarray(x0, dtype=float)
     if chart is None:
         chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    return _build_patches([frame], x0[None], (order,), epsilon, n, spec, chart, ks=[k])[0]
+    return _build_patches([frame], x0[None], (order,), epsilon, n, spec, chart)[0]
 
 
 @dataclass(frozen=True)
 class TangencyReport:
-    k: int | None
     max_angle: float
     mean_angle: float
     max_angle_limit: float | None  # against a second (limit) plane field
@@ -239,7 +229,6 @@ def tangency_report(
     if limit is not None:
         angles_limit = plane_angles(tangents, bases[len(P) :])
     return TangencyReport(
-        k=patch.k,
         max_angle=float(np.max(angles)),
         mean_angle=float(np.mean(angles)),
         max_angle_limit=None if limit is None else float(np.max(angles_limit)),
@@ -326,32 +315,29 @@ class PushforwardSeries:
 
 
 def pushforward_convergence_series(
-    phi: Diffeo,
-    x0,
-    k_list,
-    t,
-    spec: FlowSpec = FlowSpec(),
-    E0=None,
-    grad_h=DEFAULT_GRAD_H,
+    frames, x0, t, spec: FlowSpec = FlowSpec(), grad_h=DEFAULT_GRAD_H
 ) -> PushforwardSeries:
-    """Pushforward defect of the depth-k frames at x0, one entry per depth.
+    """Pushforward defect of a family of frames at x0, one entry per frame.
 
-    Deep frames oscillate at the cocycle's compression scale, so entries are
-    flagged unresolved once the variational load exceeds the explicit-step
-    budget; asserting trends on unresolved entries would test the integrator,
-    not the frames. The transports of all depths step as one stack, one row
-    per frame, once at the step and once at half of it; each row is bitwise
-    the depth's own one-row pass.
+    ``frames`` is a sequence of (k, AdaptedFrame). Deep pullback frames
+    oscillate at the cocycle's compression scale, so entries are flagged
+    unresolved once the variational load exceeds the explicit-step budget;
+    asserting trends on unresolved entries would test the integrator, not
+    the frames. The transports of all frames step as one stack, one row per
+    frame, once at the step and once at half of it; each row is bitwise the
+    frame's own one-row pass.
     """
     x0 = np.asarray(x0, dtype=float)
-    frames = [PullbackFrame(phi, k, E0=E0) for k in k_list]
+    ks = tuple(k for k, _ in frames)
+    frames = [frame for _, frame in frames]
     X = np.tile(x0, (len(frames), 1))
     vec, load, _ = _pushforwards(frames, X, t, spec, grad_h)
     chk, chk_load, _ = _pushforwards(frames, X, t, FlowSpec(step=spec.step / 2), grad_h)
-    # each frame's Y at x0, a cache hit: its backward pass started there
+    # each frame's Y at x0, a cache hit for a pullback frame: its backward
+    # pass started there
     Y = np.array([frame.Y(x0) for frame in frames])
     vals = _row_norms(vec - Y)
     halved = _row_norms(chk - Y)
     agree = np.abs(vals - halved) <= np.maximum(0.25 * np.maximum(vals, halved), 1e-9)
     flags = (load < MAX_STEP_LOAD) & (chk_load < MAX_STEP_LOAD) & agree
-    return PushforwardSeries(ks=tuple(k_list), values=vals, resolved=tuple(flags.tolist()))
+    return PushforwardSeries(ks=ks, values=vals, resolved=tuple(flags.tolist()))

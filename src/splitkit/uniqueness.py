@@ -2,8 +2,9 @@
 
 Two families of checks: 1-form certificate data on a fixed x2-slice (sup-norm
 convergence of the graph coefficient and boundedness of its transversal
-derivative across pullback depths), and leaf comparisons (flow-order
+derivative across a family of frames), and leaf comparisons (flow-order
 commutator defect and Lipschitz dependence of patches on their seed point).
+Both take frames, whatever built them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo
-from .frames import AdaptedFrame, PullbackFrame, _coefficients
+from .frames import AdaptedFrame, _coefficients
 from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
 
 # slack of the two-step decrease test on the slice distances
@@ -79,25 +79,6 @@ def hartman_slice_report(
         bounded=bool(np.all(np.isfinite(sup_d)) and np.all(np.isfinite(sup_dist))),
         distances_decreasing=bool(decreasing),
     )
-
-
-def pullback_hartman_report(
-    phi: Diffeo,
-    slice_x2: float,
-    k_max: int,
-    E0=None,
-    k_ref: int | None = None,
-    grid_n: int = 12,
-    h: float = 1e-5,
-) -> HartmanData:
-    """Hartman slice data for the pullback frames of a diffeomorphism."""
-    if k_ref is None:
-        # the slow plane converges at the (possibly mild) domination gap, so
-        # the reference frame must sit far beyond the reported depths
-        k_ref = max(200, 2 * k_max)
-    frames = [(k, PullbackFrame(phi, k, E0=E0)) for k in range(1, k_max + 1)]
-    limit = PullbackFrame(phi, k_ref, E0=E0)
-    return hartman_slice_report(frames, limit, slice_x2, grid_n=grid_n, h=h)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from splitkit import PAPER_MATRIX, Diffeo
 from splitkit.bracket import bound_curve, bracket_coefficient, invariance_identity_residual
 from splitkit.cli import QUOTED_EIGENVALUES, cmd_paper_example
-from splitkit.frames import AnalyticFrame, constant_frame, contact_frame
+from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import exterior_square
 from splitkit.splitting import compute_slow_plane
 from splitkit.surface import (
@@ -32,7 +32,7 @@ from splitkit.surface import (
     pushforward_convergence_series,
     pushforward_norm_identity,
 )
-from splitkit.uniqueness import leaf_divergence, pullback_hartman_report
+from splitkit.uniqueness import hartman_slice_report, leaf_divergence
 from conftest import FIXED_EXACT, SHEAR, tilt_plane_field
 from splitkit.dynamics import ShearPerturbation, ToralAutomorphism
 
@@ -284,9 +284,8 @@ def test_criterion_08_surface_machinery():
 def test_criterion_09_pushforward_trend():
     phi = _perturbed()
     start = time.perf_counter()
-    ser = pushforward_convergence_series(
-        phi, np.zeros(3), list(range(1, 13)), 0.04, FlowSpec(step=1e-3), grad_h=1e-8
-    )
+    frames = [(k, PullbackFrame(phi, k)) for k in range(1, 13)]
+    ser = pushforward_convergence_series(frames, np.zeros(3), 0.04, FlowSpec(step=1e-3), grad_h=1e-8)
     elapsed = time.perf_counter() - start
     vals = ser.resolved_values()
     trend_ok = all(vals[i + 1][1] <= vals[i][1] + 1e-6 for i in range(len(vals) - 1))
@@ -301,9 +300,9 @@ def test_criterion_09_pushforward_trend():
 
 def test_criterion_10_uniqueness_diagnostics(phi_linear):
     phi = _perturbed()
-    hart = pullback_hartman_report(phi, 0.0, 15, k_ref=250, grid_n=6, h=1e-5)
+    frames = [(k, PullbackFrame(phi, k)) for k in range(1, 16)]
+    hart = hartman_slice_report(frames, PullbackFrame(phi, 250), 0.0, grid_n=6, h=1e-5)
     hart_ok = hart.bounded and np.isfinite(hart.max_sup)
-    from splitkit.frames import PullbackFrame
 
     leaf = leaf_divergence(
         PullbackFrame(phi_linear, 12), np.array([0.5, 0.5, 0.5]), 0.05, 7, 1e-4,

@@ -176,3 +176,30 @@ def test_one_backward_step():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         callers |= visitor.callers
     assert callers == INVERSE_TANGENT_CALLERS
+
+
+# the integrability layers test statements about a plane field, whatever
+# built it: they take frames, and only the CLI and the cocycle functions turn
+# a map into frames
+FRAME_GENERIC = ("surface", "uniqueness")
+MAP_NAMES = {"dynamics", "splitting", "PullbackFrame"}
+
+
+def _names_reached(node):
+    """The modules an import reaches and the names it binds; the name a
+    Name or Attribute node refers to."""
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split(".")) | {a.name for a in node.names}
+    if isinstance(node, ast.Import):
+        return {part for a in node.names for part in a.name.split(".")}
+    return {getattr(node, "id", None), getattr(node, "attr", None)}
+
+
+def test_surface_and_uniqueness_take_frames():
+    found = [
+        f"{stem}:{sub.lineno} {sorted(MAP_NAMES & _names_reached(sub))}"
+        for stem in FRAME_GENERIC
+        for sub in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")))
+        if MAP_NAMES & _names_reached(sub)
+    ]
+    assert not found, f"the frame-generic layers reach for the map: {found}"

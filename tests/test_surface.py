@@ -34,6 +34,11 @@ SPEC = FlowSpec(step=1e-3)
 IN_SUPPORT = np.array([0.3, 0.52, 0.45])
 
 
+def pullback_frames(phi, ks, E0=None):
+    """(k, frame) pairs of fresh depth-k pullback frames, as the surface command builds them."""
+    return [(k, PullbackFrame(phi, k, E0=E0)) for k in ks]
+
+
 def rk4_point(field, y, t, step):
     """Row-by-row reference: one state, one field evaluation per RK4 stage."""
     n = max(1, math.ceil(abs(t) / step))
@@ -328,11 +333,11 @@ class TestPatches:
     def test_perturbed_pullback_patch_recorded(self, phi_perturbed, tilt_E0):
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
-        patch = build_patch(fr, x0, 0.03, 7, spec=SPEC, k=4)
+        patch = build_patch(fr, x0, 0.03, 7, spec=SPEC)
         rep = tangency_report(patch, fr)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
-        patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4), k=4)
+        patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4))
         rep2 = tangency_report(patch2, fr)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
@@ -368,12 +373,11 @@ class TestPatches:
         ks = [1, 2, 4]
         frames = [PullbackFrame(phi_perturbed, k, E0=E0) for k in ks]
         chart = ChartBox(center=IN_SUPPORT.copy())
-        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart, ks=ks)
+        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart)
         for patch, k in zip(stacked, ks):
             fresh = PullbackFrame(phi_perturbed, k, E0=E0)
-            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, spec=SPEC, k=k)
+            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, spec=SPEC)
             assert patch.points.tobytes() == alone.points.tobytes()
-            assert patch.k == alone.k == k
 
     def test_stacked_depths_one_kernel_call_per_stage(self, phi_perturbed, tilt_E0, monkeypatch):
         calls = counting_kernel(monkeypatch)
@@ -550,7 +554,7 @@ class TestPushforward:
         E0 = tilt_E0 if field else None
         ks, t = [1, 2, 3], 0.004
         calls = counting_kernel(monkeypatch)
-        ser = pushforward_convergence_series(phi_perturbed, IN_SUPPORT, ks, t, SPEC, E0=E0)
+        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
         # the depths step together: per pass, one kernel call per backward
         # RK4 stage (4 steps at h, 8 at h/2) and one for Y at the preimages;
         # the h/2 pass's first stage, at x0, is a cache hit
@@ -568,6 +572,27 @@ class TestPushforward:
             assert vec[0].tobytes() == w.tobytes() and row_load[0] == load
         assert ser.values.max() > 0
 
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_series_on_patch_frames_bitwise_fresh(self, phi_perturbed, tilt_E0, field, monkeypatch):
+        # the surface command hands the series the frames its patches have
+        # read: their cached values are the fresh frames' bits, so the series
+        # is too, and it pulls back fewer rows
+        E0 = tilt_E0 if field else None
+        ks, t = [1, 2, 4], 0.004
+        used = pullback_frames(phi_perturbed, ks, E0)
+        chart = ChartBox(center=IN_SUPPORT.copy())
+        _build_patches([fr for _, fr in used], [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart)
+        assert all(IN_SUPPORT.tobytes() in fr._cache for _, fr in used)
+        calls = counting_kernel(monkeypatch)
+        ser = pushforward_convergence_series(used, IN_SUPPORT, t, SPEC)
+        rows_used = sum(rows for rows, _ in calls)
+        calls.clear()
+        fresh = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
+        assert ser.ks == fresh.ks == tuple(ks)
+        assert ser.values.tobytes() == fresh.values.tobytes()
+        assert ser.resolved == fresh.resolved
+        assert rows_used < sum(rows for rows, _ in calls)
+
     def test_contact_pushforward_closed_form(self):
         # (X-flow_t)_* Y at x equals e2 + (x1 - t) e3 for the contact frame
         fr = contact_frame()
@@ -578,14 +603,15 @@ class TestPushforward:
         assert np.linalg.norm(vec - fr.Y(x)) == pytest.approx(t, abs=1e-10)
 
     def test_series_zero_for_linear_involutive(self, phi_linear):
-        ser = pushforward_convergence_series(phi_linear, np.zeros(3), [1, 3, 5, 8], 0.05, SPEC)
+        frames = pullback_frames(phi_linear, [1, 3, 5, 8])
+        ser = pushforward_convergence_series(frames, np.zeros(3), 0.05, SPEC)
         assert all(ser.resolved)
         assert np.all(ser.values < 1e-9)
 
     def test_series_decays_for_tilt_initial(self, phi_linear, tilt_E0):
         ser = pushforward_convergence_series(
-            phi_linear, np.zeros(3), [1, 2, 3, 4], 0.01, FlowSpec(step=2.5e-4),
-            E0=tilt_E0, grad_h=1e-9,
+            pullback_frames(phi_linear, [1, 2, 3, 4], tilt_E0), np.zeros(3), 0.01, FlowSpec(step=2.5e-4),
+            grad_h=1e-9,
         )
         vals = [v for (_, v) in ser.resolved_values()]
         assert len(vals) >= 3
@@ -597,7 +623,7 @@ class TestTangencySeries:
         # every node's angles, tangent norms and dW/dt defect, one node at a time
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         limit = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
-        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, spec=SPEC, k=4)
+        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, spec=SPEC)
         rep = tangency_report(patch, fr, limit)
         P, d = patch.points, patch.grid_spacing()
         own, lim, norms, defects = [], [], [], []
@@ -619,7 +645,7 @@ class TestTangencySeries:
         # nodes on a line: the FD tangents at every node are parallel
         ts = np.linspace(-0.05, 0.05, 5)
         points = (ts[:, None] + ts[None, :])[:, :, None] * np.array([1.0, 0.0, 0.0])
-        patch = SurfacePatch(np.zeros(3), 0.05, 5, ts, ts, points, None, SPEC)
+        patch = SurfacePatch(np.zeros(3), 0.05, 5, ts, ts, points)
         with pytest.raises(DegeneratePlaneError, match="Gram determinant"):
             tangency_report(patch, constant_frame(0.0, 0.0))
 
@@ -640,7 +666,7 @@ class TestTangencySeries:
         maxima = []
         for k in range(1, 9):
             fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
-            patch = build_patch(fr, np.zeros(3), 0.02, 5, spec=FlowSpec(step=1e-3), k=k)
+            patch = build_patch(fr, np.zeros(3), 0.02, 5, spec=FlowSpec(step=1e-3))
             rep = tangency_report(patch, fr, limit)
             maxima.append(rep.max_angle_limit)
         assert np.mean(maxima[4:]) < np.mean(maxima[:4])

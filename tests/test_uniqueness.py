@@ -4,14 +4,16 @@ import pytest
 from splitkit.errors import ChartExitError
 from splitkit.frames import AdaptedFrame, AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.surface import FlowSpec
-from splitkit.uniqueness import (
-    hartman_slice_report,
-    leaf_divergence,
-    pullback_hartman_report,
-)
+from splitkit.uniqueness import hartman_slice_report, leaf_divergence
 from conftest import counting_kernel
 
 SPEC = FlowSpec(step=1e-3)
+
+
+def pullback_slice_frames(phi, k_max, k_ref):
+    """The (k, frame) pairs of the depth 1..k_max pullback frames of a map
+    and its depth-k_ref reference frame, as the uniqueness command builds them."""
+    return [(k, PullbackFrame(phi, k)) for k in range(1, k_max + 1)], PullbackFrame(phi, k_ref)
 
 
 class TestHartmanSlice:
@@ -38,14 +40,14 @@ class TestHartmanSlice:
         assert rep.distances_decreasing
 
     def test_linear_map(self, phi_linear):
-        rep = pullback_hartman_report(phi_linear, 0.0, 8, k_ref=300, grid_n=4, h=1e-5)
+        rep = hartman_slice_report(*pullback_slice_frames(phi_linear, 8, 300), 0.0, grid_n=4, h=1e-5)
         assert rep.bounded
         assert max(rep.sup_da_dx3) < 1e-7  # constant coefficient fields
         assert rep.distances_decreasing
         assert rep.sup_distance[0] > rep.sup_distance[-1]
 
     def test_perturbed_map_recorded(self, phi_perturbed):
-        rep = pullback_hartman_report(phi_perturbed, 0.0, 6, k_ref=250, grid_n=4, h=1e-5)
+        rep = hartman_slice_report(*pullback_slice_frames(phi_perturbed, 6, 250), 0.0, grid_n=4, h=1e-5)
         assert rep.bounded
         assert np.isfinite(rep.max_sup)
         assert len(rep.sup_da_dx3) == 6
@@ -128,7 +130,7 @@ class TestStackedSlice:
         # the slice frames of every depth and the limit frame come from one
         # kernel call, and each sup is bitwise that of the frame read alone
         calls = counting_kernel(monkeypatch)
-        rep = pullback_hartman_report(phi_perturbed, 0.5, 4, k_ref=30, grid_n=3, h=1e-5)
+        rep = hartman_slice_report(*pullback_slice_frames(phi_perturbed, 4, 30), 0.5, grid_n=3, h=1e-5)
         assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
         monkeypatch.undo()
         xs = np.linspace(0.0, 1.0, 3, endpoint=False)
