@@ -24,7 +24,6 @@ from .geometry import (
 from .splitting import (
     DominationReport,
     PullbackSequence,
-    SplittingSample,
     compute_fast_line,
     compute_slow_plane,
     domination_report,
@@ -51,7 +50,6 @@ __all__ = [
     "wrap_point",
     "DominationReport",
     "PullbackSequence",
-    "SplittingSample",
     "compute_fast_line",
     "compute_slow_plane",
     "domination_report",

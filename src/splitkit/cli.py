@@ -155,9 +155,9 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
     _require_converged(rep)
     rows = []
     for d in rep.samples:
-        x1, x2, x3 = (float(c) for c in d.sample.point)
+        x1, x2, x3 = (float(c) for c in d.point)
         for k, dyn, vol, bunch in d.table_rows():
-            rows.append((x1, x2, x3, k, dyn, vol, bunch, d.sample.residual))
+            rows.append((x1, x2, x3, k, dyn, vol, bunch, d.residual))
     write_csv(
         out_dir / "splitting.csv",
         ["x1", "x2", "x3", "k", "dyn_ratio", "vol_ratio", "bunch_ratio", "angle_residual"],
@@ -167,9 +167,9 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
         "verdicts": _verdicts(rep),
         "samples": [
             {
-                "point": list(d.sample.point),
-                "k_used": d.sample.k_used,
-                "residual": d.sample.residual,
+                "point": list(d.point),
+                "k_used": cfg.k_plane,
+                "residual": d.residual,
                 "k0_dyn": d.k0_dyn,
                 "k0_vol": d.k0_vol,
                 "k0_bunch": d.k0_bunch,
@@ -189,6 +189,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
     from .bracket import bound_curve, bracket_coefficient, invariance_identity_residual
 
     pts = cfg.sample_points()
+    E0 = cfg.initial_plane()
     rows = []
     summaries = []
     synthetic = cfg.build_synthetic_frame()
@@ -205,7 +206,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                 p,
                 cfg.k_max,
                 h=cfg.h,
-                E0=cfg.initial_plane(),
+                E0=E0,
                 k_plane=cfg.k_plane,
                 k_line=cfg.k_line,
             )
@@ -213,7 +214,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
             for k, h, c, lhs, rhs, quot in curve.rows():
                 rows.append((x1, x2, x3, k, h, c, lhs, rhs, quot))
             res = invariance_identity_residual(
-                phi, p, min(3, cfg.k_max), h=cfg.h, E0=cfg.initial_plane(),
+                phi, p, min(3, cfg.k_max), h=cfg.h, E0=E0,
                 k_plane=cfg.k_plane, k_line=cfg.k_line, fast_line=curve.fast_line,
             )
             rm = curve.running_max()

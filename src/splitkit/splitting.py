@@ -82,7 +82,6 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
 class PullbackEntry:
     k: int
     plane: Plane2
-    angle_step: float  # angle to the previous entry
     flagged: bool  # transversality / conditioning trouble during pullback
 
 
@@ -90,12 +89,7 @@ class PullbackEntry:
 class PullbackSequence:
     point: np.ndarray
     entries: tuple
-    k_used: int
     converged: bool
-
-    @property
-    def final_plane(self) -> Plane2:
-        return self.entries[-1].plane
 
     def angles_to(self, plane: Plane2):
         """Angle of every entry to a reference plane (limit diagnostics)."""
@@ -107,8 +101,8 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
 
     Entry j is the plane D(phi^-j) E0(phi^j x), bitwise the depth-j
     pullback alone; the sequence ends at the first depth where consecutive
-    entries agree to ``ANGLE_CONVERGENCE_TOL``.  Both the stopping angle and
-    the depth reached are recorded rather than assumed.
+    entries agree to ``ANGLE_CONVERGENCE_TOL``, or at depth k, and
+    ``converged`` records which.
 
     An initial plane containing the fast direction at the orbit endpoint
     pulls back to a *different* invariant plane without any conditioning
@@ -138,16 +132,10 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     steps = plane_angles(bases[1:], bases[:-1])
     done = np.flatnonzero(steps < ANGLE_CONVERGENCE_TOL)
     depth = int(done[0]) + 1 if len(done) else k
-    entries = [PullbackEntry(0, first, np.pi / 2, seed_flag)] + [
-        PullbackEntry(j, Plane2(bases[j]), float(steps[j - 1]), bool(flagged[k - j]))
-        for j in range(1, depth + 1)
+    entries = [PullbackEntry(0, first, seed_flag)] + [
+        PullbackEntry(j, Plane2(bases[j]), bool(flagged[k - j])) for j in range(1, depth + 1)
     ]
-    return PullbackSequence(
-        point=pts[0],
-        entries=tuple(entries),
-        k_used=depth,
-        converged=bool(len(done)),
-    )
+    return PullbackSequence(point=pts[0], entries=tuple(entries), converged=bool(len(done)))
 
 
 def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
@@ -162,15 +150,22 @@ def _fast_lines(phi: Diffeo, X, L, k):
     backward orbits of the rows of X (N,3), to the rows: power iteration,
     converging to the most expanded line at the spectral gap of the cocycle.
     Each step is a batched product and row-dot norm, so each row's bits do
-    not depend on N. The differentials are built in blocks of steps, at
-    most ``FAST_LINE_ROWS`` rows per kernel call, so memory stays bounded
-    as k N grows."""
+    not depend on N. The steps run in blocks of at most ``FAST_LINE_ROWS``
+    rows, deepest block first, one kernel call of differentials each. The
+    backward orbit keeps only each block's shallow end, and the block
+    retreats again from it; retreat is deterministic and row-independent,
+    so every point is bitwise that of one pass, and memory stays bounded
+    as k grows."""
     if k < 0:
         raise ValueError("iteration depth k must be >= 0")
-    back = orbit(phi, X, k, direction="inverse")[:0:-1]
     block = max(1, FAST_LINE_ROWS // max(1, len(X)))
-    for s in range(0, k, block):
-        steps = back[s : s + block]
+    tops = range(k, 0, -block)  # each block's deepest step, deepest block first
+    # a block's shallow end is the next block's top, or 0 for the last block
+    ends = [X]
+    for top in reversed(tops[1:]):
+        ends.append(orbit(phi, ends[-1], min(top, block), direction="inverse")[-1])
+    for top, Y in zip(tops, reversed(ends)):
+        steps = orbit(phi, Y, min(top, block), direction="inverse")[:0:-1]
         diffs = _differentials(phi, np.concatenate(steps)).reshape(len(steps), len(X), 3, 3)
         for D in diffs:
             w = (D @ L[:, :, None])[:, :, 0]
@@ -295,18 +290,9 @@ def fitted_rate(log_ratios) -> float:
 
 
 @dataclass(frozen=True)
-class SplittingSample:
-    point: np.ndarray
-    plane: Plane2
-    line: Line1
-    k_used: int
-    residual: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class SampleDomination:
-    sample: SplittingSample
+    point: np.ndarray
+    residual: float  # invariance residual of the plane and line, radians
     growth: GrowthTable
     k0_dyn: int | None
     k0_vol: int | None
@@ -331,16 +317,12 @@ class DominationReport:
     verdict_vol: bool
     verdict_bunch_fails: bool  # True when bunching stays violated (> 1)
 
-    @property
-    def n_converged(self):
-        return len(self.samples)
 
-
-def _dominated(sample: SplittingSample, g: GrowthTable) -> SampleDomination:
+def _dominated(x, residual: float, g: GrowthTable) -> SampleDomination:
     """A converged sample's k0 and fitted rate of each ratio, in (dyn, vol, bunch) order."""
     logs = (g.log_dyn(), g.log_vol(), g.log_bunch())
     k0s, rates = map(eventual_k0, logs), map(fitted_rate, logs)
-    return SampleDomination(sample, g, *k0s, *rates, g.volume_identity_max_abs())
+    return SampleDomination(x, residual, g, *k0s, *rates, g.volume_identity_max_abs())
 
 
 def domination_report(
@@ -366,21 +348,16 @@ def domination_report(
     N = len(X)
     XY = np.concatenate([X, phi.apply(X)])
     E = np.ascontiguousarray(_pullback_bases(phi, XY, E0, k_plane).transpose(2, 0, 1))
-    F_raw = _fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line)
-    F = unit_lines(F_raw)
+    F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
     D = phi.differential(X)
     pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
     residual = plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
     ok = residual < RESIDUAL_TOL
-    samples = [
-        SplittingSample(x, Plane2(B), Line1(f), k_plane, float(r), bool(c))
-        for x, B, f, r, c in zip(X, E, F_raw, residual, ok)
-    ]
     growth = _growth_along(phi, X[ok], k_max, E0, k_plane, F[:N][ok])
-    per_sample = [_dominated(s, g) for s, g in zip((s for s in samples if s.converged), growth)]
+    per_sample = [_dominated(x, float(r), g) for x, r, g in zip(X[ok], residual[ok], growth)]
     return DominationReport(
         samples=tuple(per_sample),
-        excluded=tuple((s.point, s.residual) for s in samples if not s.converged),
+        excluded=tuple((x, float(r)) for x, r in zip(X[~ok], residual[~ok])),
         verdict_dyn=bool(per_sample) and all(d.k0_dyn is not None for d in per_sample),
         verdict_vol=bool(per_sample) and all(d.k0_vol is not None for d in per_sample),
         verdict_bunch_fails=bool(per_sample)

@@ -91,7 +91,6 @@ def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = Non
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    x0: np.ndarray
     epsilon: float
     n: int
     ts: np.ndarray
@@ -168,7 +167,7 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
     )
     points = rows.reshape(len(seeds), n, n, 3)
     points[xy] = points[xy].swapaxes(1, 2)
-    return [SurfacePatch(x0=x, epsilon=epsilon, n=n, ts=ts, ss=ss, points=P) for x, P in zip(seeds, points)]
+    return [SurfacePatch(epsilon=epsilon, n=n, ts=ts, ss=ss, points=P) for P in points]
 
 
 def build_patch(
@@ -195,18 +194,16 @@ def build_patch(
 class TangencyReport:
     max_angle: float
     mean_angle: float
-    max_angle_limit: float | None  # against a second (limit) plane field
-    mean_angle_limit: float | None
+    max_angle_limit: float  # against a second (limit) plane field
+    mean_angle_limit: float
     max_tangent_norm: float  # uniform C^1 bound ingredient
     max_dWdt_defect: float  # || FD dW/dt - X(W) || over interior nodes
     angles: np.ndarray  # (n-2, n-2): angle to the own plane at interior node [i-1, j-1]
 
 
-def tangency_report(
-    patch: SurfacePatch, frame: AdaptedFrame, limit: AdaptedFrame | None = None
-) -> TangencyReport:
+def tangency_report(patch: SurfacePatch, frame: AdaptedFrame, limit: AdaptedFrame) -> TangencyReport:
     """Angles between the FD tangent planes of a patch and the planes of
-    ``frame`` (and of a second, limit frame) at its interior nodes.
+    ``frame`` and of a second, limit frame at its interior nodes.
 
     The central-difference tangent pairs are slices of the node grid, the
     coefficients of both frames are read in one call over the interior-node
@@ -219,20 +216,17 @@ def tangency_report(
     tangents = np.stack([dt, ds], axis=2)
     check_spans(tangents)
     P = W[1:-1, 1:-1].reshape(-1, 3)
-    fields = [frame] if limit is None else [frame, limit]
-    C = _coefficients([f for f in fields for _ in P], np.tile(P, (len(fields), 1)))
+    C = _coefficients([frame] * len(P) + [limit] * len(P), np.tile(P, (2, 1)))
     # bases [X | Y], (N, 3, 2), of both frames
     bases = np.stack([_graph_vectors(C, 0), _graph_vectors(C, 1)], axis=2)
     own = bases[: len(P)]
     angles = plane_angles(tangents, own)
-    angles_limit = None
-    if limit is not None:
-        angles_limit = plane_angles(tangents, bases[len(P) :])
+    angles_limit = plane_angles(tangents, bases[len(P) :])
     return TangencyReport(
         max_angle=float(np.max(angles)),
         mean_angle=float(np.mean(angles)),
-        max_angle_limit=None if limit is None else float(np.max(angles_limit)),
-        mean_angle_limit=None if limit is None else float(np.mean(angles_limit)),
+        max_angle_limit=float(np.max(angles_limit)),
+        mean_angle_limit=float(np.mean(angles_limit)),
         max_tangent_norm=float(max(_row_norms(dt).max(), _row_norms(ds).max())),
         max_dWdt_defect=float(_row_norms(dt - own[:, :, 0]).max()),
         angles=angles.reshape(patch.n - 2, patch.n - 2),

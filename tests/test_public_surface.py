@@ -1,4 +1,5 @@
-"""Every public module-level function and class method of the package has a caller.
+"""Every public module-level function and class method of the package has a
+caller, and every field and property of a package class has a reader.
 
 A function counts as called when a top-level statement of a module under
 ``src/splitkit`` other than its own definition, or the acceptance suite,
@@ -203,3 +204,49 @@ def test_surface_and_uniqueness_take_frames():
         if MAP_NAMES & _names_reached(sub)
     ]
     assert not found, f"the frame-generic layers reach for the map: {found}"
+
+
+# validity values that no report carries yet: ROADMAP item 10 puts each into
+# the reports as a status. PullbackEntry.flagged checks the initial plane (an
+# outside input) and the pullback's conditioning; the other two tell a
+# non-converged pullback and a non-invariant plane field apart from good ones.
+# They guard the numbers, so they stay although nothing reads them yet.
+VALIDITY_VALUES = {
+    "splitting.PullbackEntry.flagged",
+    "splitting.PullbackSequence.converged",
+    "splitting.GrowthTable.max_anchor_defect",
+}
+
+
+def _loaded_attributes(tree):
+    return {
+        sub.attr
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_every_field_has_a_reader():
+    """A field (an annotated class attribute, as a dataclass declares) or a
+    property of a package class counts as read when an attribute of its name
+    is loaded in src/ or in the acceptance suite; a constructor keyword of the
+    same name does not count."""
+    fields = []
+    loaded = _loaded_attributes(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded |= _loaded_attributes(tree)
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            fields += [
+                (f"{path.stem}.{cls.name}.{s.target.id}", s.target.id)
+                for s in cls.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+            fields += [
+                (f"{path.stem}.{cls.name}.{fn.name}", fn.name)
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and _is_property(fn)
+            ]
+
+    unread = sorted(qual for qual, name in fields if qual not in VALIDITY_VALUES and name not in loaded)
+    assert not unread, f"fields and properties with no reader in src/ or the acceptance suite: {unread}"

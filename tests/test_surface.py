@@ -287,7 +287,7 @@ class TestPatches:
         fr = constant_frame(0.2, -0.3)
         x0 = np.array([0.5, 0.5, 0.5])
         patch = build_patch(fr, x0, 0.05, 9, spec=SPEC)
-        rep = tangency_report(patch, fr)
+        rep = tangency_report(patch, fr, fr)
         assert rep.max_angle < 1e-8
         assert rep.max_dWdt_defect < 1e-10
         assert rep.max_tangent_norm <= 1.05 * np.sqrt(1.0 + 0.3**2)
@@ -326,7 +326,7 @@ class TestPatches:
     def test_dWdt_identity_curved(self):
         fr = exp_frame()
         patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, spec=SPEC)
-        rep = tangency_report(patch, fr)
+        rep = tangency_report(patch, fr, fr)
         # FD tangents carry an O(grid^2) truncation error on curved patches
         assert rep.max_dWdt_defect < 5e-4
 
@@ -334,11 +334,11 @@ class TestPatches:
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
         patch = build_patch(fr, x0, 0.03, 7, spec=SPEC)
-        rep = tangency_report(patch, fr)
+        rep = tangency_report(patch, fr, fr)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
         patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4))
-        rep2 = tangency_report(patch2, fr)
+        rep2 = tangency_report(patch2, fr, fr)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
     @pytest.mark.parametrize("order", ["xy", "yx"])
@@ -363,7 +363,7 @@ class TestPatches:
             fresh = PullbackFrame(phi_perturbed, 10)
             alone = build_patch(fresh, x0, 0.02, 5, spec=SPEC, order=order)
             assert patch.points.tobytes() == alone.points.tobytes()
-            assert patch.x0.tobytes() == alone.x0.tobytes()
+            assert patch.points[2, 2].tobytes() == alone.points[2, 2].tobytes() == x0.tobytes()
 
     @pytest.mark.parametrize("field", [None, "tilt"])
     def test_stacked_depths_equal_build_patch(self, phi_perturbed, tilt_E0, field):
@@ -645,9 +645,10 @@ class TestTangencySeries:
         # nodes on a line: the FD tangents at every node are parallel
         ts = np.linspace(-0.05, 0.05, 5)
         points = (ts[:, None] + ts[None, :])[:, :, None] * np.array([1.0, 0.0, 0.0])
-        patch = SurfacePatch(np.zeros(3), 0.05, 5, ts, ts, points)
+        patch = SurfacePatch(0.05, 5, ts, ts, points)
+        frame = constant_frame(0.0, 0.0)
         with pytest.raises(DegeneratePlaneError, match="Gram determinant"):
-            tangency_report(patch, constant_frame(0.0, 0.0))
+            tangency_report(patch, frame, frame)
 
     def test_linear_patch_vs_true_eigenplane(self, slow_plane):
         from conftest import SLOW_PLANE_COEFFS
