@@ -11,14 +11,12 @@ from .errors import (
     ConvergenceError,
     DegeneratePlaneError,
     SplitkitError,
-    TransversalityError,
 )
 from .geometry import (
     Line1,
     Plane2,
     exterior_square,
     principal_angle,
-    project_along,
     wrap_point,
 )
 from .splitting import (
@@ -41,12 +39,10 @@ __all__ = [
     "ConvergenceError",
     "DegeneratePlaneError",
     "SplitkitError",
-    "TransversalityError",
     "Line1",
     "Plane2",
     "exterior_square",
     "principal_angle",
-    "project_along",
     "wrap_point",
     "DominationReport",
     "PullbackSequence",

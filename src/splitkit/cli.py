@@ -186,10 +186,9 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
 
 
 def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
-    from .bracket import bound_curve, bracket_coefficient, invariance_identity_residual
+    from .bracket import bound_curves, bracket_coefficient
 
     pts = cfg.sample_points()
-    E0 = cfg.initial_plane()
     rows = []
     summaries = []
     synthetic = cfg.build_synthetic_frame()
@@ -200,23 +199,19 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                 (float(p[0]), float(p[1]), float(p[2]), 0, cfg.h, bs.c, bs.norm, "", "")
             )
     with timer.time("bracket"):
-        for p in pts:
-            curve = bound_curve(
-                phi,
-                p,
-                cfg.k_max,
-                h=cfg.h,
-                E0=E0,
-                k_plane=cfg.k_plane,
-                k_line=cfg.k_line,
-            )
+        curves = bound_curves(
+            phi,
+            pts,
+            cfg.k_max,
+            h=cfg.h,
+            E0=cfg.initial_plane(),
+            k_plane=cfg.k_plane,
+            k_line=cfg.k_line,
+        )
+        for curve in curves:
             x1, x2, x3 = (float(c) for c in curve.point)
             for k, h, c, lhs, rhs, quot in curve.rows():
                 rows.append((x1, x2, x3, k, h, c, lhs, rhs, quot))
-            res = invariance_identity_residual(
-                phi, p, min(3, cfg.k_max), h=cfg.h, E0=E0,
-                k_plane=cfg.k_plane, k_line=cfg.k_line, fast_line=curve.fast_line,
-            )
             rm = curve.running_max()
             summaries.append(
                 {
@@ -227,8 +222,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                     "rate_rhs": curve.rate_rhs,
                     "resolved_depths": [k for k, _ in curve.resolved_quotients()],
                     "quotient_running_max": rm[-1] if rm else 0.0,
-                    "invariance_residual": res.residual,
-                    "invariance_degenerate": res.degenerate,
+                    "invariance_residual": curve.invariance_residual,
                 }
             )
     write_csv(

@@ -9,14 +9,6 @@ class DegeneratePlaneError(SplitkitError):
     """Spanning pair is (numerically) linearly dependent."""
 
 
-class TransversalityError(SplitkitError):
-    """A line and a plane are too close to tangent for a stable projection."""
-
-    def __init__(self, message, angle=None):
-        super().__init__(message)
-        self.angle = angle
-
-
 class ChartUnsuitableError(SplitkitError):
     """The plane is too close to containing the third coordinate axis.
 

@@ -1,4 +1,4 @@
-"""Adapted and orthonormal local frames of a plane field.
+"""Adapted local frames of a plane field.
 
 A plane transverse to the third coordinate axis is the span of
 X = d/dx1 + a d/dx3 and Y = d/dx2 + b d/dx3; the coefficient pair (a, b) is
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _gram_schmidt, _orbit_records
+from .dynamics import Diffeo
 from .errors import ChartUnsuitableError
-from .geometry import Plane2, _row_dots, orthonormal_bases
+from .geometry import Plane2
 from .splitting import _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
-SVD_TIE_TOL = 1e-12
 
 
 def adapted_coefficients(B):
@@ -217,48 +216,6 @@ def _coefficients(frames, P):
         else:
             C[rows] = group[0].coefficients(P[rows])
     return C
-
-
-def aligned_pairs(phi: Diffeo, points, bases, k: int):
-    """Orthonormal pairs (Z, W), each (N, 3), of the planes that a (3, 2, N)
-    basis stack spans at the rows of ``points`` (N, 3): the right singular
-    vectors of D(phi^k) restricted to each plane, so the product of their
-    image norms is |det| of the restriction, sign-aligned to the pair at row 0.
-
-    The bases are orthonormalised and pushed forward through the one-step
-    differentials of all orbits, one Gram-Schmidt per step; the 2x2 R
-    factors multiply, rescaled per step, into a matrix with the same right
-    singular vectors. On a singular-value tie the SVD direction is
-    arbitrary, so the orthonormalised basis is kept. SVD vectors carry an
-    arbitrary sign per point; aligning to row 0 makes the field continuous
-    over a finite-difference stencil. Every product is batched, one BLAS or
-    LAPACK call per row, so each row's bits do not depend on N.
-    """
-    P = np.asarray(points, dtype=float)
-    N = len(P)
-    Q0 = orthonormal_bases(np.transpose(bases, (2, 0, 1)))
-    T = np.broadcast_to(np.eye(2), (N, 2, 2))
-    if k > 0:
-        pts, _ = _orbit_records(phi, P, k)
-        diffs = _differentials(phi, np.concatenate(pts[:-1])).reshape(k, N, 3, 3)
-        Q = Q0
-        R = np.zeros((N, 2, 2))
-        for D in diffs:
-            V, (R[:, 0, 0], R[:, 0, 1], R[:, 1, 1]) = _gram_schmidt((D @ Q).transpose(1, 2, 0))
-            Q = np.ascontiguousarray(V.transpose(2, 0, 1))
-            T = R @ T
-            T = T / np.abs(T).max(axis=(1, 2))[:, None, None]
-    _, sv, Vt = np.linalg.svd(T)
-    tie = (sv[:, 0] - sv[:, 1] <= SVD_TIE_TOL * sv[:, 0])[:, None]
-    Z = np.where(tie, Q0[:, :, 0], (Q0 @ Vt[:, 0, :, None])[:, :, 0])
-    W = np.where(tie, Q0[:, :, 1], (Q0 @ Vt[:, 1, :, None])[:, :, 0])
-    Z0, W0 = np.tile(Z[0], (N, 1)), np.tile(W[0], (N, 1))
-    # singular directions crossed between stencil points
-    swap = (np.abs(_row_dots(Z, Z0)) < np.abs(_row_dots(W, Z0)))[:, None]
-    Z, W = np.where(swap, W, Z), np.where(swap, Z, W)
-    Z = np.where((_row_dots(Z, Z0) < 0)[:, None], -Z, Z)
-    W = np.where((_row_dots(W, W0) < 0)[:, None], -W, W)
-    return Z, W
 
 
 def coefficient_grid_rows(frames_by_k, lo, hi, n, x3=0.0):

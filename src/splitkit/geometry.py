@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, TransversalityError
+from .errors import DegeneratePlaneError
 
 GRAM_TOL = 1e-12
-MIN_TRANSVERSAL_ANGLE = 1e-8
 
 # Ordered basis of the wedge space Lambda^2(R^3).
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -201,16 +200,3 @@ def wedge_coordinates(u, v):
             u[1] * v[2] - u[2] * v[1],
         ]
     )
-
-
-def project_along(v, E: Plane2, F: Line1):
-    """Component of v in F along E (the projection onto F with kernel E)."""
-    ang = line_plane_angle(F, E)
-    if ang <= MIN_TRANSVERSAL_ANGLE:
-        raise TransversalityError(
-            f"transversality lost: line-plane angle {ang:.3e} <= {MIN_TRANSVERSAL_ANGLE:.1e}",
-            angle=ang,
-        )
-    A = np.column_stack([E.basis, F.direction])
-    coef = np.linalg.solve(A, np.asarray(v, dtype=float))
-    return coef[2] * F.direction

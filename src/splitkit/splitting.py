@@ -289,6 +289,21 @@ def fitted_rate(log_ratios) -> float:
     return float(np.exp(slope))
 
 
+def _invariance(phi: Diffeo, X, E0, k_plane, k_line):
+    """The unit fast lines (N,3) at the rows of X (N,3), and each row's
+    invariance residual (N,) in radians: the angle from D E_x to E_phi(x)
+    plus the angle from D F_x to F_phi(x). The planes at [X, phi(X)] come
+    from one depth-``k_plane`` pullback and the lines from one depth-``k_line``
+    power iteration; each row's bits do not depend on N."""
+    N = len(X)
+    XY = np.concatenate([X, phi.apply(X)])
+    E = np.ascontiguousarray(_pullback_bases(phi, XY, E0, k_plane).transpose(2, 0, 1))
+    F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
+    D = phi.differential(X)
+    pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
+    return F[:N], plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
+
+
 @dataclass(frozen=True)
 class SampleDomination:
     point: np.ndarray
@@ -335,9 +350,9 @@ def domination_report(
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 
-    A sample's invariance residual compares the plane and line pushed from x
-    with those recomputed at phi(x); samples above ``RESIDUAL_TOL`` are
-    excluded and listed. Verdicts hold when every converged sample admits a
+    A sample's invariance residual (``_invariance``) compares the plane and
+    line pushed from x with those recomputed at phi(x); samples above
+    ``RESIDUAL_TOL`` are excluded and listed. Verdicts hold when every converged sample admits a
     finite k0 with the ratio below 1 from k0 on; the bunching verdict is a
     *failure* flag, true when the squared-norm ratio still exceeds 1 at depth
     k_max. The samples run as one stack (one pullback, one power iteration,
@@ -345,15 +360,9 @@ def domination_report(
     one-sample report.
     """
     X = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    N = len(X)
-    XY = np.concatenate([X, phi.apply(X)])
-    E = np.ascontiguousarray(_pullback_bases(phi, XY, E0, k_plane).transpose(2, 0, 1))
-    F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
-    D = phi.differential(X)
-    pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
-    residual = plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
+    F, residual = _invariance(phi, X, E0, k_plane, k_line)
     ok = residual < RESIDUAL_TOL
-    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, F[:N][ok])
+    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, F[ok])
     per_sample = [_dominated(x, float(r), g) for x, r, g in zip(X[ok], residual[ok], growth)]
     return DominationReport(
         samples=tuple(per_sample),

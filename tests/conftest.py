@@ -19,8 +19,6 @@ FLAT_DYN_1 = 0.9933186612
 FLAT_VOL_1 = 0.0969798915
 FLAT_BUNCH_1 = 3.1683732798
 
-DET_SLOW = 0.3114159462  # |r1 * r2|
-
 # Graph coefficients of the slow eigenplane (normal via eigenvector cross).
 SLOW_PLANE_COEFFS = (0.1329335525, 0.8256688194)
 

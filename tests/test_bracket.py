@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from splitkit import Diffeo, Line1
-from splitkit.bracket import (
-    bound_curve,
-    bracket_coefficient,
-    fd_stencil,
-    invariance_identity_residual,
-    vector_field_bracket,
-)
+from splitkit import Diffeo
+from splitkit.bracket import bound_curves, bracket_coefficient
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
-from splitkit.geometry import project_along
-from conftest import RATE_VOL, counting_kernel
+from conftest import RATE_VOL, SHEAR, counting_kernel
 
-E3_LINE = Line1(np.array([0.0, 0.0, 1.0]))
+
+def curve_at(phi, x, *args, **kwargs):
+    """The bound curve of one point: a one-row ``bound_curves`` call."""
+    (bc,) = bound_curves(phi, np.asarray(x, dtype=float)[None], *args, **kwargs)
+    return bc
 
 
 def tilt_frame():
@@ -79,74 +76,17 @@ class TestBracketCoefficient:
         assert not fine.resolved
 
 
-class TestFrameIndependence:
-    def test_rotated_pair_same_projected_norm(self):
-        # two different smooth orthonormal frames of the contact planes give
-        # the same projected bracket norm (unimodular change of frame)
-        fr = contact_frame()
-
-        def gs_pair(p):
-            Q = fr.plane(p).orthonormal_basis()
-            return Q[:, 0], Q[:, 1]
-
-        def rotated_pair(p):
-            Q = fr.plane(p).orthonormal_basis()
-            th = 0.4 * np.sin(2 * np.pi * p[0] + 0.3)
-            Z = np.cos(th) * Q[:, 0] + np.sin(th) * Q[:, 1]
-            W = -np.sin(th) * Q[:, 0] + np.cos(th) * Q[:, 1]
-            return Z, W
-
-        x = np.array([0.35, 0.2, 0.6])
-        norms = []
-        for pair in (gs_pair, rotated_pair):
-            U, V = zip(*[pair(p) for p in fd_stencil(x, 1e-4)])
-            br = vector_field_bracket(U, V, 1e-4)
-            norms.append(np.linalg.norm(project_along(br, fr.plane(x), E3_LINE)))
-        assert norms[0] == pytest.approx(norms[1], abs=1e-6)
-
-
-class TestInvarianceIdentities:
-    def test_linear_degenerate(self, phi_linear):
-        res = invariance_identity_residual(phi_linear, np.zeros(3), 3, k_plane=400, k_line=600)
-        assert res.degenerate
-        assert res.residual == 0.0
-
-    def test_contact_under_identity(self, tilt_E0):
-        phi = Diffeo.identity()
-        contact_field = lambda p: contact_frame().plane(p)
-        res = invariance_identity_residual(
-            phi, np.array([0.3, 0.4, 0.5]), 3, E0=contact_field, k_plane=2, k_line=2
-        )
-        assert not res.degenerate
-        assert res.residual < 1e-12
-
-    def test_perturbed_small_residual(self, phi_perturbed):
-        res = invariance_identity_residual(
-            phi_perturbed, np.zeros(3), 3, k_plane=500, k_line=800
-        )
-        assert not res.degenerate
-        assert res.residual < 1e-3
-
-    def test_depth_zero_is_identity(self, phi_perturbed):
-        # D(phi^0) = I, so the identity holds exactly at phi^0(x) = x
-        res = invariance_identity_residual(
-            phi_perturbed, np.array([0.3, 0.52, 0.45]), 0, k_plane=100, k_line=300
-        )
-        assert not res.degenerate
-        assert res.residual == 0.0
-
-
 class TestBoundCurve:
     def test_linear_involutive_initial(self, phi_linear):
         # the coordinate plane is involutive and pullbacks of involutive
         # fields stay involutive: the lhs is identically zero
-        bc = bound_curve(phi_linear, np.zeros(3), 10, k_plane=400, k_line=600)
+        bc = curve_at(phi_linear, np.zeros(3), 10, k_plane=400, k_line=600)
         for e in bc.entries:
             assert e.lhs < 1e-7
         assert bc.rate_rhs == pytest.approx(RATE_VOL, abs=1e-6)
 
     def test_linear_tilt_initial_bounded_quotient(self, phi_linear, tilt_E0):
-        bc = bound_curve(
+        bc = curve_at(
             phi_linear, np.zeros(3), 20, h=3e-6, E0=tilt_E0, k_plane=500, k_line=800
         )
         resolved = bc.resolved_quotients()
@@ -157,7 +97,7 @@ class TestBoundCurve:
         assert bc.rate_rhs == pytest.approx(RATE_VOL, abs=1e-4)
 
     def test_perturbed_tilt_initial(self, phi_perturbed, tilt_E0):
-        bc = bound_curve(
+        bc = curve_at(
             phi_perturbed, np.zeros(3), 20, h=3e-6, E0=tilt_E0, k_plane=500, k_line=800
         )
         resolved = bc.resolved_quotients()
@@ -170,15 +110,16 @@ class TestBoundCurve:
         # the sample converges, so the table is the same sweep, bit for bit
         from splitkit.splitting import domination_report
 
-        bc = bound_curve(phi_linear, np.zeros(3), 8, E0=tilt_E0, k_plane=400, k_line=600)
+        bc = curve_at(phi_linear, np.zeros(3), 8, E0=tilt_E0, k_plane=400, k_line=600)
         rep = domination_report(phi_linear, [np.zeros(3)], 8, E0=tilt_E0, k_plane=400, k_line=600)
         (d,) = rep.samples
         assert [e.rhs for e in bc.entries] == [vol for _, _, vol, _ in d.table_rows()]
         assert bc.rate_rhs == d.rate_vol
+        assert bc.invariance_residual == d.residual
 
     def test_limit_bracket_within_measurement_floor(self, phi_perturbed, tilt_E0):
         # the converged plane field is involutive up to what FD can resolve
-        bc = bound_curve(
+        bc = curve_at(
             phi_perturbed, np.zeros(3), 5, h=3e-6, E0=tilt_E0, k_plane=500, k_line=800
         )
         assert bc.limit_lhs <= 5.0 * max(bc.limit_lhs_error, 1e-11)
@@ -187,7 +128,7 @@ class TestBoundCurve:
         # the identity map pulls the tilt field back to itself, so the limit
         # frame is smooth with c = 0.2 pi cos(2 pi x1): both ladders resolve it
         x = np.array([0.1, 0.3, 0.7])
-        bc = bound_curve(Diffeo.identity(), x, 2, h=1e-3, E0=tilt_E0, k_plane=3, k_line=3)
+        bc = curve_at(Diffeo.identity(), x, 2, h=1e-3, E0=tilt_E0, k_plane=3, k_line=3)
         assert bc.limit_resolved
         assert bc.limit_lhs == pytest.approx(0.2 * np.pi * np.cos(0.2 * np.pi), rel=1e-6)
 
@@ -199,55 +140,8 @@ class TestBoundCurve:
 
         x = np.zeros(3)
         assert bracket_coefficient(PullbackFrame(phi_perturbed, 500), x, 1e-4).resolved
-        bc = bound_curve(phi_perturbed, x, 2, h=1e-4, k_plane=500, k_line=800)
+        bc = curve_at(phi_perturbed, x, 2, h=1e-4, k_plane=500, k_line=800)
         assert not bc.limit_resolved
-
-
-class TestFastLineOnce:
-    def test_bracket_run_computes_each_line_once(self, tmp_path, monkeypatch):
-        # (0, 0, 0) is a fixed point of phi^3 outside the shear support, so its
-        # invariance check ends where it starts; (0.5, 0.75, 0.75) does not
-        import splitkit.bracket
-        import splitkit.splitting
-        from splitkit.cli import main
-        from splitkit.report import write_json
-
-        calls = []
-        original = splitkit.splitting.compute_fast_line
-
-        def counting(phi, x, L0=None, k=40):
-            calls.append((np.asarray(x, dtype=float).tobytes(), k))
-            return original(phi, x, L0=L0, k=k)
-
-        monkeypatch.setattr(splitkit.splitting, "compute_fast_line", counting)
-        monkeypatch.setattr(splitkit.bracket, "compute_fast_line", counting)
-        cfg = {
-            "map": {
-                "matrix": [[-3, 0, 2], [1, 2, -3], [0, -1, 1]],
-                "shears": [
-                    {"axis": 0, "center": [0.0, 0.5, 0.5], "radius": 0.2, "amplitude": 0.05}
-                ],
-            },
-            "samples": [[0.0, 0.0, 0.0], [0.5, 0.75, 0.75]],
-            "k_max": 4,
-            "k_plane": 100,
-            "k_line": 300,
-        }
-        path = tmp_path / "cfg.json"
-        write_json(path, cfg)
-        assert main(["bracket", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == len(set(calls)) == 3
-        assert {k for _, k in calls} == {300}
-
-    def test_shared_fast_line_same_residual(self, phi_perturbed):
-        x = np.array([0.5, 0.75, 0.75])
-        bc = bound_curve(phi_perturbed, x, 3, k_plane=100, k_line=300)
-        shared = invariance_identity_residual(
-            phi_perturbed, x, 3, k_plane=100, k_line=300, fast_line=bc.fast_line
-        )
-        alone = invariance_identity_residual(phi_perturbed, x, 3, k_plane=100, k_line=300)
-        assert not shared.degenerate
-        assert shared.residual == alone.residual
 
 
 def ladder_reference(frame, x, h):
@@ -296,7 +190,7 @@ class TestStackedLadders:
         # kernel call, and each sample is bitwise its own bracket_coefficient
         calls = counting_kernel(monkeypatch)
         x, h = np.array([0.3, 0.52, 0.45]), 1e-4
-        bc = bound_curve(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
+        bc = curve_at(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
         assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
         monkeypatch.undo()
         for e in bc.entries:
@@ -308,3 +202,34 @@ class TestStackedLadders:
         assert (bc.limit_lhs, bc.limit_lhs_error) == (limit.norm, limit.error)
         agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
         assert bc.limit_resolved is (limit.resolved and fine.resolved and agree)
+
+    def test_stacked_rows_bitwise_alone(self, phi_perturbed, tilt_E0, monkeypatch):
+        # two fixed points off the support, a random point and one inside it:
+        # one splitting pass of 2 x 4 fast lines and one ladder kernel call
+        # give every row's curve bitwise as its own one-row call does
+        import splitkit.splitting
+
+        X = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.21, 0.82, 0.43], [0.3, 0.52, 0.45]])
+        inside = np.hypot(X[:, 1] - SHEAR["center"][1], X[:, 2] - SHEAR["center"][2]) < SHEAR["radius"]
+        assert inside.tolist() == [False, False, False, True]
+        args = dict(h=1e-4, E0=tilt_E0, k_plane=30, k_line=60)
+        lines = []
+        fast_lines = splitkit.splitting._fast_lines
+
+        def counting_lines(phi, P, L, k):
+            lines.append(len(P))
+            return fast_lines(phi, P, L, k)
+
+        monkeypatch.setattr(splitkit.splitting, "_fast_lines", counting_lines)
+        calls = counting_kernel(monkeypatch)
+        curves = bound_curves(phi_perturbed, X, 4, **args)
+        assert lines == [8]
+        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        monkeypatch.undo()
+        for x, bc in zip(X, curves):
+            alone = curve_at(phi_perturbed, x, 4, **args)
+            assert bc.point.tobytes() == x.tobytes()
+            assert repr(bc.rows()) == repr(alone.rows())
+            limits = (bc.limit_lhs, bc.limit_lhs_error, bc.limit_resolved)
+            assert limits == (alone.limit_lhs, alone.limit_lhs_error, alone.limit_resolved)
+            assert (bc.rate_rhs, bc.invariance_residual) == (alone.rate_rhs, alone.invariance_residual)

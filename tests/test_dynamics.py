@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from splitkit import PAPER_MATRIX, Diffeo
-from splitkit.bracket import invariance_identity_residual
 from splitkit.dynamics import (
     ShearPerturbation,
     ToralAutomorphism,
@@ -13,7 +12,7 @@ from splitkit.dynamics import (
     orbit,
     orbit_support_report,
 )
-from splitkit.errors import ConfigError, ConvergenceError, DegeneratePlaneError
+from splitkit.errors import ConfigError, DegeneratePlaneError
 from splitkit.geometry import torus_delta
 from conftest import SHEAR, dense_differential, shear_bump
 
@@ -190,10 +189,6 @@ class TestCocycle:
                 dense_differential(phi_perturbed, pts[j]) @ cocycle(phi_perturbed, pts[:j]),
                 atol=1e-10,
             )
-
-    def test_overflow_guard(self, phi_perturbed):
-        with pytest.raises(ConvergenceError, match="overflow"):
-            invariance_identity_residual(phi_perturbed, [0.3, 0.55, 0.45], 26, k_plane=60, k_line=80)
 
     def test_bad_direction(self, phi_linear):
         with pytest.raises(ValueError, match="direction"):

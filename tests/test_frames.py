@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from splitkit import Diffeo, Plane2
+from splitkit import Plane2
 from splitkit.errors import ChartUnsuitableError
 from splitkit.frames import (
-    SVD_TIE_TOL,
     AnalyticFrame,
     PullbackFrame,
     adapted_coefficients,
     _jacobians,
-    aligned_pairs,
     fd_stencil,
     plane_from_coefficients,
 )
-from splitkit.dynamics import _gram_schmidt, orbit
+from splitkit.dynamics import orbit
 from splitkit.splitting import _pullback_bases
-from splitkit.geometry import exterior_square, principal_angle, wedge_coordinates
-from conftest import DET_SLOW, SHEAR, SLOW_PLANE_COEFFS, counting_kernel, dense_differential
+from splitkit.geometry import principal_angle
+from conftest import SHEAR, SLOW_PLANE_COEFFS, counting_kernel, dense_differential
 
 
 def solve_qr_pullback(phi, p, E0: Plane2, k):
@@ -115,60 +113,6 @@ class TestAdaptedCoefficients:
             assert adapted_coefficients(Q[:, :, n : n + 1]).tobytes() == got[n].tobytes()
 
 
-def pair_at(phi, x, E: Plane2, k):
-    """The SVD pair of one plane at one point: a one-row ``aligned_pairs`` call."""
-    Z, W = aligned_pairs(phi, np.asarray(x, dtype=float)[None], E.basis[:, :, None], k)
-    return Z[0], W[0]
-
-
-def image_norm_product(phi, x, Z, W, k):
-    """||D(phi^k) Z|| ||D(phi^k) W||, with D(phi^k) the product of dense differentials."""
-    D = np.eye(3)
-    for p in orbit(phi, x, k)[:-1]:
-        D = dense_differential(phi, p) @ D
-    return np.linalg.norm(D @ Z) * np.linalg.norm(D @ W)
-
-
-class TestSvdPair:
-    def test_identity_isotropic(self):
-        P = plane_from_coefficients(0.3, -0.2)
-        Z, W = pair_at(Diffeo.identity(), np.zeros(3), P, 3)
-        # on a singular-value tie the orthonormalised stored basis is kept
-        Q = P.orthonormal_basis()
-        assert np.array_equal(Z, Q[:, 0]) and np.array_equal(W, Q[:, 1])
-        product = image_norm_product(Diffeo.identity(), np.zeros(3), Z, W, 3)
-        assert product == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthonormal(self, phi_linear, slow_plane):
-        Z, W = pair_at(phi_linear, [0.2, 0.5, 0.1], slow_plane, 1)
-        assert np.linalg.norm(Z) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(W) == pytest.approx(1.0, abs=1e-12)
-        assert abs(Z @ W) < 1e-12
-
-    def test_image_norm_product_is_det(self, phi_linear, slow_plane):
-        x = [0.2, 0.5, 0.1]
-        Z, W = pair_at(phi_linear, x, slow_plane, 1)
-        assert image_norm_product(phi_linear, x, Z, W, 1) == pytest.approx(DET_SLOW, abs=1e-9)
-
-    def test_images_orthogonal(self, phi_linear, slow_plane):
-        A = np.asarray(phi_linear.stages[0].matrix, dtype=float)
-        Z, W = pair_at(phi_linear, [0.2, 0.5, 0.1], slow_plane, 1)
-        assert abs((A @ Z) @ (A @ W)) < 1e-8
-
-    def test_det_cross_check_by_wedge(self, phi_perturbed):
-        # |det of the restriction| equals the wedge-norm expansion factor
-        x = np.array([0.3, 0.55, 0.42])
-        E = Plane2(_pullback_bases(phi_perturbed, x[None], None, 6)[:, :, 0])
-        Z, W = pair_at(phi_perturbed, x, E, 3)
-        D = np.eye(3)
-        for p in orbit(phi_perturbed, x, 3)[:-1]:
-            D = dense_differential(phi_perturbed, p) @ D
-        Q = E.orthonormal_basis()
-        w = wedge_coordinates(Q[:, 0], Q[:, 1])
-        expansion = np.linalg.norm(exterior_square(D) @ w) / np.linalg.norm(w)
-        assert image_norm_product(phi_perturbed, x, Z, W, 3) == pytest.approx(expansion, rel=1e-8)
-
-
 class TestPullbackFrame:
     def test_depth_zero_is_initial(self, phi_linear, tilt_E0):
         fr = PullbackFrame(phi_linear, 0, E0=tilt_E0)
@@ -247,70 +191,6 @@ class TestPullbackFrame:
         monkeypatch.setattr("splitkit.frames._pullback_bases", no_pullback)
         assert np.array_equal(batch.coefficients(P), got)
         assert len(batch._cache) == 11
-
-
-class TestAlignedPairField:
-    def test_continuous_over_stencil(self, phi_linear, tilt_E0):
-        points = np.vstack([np.zeros(3), 1e-4 * np.eye(3)])
-        Z, W = aligned_pairs(phi_linear, points, _pullback_bases(phi_linear, points, tilt_E0, 3), 3)
-        for i in range(1, 4):
-            assert np.linalg.norm(Z[i] - Z[0]) < 1e-2
-            assert np.linalg.norm(W[i] - W[0]) < 1e-2
-
-    @staticmethod
-    def point_pair(phi, x, Q0, k):
-        """One point's SVD pair, one step and one 2-D product at a time:
-        Q_(i+1) R_i = D_i Q_i, T = R_(k-1) ... R_0 rescaled per step, and the
-        right singular vectors of T mapped back through Q0 (Q0 on a tie)."""
-        Q, T = Q0, np.eye(2)
-        for p in orbit(phi, x, k)[:-1]:
-            V, (r11, r12, r22) = _gram_schmidt((phi.differential(p) @ Q)[:, :, None])
-            Q = V[:, :, 0]
-            T = np.array([[r11[0], r12[0]], [0.0, r22[0]]]) @ T
-            T = T / np.max(np.abs(T))
-        _, sv, Vt = np.linalg.svd(T)
-        if sv[0] - sv[1] <= SVD_TIE_TOL * sv[0]:
-            return Q0[:, 0], Q0[:, 1]
-        return Q0 @ Vt[0], Q0 @ Vt[1]
-
-    @staticmethod
-    def align(pairs):
-        """Sign-align pairs to the first one, swapping crossed directions."""
-        Z0, W0 = pairs[0]
-        out = []
-        for Z, W in pairs:
-            if abs(Z @ Z0) < abs(W @ Z0):
-                Z, W = W, Z
-            out.append((-Z if Z @ Z0 < 0 else Z, -W if W @ W0 < 0 else W))
-        return np.array([Z for Z, _ in out]), np.array([W for _, W in out])
-
-    @pytest.mark.parametrize("rows", [7, 50])
-    def test_stack_rows_bitwise_per_point(self, phi_perturbed, tilt_E0, rows):
-        rng = np.random.default_rng(rows)
-        if rows == 7:
-            X = fd_stencil(np.array([0.3, 0.55, 0.42]), 1e-4)
-        else:
-            X = rng.uniform(0, 1, (rows, 3))
-            X[::2, 1:] = np.asarray(SHEAR["center"])[1:] + rng.uniform(-0.15, 0.15, (rows // 2, 2))
-        B = _pullback_bases(phi_perturbed, X, tilt_E0, 6)
-        # negated and swapped bases span the same planes; their raw pairs
-        # come out flipped or crossed, and the alignment must undo that
-        B[:, :, 1::3] *= -1.0
-        B[:, :, 2::5] = B[:, ::-1, 2::5]
-        for k in (0, 1, 4):  # at k = 0 every pair is a tie: the swapped bases cross
-            Z, W = aligned_pairs(phi_perturbed, X, B, k)
-            one_row = [
-                aligned_pairs(phi_perturbed, X[n : n + 1], B[:, :, n : n + 1], k) for n in range(rows)
-            ]
-            oracle = [
-                self.point_pair(phi_perturbed, x, Plane2(B[:, :, n]).orthonormal_basis(), k)
-                for n, x in enumerate(X)
-            ]
-            for (z, w), (zo, wo) in zip(one_row, oracle):
-                assert z[0].tobytes() == zo.tobytes() and w[0].tobytes() == wo.tobytes()
-            Zo, Wo = self.align(oracle)
-            assert Z.tobytes() == Zo.tobytes() and W.tobytes() == Wo.tobytes()
-
 
 
 def jacobian_reference(frame, x, h):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitkit import PAPER_MATRIX
-from splitkit.errors import DegeneratePlaneError, TransversalityError
+from splitkit.errors import DegeneratePlaneError
 from splitkit.geometry import (
     HODGE_STAR,
     Line1,
@@ -12,7 +12,6 @@ from splitkit.geometry import (
     exterior_square,
     orthonormal_bases,
     principal_angle,
-    project_along,
     torus_delta,
     wedge_coordinates,
     wrap_point,
@@ -155,49 +154,6 @@ class TestExteriorSquare:
         lhs = exterior_square(M) @ wedge_coordinates(u, v)
         rhs = wedge_coordinates(M @ u, M @ v)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestProjection:
-    def test_kernel(self):
-        E = Plane2.spanned_by(E1, E2)
-        F = Line1(E3)
-        v = 0.3 * E1 - 1.2 * E2
-        assert np.allclose(project_along(v, E, F), 0.0, atol=1e-14)
-
-    def test_coordinate_split(self):
-        E = Plane2.spanned_by(E1, E2)
-        F = Line1(E3)
-        assert np.allclose(project_along([4.0, 5.0, 6.0], E, F), [0.0, 0.0, 6.0], atol=1e-12)
-
-    def test_skew_line(self):
-        E = Plane2.spanned_by(E1, E2)
-        F = Line1(E2 + E3)
-        assert np.allclose(project_along(E3, E, F), [0.0, 1.0, 1.0], atol=1e-12)
-
-    def test_idempotent_and_linear(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            E = random_plane(rng)
-            F = Line1(rng.uniform(-1.0, 1.0, 3))
-            v, w = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
-            try:
-                pv = project_along(v, E, F)
-            except TransversalityError:
-                continue
-            assert np.allclose(project_along(pv, E, F), pv, atol=1e-12)
-            a, b = rng.uniform(-2.0, 2.0, 2)
-            assert np.allclose(
-                project_along(a * v + b * w, E, F),
-                a * pv + b * project_along(w, E, F),
-                atol=1e-10,
-            )
-
-    def test_transversality_lost(self):
-        E = Plane2.spanned_by(E1, E2)
-        F = Line1(E1 + 1e-10 * E3)
-        with pytest.raises(TransversalityError, match="transversality lost") as ei:
-            project_along(E3, E, F)
-        assert ei.value.angle < 1e-8
 
 
 class TestIntegerMatrixHelpers:
