@@ -22,7 +22,6 @@ from .geometry import (
 from .splitting import (
     DominationReport,
     PullbackSequence,
-    compute_fast_line,
     compute_slow_plane,
     domination_report,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "wrap_point",
     "DominationReport",
     "PullbackSequence",
-    "compute_fast_line",
     "compute_slow_plane",
     "domination_report",
 ]

@@ -30,8 +30,6 @@ ROUNDOFF_ULPS = 8
 class BracketSample:
     """Bracket coefficient c with [X, Y] = c e3, plus its FD provenance."""
 
-    point: np.ndarray
-    h: float
     c: float
     error: float  # Richardson estimate from the h/2 vs h/4 pair
     order_ratio: float  # |c(h)-c(h/2)| / |c(h/2)-c(h/4)|, ~4 for clean 2nd order
@@ -65,7 +63,7 @@ def _bracket_samples(frames, X, hs):
     # c = X(b) - Y(a), with X = e1 + a e3 and Y = e2 + b e3
     c = (J[:, 1, 0] + C[:, 0] * J[:, 1, 2]) - (J[:, 0, 1] + C[:, 1] * J[:, 0, 2])
     samples = []
-    for x, h, cs, (a0, b0) in zip(X, hs, c.reshape(-1, 3), np.abs(C[2::3])):
+    for h, cs, (a0, b0) in zip(hs, c.reshape(-1, 3), np.abs(C[2::3])):
         d01 = abs(cs[0] - cs[1])
         d12 = abs(cs[1] - cs[2])
         err = d12 / 3.0
@@ -82,7 +80,7 @@ def _bracket_samples(frames, X, hs):
         floor = ROUNDOFF_ULPS * np.finfo(float).eps * (1 + a0 + b0) * (2 + a0 + b0) / (h / 4)
         resolved = order_ok and abs(cs[2]) > max(4.0 * err, RESOLVED_ABS_FLOOR, floor)
         samples.append(
-            BracketSample(x, h, float(cs[2]), float(err), float(order_ratio), bool(resolved))
+            BracketSample(float(cs[2]), float(err), float(order_ratio), bool(resolved))
         )
     return samples
 
@@ -101,7 +99,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class BoundCurve:
     point: np.ndarray
-    h: float
     entries: tuple
     limit_lhs: float  # |c| of the converged (deep-pullback) frame, at step h
     limit_lhs_error: float
@@ -200,7 +197,6 @@ def bound_curves(
         curves.append(
             BoundCurve(
                 point=x,
-                h=h,
                 entries=tuple(entries),
                 limit_lhs=limit.norm,
                 limit_lhs_error=limit.error,

@@ -185,7 +185,7 @@ class Diffeo:
 
     def differential_inverse(self, x):
         """D(phi^-1) at x: the exact stage inverses, recorded at phi^-1(x)."""
-        _, (rec,) = _orbit_records(self, self.apply_inverse(x)[None], 1)
+        _, rec = _advance(self, wrap_point(self.apply_inverse(x)[None]))
         return _tangent(self, rec, np.eye(3)[:, :, None], inverse=True)[:, :, 0]
 
     def shear_stages(self):
@@ -199,43 +199,42 @@ def orbit(phi: Diffeo, x, k: int, direction="forward"):
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     X = np.asarray(x, dtype=float)
-    if direction == "forward":
-        pts = _orbit_records(phi, X.reshape(-1, 3), k)[0]
-    else:
-        Y = wrap_point(X.reshape(-1, 3))
-        pts = [Y]
-        for _ in range(k):
-            for stage in reversed(phi.stages):
-                Y = stage.retreat(Y)
-            pts.append(Y)
+    pts = [wrap_point(X.reshape(-1, 3))]
+    for _ in range(k):
+        pts.append(_advance(phi, pts[-1])[0] if direction == "forward" else _retreat(phi, pts[-1]))
     return pts if X.ndim == 2 else [p[0] for p in pts]
 
 
-def _orbit_records(phi: Diffeo, X, k: int):
-    """Forward orbits of the rows of an (N,3) stack, with what the differentials need.
-
-    Returns the points x_0..x_k, each (N,3), and per step i < k the stage
-    records at x_i, in stage order: the bump gradients (2, N) at the input of
-    a shear, None for an automorphism.
-    """
-    Y = wrap_point(X)
-    pts = [Y]
+def _forward(phi: Diffeo, Y, live):
+    """The one forward pass of a pullback: step i advances the first
+    ``live[i]`` rows of a wrapped (N,3) float stack in place, so with the
+    rows deepest first each row stops at its own depth. Returns the stack
+    and every step's ``_advance`` records, for ``_pull_back`` to sweep back
+    through."""
     recs = []
-    for _ in range(k):
-        Y, rec = _advance(phi, Y)
-        pts.append(Y)
+    for n in live:
+        Y[:n], rec = _advance(phi, Y[:n])
         recs.append(rec)
-    return pts, recs
+    return Y, recs
 
 
 def _advance(phi: Diffeo, Y):
     """One forward step of the rows of an (N,3) stack: their images and the
-    stage records at them, in stage order."""
+    stage records at them, in stage order: the bump gradients (2, N) at the
+    input of a shear, None for an automorphism."""
     rec = []
     for stage in phi.stages:
         Y, r = stage.advance(Y)
         rec.append(r)
     return Y, rec
+
+
+def _retreat(phi: Diffeo, Y):
+    """One backward step of the rows of an (N,3) stack: the exact stage
+    inverses in reverse order."""
+    for stage in reversed(phi.stages):
+        Y = stage.retreat(Y)
+    return Y
 
 
 def _tangent(phi: Diffeo, rec, V, inverse=False):
@@ -252,7 +251,7 @@ def _tangent(phi: Diffeo, rec, V, inverse=False):
 
 def _differentials(phi: Diffeo, P):
     """One-step differentials at the rows of an (N,3) stack, shape (N, 3, 3)."""
-    _, (rec,) = _orbit_records(phi, P, 1)
+    _, rec = _advance(phi, wrap_point(P))
     eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(P)))
     return np.ascontiguousarray(_tangent(phi, rec, eye).transpose(2, 0, 1))
 

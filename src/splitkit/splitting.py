@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diffeo, _advance, _differentials, _orbit_records, _pull_back, orbit
+from .dynamics import Diffeo, _differentials, _forward, _pull_back, _tangent, orbit
 from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
 from .geometry import principal_angle, unit_lines, wrap_point
 
@@ -64,11 +64,7 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     if d and d[-1] < 0:
         raise ValueError("pullback depth k must be >= 0")
     live = (len(d) - np.cumsum(np.bincount(d, minlength=1))[:-1]).tolist()  # rows deeper than i
-    Y = wrap_point(P[order])
-    recs = []
-    for n in live:
-        Y[:n], rec = _advance(phi, Y[:n])
-        recs.append(rec)
+    Y, recs = _forward(phi, wrap_point(P[order]), live)
     swept = live[0] if live else 0
     Q = _field_bases(E0, Y[:swept])
     for Q, _ in _pull_back(phi, recs, Q, live):
@@ -80,14 +76,12 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
 
 @dataclass(frozen=True)
 class PullbackEntry:
-    k: int
     plane: Plane2
     flagged: bool  # transversality / conditioning trouble during pullback
 
 
 @dataclass(frozen=True)
 class PullbackSequence:
-    point: np.ndarray
     entries: tuple
     converged: bool
 
@@ -111,38 +105,32 @@ def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
     """
     if k < 1:
         raise ValueError("pullback depth k must be >= 1")
-    pts, recs = _orbit_records(phi, np.asarray(x, dtype=float)[None], k)
-    pts = [p[0] for p in pts]
+    x = wrap_point(np.asarray(x, dtype=float))
+    # row c of k copies of x holds the depth-(k - c) chain: the forward pass
+    # leaves it at orbit point k - c, and step i of the one backward sweep
+    # moves the k - i chains deeper than i
+    live = range(k, 0, -1)
+    ends, recs = _forward(phi, np.repeat(x[None], k, axis=0), live)
 
     # power iteration converges at the (possibly mild) spectral gap, so the
     # estimate must run much deeper than the pullback itself; it is only
     # matrix-vector work, so depth is cheap
-    fast_est = compute_fast_line(phi, pts[-1], k=300)
-    seed_flag = line_plane_angle(fast_est, _plane_at(E0, pts[-1])) <= MIN_FAST_ANGLE
+    fast_est = Line1(_fast_lines(phi, ends[:1], DEFAULT_L0.direction[None], 300)[0])
+    seed_flag = line_plane_angle(fast_est, _plane_at(E0, ends[0])) <= MIN_FAST_ANGLE
 
-    # one backward sweep: column c holds the depth-(k - c) chain, seeded at
-    # orbit point k - c, so step i moves the k - i chains deeper than i
-    seeds = _field_bases(E0, np.array(pts[:0:-1]))
     flagged = np.zeros(k, dtype=bool)
-    for Q, (r11, r12, r22) in _pull_back(phi, recs, seeds, range(k, 0, -1)):
+    for Q, (r11, r12, r22) in _pull_back(phi, recs, _field_bases(E0, ends), live):
         R = np.stack([r11, r12, np.zeros_like(r11), r22], axis=-1).reshape(-1, 2, 2)
         flagged[: len(r11)] |= (np.abs(r11 * r22) < 1e-300) | (np.linalg.cond(R) > 1e12)
-    first = _plane_at(E0, pts[0])
+    first = _plane_at(E0, x)
     bases = np.concatenate([first.basis[None], Q[:, :, ::-1].transpose(2, 0, 1)])
     steps = plane_angles(bases[1:], bases[:-1])
     done = np.flatnonzero(steps < ANGLE_CONVERGENCE_TOL)
     depth = int(done[0]) + 1 if len(done) else k
-    entries = [PullbackEntry(0, first, seed_flag)] + [
-        PullbackEntry(j, Plane2(bases[j]), bool(flagged[k - j])) for j in range(1, depth + 1)
+    entries = [PullbackEntry(first, seed_flag)] + [
+        PullbackEntry(Plane2(bases[j]), bool(flagged[k - j])) for j in range(1, depth + 1)
     ]
-    return PullbackSequence(point=pts[0], entries=tuple(entries), converged=bool(len(done)))
-
-
-def compute_fast_line(phi: Diffeo, x, L0=None, k=40) -> Line1:
-    """Push a seed direction L0 (a ``Line1``, default e3) forward along the
-    backward orbit of x: the N = 1 view of ``_fast_lines``."""
-    L0 = (DEFAULT_L0 if L0 is None else L0).direction
-    return Line1(_fast_lines(phi, np.asarray(x, dtype=float)[None], L0[None], k)[0])
+    return PullbackSequence(entries=tuple(entries), converged=bool(len(done)))
 
 
 def _fast_lines(phi: Diffeo, X, L, k):
@@ -250,21 +238,19 @@ def _accumulate_growth(diffs, planes, F) -> list:
 
 def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
     """Restricted growth along the orbits of the rows of X (N,3), one table
-    per row: one extended forward orbit and one backward sweep give the
-    depth >= burn_in_plane pullback plane at every orbit point, and the unit
-    fast lines F (N,3) at the rows are pushed forward (the fast line attracts)."""
-    pts, recs = _orbit_records(phi, X, k_max)
-    # the burn-in steps keep their records for the sweep, not their points
-    Y = pts.pop()
-    for _ in range(burn_in_plane):
-        Y, rec = _advance(phi, Y)
-        recs.append(rec)
+    per row: one forward pass of k_max + burn_in_plane steps and one backward
+    sweep give the depth >= burn_in_plane pullback plane at every orbit point,
+    and the unit fast lines F (N,3) at the rows are pushed forward (the fast
+    line attracts). The pass keeps no orbit points: the step differentials are
+    read off its first k_max records."""
+    Y, recs = _forward(phi, wrap_point(X), [len(X)] * (k_max + burn_in_plane))
     seed = _field_bases(E0, Y)
     # only the bases at orbit points k_max..0, the last ones yielded, are read and kept
     planes = collections.deque([seed], maxlen=k_max + 1)
     planes.extend(Q for Q, _ in _pull_back(phi, recs, seed))
     planes = np.ascontiguousarray(np.transpose(planes, (0, 3, 1, 2))[::-1])
-    diffs = _differentials(phi, np.concatenate(pts)).reshape(k_max, len(X), 3, 3)
+    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(X)))
+    diffs = np.array([_tangent(phi, rec, eye).transpose(2, 0, 1) for rec in recs[:k_max]])
     return _accumulate_growth(diffs, planes, F)
 
 

@@ -23,7 +23,6 @@ DECREASE_SLACK = 1e-9
 @dataclass(frozen=True)
 class HartmanData:
     slice_x2: float
-    ks: tuple
     sup_da_dx3: tuple  # per-k sup over the slice grid of |da^(k)/dx3|
     sup_distance: tuple  # per-k sup |a^(k) - a| on the slice
     bounded: bool  # every sup finite
@@ -58,12 +57,10 @@ def hartman_slice_report(
     row_frames = [limit_frame] * len(grid) + [frame for _, frame in frames for _ in pts]
     a = _coefficients(row_frames, np.concatenate([grid] + [pts] * len(frames)))[:, 0]
     a_lim = a[: len(grid)]
-    ks = []
     sup_d = []
     sup_dist = []
-    for (k, _), (a_k, a_up, a_down) in zip(frames, a[len(grid) :].reshape(-1, 3, len(grid))):
+    for a_k, a_up, a_down in a[len(grid) :].reshape(-1, 3, len(grid)):
         da = (a_up - a_down) / (2 * h)
-        ks.append(int(k))
         sup_d.append(float(np.max(np.abs(da))))
         sup_dist.append(float(np.max(np.abs(a_k - a_lim))))
     # two-step envelope: convergence with an alternating-sign transient is
@@ -73,7 +70,6 @@ def hartman_slice_report(
     )
     return HartmanData(
         slice_x2=float(slice_x2),
-        ks=tuple(ks),
         sup_da_dx3=tuple(sup_d),
         sup_distance=tuple(sup_dist),
         bounded=bool(np.all(np.isfinite(sup_d)) and np.all(np.isfinite(sup_dist))),
@@ -84,7 +80,6 @@ def hartman_slice_report(
 @dataclass(frozen=True)
 class LeafComparison:
     order_mismatch: float  # max node distance between xy- and yx-ordered patches
-    delta: float
     lipschitz: float  # max patch displacement / seed displacement
     lipschitz_refined: float  # same at delta / 2
     stability: float  # |refined - original| / original
@@ -127,7 +122,6 @@ def leaf_divergence(
     l2 = _patch_distance(p_xy, p_half) / half
     return LeafComparison(
         order_mismatch=_patch_distance(p_xy, p_yx),
-        delta=float(delta),
         lipschitz=float(l1),
         lipschitz_refined=float(l2),
         stability=float(abs(l2 - l1) / max(l1, 1e-300)),

@@ -5,15 +5,15 @@ from splitkit import PAPER_MATRIX, Diffeo
 from splitkit.dynamics import (
     ShearPerturbation,
     ToralAutomorphism,
+    _forward,
     _gram_schmidt,
-    _orbit_records,
     _pull_back,
     _tangent,
     orbit,
     orbit_support_report,
 )
 from splitkit.errors import ConfigError, DegeneratePlaneError
-from splitkit.geometry import torus_delta
+from splitkit.geometry import torus_delta, wrap_point
 from conftest import SHEAR, dense_differential, shear_bump
 
 
@@ -33,7 +33,7 @@ def cocycle(phi, points, inverse=False):
     through each point's recorded step with ``_tangent``."""
     V = np.eye(3)[:, :, None]
     for p in points:
-        _, (rec,) = _orbit_records(phi, np.asarray(p, dtype=float)[None], 1)
+        _, (rec,) = _forward(phi, wrap_point(np.asarray(p, dtype=float)[None]), [1])
         V = _tangent(phi, rec, V, inverse=inverse)
     return V[:, :, 0]
 
@@ -150,8 +150,8 @@ class TestComposedMap:
 
 class TestCocycle:
     def test_zero_horizon(self, phi_linear):
-        pts, recs = _orbit_records(phi_linear, np.array([[0.3, 0.4, 0.5]]), 0)
-        assert len(pts) == 1 and recs == []
+        Y, recs = _forward(phi_linear, np.array([[0.3, 0.4, 0.5]]), [])
+        assert Y.tolist() == [[0.3, 0.4, 0.5]] and recs == []
         assert np.all(cocycle(phi_linear, []) == np.eye(3))
 
     def test_matrix_square(self, phi_linear):
@@ -226,24 +226,24 @@ def support_points(n, seed):
 class TestKernel:
     def test_orbit_matches_scalar_apply(self, phi_perturbed):
         X = support_points(20, 0)
-        pts, _ = _orbit_records(phi_perturbed, X, 60)
+        pts = orbit(phi_perturbed, X, 60)
         for n, x in enumerate(X):
             assert np.array_equal(np.array([p[n] for p in pts]), np.array(orbit(phi_perturbed, x, 60)))
 
     def test_batch_size_invariance(self, phi_perturbed):
         X = support_points(50, 1)
         seed = np.broadcast_to(np.eye(3)[:, :2, None], (3, 2, 50))
-        pts, recs = _orbit_records(phi_perturbed, X, 200)
+        Y, recs = _forward(phi_perturbed, wrap_point(X), [50] * 200)
         *_, (Q, _) = _pull_back(phi_perturbed, recs, seed)
         for n in range(50):
-            pts1, recs1 = _orbit_records(phi_perturbed, X[n : n + 1], 200)
+            Y1, recs1 = _forward(phi_perturbed, wrap_point(X[n : n + 1]), [1] * 200)
             *_, (Q1, _) = _pull_back(phi_perturbed, recs1, seed[:, :, :1])
-            assert pts1[-1][0].tobytes() == pts[-1][n].tobytes()
+            assert Y1[0].tobytes() == Y[n].tobytes()
             assert Q1[:, :, 0].tobytes() == Q[:, :, n].tobytes()
 
     def test_stage_inverse_matches_solve(self, phi_perturbed):
         X = support_points(30, 2)
-        _, (rec,) = _orbit_records(phi_perturbed, X, 1)
+        _, (rec,) = _forward(phi_perturbed, wrap_point(X), [30])
         V = np.random.default_rng(3).normal(size=(3, 2, 30))
         pulled = _tangent(phi_perturbed, rec, V, inverse=True)
         pushed = _tangent(phi_perturbed, rec, V)

@@ -95,15 +95,16 @@ class TestAdaptedCoefficients:
         # normal's length is the guarded part, since a plain sum of squares,
         # np.linalg.norm(axis=0) or nested np.hypot differ from the BLAS dot
         # of one 3-vector in the last bit on some rows
-        from splitkit.dynamics import _orbit_records, _pull_back
+        from splitkit.dynamics import _forward, _pull_back
+        from splitkit.geometry import wrap_point
         from splitkit.splitting import _field_bases
 
         X = np.random.default_rng(5).uniform(0, 1, (20, 3))
         X[:10, 1:] = np.asarray(SHEAR["center"])[1:] + np.random.default_rng(6).uniform(
             -0.15, 0.15, (10, 2)
         )
-        pts, recs = _orbit_records(phi_perturbed, X, 500)
-        stacks = [Q for Q, _ in _pull_back(phi_perturbed, recs, _field_bases(None, pts[-1]))]
+        Y, recs = _forward(phi_perturbed, wrap_point(X), [20] * 500)
+        stacks = [Q for Q, _ in _pull_back(phi_perturbed, recs, _field_bases(None, Y))]
         Q = np.concatenate(stacks, axis=2)
         assert Q.shape[2] == 10_000
         got = adapted_coefficients(Q)

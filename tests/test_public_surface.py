@@ -144,12 +144,22 @@ def test_stages_define_only_the_stacked_protocol():
 # differential_inverse stays as the kernel at N = 1 (see METHOD_ORACLES)
 INVERSE_TANGENT_CALLERS = {"dynamics._pull_back", "dynamics.Diffeo.differential_inverse"}
 
+# one forward pass: every pullback's orbit runs through dynamics._forward;
+# besides it only the plain orbit and the one-step differentials step the map
+ADVANCE_CALLERS = {
+    "dynamics.orbit",
+    "dynamics._forward",
+    "dynamics._differentials",
+    "dynamics.Diffeo.differential_inverse",
+}
 
-class _InverseTangentCalls(ast.NodeVisitor):
-    """Qualified names of the functions that call ``_tangent(..., inverse=True)``."""
 
-    def __init__(self, module):
+class _Callers(ast.NodeVisitor):
+    """Qualified names of the functions that make a call ``match`` accepts."""
+
+    def __init__(self, module, match):
         self.scope = [module]
+        self.match = match
         self.callers = set()
 
     def _scoped(self, node):
@@ -160,23 +170,38 @@ class _InverseTangentCalls(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = _scoped
 
     def visit_Call(self, node):
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        inverse = any(
-            kw.arg == "inverse" and isinstance(kw.value, ast.Constant) and kw.value.value is True
-            for kw in node.keywords
-        )
-        if name == "_tangent" and inverse:
+        if self.match(node):
             self.callers.add(".".join(self.scope))
         self.generic_visit(node)
 
 
-def test_one_backward_step():
+def _callers(match):
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _InverseTangentCalls(path.stem)
+        visitor = _Callers(path.stem, match)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         callers |= visitor.callers
-    assert callers == INVERSE_TANGENT_CALLERS
+    return callers
+
+
+def _called_name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _is_inverse_tangent(call):
+    """A ``_tangent(..., inverse=True)`` call."""
+    return _called_name(call) == "_tangent" and any(
+        kw.arg == "inverse" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in call.keywords
+    )
+
+
+def test_one_backward_step():
+    assert _callers(_is_inverse_tangent) == INVERSE_TANGENT_CALLERS
+
+
+def test_one_forward_pass():
+    assert _callers(lambda call: _called_name(call) == "_advance") == ADVANCE_CALLERS
 
 
 # the integrability layers test statements about a plane field, whatever
@@ -230,7 +255,9 @@ def test_every_field_has_a_reader():
     """A field (an annotated class attribute, as a dataclass declares) or a
     property of a package class counts as read when an attribute of its name
     is loaded in src/ or in the acceptance suite; a constructor keyword of the
-    same name does not count."""
+    same name does not count. The rule matches names only, so a field that
+    shares its name with a field of another class that is read passes
+    unread."""
     fields = []
     loaded = _loaded_attributes(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
     for path in sorted(PACKAGE.glob("*.py")):

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from splitkit import Diffeo, Line1, Plane2, splitting
-from splitkit.dynamics import _orbit_records, _pull_back
+from splitkit.dynamics import _forward, _pull_back
 from splitkit.splitting import (
     DEFAULT_L0,
     _field_bases,
     _growth_along,
     _pullback_bases,
-    compute_fast_line,
     compute_slow_plane,
     domination_report,
     eventual_k0,
     fitted_rate,
 )
-from splitkit.geometry import line_angles, principal_angle
+from splitkit.geometry import line_angles, principal_angle, wrap_point
 from conftest import (
     FIXED_EXACT,
     FLAT_BUNCH_1,
@@ -33,6 +32,11 @@ COORD_PLANE = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 def line_angle(L, M):
     return line_angles(L.direction[None], M.direction[None])[0]
+
+
+def fast_line_at(phi, x, L0=DEFAULT_L0, k=40):
+    """L0 pushed forward along the depth-k backward orbit of one point x."""
+    return Line1(splitting._fast_lines(phi, np.asarray(x, dtype=float)[None], L0.direction[None], k)[0])
 
 
 class TestPullback:
@@ -73,11 +77,11 @@ class TestPullback:
         x = np.array([0.3, 0.52, 0.45])
         seq = compute_slow_plane(phi_perturbed, x, E0=E0, k=12)
         assert len(seq.entries) == 13 and not seq.converged
-        pts, recs = _orbit_records(phi_perturbed, x[None], 12)
-        for prev, e in zip(seq.entries, seq.entries[1:]):
-            want = _pullback_bases(phi_perturbed, x[None], E0, e.k)[:, :, 0]
+        for j, (prev, e) in enumerate(zip(seq.entries, seq.entries[1:]), 1):
+            want = _pullback_bases(phi_perturbed, x[None], E0, j)[:, :, 0]
             assert e.plane.basis.tobytes() == want.tobytes()
-            Rs = [R for _, R in _pull_back(phi_perturbed, recs[: e.k], _field_bases(E0, pts[e.k]))]
+            Y, recs = _forward(phi_perturbed, wrap_point(x[None]), [1] * j)
+            Rs = [R for _, R in _pull_back(phi_perturbed, recs, _field_bases(E0, Y))]
             flag = any(
                 abs(r11[0] * r22[0]) < 1e-300 or np.linalg.cond([[r11[0], r12[0]], [0.0, r22[0]]]) > 1e12
                 for r11, r12, r22 in Rs
@@ -105,8 +109,8 @@ class TestPerRowDepth:
             if k == 0:  # the basis E0 stores, at the point as given
                 want = _field_bases(E0, x[None], orthonormal=False)
             else:
-                pts, recs = _orbit_records(phi_perturbed, x[None], k)
-                *_, (want, _) = _pull_back(phi_perturbed, recs, _field_bases(E0, pts[-1]))
+                Y, recs = _forward(phi_perturbed, wrap_point(x[None]), [1] * k)
+                *_, (want, _) = _pull_back(phi_perturbed, recs, _field_bases(E0, Y))
             assert got[:, :, n : n + 1].tobytes() == want.tobytes()
 
     def test_one_backward_sweep(self, phi_perturbed, monkeypatch):
@@ -145,11 +149,11 @@ class TestPerRowDepth:
 class TestFastLine:
     def test_identity_map(self):
         L0 = Line1(np.array([0.3, -0.2, 0.9]))
-        got = compute_fast_line(Diffeo.identity(), [0.5, 0.5, 0.5], L0=L0, k=7)
+        got = fast_line_at(Diffeo.identity(), [0.5, 0.5, 0.5], L0=L0, k=7)
         assert line_angle(got, L0) < 1e-15
 
     def test_eigendirection_invariant(self, phi_linear, fast_line):
-        got = compute_fast_line(phi_linear, [0.3, 0.7, 0.1], L0=fast_line, k=25)
+        got = fast_line_at(phi_linear, [0.3, 0.7, 0.1], L0=fast_line, k=25)
         assert line_angle(got, fast_line) < 1e-12
 
     def test_power_iteration_rate(self, phi_linear, fast_line):
@@ -157,7 +161,7 @@ class TestFastLine:
         # the per-step angle contraction should track |r2/r3|
         angles = []
         for k in (40, 80, 120):
-            got = compute_fast_line(phi_linear, np.zeros(3), k=k)
+            got = fast_line_at(phi_linear, np.zeros(3), k=k)
             angles.append(line_angle(got, fast_line))
         r1 = (angles[1] / angles[0]) ** (1.0 / 40)
         r2 = (angles[2] / angles[1]) ** (1.0 / 40)
@@ -165,7 +169,7 @@ class TestFastLine:
         assert abs(r2 - RATE_DYN) < 0.01
 
     def test_deep_iteration_tightens(self, phi_linear, fast_line):
-        got = compute_fast_line(phi_linear, np.zeros(3), k=600)
+        got = fast_line_at(phi_linear, np.zeros(3), k=600)
         assert line_angle(got, fast_line) < 1e-6
 
     def test_blocked_sweep_bitwise_and_bounded(self, phi_perturbed, monkeypatch):
@@ -203,7 +207,7 @@ class TestFastLine:
 
 def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):
     """Swept growth seeded with the exact (invariant) eigen-fields: a short burn-in suffices."""
-    F = compute_fast_line(phi, x, L0=fast_line, k=burn_in).direction[None]
+    F = fast_line_at(phi, x, L0=fast_line, k=burn_in).direction[None]
     return _growth_along(phi, np.asarray(x, dtype=float)[None], k_max, slow_plane, burn_in, F)[0]
 
 
@@ -234,7 +238,7 @@ class TestRestrictedGrowth:
     def test_swept_matches_exact_fields(self, phi_linear, slow_plane, fast_line):
         x = np.array([0.3, 0.4, 0.5])
         g1 = exact_growth(phi_linear, x, 30, slow_plane, fast_line)
-        F = compute_fast_line(phi_linear, x, k=800).direction[None]
+        F = fast_line_at(phi_linear, x, k=800).direction[None]
         (g2,) = _growth_along(phi_linear, x[None], 30, None, 500, F)
         assert np.max(np.abs(g1.log_dyn() - g2.log_dyn())) < 1e-6
         assert np.max(np.abs(g1.log_vol() - g2.log_vol())) < 1e-6
@@ -243,10 +247,27 @@ class TestRestrictedGrowth:
         g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 40, slow_plane, fast_line)
         assert g.max_anchor_defect < 1e-12
 
+    def test_one_forward_pass(self, phi_perturbed, monkeypatch):
+        # k_max + burn_in steps of the N rows, and no second pass for the
+        # differentials: they are read off the pass's own records
+        import splitkit.dynamics as dynamics
+
+        calls = []
+        advance = dynamics._advance
+
+        def counting_advance(phi, Y):
+            calls.append(len(Y))
+            return advance(phi, Y)
+
+        monkeypatch.setattr(dynamics, "_advance", counting_advance)
+        X = np.random.default_rng(13).random((5, 3))
+        _growth_along(phi_perturbed, X, 7, None, 30, np.broadcast_to(DEFAULT_L0.direction, X.shape))
+        assert calls == [5] * (7 + 30)
+
     def test_submultiplicativity_of_volume_ratio(self, phi_perturbed):
         # per-step log vol ratios multiply exactly along the orbit, so the
         # k-step ratio is bounded by the worst per-step ratio power
-        F = compute_fast_line(phi_perturbed, np.zeros(3), k=600).direction[None]
+        F = fast_line_at(phi_perturbed, np.zeros(3), k=600).direction[None]
         (g,) = _growth_along(phi_perturbed, np.zeros((1, 3)), 20, None, 400, F)
         lv = g.log_vol()
         steps = np.diff(np.concatenate([[0.0], lv]))

@@ -33,7 +33,7 @@ class TestHartmanSlice:
                 )
             )
         rep = hartman_slice_report(frames, limit, slice_x2=0.25, grid_n=12, h=1e-6)
-        for k, dist, sup in zip(rep.ks, rep.sup_distance, rep.sup_da_dx3):
+        for (k, _), dist, sup in zip(frames, rep.sup_distance, rep.sup_da_dx3):
             assert dist == pytest.approx(1.0 / k, abs=1e-9)
             assert sup == pytest.approx(2.0 * np.pi / k, abs=1e-6)
         assert rep.bounded
@@ -130,14 +130,15 @@ class TestStackedSlice:
         # the slice frames of every depth and the limit frame come from one
         # kernel call, and each sup is bitwise that of the frame read alone
         calls = counting_kernel(monkeypatch)
-        rep = hartman_slice_report(*pullback_slice_frames(phi_perturbed, 4, 30), 0.5, grid_n=3, h=1e-5)
+        frames, limit = pullback_slice_frames(phi_perturbed, 4, 30)
+        rep = hartman_slice_report(frames, limit, 0.5, grid_n=3, h=1e-5)
         assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
         monkeypatch.undo()
         xs = np.linspace(0.0, 1.0, 3, endpoint=False)
         grid = np.array([[xv, 0.5, zv] for xv in xs for zv in xs])
         shift = np.array([0.0, 0.0, 1e-5])
         a_lim = PullbackFrame(phi_perturbed, 30).coefficients(grid)[:, 0]
-        for k, sup_d, dist in zip(rep.ks, rep.sup_da_dx3, rep.sup_distance):
+        for (k, _), sup_d, dist in zip(frames, rep.sup_da_dx3, rep.sup_distance):
             frame = PullbackFrame(phi_perturbed, k)
             a_k, a_up, a_down = (frame.coefficients(p)[:, 0] for p in (grid, grid + shift, grid - shift))
             assert sup_d == float(np.max(np.abs((a_up - a_down) / 2e-5)))
