@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Diffeo
 from .frames import AdaptedFrame, PullbackFrame, _jacobians
-from .splitting import _growth_along, _invariance, fitted_rate
+from .splitting import _splitting_pass, fitted_rate
 
 DEFAULT_FD_STEP = 1e-4
 RESOLVED_ABS_FLOOR = 1e-11
@@ -153,15 +153,13 @@ def bound_curves(
     four times their summed error bars: a frame with no derivative can pass
     the Richardson test of one ladder with an FD artefact.
 
-    The rows run as one stack: one splitting pass (``_invariance``) gives the
-    fast lines that seed one growth sweep and each row's invariance residual,
-    reported as it is, and the ladders of every row, depth and limit step
-    are rows of one ``_jacobians`` call. Each curve is bitwise that of a
-    one-row call.
+    The rows run as one stack: one splitting pass (``_splitting_pass``)
+    gives each row's growth and its invariance residual, reported as it is,
+    and the ladders of every row, depth and limit step are rows of one
+    ``_jacobians`` call. Each curve is bitwise that of a one-row call.
     """
     X = np.asarray(points, dtype=float).reshape(-1, 3)
-    F, residual = _invariance(phi, X, E0, k_plane, k_line)
-    growth = _growth_along(phi, X, k_max, E0, k_plane, F)
+    residual, growth = _splitting_pass(phi, X, k_max, E0, k_plane, k_line)
 
     # every row's ladders: its depths 1..k_max at their adapted steps, and
     # the limit frame's at h and h/10, from one call

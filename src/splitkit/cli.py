@@ -186,18 +186,16 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
 
 
 def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
-    from .bracket import bound_curves, bracket_coefficient
+    from .bracket import _bracket_samples, bound_curves
 
     pts = cfg.sample_points()
     rows = []
     summaries = []
     synthetic = cfg.build_synthetic_frame()
     if synthetic is not None:
-        for p in pts:
-            bs = bracket_coefficient(synthetic, p, h=cfg.h)
-            rows.append(
-                (float(p[0]), float(p[1]), float(p[2]), 0, cfg.h, bs.c, bs.norm, "", "")
-            )
+        X = np.array(pts, dtype=float)
+        for x, bs in zip(X, _bracket_samples([synthetic] * len(X), X, [cfg.h] * len(X))):
+            rows.append((*x.tolist(), 0, cfg.h, bs.c, bs.norm, "", ""))
     with timer.time("bracket"):
         curves = bound_curves(
             phi,

@@ -236,22 +236,39 @@ def _accumulate_growth(diffs, planes, F) -> list:
     return [GrowthTable(*logs, max_anchor_defect=d) for *logs, d in tables]
 
 
-def _growth_along(phi: Diffeo, X, k_max: int, E0, burn_in_plane, F) -> list:
-    """Restricted growth along the orbits of the rows of X (N,3), one table
-    per row: one forward pass of k_max + burn_in_plane steps and one backward
-    sweep give the depth >= burn_in_plane pullback plane at every orbit point,
-    and the unit fast lines F (N,3) at the rows are pushed forward (the fast
-    line attracts). The pass keeps no orbit points: the step differentials are
-    read off its first k_max records."""
-    Y, recs = _forward(phi, wrap_point(X), [len(X)] * (k_max + burn_in_plane))
+def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
+    """The splitting at the rows of X (N,3), k_max >= 1: each row's
+    invariance residual (N,) in radians, the angle from D E_x to E_phi(x)
+    plus the angle from D F_x to F_phi(x), and its restricted growth table.
+
+    One forward pass and one backward sweep run over the rows x at depth
+    k_max + k_plane, then x and phi(x) at depth k_plane: the deep rows' bases
+    at orbit points k_max..0 are the growth planes, the final stack's other
+    columns the planes E. The unit fast lines F at x and phi(x) come from one
+    depth-``k_line`` power iteration, and those at x are pushed along the
+    orbit (the fast line attracts). The step differentials, D(x) first, are
+    read off the deep rows of the pass's first k_max records. Each row's bits
+    do not depend on N.
+    """
+    N = len(X)
+    XY = np.concatenate([X, phi.apply(X)])
+    # before the pass, so the power iteration's blocks never meet its records
+    F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
+    live = [3 * N] * k_plane + [N] * k_max  # rows deeper than step i
+    Y, recs = _forward(phi, wrap_point(np.concatenate([X, XY])), live)
     seed = _field_bases(E0, Y)
-    # only the bases at orbit points k_max..0, the last ones yielded, are read and kept
-    planes = collections.deque([seed], maxlen=k_max + 1)
-    planes.extend(Q for Q, _ in _pull_back(phi, recs, seed))
-    planes = np.ascontiguousarray(np.transpose(planes, (0, 3, 1, 2))[::-1])
-    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(X)))
-    diffs = np.array([_tangent(phi, rec, eye).transpose(2, 0, 1) for rec in recs[:k_max]])
-    return _accumulate_growth(diffs, planes, F)
+    # only the stacks at orbit points k_max..0, the last ones yielded, are kept
+    stacks = collections.deque([seed], maxlen=k_max + 1)
+    stacks.extend(Q for Q, _ in _pull_back(phi, recs, seed, live))
+    E = np.ascontiguousarray((stacks[-1] if k_plane else seed)[:, :, N:].transpose(2, 0, 1))
+    planes = np.ascontiguousarray(np.transpose([Q[:, :, :N] for Q in stacks], (0, 3, 1, 2))[::-1])
+    eyes = (np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)) for n in live[:k_max])
+    diffs = np.array([_tangent(phi, r, I)[:, :, :N].transpose(2, 0, 1) for r, I in zip(recs, eyes)])
+    del recs, stacks
+    D = diffs[0]
+    pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
+    residual = plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
+    return residual, _accumulate_growth(diffs, planes, F[:N])
 
 
 def eventual_k0(log_ratios) -> int | None:
@@ -273,21 +290,6 @@ def fitted_rate(log_ratios) -> float:
     mask = ks >= max(1, len(logs) // 2)
     slope = np.polyfit(ks[mask], logs[mask], 1)[0]
     return float(np.exp(slope))
-
-
-def _invariance(phi: Diffeo, X, E0, k_plane, k_line):
-    """The unit fast lines (N,3) at the rows of X (N,3), and each row's
-    invariance residual (N,) in radians: the angle from D E_x to E_phi(x)
-    plus the angle from D F_x to F_phi(x). The planes at [X, phi(X)] come
-    from one depth-``k_plane`` pullback and the lines from one depth-``k_line``
-    power iteration; each row's bits do not depend on N."""
-    N = len(X)
-    XY = np.concatenate([X, phi.apply(X)])
-    E = np.ascontiguousarray(_pullback_bases(phi, XY, E0, k_plane).transpose(2, 0, 1))
-    F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
-    D = phi.differential(X)
-    pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
-    return F[:N], plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
 
 
 @dataclass(frozen=True)
@@ -336,20 +338,20 @@ def domination_report(
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 
-    A sample's invariance residual (``_invariance``) compares the plane and
-    line pushed from x with those recomputed at phi(x); samples above
+    A sample's invariance residual (``_splitting_pass``) compares the plane
+    and line pushed from x with those recomputed at phi(x); samples above
     ``RESIDUAL_TOL`` are excluded and listed. Verdicts hold when every converged sample admits a
     finite k0 with the ratio below 1 from k0 on; the bunching verdict is a
     *failure* flag, true when the squared-norm ratio still exceeds 1 at depth
-    k_max. The samples run as one stack (one pullback, one power iteration,
-    one growth sweep), and each sample's numbers are bitwise those of a
-    one-sample report.
+    k_max. The samples run as one stack (one power iteration, one pass and
+    one sweep, excluded samples included), and each sample's numbers are
+    bitwise those of a one-sample report.
     """
     X = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    F, residual = _invariance(phi, X, E0, k_plane, k_line)
+    residual, growth = _splitting_pass(phi, X, k_max, E0, k_plane, k_line)
     ok = residual < RESIDUAL_TOL
-    growth = _growth_along(phi, X[ok], k_max, E0, k_plane, F[ok])
-    per_sample = [_dominated(x, float(r), g) for x, r, g in zip(X[ok], residual[ok], growth)]
+    kept = zip(X[ok], residual[ok], [g for g, keep in zip(growth, ok) if keep])
+    per_sample = [_dominated(x, float(r), g) for x, r, g in kept]
     return DominationReport(
         samples=tuple(per_sample),
         excluded=tuple((x, float(r)) for x, r in zip(X[~ok], residual[~ok])),

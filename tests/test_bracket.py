@@ -233,3 +233,22 @@ class TestStackedLadders:
             limits = (bc.limit_lhs, bc.limit_lhs_error, bc.limit_resolved)
             assert limits == (alone.limit_lhs, alone.limit_lhs_error, alone.limit_resolved)
             assert (bc.rate_rhs, bc.invariance_residual) == (alone.rate_rhs, alone.invariance_residual)
+
+    def test_one_pass_sweep_and_one_ladder_call(self, phi_perturbed, tilt_E0, monkeypatch):
+        # bound_curves pulls back twice: the splitting pass's one sweep over
+        # 3N columns (x deep, then x and phi(x)) and the ladders' one call
+        import splitkit.splitting
+
+        sweeps = []
+        sweep = splitkit.splitting._pull_back
+
+        def counting_sweep(phi, recs, Q, live=None):
+            sweeps.append(Q.shape[-1])
+            return sweep(phi, recs, Q, live)
+
+        monkeypatch.setattr(splitkit.splitting, "_pull_back", counting_sweep)
+        calls = counting_kernel(monkeypatch)
+        X = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.3, 0.52, 0.45]])
+        bound_curves(phi_perturbed, X, 4, h=1e-4, E0=tilt_E0, k_plane=30, k_line=60)
+        assert len(calls) == 1
+        assert len(sweeps) == 2 and sweeps[0] == 3 * len(X)

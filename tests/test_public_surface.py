@@ -17,10 +17,15 @@ PACKAGE = ROOT / "src" / "splitkit"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # kept for the tests that use them as oracles and fixtures;
-# Diffeo.differential_inverse also because perfbench/tracing.py wraps it by
-# name (ROADMAP item 4 deletes it with the tracer)
+# Diffeo.differential and Diffeo.differential_inverse also because
+# perfbench/tracing.py wraps them by name (ROADMAP item 4 deletes them with
+# the tracer)
 ORACLES = {"wedge_coordinates", "hash_file"}
-METHOD_ORACLES = {"dynamics.Diffeo.identity", "dynamics.Diffeo.differential_inverse"}
+METHOD_ORACLES = {
+    "dynamics.Diffeo.identity",
+    "dynamics.Diffeo.differential",
+    "dynamics.Diffeo.differential_inverse",
+}
 
 
 def referenced_names(node):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from splitkit import Diffeo, Line1, Plane2, splitting
-from splitkit.dynamics import _forward, _pull_back
+from splitkit.dynamics import _forward, _pull_back, orbit, orbit_support_report
 from splitkit.splitting import (
     DEFAULT_L0,
     _field_bases,
-    _growth_along,
     _pullback_bases,
+    _splitting_pass,
     compute_slow_plane,
     domination_report,
     eventual_k0,
@@ -205,51 +205,53 @@ class TestFastLine:
         assert peaks[1] < 1.3 * peaks[0]
 
 
-def exact_growth(phi, x, k_max, slow_plane, fast_line, burn_in=1):
-    """Swept growth seeded with the exact (invariant) eigen-fields: a short burn-in suffices."""
-    F = fast_line_at(phi, x, L0=fast_line, k=burn_in).direction[None]
-    return _growth_along(phi, np.asarray(x, dtype=float)[None], k_max, slow_plane, burn_in, F)[0]
+def exact_growth(phi, x, k_max, slow_plane, burn_in=1):
+    """Swept growth seeded with the exact (invariant) slow plane, so a short
+    burn-in suffices, and a fast line iterated to the rounding floor
+    (1200 steps at the gap 0.969 of the example map)."""
+    return _splitting_pass(phi, np.asarray(x, dtype=float)[None], k_max, slow_plane, burn_in, 1200)[1][0]
 
 
 class TestRestrictedGrowth:
-    def test_flat_k1_ratios_on_true_splitting(self, phi_linear, slow_plane, fast_line):
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, fast_line)
+    def test_flat_k1_ratios_on_true_splitting(self, phi_linear, slow_plane):
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane)
         assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
         assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
         assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
 
-    def test_zero_burn_in(self, phi_linear, slow_plane, fast_line):
+    def test_zero_burn_in(self, phi_linear, slow_plane):
         # the plane at the orbit end is the seed itself, pulled back zero steps
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, fast_line, burn_in=0)
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, burn_in=0)
         assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
         assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
         assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
 
-    def test_per_step_rates(self, phi_linear, slow_plane, fast_line):
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 80, slow_plane, fast_line)
+    def test_per_step_rates(self, phi_linear, slow_plane):
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 80, slow_plane)
         assert fitted_rate(g.log_dyn()) == pytest.approx(RATE_DYN, abs=1e-8)
         assert fitted_rate(g.log_vol()) == pytest.approx(RATE_VOL, abs=1e-8)
         assert fitted_rate(g.log_bunch()) == pytest.approx(RATE_BUNCH, abs=1e-8)
 
-    def test_volume_identity(self, phi_linear, slow_plane, fast_line):
-        g = exact_growth(phi_linear, [0.7, 0.1, 0.6], 60, slow_plane, fast_line)
+    def test_volume_identity(self, phi_linear, slow_plane):
+        g = exact_growth(phi_linear, [0.7, 0.1, 0.6], 60, slow_plane)
         assert g.volume_identity_max_abs() < 1e-6
 
-    def test_swept_matches_exact_fields(self, phi_linear, slow_plane, fast_line):
+    def test_swept_matches_exact_fields(self, phi_linear, slow_plane):
         x = np.array([0.3, 0.4, 0.5])
-        g1 = exact_growth(phi_linear, x, 30, slow_plane, fast_line)
-        F = fast_line_at(phi_linear, x, k=800).direction[None]
-        (g2,) = _growth_along(phi_linear, x[None], 30, None, 500, F)
+        g1 = exact_growth(phi_linear, x, 30, slow_plane)
+        (g2,) = _splitting_pass(phi_linear, x[None], 30, None, 500, 800)[1]
         assert np.max(np.abs(g1.log_dyn() - g2.log_dyn())) < 1e-6
         assert np.max(np.abs(g1.log_vol() - g2.log_vol())) < 1e-6
 
-    def test_anchor_defect_small_for_invariant_fields(self, phi_linear, slow_plane, fast_line):
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 40, slow_plane, fast_line)
+    def test_anchor_defect_small_for_invariant_fields(self, phi_linear, slow_plane):
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 40, slow_plane)
         assert g.max_anchor_defect < 1e-12
 
     def test_one_forward_pass(self, phi_perturbed, monkeypatch):
-        # k_max + burn_in steps of the N rows, and no second pass for the
-        # differentials: they are read off the pass's own records
+        # phi(x), then the power iteration's differentials in one call, then
+        # one pass: k_plane steps of 3N rows (x deep, x and phi(x)) and k_max
+        # steps of the deep rows. There is no second pass for the
+        # differentials, D(x) included: they are read off the pass's records
         import splitkit.dynamics as dynamics
 
         calls = []
@@ -261,19 +263,46 @@ class TestRestrictedGrowth:
 
         monkeypatch.setattr(dynamics, "_advance", counting_advance)
         X = np.random.default_rng(13).random((5, 3))
-        _growth_along(phi_perturbed, X, 7, None, 30, np.broadcast_to(DEFAULT_L0.direction, X.shape))
-        assert calls == [5] * (7 + 30)
+        _splitting_pass(phi_perturbed, X, 7, None, 30, 4)
+        assert calls == [5, 2 * 5 * 4] + [15] * 30 + [5] * 7
 
     def test_submultiplicativity_of_volume_ratio(self, phi_perturbed):
         # per-step log vol ratios multiply exactly along the orbit, so the
         # k-step ratio is bounded by the worst per-step ratio power
-        F = fast_line_at(phi_perturbed, np.zeros(3), k=600).direction[None]
-        (g,) = _growth_along(phi_perturbed, np.zeros((1, 3)), 20, None, 400, F)
+        (g,) = _splitting_pass(phi_perturbed, np.zeros((1, 3)), 20, None, 400, 600)[1]
         lv = g.log_vol()
         steps = np.diff(np.concatenate([[0.0], lv]))
         worst = steps.max()
         for k in range(5, 20):
             assert lv[k] <= lv[4] + worst * (k - 4) + 1e-9
+
+
+class TestSplittingPass:
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_growth_planes_and_differential_bitwise(self, phi_perturbed, tilt_E0, monkeypatch, field, n):
+        # the shared sweep's growth plane at orbit point j is the depth
+        # k_max + k_plane - j pullback of phi^j(x) alone, and its D(x) is
+        # phi.differential(x); the first row's orbit enters the shear support
+        E0 = tilt_E0 if field else None
+        X = np.array([[0.3, 0.52, 0.45], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.21, 0.82, 0.43]])[:n]
+        k_max, k_plane = 6, 20
+        assert not orbit_support_report(phi_perturbed, X[0], k_max)["orbit_avoids_support"]
+        seen = []
+        accumulate = splitting._accumulate_growth
+
+        def capture(diffs, planes, F):
+            seen.append((diffs, planes))
+            return accumulate(diffs, planes, F)
+
+        monkeypatch.setattr(splitting, "_accumulate_growth", capture)
+        _splitting_pass(phi_perturbed, X, k_max, E0, k_plane, 30)
+        ((diffs, planes),) = seen
+        assert diffs[0].tobytes() == phi_perturbed.differential(X).tobytes()
+        assert len(planes) == k_max + 1
+        for j, P in enumerate(orbit(phi_perturbed, X, k_max)):
+            want = _pullback_bases(phi_perturbed, P, E0, k_max + k_plane - j).transpose(2, 0, 1)
+            assert planes[j].tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestSplittingSample:
@@ -331,27 +360,33 @@ class TestStackedReport:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_pullback_for_the_samples_and_one_for_the_sweep(self, phi_linear, monkeypatch, n):
-        # the sample planes come from one _pullback_bases call over x and
-        # phi(x); the growth sweep pulls back once over the converged rows
+        # the sample planes and the growth planes come from one forward pass
+        # and one sweep over 3n rows (x deep, then x and phi(x)), and from no
+        # _pullback_bases call
         import splitkit.splitting as splitting
 
         calls = []
-        planes, sweep = splitting._pullback_bases, splitting._pull_back
+        planes, forward, sweep = splitting._pullback_bases, splitting._forward, splitting._pull_back
 
         def counting_planes(phi, P, E0, k):
             calls.append(("planes", len(P)))
             return planes(phi, P, E0, k)
+
+        def counting_forward(phi, Y, live):
+            calls.append(("forward", len(Y)))
+            return forward(phi, Y, live)
 
         def counting_sweep(phi, recs, Q, live=None):
             calls.append(("sweep", Q.shape[-1]))
             return sweep(phi, recs, Q, live)
 
         monkeypatch.setattr(splitting, "_pullback_bases", counting_planes)
+        monkeypatch.setattr(splitting, "_forward", counting_forward)
         monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
         pts = [np.zeros(3), np.array([0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.5])][:n]
         rep = domination_report(phi_linear, pts, 5, k_plane=500, k_line=800)
         assert len(rep.samples) == n
-        assert calls == [("planes", 2 * n), ("sweep", 2 * n), ("sweep", n)]
+        assert calls == [("forward", 3 * n), ("sweep", 3 * n)]
 
 
 class TestDominationReport:
