@@ -276,7 +276,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
         lhs, rhs, rel, resolved = pushforward_norm_identity(limit_frame, x0, cfg.t, spec=spec)
         series = pushforward_convergence_series(frames, x0, cfg.t, spec=spec)
         series_payload = [
-            {"k": int(k), "value": float(v), "resolved": bool(r)}
+            {"k": int(k), "value": v, "resolved": bool(r)}
             for k, v, r in zip(series.ks, series.values, series.resolved)
         ]
     # the last depth's patch, with its tangency angles (0 on the border)

@@ -22,7 +22,9 @@ from .geometry import Plane2
 
 
 def canonical_json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Canonical bytes of a JSON value; NaN and infinities raise ValueError,
+    as they have no JSON form."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _is_number(value):

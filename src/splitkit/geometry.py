@@ -25,7 +25,9 @@ HODGE_STAR.setflags(write=False)
 
 
 def wrap_point(p):
-    """Reduce chart coordinates to the fundamental domain [0,1)^3."""
+    """Reduce chart coordinates to [0, 1]^3 by floor mod. A coordinate a
+    rounding error below an integer (-1e-17, say) maps to exactly 1.0, and
+    a second wrap maps that to 0.0, so wrapping twice is not a no-op."""
     return np.asarray(p, dtype=float) % 1.0
 
 

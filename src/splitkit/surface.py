@@ -248,7 +248,10 @@ def _pushforwards(frames, X, t, spec, grad_h, V=None):
     given at the time -t preimages of the rows of X (N,3), by default the
     frames' Y there, are pushed forward to X. Returns the vectors (N,3),
     each row's largest step load |grad(a)| |dt|, and the integral of da/dx3
-    along each row's backward trajectory (N,).
+    along each row's backward trajectory (N,). A row whose load reaches
+    ``MAX_STEP_LOAD`` leaves the pass at that stage: its state freezes, no
+    kernel row is spent on it after that stage, and its vector and integral
+    are NaN.
 
     Row n's state (p, q, m) starts at (x, 0, e3): p' = -X(p) flows to the
     preimage y, q' = da/dx3, and m' = -(a_1, a_2, 0) - a_3 m, with a_j =
@@ -262,23 +265,35 @@ def _pushforwards(frames, X, t, spec, grad_h, V=None):
     N = len(X)
     dt = t / max(1, math.ceil(abs(t) / spec.step))
     load = np.zeros(N)
+    live = np.ones(N, dtype=bool)  # the rows still inside the load budget
 
     def g(S):
-        C, J = _jacobians(frames, S[:, :3], grad_h)
-        G = J[:, 0]
-        np.fmax(load, _row_norms(G) * abs(dt), out=load)
-        dm = -(G[:, 2:] * S[:, 4:])
-        dm[:, :2] -= G[:, :2]
-        return np.concatenate([-_graph_vectors(C, 0), G[:, 2:], dm], axis=1)
+        dS = np.zeros_like(S)
+        rows = np.flatnonzero(live)
+        if len(rows):
+            C, J = _jacobians([frames[n] for n in rows], S[rows, :3], grad_h)
+            G = J[:, 0]
+            load[rows] = np.fmax(load[rows], _row_norms(G) * abs(dt))
+            live[rows] = load[rows] < MAX_STEP_LOAD
+            dm = -(G[:, 2:] * S[rows, 4:])
+            dm[:, :2] -= G[:, :2]
+            dS[rows] = np.concatenate([-_graph_vectors(C, 0), G[:, 2:], dm], axis=1)
+        return dS
 
     start = np.zeros((N, 7))
     start[:, :3], start[:, 6] = X, 1.0
-    S = flow(g, start, t, spec)
+    S = flow(g, start, t, spec)[live]
     m = S[:, 4:]
-    V = _graph_vectors(_coefficients(frames, S[:, :3]), 1) if V is None else V
-    vec = np.array(V, dtype=float)
-    vec[:, 2] = (vec[:, 2] - m[:, 0] * vec[:, 0] - m[:, 1] * vec[:, 1]) / m[:, 2]
-    return vec, load, S[:, 3]
+    if V is None:
+        V = _graph_vectors(_coefficients([frames[n] for n in np.flatnonzero(live)], S[:, :3]), 1)
+    else:
+        V = np.asarray(V, dtype=float)[live]
+    vec = np.full((N, 3), np.nan)
+    vec[live] = V
+    vec[live, 2] = (V[:, 2] - m[:, 0] * V[:, 0] - m[:, 1] * V[:, 1]) / m[:, 2]
+    q = np.full(N, np.nan)
+    q[live] = S[:, 3]
+    return vec, load, q
 
 
 def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
@@ -288,24 +303,27 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
     Returns (lhs, rhs, relative error, resolved), where ``resolved`` is the
     integrator-load flag of the pass. Both sides are one row of
-    ``_pushforwards``.
+    ``_pushforwards``; when its load passes the budget the row is stopped
+    and the three numbers are None.
     """
     X = np.asarray(x, dtype=float)[None]
     vec, load, q = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
+    if not load[0] < MAX_STEP_LOAD:
+        return None, None, None, False
     lhs = float(np.linalg.norm(vec[0]))
     rhs = float(np.exp(q[0]))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, rel, bool(load[0] < MAX_STEP_LOAD)
+    return lhs, rhs, rel, True
 
 
 @dataclass(frozen=True)
 class PushforwardSeries:
     ks: tuple
-    values: np.ndarray  # || (X^(k)-flow_t)_* Y^(k) - Y^(k) || at x0
+    values: tuple  # || (X^(k)-flow_t)_* Y^(k) - Y^(k) || at x0; None where the transport was stopped
     resolved: tuple  # per-k integrator-load flags
 
     def resolved_values(self):
-        return [(k, float(v)) for k, v, r in zip(self.ks, self.values, self.resolved) if r]
+        return [(k, v) for k, v, r in zip(self.ks, self.values, self.resolved) if r]
 
 
 def pushforward_convergence_series(
@@ -317,9 +335,10 @@ def pushforward_convergence_series(
     oscillate at the cocycle's compression scale, so entries are flagged
     unresolved once the variational load exceeds the explicit-step budget;
     asserting trends on unresolved entries would test the integrator, not
-    the frames. The transports of all frames step as one stack, one row per
-    frame, once at the step and once at half of it; each row is bitwise the
-    frame's own one-row pass.
+    the frames. An entry whose transport at the step passes the budget is
+    stopped there, and its value is None. The transports of all frames step
+    as one stack, one row per frame, once at the step and once at half of
+    it; each row is bitwise the frame's own one-row pass.
     """
     x0 = np.asarray(x0, dtype=float)
     ks = tuple(k for k, _ in frames)
@@ -333,5 +352,7 @@ def pushforward_convergence_series(
     vals = _row_norms(vec - Y)
     halved = _row_norms(chk - Y)
     agree = np.abs(vals - halved) <= np.maximum(0.25 * np.maximum(vals, halved), 1e-9)
-    flags = (load < MAX_STEP_LOAD) & (chk_load < MAX_STEP_LOAD) & agree
-    return PushforwardSeries(ks=ks, values=vals, resolved=tuple(flags.tolist()))
+    inside = load < MAX_STEP_LOAD  # the rows the step pass did not stop
+    flags = inside & (chk_load < MAX_STEP_LOAD) & agree
+    values = tuple(float(v) if i else None for v, i in zip(vals, inside))
+    return PushforwardSeries(ks=ks, values=values, resolved=tuple(flags.tolist()))

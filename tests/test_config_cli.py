@@ -12,7 +12,7 @@ import pytest
 import splitkit
 from splitkit import splitting
 from splitkit.cli import _slow_plane_normal, main
-from splitkit.config import ExperimentConfig, hash_file
+from splitkit.config import ExperimentConfig, canonical_json_bytes, hash_file
 from splitkit.errors import ConfigError
 from splitkit.geometry import line_angles
 from splitkit.report import write_json
@@ -53,6 +53,13 @@ class TestConfig:
         original = path.read_bytes()
         cfg = ExperimentConfig.from_file(path)
         assert cfg.canonical_bytes() == original
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_bytes_refuse_non_finite(self, value):
+        # NaN and the infinities have no JSON form: json.dumps would write
+        # the tokens NaN and Infinity, which strict JSON readers reject
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json_bytes({"results": {"x": [1.0, value]}})
 
     def test_config_hash_matches_file_rehash(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -305,10 +312,10 @@ class TestCliExitCodes:
              "k_max-huge", "sample-huge", "radius-huge", "synthetic-inf", "e0-parallel"],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, cfg_dict, message):
-        # json reads the NaN and Infinity tokens that write_json emits, and
-        # integers of any size
+        # json reads the NaN and Infinity tokens that json.dumps emits by
+        # default (write_json refuses them), and integers of any size
         path = tmp_path / "cfg.json"
-        write_json(path, cfg_dict)
+        path.write_text(json.dumps(cfg_dict))
         assert main(["bracket", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -422,6 +429,32 @@ class TestCliOutputs:
         # the linear frame is constant, so the transport carries no load; the
         # depth-20 perturbed frame's gradient puts |grad(a)| dt far above 0.5
         assert flags == [True, False]
+
+    def test_stopped_transport_writes_null(self, tmp_path):
+        # the depth-20 transports pass the load budget and are stopped: the
+        # identity and that series entry have null numbers and are flagged
+        # unresolved, and the report holds no NaN token
+        d = base_config(
+            map={"matrix": MATRIX, "shears": [SHEAR]},
+            samples=[[0.5, 0.75, 0.75]],
+            k_plane=20,
+            k_list=[1, 20],
+            t=0.005,
+            epsilon=0.015,
+        )
+        path = tmp_path / "cfg.json"
+        write_json(path, d)
+        out = tmp_path / "o"
+        assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
+
+        def no_constant(token):
+            raise AssertionError(f"{token} in surface.json")
+
+        rep = json.loads((out / "surface.json").read_bytes(), parse_constant=no_constant)["results"]
+        assert rep["pushforward_identity"] == {"lhs": None, "rel_err": None, "resolved": False, "rhs": None}
+        (first, deep) = rep["pushforward_series"]
+        assert first["k"] == 1 and isinstance(first["value"], float) and first["resolved"] is True
+        assert deep == {"k": 20, "value": None, "resolved": False}
 
     @pytest.mark.parametrize("n, used", [(5, 5), (21, 9)])
     def test_grid_caps_reported(self, tmp_path, n, used):

@@ -116,6 +116,16 @@ class TestShear:
         with pytest.raises(ConfigError, match="axis"):
             ShearPerturbation(3, (0, 0, 0), 0.2, 0.05)
 
+    def test_wrap_gives_one_and_the_stage_wrap_maps_it_to_zero(self):
+        # the floor mod of wrap_point rounds a coordinate just below 0 up to
+        # exactly 1.0, so its range is [0, 1]; the shear stage wraps its
+        # output again, even outside the support, and maps that 1.0 to 0.0
+        x = wrap_point(np.array([[-1e-17, 0.3, 0.05]]))
+        assert x.tolist() == [[1.0, 0.3, 0.05]]
+        assert self.shear._bump(x) is None
+        Y, _ = self.shear.advance(x)
+        assert Y.tolist() == [[0.0, 0.3, 0.05]]
+
 
 class TestComposedMap:
     def test_volume_preservation(self, phi_perturbed):
