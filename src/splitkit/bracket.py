@@ -86,20 +86,11 @@ def _bracket_samples(frames, X, hs):
 
 
 @dataclass(frozen=True)
-class BoundEntry:
-    k: int
-    h: float  # depth-adapted FD step used for this entry
-    c: float  # signed bracket coefficient of the depth-k pullback frame
-    lhs: float  # |c^(k)|
-    resolved: bool
-    rhs: float  # vol ratio of the converged splitting at depth k
-    quotient: float | None  # lhs / rhs where lhs is resolved
-
-
-@dataclass(frozen=True)
 class BoundCurve:
     point: np.ndarray
-    entries: tuple
+    entries: tuple  # BracketSample of the depth-k pullback frame, k = 1..k_max
+    steps: tuple  # depth-adapted FD step of each entry
+    rhs: tuple  # vol ratio of the converged splitting at each depth
     limit_lhs: float  # |c| of the converged (deep-pullback) frame, at step h
     limit_lhs_error: float
     limit_resolved: bool  # resolved at steps h and h/10, and the two agree
@@ -107,23 +98,27 @@ class BoundCurve:
     invariance_residual: float  # the splitting pass's one-step residual, radians
 
     def resolved_quotients(self):
-        return [(e.k, e.quotient) for e in self.entries if e.resolved]
+        """(k, |c| / rhs) at every depth whose bracket is resolved."""
+        return [
+            (k, e.norm / rhs) for k, (e, rhs) in enumerate(zip(self.entries, self.rhs), 1) if e.resolved
+        ]
 
     def running_max(self):
         """Running max of the quotient over resolved depths, per depth."""
         out = []
         cur = 0.0
-        for e in self.entries:
-            if e.resolved and e.quotient is not None:
-                cur = max(cur, e.quotient)
+        for e, rhs in zip(self.entries, self.rhs):
+            if e.resolved:
+                cur = max(cur, e.norm / rhs)
             out.append(cur)
         return out
 
     def rows(self):
-        """CSV rows (k, h, c, lhs, rhs, quotient)."""
+        """CSV rows (k, h, c, lhs, rhs, quotient), the quotient blank where
+        the bracket is not resolved."""
         return [
-            (e.k, e.h, e.c, e.lhs, e.rhs, e.quotient if e.quotient is not None else "")
-            for e in self.entries
+            (k, h, e.c, e.norm, rhs, e.norm / rhs if e.resolved else "")
+            for k, (e, h, rhs) in enumerate(zip(self.entries, self.steps, self.rhs), 1)
         ]
 
 
@@ -176,26 +171,13 @@ def bound_curves(
     curves = []
     for x, g, hs, r, (*ladders, limit, fine) in zip(X, growth, h_ks, residual.tolist(), per_row):
         log_vol = g.log_vol()
-        entries = []
-        for k, (h_k, bs) in enumerate(zip(hs, ladders), 1):
-            rhs = float(np.exp(log_vol[k - 1]))
-            quot = bs.norm / rhs if bs.resolved else None
-            entries.append(
-                BoundEntry(
-                    k=k,
-                    h=h_k,
-                    c=bs.c,
-                    lhs=bs.norm,
-                    resolved=bs.resolved,
-                    rhs=rhs,
-                    quotient=quot,
-                )
-            )
         agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
         curves.append(
             BoundCurve(
                 point=x,
-                entries=tuple(entries),
+                entries=tuple(ladders),
+                steps=tuple(hs),
+                rhs=tuple(float(np.exp(v)) for v in log_vol),
                 limit_lhs=limit.norm,
                 limit_lhs_error=limit.error,
                 limit_resolved=limit.resolved and fine.resolved and agree,

@@ -169,17 +169,11 @@ class GrowthTable:
     the restricted singular values on the plane, ``log_f`` the growth of the
     line.  Everything is accumulated multiplicatively with per-step rescaling,
     so no entry overflows regardless of depth.
-
-    ``max_anchor_defect`` is the largest one-step angle between the pushed
-    plane and the plane re-anchored at the next orbit point: re-anchoring is
-    what keeps the slow plane from drifting off (it is repelling under the
-    forward map), and this records how invariant the supplied field really is.
     """
 
     log_s1: np.ndarray
     log_s2: np.ndarray
     log_f: np.ndarray
-    max_anchor_defect: float = 0.0
 
     def log_dyn(self):
         return self.log_s2 - self.log_f
@@ -197,10 +191,11 @@ class GrowthTable:
 
 
 def _accumulate_growth(diffs, planes, F) -> list:
-    """Restricted growth of N orbits between anchored bases, one table each.
+    """Restricted growth of N orbits along one pullback chain, one table each.
 
     ``diffs`` (k, N, 3, 3) are the step differentials and ``planes``
-    (k + 1, N, 3, 2) orthonormal bases at orbit points 0..k; the 2x2 step
+    (k + 1, N, 3, 2) the orthonormal bases of one backward sweep at orbit
+    points 0..k, so D_i Q_i = Q_(i+1) R_i up to rounding; the 2x2 step
     matrices Q_(i+1)^T D_i Q_i are multiplied with rescaling, the restricted
     determinant as a log sum. The unit lines ``F`` (N,3) at orbit point 0 are
     pushed forward with normalisation, their log norms summed. Every product
@@ -209,15 +204,10 @@ def _accumulate_growth(diffs, planes, F) -> list:
     """
     k_max, N = diffs.shape[:2]
     T = np.broadcast_to(np.eye(2), (N, 2, 2))
-    log_acc, log_det_acc, log_f_acc, max_defect = np.zeros((4, N))
+    log_acc, log_det_acc, log_f_acc = np.zeros((3, N))
     log_s1, log_s2, log_f = np.empty((3, N, k_max))
     for i, D in enumerate(diffs):
-        img = D @ planes[i]
-        M = planes[i + 1].swapaxes(1, 2) @ img
-        # anchored-basis residual: image component orthogonal to the next plane
-        resid = img - planes[i + 1] @ M
-        defect = _row_norms(resid.reshape(N, 6)) / _row_norms(img.reshape(N, 6))
-        max_defect = np.maximum(max_defect, defect)
+        M = planes[i + 1].swapaxes(1, 2) @ (D @ planes[i])
         log_det_acc += np.log(abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]))
         T = M @ T
         scale = np.abs(T).max(axis=(1, 2))
@@ -232,8 +222,7 @@ def _accumulate_growth(diffs, planes, F) -> list:
         log_f_acc += np.log(n)
         log_f[:, i] = log_f_acc
         F = w / n[:, None]
-    tables = zip(log_s1, log_s2, log_f, max_defect.tolist())
-    return [GrowthTable(*logs, max_anchor_defect=d) for *logs, d in tables]
+    return [GrowthTable(*logs) for logs in zip(log_s1, log_s2, log_f)]
 
 
 def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
@@ -284,8 +273,11 @@ def eventual_k0(log_ratios) -> int | None:
 
 def fitted_rate(log_ratios) -> float:
     """Per-step geometric rate from an affine fit of log ratio against k,
-    over the second half of the depths (k >= len // 2)."""
+    over the second half of the depths (k >= len // 2). A line needs two
+    depths, so fewer is a ValueError."""
     logs = np.asarray(log_ratios)
+    if len(logs) < 2:
+        raise ValueError(f"a fitted rate needs at least 2 depths, got {len(logs)}")
     ks = np.arange(1, len(logs) + 1)
     mask = ks >= max(1, len(logs) // 2)
     slope = np.polyfit(ks[mask], logs[mask], 1)[0]

@@ -305,6 +305,10 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     integrator-load flag of the pass. Both sides are one row of
     ``_pushforwards``; when its load passes the budget the row is stopped
     and the three numbers are None.
+
+    The identity holds for every C^1 graph frame, integrable or not: along
+    the one trajectory the pass integrates m3' = -a3 m3 and q' = a3, so
+    lhs = 1/|m3| = exp(q) = rhs. It checks the transport, not the field.
     """
     X = np.asarray(x, dtype=float)[None]
     vec, load, q = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))

@@ -208,7 +208,7 @@ def test_criterion_06_bound_curve_perturbed():
     resolved = bc.resolved_quotients()
     finite = all(np.isfinite(q) for _, q in resolved) and len(resolved) >= 3
     stable = abs(rm[19] - rm[9]) <= 0.05 * max(rm[9], 1e-300)
-    log_rhs = np.log([e.rhs for e in bc.entries])
+    log_rhs = np.log(bc.rhs)
     slope = np.polyfit(np.arange(1, 21), log_rhs, 1)[0]
     per_step = log_rhs[-1] / 20.0
     slope_ok = abs(slope / per_step - 1.0) < 0.15

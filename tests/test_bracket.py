@@ -82,7 +82,7 @@ class TestBoundCurve:
         # fields stay involutive: the lhs is identically zero
         bc = curve_at(phi_linear, np.zeros(3), 10, k_plane=400, k_line=600)
         for e in bc.entries:
-            assert e.lhs < 1e-7
+            assert e.norm < 1e-7
         assert bc.rate_rhs == pytest.approx(RATE_VOL, abs=1e-6)
 
     def test_linear_tilt_initial_bounded_quotient(self, phi_linear, tilt_E0):
@@ -113,9 +113,13 @@ class TestBoundCurve:
         bc = curve_at(phi_linear, np.zeros(3), 8, E0=tilt_E0, k_plane=400, k_line=600)
         rep = domination_report(phi_linear, [np.zeros(3)], 8, E0=tilt_E0, k_plane=400, k_line=600)
         (d,) = rep.samples
-        assert [e.rhs for e in bc.entries] == [vol for _, _, vol, _ in d.table_rows()]
+        assert list(bc.rhs) == [vol for _, _, vol, _ in d.table_rows()]
         assert bc.rate_rhs == d.rate_vol
         assert bc.invariance_residual == d.residual
+
+    def test_one_depth_has_no_rate(self, phi_linear):
+        with pytest.raises(ValueError, match="at least 2 depths"):
+            curve_at(phi_linear, np.array([0.1, 0.2, 0.3]), 1, k_plane=500, k_line=800)
 
     def test_limit_bracket_within_measurement_floor(self, phi_perturbed, tilt_E0):
         # the converged plane field is involutive up to what FD can resolve
@@ -193,9 +197,9 @@ class TestStackedLadders:
         bc = curve_at(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
         assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
         monkeypatch.undo()
-        for e in bc.entries:
-            bs = bracket_coefficient(PullbackFrame(phi_perturbed, e.k, E0=tilt_E0), x, e.h)
-            assert (bs.c, bs.norm, bs.resolved) == (e.c, e.lhs, e.resolved)
+        for k, (e, h_k) in enumerate(zip(bc.entries, bc.steps), 1):
+            bs = bracket_coefficient(PullbackFrame(phi_perturbed, k, E0=tilt_E0), x, h_k)
+            assert (bs.c, bs.norm, bs.resolved) == (e.c, e.norm, e.resolved)
         limit_frame = PullbackFrame(phi_perturbed, 30, E0=tilt_E0)
         limit = bracket_coefficient(limit_frame, x, h)
         fine = bracket_coefficient(limit_frame, x, h / 10)

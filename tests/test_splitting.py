@@ -212,6 +212,19 @@ def exact_growth(phi, x, k_max, slow_plane, burn_in=1):
     return _splitting_pass(phi, np.asarray(x, dtype=float)[None], k_max, slow_plane, burn_in, 1200)[1][0]
 
 
+def capture_growth_inputs(monkeypatch):
+    """Record the (diffs, planes) of every ``_accumulate_growth`` call."""
+    seen = []
+    accumulate = splitting._accumulate_growth
+
+    def capture(diffs, planes, F):
+        seen.append((diffs, planes))
+        return accumulate(diffs, planes, F)
+
+    monkeypatch.setattr(splitting, "_accumulate_growth", capture)
+    return seen
+
+
 class TestRestrictedGrowth:
     def test_flat_k1_ratios_on_true_splitting(self, phi_linear, slow_plane):
         g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane)
@@ -243,9 +256,18 @@ class TestRestrictedGrowth:
         assert np.max(np.abs(g1.log_dyn() - g2.log_dyn())) < 1e-6
         assert np.max(np.abs(g1.log_vol() - g2.log_vol())) < 1e-6
 
-    def test_anchor_defect_small_for_invariant_fields(self, phi_linear, slow_plane):
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 40, slow_plane)
-        assert g.max_anchor_defect < 1e-12
+    def test_growth_planes_one_chain_on_an_excluded_sample(self, phi_perturbed, monkeypatch):
+        # the growth planes are one backward sweep, D_i Q_i = Q_(i+1) R_i, so
+        # every D_i Q_i lies in span Q_(i+1) to rounding, also on the
+        # support-crossing sample whose splitting fails the residual test
+        seen = capture_growth_inputs(monkeypatch)
+        residual, _ = _splitting_pass(phi_perturbed, np.array([[0.3, 0.55, 0.42]]), 20, None, 500, 800)
+        assert residual[0] > splitting.RESIDUAL_TOL
+        ((diffs, planes),) = seen
+        img = diffs @ planes[:-1]
+        off = img - planes[1:] @ (planes[1:].swapaxes(-1, -2) @ img)
+        rel = np.linalg.norm(off, axis=(-2, -1)) / np.linalg.norm(img, axis=(-2, -1))
+        assert rel.max() < 1e-13
 
     def test_one_forward_pass(self, phi_perturbed, monkeypatch):
         # phi(x), then the power iteration's differentials in one call, then
@@ -288,14 +310,7 @@ class TestSplittingPass:
         X = np.array([[0.3, 0.52, 0.45], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.21, 0.82, 0.43]])[:n]
         k_max, k_plane = 6, 20
         assert not orbit_support_report(phi_perturbed, X[0], k_max)["orbit_avoids_support"]
-        seen = []
-        accumulate = splitting._accumulate_growth
-
-        def capture(diffs, planes, F):
-            seen.append((diffs, planes))
-            return accumulate(diffs, planes, F)
-
-        monkeypatch.setattr(splitting, "_accumulate_growth", capture)
+        seen = capture_growth_inputs(monkeypatch)
         _splitting_pass(phi_perturbed, X, k_max, E0, k_plane, 30)
         ((diffs, planes),) = seen
         assert diffs[0].tobytes() == phi_perturbed.differential(X).tobytes()
@@ -311,6 +326,11 @@ class TestSplittingSample:
         (d,) = rep.samples
         assert not rep.excluded
         assert d.residual < 1e-6
+
+    def test_one_depth_has_no_rate(self, phi_linear):
+        # a rate is the slope of a line, and one depth fits no line
+        with pytest.raises(ValueError, match="at least 2 depths"):
+            domination_report(phi_linear, [[0.1, 0.2, 0.3]], 1, k_plane=500, k_line=800)
 
     def test_shallow_depth_flagged(self, phi_linear):
         rep = domination_report(phi_linear, [[0.3, 0.4, 0.5]], 4, k_plane=20, k_line=30)
@@ -332,7 +352,7 @@ def sample_bytes(d):
     """Every number of one converged sample's report, as bytes."""
     g = d.growth
     arrays = (d.point, g.log_s1, g.log_s2, g.log_f)
-    scalars = (d.residual, g.max_anchor_defect, d.volume_identity_max_abs)
+    scalars = (d.residual, d.volume_identity_max_abs)
     scalars += (d.rate_dyn, d.rate_vol, d.rate_bunch)
     return (
         tuple(np.asarray(a, dtype=float).tobytes() for a in arrays),

@@ -461,6 +461,19 @@ class TestPushforward:
             assert lhs == pytest.approx(1.0, abs=1e-10)
             assert rhs == pytest.approx(1.0, abs=1e-10)
 
+    def test_norm_identity_holds_for_a_non_integrable_frame(self):
+        # along one backward trajectory the pass integrates m3' = -a3 m3 and
+        # q' = a3, so lhs = 1/|m3| equals rhs = exp(q) for every C^1 graph
+        # frame: a = x2 x3, b = 0 has bracket c = -x3, and the identity holds
+        from splitkit.bracket import bracket_coefficient
+
+        fr = AnalyticFrame(lambda p: p[1] * p[2], lambda p: 0.0)
+        x = np.array([0.3, 0.4, 0.5])
+        bs = bracket_coefficient(fr, x)
+        assert bs.resolved and bs.c == pytest.approx(-0.5, rel=1e-9)
+        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, x, 0.05, SPEC)
+        assert resolved and rel < 1e-12
+
     def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
         calls = counting_kernel(monkeypatch)
         _, load, _ = _pushforwards([PullbackFrame(phi_perturbed, 2)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
