@@ -19,12 +19,7 @@ from .geometry import (
     principal_angle,
     wrap_point,
 )
-from .splitting import (
-    DominationReport,
-    PullbackSequence,
-    compute_slow_plane,
-    domination_report,
-)
+from .splitting import DominationReport, domination_report
 
 __all__ = [
     "__version__",
@@ -44,7 +39,5 @@ __all__ = [
     "principal_angle",
     "wrap_point",
     "DominationReport",
-    "PullbackSequence",
-    "compute_slow_plane",
     "domination_report",
 ]

@@ -24,8 +24,8 @@ def adapted_coefficients(B):
 
     The unit normal is the cross product over its length, the square root of
     a row dot product through ``np.matmul``: that is the BLAS dot which
-    ``np.linalg.norm`` of one 3-vector calls, so every row is bitwise what
-    ``Plane2(B[:, :, n]).normal`` gives, whatever N is. The cross product is
+    ``np.linalg.norm`` of one 3-vector calls, so every row is bitwise the
+    normal of its plane alone, whatever N is. The cross product is
     written out as the products and differences ``np.cross`` makes.
     """
     u, v = B[:, 0], B[:, 1]

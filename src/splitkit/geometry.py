@@ -8,7 +8,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,19 +105,15 @@ class Line1:
 
 @dataclass(frozen=True)
 class Plane2:
-    """A tangent 2-plane stored as a spanning pair with cached unit normal."""
+    """A tangent 2-plane stored as a spanning pair."""
 
     basis: np.ndarray  # shape (3, 2), columns span the plane
-    normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = np.array(self.basis, dtype=float).reshape(3, 2)
         check_spans(B[None])
-        n = unit_lines(np.cross(B[:, 0], B[:, 1])[None])[0]
         B.setflags(write=False)
-        n.setflags(write=False)
         object.__setattr__(self, "basis", B)
-        object.__setattr__(self, "normal", n)
 
     @classmethod
     def spanned_by(cls, u, v):
@@ -169,12 +165,6 @@ def plane_angles(A, B):
         sines = np.linalg.svd(B[small] - A[small] @ C[small], compute_uv=False)
         theta[small] = np.arcsin(np.clip(sines.max(axis=1), -1.0, 1.0))
     return theta
-
-
-def line_plane_angle(L: Line1, P: Plane2) -> float:
-    """Angle between a line and a plane, in [0, pi/2]."""
-    s = abs(float(P.normal @ L.direction))
-    return float(np.arcsin(np.clip(s, -1.0, 1.0)))
 
 
 def exterior_square(M):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Diffeo, _differentials, _forward, _pull_back, _tangent, orbit
-from .geometry import Line1, Plane2, _row_norms, line_angles, line_plane_angle, plane_angles
-from .geometry import principal_angle, unit_lines, wrap_point
+from .errors import DegeneratePlaneError
+from .geometry import Line1, Plane2, _row_dots, _row_norms, line_angles, plane_angles, unit_lines
+from .geometry import wrap_point
 
-ANGLE_CONVERGENCE_TOL = 1e-10
 RESIDUAL_TOL = 1e-6
 MIN_FAST_ANGLE = 1e-3
 FAST_LINE_ROWS = 1 << 15  # one-step differentials per kernel call in ``_fast_lines``
@@ -28,20 +28,16 @@ DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DEFAULT_L0 = Line1(np.array([0.0, 0.0, 1.0]))
 
 
-def _plane_at(E0, p) -> Plane2:
-    """The plane at a point of E0: None (the coordinate plane), a constant
-    ``Plane2`` or a field mapping a point to a ``Plane2``."""
-    return DEFAULT_E0 if E0 is None else E0(p) if callable(E0) else E0
-
-
 def _field_bases(E0, P, orthonormal=True):
     """The bases of E0 at the rows of an (N,3) stack, as a (3, 2, N) stack:
-    orthonormalised, or as the planes store them. A constant plane is
-    converted once and broadcast; a field is evaluated row by row."""
+    orthonormalised, or as the planes store them. E0 is None (the coordinate
+    plane), a constant ``Plane2`` or a field mapping a point to a ``Plane2``;
+    a constant plane is converted once and broadcast, a field is evaluated
+    row by row."""
     basis = Plane2.orthonormal_basis if orthonormal else (lambda E: E.basis)
     if callable(E0):  # (N, 3, 2) to (3, 2, N), also for N = 0
         return np.array([basis(E0(p)) for p in P]).reshape(-1, 3, 2).transpose(1, 2, 0)
-    return np.broadcast_to(basis(_plane_at(E0, None))[:, :, None], (3, 2, len(P)))
+    return np.broadcast_to(basis(DEFAULT_E0 if E0 is None else E0)[:, :, None], (3, 2, len(P)))
 
 
 def _pullback_bases(phi: Diffeo, P, E0, k):
@@ -72,65 +68,6 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     out = np.empty((3, 2, len(d)))
     out[:, :, order] = np.concatenate([Q, _field_bases(E0, P[order[swept:]], orthonormal=False)], axis=2)
     return out
-
-
-@dataclass(frozen=True)
-class PullbackEntry:
-    plane: Plane2
-    flagged: bool  # transversality / conditioning trouble during pullback
-
-
-@dataclass(frozen=True)
-class PullbackSequence:
-    entries: tuple
-    converged: bool
-
-    def angles_to(self, plane: Plane2):
-        """Angle of every entry to a reference plane (limit diagnostics)."""
-        return np.array([principal_angle(e.plane, plane) for e in self.entries])
-
-
-def compute_slow_plane(phi: Diffeo, x, E0=None, k=40):
-    """Pull E0 back along the forward orbit of x for 1..k steps.
-
-    Entry j is the plane D(phi^-j) E0(phi^j x), bitwise the depth-j
-    pullback alone; the sequence ends at the first depth where consecutive
-    entries agree to ``ANGLE_CONVERGENCE_TOL``, or at depth k, and
-    ``converged`` records which.
-
-    An initial plane containing the fast direction at the orbit endpoint
-    pulls back to a *different* invariant plane without any conditioning
-    trouble, so entry 0 is flagged when the endpoint plane is within
-    ``MIN_FAST_ANGLE`` of an (approximate) fast direction.
-    """
-    if k < 1:
-        raise ValueError("pullback depth k must be >= 1")
-    x = wrap_point(np.asarray(x, dtype=float))
-    # row c of k copies of x holds the depth-(k - c) chain: the forward pass
-    # leaves it at orbit point k - c, and step i of the one backward sweep
-    # moves the k - i chains deeper than i
-    live = range(k, 0, -1)
-    ends, recs = _forward(phi, np.repeat(x[None], k, axis=0), live)
-
-    # power iteration converges at the (possibly mild) spectral gap, so the
-    # estimate must run much deeper than the pullback itself; it is only
-    # matrix-vector work, so depth is cheap
-    fast_est = Line1(_fast_lines(phi, ends[:1], DEFAULT_L0.direction[None], 300)[0])
-    seed_flag = line_plane_angle(fast_est, _plane_at(E0, ends[0])) <= MIN_FAST_ANGLE
-
-    flagged = np.zeros(k, dtype=bool)
-    for Q, (r11, r12, r22) in _pull_back(phi, recs, _field_bases(E0, ends), live):
-        R = np.stack([r11, r12, np.zeros_like(r11), r22], axis=-1).reshape(-1, 2, 2)
-        flagged[: len(r11)] |= (np.abs(r11 * r22) < 1e-300) | (np.linalg.cond(R) > 1e12)
-    first = _plane_at(E0, x)
-    bases = np.concatenate([first.basis[None], Q[:, :, ::-1].transpose(2, 0, 1)])
-    steps = plane_angles(bases[1:], bases[:-1])
-    done = np.flatnonzero(steps < ANGLE_CONVERGENCE_TOL)
-    depth = int(done[0]) + 1 if len(done) else k
-    entries = [PullbackEntry(first, seed_flag)] + [
-        PullbackEntry(Plane2(bases[j]), bool(flagged[k - j])) for j in range(1, depth + 1)
-    ]
-    return PullbackSequence(entries=tuple(entries), converged=bool(len(done)))
 
 
 def _fast_lines(phi: Diffeo, X, L, k):
@@ -226,9 +163,10 @@ def _accumulate_growth(diffs, planes, F) -> list:
 
 
 def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
-    """The splitting at the rows of X (N,3), k_max >= 1: each row's
+    """The splitting at the rows of X (N,3), k_max >= 2: each row's
     invariance residual (N,) in radians, the angle from D E_x to E_phi(x)
     plus the angle from D F_x to F_phi(x), and its restricted growth table.
+    A k_max below 2 fits no rate and is a ValueError before any map step.
 
     One forward pass and one backward sweep run over the rows x at depth
     k_max + k_plane, then x and phi(x) at depth k_plane: the deep rows' bases
@@ -238,7 +176,13 @@ def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
     orbit (the fast line attracts). The step differentials, D(x) first, are
     read off the deep rows of the pass's first k_max records. Each row's bits
     do not depend on N.
+
+    An E0 whose pullback contains the fast line converges to another
+    invariant plane, which passes the residual test, so a plane E_x within
+    ``MIN_FAST_ANGLE`` of F_x is a DegeneratePlaneError naming ``e0.basis``.
     """
+    if k_max < 2:
+        raise ValueError(f"a fitted rate needs at least 2 depths, got k_max = {k_max}")
     N = len(X)
     XY = np.concatenate([X, phi.apply(X)])
     # before the pass, so the power iteration's blocks never meet its records
@@ -250,6 +194,14 @@ def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
     stacks = collections.deque([seed], maxlen=k_max + 1)
     stacks.extend(Q for Q, _ in _pull_back(phi, recs, seed, live))
     E = np.ascontiguousarray((stacks[-1] if k_plane else seed)[:, :, N:].transpose(2, 0, 1))
+    # the bases are orthonormal, so their cross product is the unit normal
+    fast_angle = np.arcsin(np.minimum(1.0, np.abs(_row_dots(np.cross(E[:N, :, 0], E[:N, :, 1]), F[:N]))))
+    if (fast_angle <= MIN_FAST_ANGLE).any():
+        worst = int(fast_angle.argmin())
+        raise DegeneratePlaneError(
+            f"the pullback of 'e0.basis' at {X[worst].tolist()} is {fast_angle[worst]:.3e} rad "
+            f"from the fast line (<= {MIN_FAST_ANGLE:g}): seed a plane transversal to it"
+        )
     planes = np.ascontiguousarray(np.transpose([Q[:, :, :N] for Q in stacks], (0, 3, 1, 2))[::-1])
     eyes = (np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)) for n in live[:k_max])
     diffs = np.array([_tangent(phi, r, I)[:, :, :N].transpose(2, 0, 1) for r, I in zip(recs, eyes)])

@@ -169,6 +169,19 @@ class TestCliExitCodes:
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["splitting", "bracket"])
+    def test_plane_containing_fast_line_exits_2(self, tmp_path, capsys, command):
+        # linear.json with e0.basis = [E^uu of A, e1]: its pullback converges
+        # to span(E^s, E^uu), which contains F and passes the residual test
+        w, V = np.linalg.eig(np.array(MATRIX, dtype=float))
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "linear.json").read_text())
+        cfg["e0"] = {"basis": [V[:, np.abs(w).argmax()].real.tolist(), [1.0, 0.0, 0.0]]}
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "'e0.basis'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / f"{command}.json").exists()
+
     def test_excessive_amplitude_exits_2(self, tmp_path, capsys):
         d = base_config(
             map={

@@ -52,13 +52,6 @@ class TestPlane:
         with pytest.raises(DegeneratePlaneError, match="degenerate plane"):
             Plane2.spanned_by(E1, 2.0 * E1)
 
-    def test_normal_orthogonal_to_basis(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            P = random_plane(rng)
-            assert abs(P.normal @ P.basis[:, 0]) < 1e-12
-            assert abs(P.normal @ P.basis[:, 1]) < 1e-12
-
     def test_immutable(self):
         P = Plane2.spanned_by(E1, E2)
         with pytest.raises(ValueError):

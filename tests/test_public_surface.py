@@ -236,17 +236,6 @@ def test_surface_and_uniqueness_take_frames():
     assert not found, f"the frame-generic layers reach for the map: {found}"
 
 
-# validity values that no report carries yet: ROADMAP item 10 puts each into
-# the reports as a status. PullbackEntry.flagged checks the initial plane (an
-# outside input) and the pullback's conditioning; PullbackSequence.converged
-# tells a non-converged pullback apart from a good one. They guard the
-# numbers, so they stay although nothing reads them yet.
-VALIDITY_VALUES = {
-    "splitting.PullbackEntry.flagged",
-    "splitting.PullbackSequence.converged",
-}
-
-
 def _loaded_attributes(tree):
     return {
         sub.attr
@@ -279,28 +268,24 @@ def test_every_field_has_a_reader():
                 if isinstance(fn, ast.FunctionDef) and _is_property(fn)
             ]
 
-    unread = sorted(qual for qual, name in fields if qual not in VALIDITY_VALUES and name not in loaded)
+    unread = sorted(qual for qual, name in fields if name not in loaded)
     assert not unread, f"fields and properties with no reader in src/ or the acceptance suite: {unread}"
 
 
 def test_every_exemption_names_a_member():
     """An exemption does not outlive its member: each entry of ``ORACLES``
-    names a module-level function of the package, each of ``METHOD_ORACLES``
-    a method of a package class and each of ``VALIDITY_VALUES`` a field or
-    property of one."""
-    functions, methods, fields = set(), set(), set()
+    names a module-level function of the package and each of
+    ``METHOD_ORACLES`` a method of a package class."""
+    functions, methods = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, ast.FunctionDef):
                 functions.add(stmt.name)
-                continue
-            if not isinstance(stmt, ast.ClassDef):
-                continue
-            qual = f"{path.stem}.{stmt.name}."
-            for s in stmt.body:
-                if isinstance(s, ast.FunctionDef):
-                    (fields if _is_property(s) else methods).add(qual + s.name)
-                elif isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name):
-                    fields.add(qual + s.target.id)
-    stale = sorted((ORACLES - functions) | (METHOD_ORACLES - methods) | (VALIDITY_VALUES - fields))
-    assert not stale, f"exemptions that name no function, method or field of the package: {stale}"
+            elif isinstance(stmt, ast.ClassDef):
+                methods |= {
+                    f"{path.stem}.{stmt.name}.{s.name}"
+                    for s in stmt.body
+                    if isinstance(s, ast.FunctionDef) and not _is_property(s)
+                }
+    stale = sorted((ORACLES - functions) | (METHOD_ORACLES - methods))
+    assert not stale, f"exemptions that name no function or method of the package: {stale}"

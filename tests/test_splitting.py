@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitkit import Diffeo, Line1, Plane2, splitting
+from splitkit import PAPER_MATRIX, DegeneratePlaneError, Diffeo, Line1, Plane2, splitting
+from splitkit.bracket import bound_curves
 from splitkit.dynamics import _forward, _pull_back, orbit, orbit_support_report
 from splitkit.splitting import (
     DEFAULT_L0,
     _field_bases,
     _pullback_bases,
     _splitting_pass,
-    compute_slow_plane,
     domination_report,
     eventual_k0,
     fitted_rate,
@@ -39,23 +39,29 @@ def fast_line_at(phi, x, L0=DEFAULT_L0, k=40):
     return Line1(splitting._fast_lines(phi, np.asarray(x, dtype=float)[None], L0.direction[None], k)[0])
 
 
+def pullback_planes(phi, x, E0, k):
+    """The pullback planes of E0 at one point x at depths 0..k, from one
+    per-row-depth kernel call."""
+    X = np.repeat(np.asarray(x, dtype=float)[None], k + 1, axis=0)
+    B = _pullback_bases(phi, X, E0, np.arange(k + 1))
+    return [Plane2(B[:, :, j]) for j in range(k + 1)]
+
+
 class TestPullback:
     def test_identity_map_fixes_plane(self):
         phi = Diffeo.identity()
-        seq = compute_slow_plane(phi, [0.2, 0.3, 0.4], k=10)
-        for e in seq.entries:
-            assert principal_angle(e.plane, COORD_PLANE) < 1e-12
-        assert seq.converged and len(seq.entries) - 1 == 1
+        for plane in pullback_planes(phi, [0.2, 0.3, 0.4], None, 10):
+            assert principal_angle(plane, COORD_PLANE) < 1e-12
 
     def test_eigenplane_exactly_invariant(self, phi_linear, slow_plane):
-        seq = compute_slow_plane(phi_linear, [0.1, 0.2, 0.3], E0=slow_plane, k=30)
-        assert seq.angles_to(slow_plane).max() < 1e-10
+        planes = pullback_planes(phi_linear, [0.1, 0.2, 0.3], slow_plane, 30)
+        assert max(principal_angle(P, slow_plane) for P in planes) < 1e-10
 
     def test_decay_rate_from_coordinate_plane(self, phi_linear, slow_plane):
         # log-angle slope over k in [20, 60] tracks the eigenvalue ratio
         start = time.perf_counter()
-        seq = compute_slow_plane(phi_linear, np.zeros(3), k=60)
-        angles = seq.angles_to(slow_plane)
+        planes = pullback_planes(phi_linear, np.zeros(3), None, 60)
+        angles = np.array([principal_angle(P, slow_plane) for P in planes])
         elapsed = time.perf_counter() - start
         ks = np.arange(20, 61)
         slope = np.polyfit(ks, np.log(angles[20:61]), 1)[0]
@@ -63,31 +69,10 @@ class TestPullback:
         assert elapsed < 5.0
 
     def test_angle_steps_recorded(self, phi_linear):
-        seq = compute_slow_plane(phi_linear, np.zeros(3), k=15)
-        steps = [principal_angle(e.plane, prev.plane) for prev, e in zip(seq.entries[1:], seq.entries[2:])]
+        planes = pullback_planes(phi_linear, np.zeros(3), None, 15)
+        steps = [principal_angle(e, prev) for prev, e in zip(planes[1:], planes[2:])]
         # geometric decay once the transient has passed
         assert steps[-1] < steps[0]
-
-    @pytest.mark.parametrize("field", [None, "tilt"])
-    def test_entries_bitwise_per_depth(self, phi_perturbed, tilt_E0, field):
-        # each entry is the depth-j pullback alone, its flag read off that
-        # pullback's own R factors; the sequence has not converged, so every
-        # step angle to the entry before is above the stopping tolerance
-        E0 = tilt_E0 if field else None
-        x = np.array([0.3, 0.52, 0.45])
-        seq = compute_slow_plane(phi_perturbed, x, E0=E0, k=12)
-        assert len(seq.entries) == 13 and not seq.converged
-        for j, (prev, e) in enumerate(zip(seq.entries, seq.entries[1:]), 1):
-            want = _pullback_bases(phi_perturbed, x[None], E0, j)[:, :, 0]
-            assert e.plane.basis.tobytes() == want.tobytes()
-            Y, recs = _forward(phi_perturbed, wrap_point(x[None]), [1] * j)
-            Rs = [R for _, R in _pull_back(phi_perturbed, recs, _field_bases(E0, Y))]
-            flag = any(
-                abs(r11[0] * r22[0]) < 1e-300 or np.linalg.cond([[r11[0], r12[0]], [0.0, r22[0]]]) > 1e12
-                for r11, r12, r22 in Rs
-            )
-            assert e.flagged is flag
-            assert principal_angle(e.plane, prev.plane) >= splitting.ANGLE_CONVERGENCE_TOL
 
 
 class TestPerRowDepth:
@@ -227,14 +212,15 @@ def capture_growth_inputs(monkeypatch):
 
 class TestRestrictedGrowth:
     def test_flat_k1_ratios_on_true_splitting(self, phi_linear, slow_plane):
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane)
+        # the k = 1 column of the shortest table the pass makes
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 2, slow_plane)
         assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
         assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
         assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
 
     def test_zero_burn_in(self, phi_linear, slow_plane):
         # the plane at the orbit end is the seed itself, pulled back zero steps
-        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 1, slow_plane, burn_in=0)
+        g = exact_growth(phi_linear, [0.2, 0.4, 0.8], 2, slow_plane, burn_in=0)
         assert np.exp(g.log_dyn()[0]) == pytest.approx(FLAT_DYN_1, abs=1e-9)
         assert np.exp(g.log_vol()[0]) == pytest.approx(FLAT_VOL_1, abs=1e-9)
         assert np.exp(g.log_bunch()[0]) == pytest.approx(FLAT_BUNCH_1, abs=1e-9)
@@ -331,6 +317,18 @@ class TestSplittingSample:
         # a rate is the slope of a line, and one depth fits no line
         with pytest.raises(ValueError, match="at least 2 depths"):
             domination_report(phi_linear, [[0.1, 0.2, 0.3]], 1, k_plane=500, k_line=800)
+
+    @pytest.mark.parametrize("run", [domination_report, bound_curves])
+    def test_one_depth_refused_before_the_pass(self, monkeypatch, run):
+        # at these depths the sample fails the residual test, so a pass at
+        # k_max 1 would return an empty report; no map step is taken
+        def no_step(*args):
+            raise AssertionError("the pass ran")
+
+        monkeypatch.setattr(splitting, "_fast_lines", no_step)
+        monkeypatch.setattr(splitting, "_forward", no_step)
+        with pytest.raises(ValueError, match="at least 2 depths"):
+            run(Diffeo.from_matrix(PAPER_MATRIX), [[0.1, 0.2, 0.3]], 1, k_plane=20, k_line=30)
 
     def test_shallow_depth_flagged(self, phi_linear):
         rep = domination_report(phi_linear, [[0.3, 0.4, 0.5]], 4, k_plane=20, k_line=30)
@@ -453,15 +451,17 @@ class TestDominationReport:
 
 class TestTransversalityPrecheck:
     def test_plane_containing_fast_direction_flagged(self, phi_linear, eigen_oracle):
-        # such a plane pulls back to the wrong invariant plane while staying
-        # perfectly well conditioned, so only the pre-check can catch it
+        # E0 = [E^uu, e1] pulls back to the invariant plane span(E^s, E^uu),
+        # which contains the fast line and passes the residual test, so the
+        # splitting pass refuses it before any growth is accumulated
         _, V = eigen_oracle
-        bad = Plane2.spanned_by(V[:, 2], V[:, 0])
-        seq = compute_slow_plane(phi_linear, np.zeros(3), E0=bad, k=30)
-        assert seq.entries[0].flagged
-        # and indeed it converged to the fast/slowest plane, not the slow one
-        assert principal_angle(seq.entries[-1].plane, bad) < 0.2
+        bad = Plane2.spanned_by(V[:, 2], [1.0, 0.0, 0.0])
+        X = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.5]]
+        with pytest.raises(DegeneratePlaneError, match="e0.basis"):
+            domination_report(phi_linear, X, 20, E0=bad, k_plane=400, k_line=600)
+        with pytest.raises(DegeneratePlaneError, match="e0.basis"):
+            bound_curves(phi_linear, X, 20, E0=bad, k_plane=400, k_line=600)
 
     def test_coordinate_plane_not_flagged(self, phi_linear):
-        seq = compute_slow_plane(phi_linear, np.zeros(3), k=10)
-        assert not seq.entries[0].flagged
+        rep = domination_report(phi_linear, [[0.0, 0.0, 0.0]], 10, k_plane=400, k_line=600)
+        assert len(rep.samples) == 1
