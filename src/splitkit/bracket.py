@@ -9,12 +9,11 @@ magnitude against the volume-ratio decay of the restricted cocycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import Diffeo
 from .frames import AdaptedFrame, PullbackFrame, _jacobians
+from .geometry import _record
 from .splitting import _splitting_pass, fitted_rate
 
 DEFAULT_FD_STEP = 1e-4
@@ -26,7 +25,7 @@ RESOLVED_ABS_FLOOR = 1e-11
 ROUNDOFF_ULPS = 8
 
 
-@dataclass(frozen=True)
+@_record
 class BracketSample:
     """Bracket coefficient c with [X, Y] = c e3, plus its FD provenance."""
 
@@ -85,7 +84,7 @@ def _bracket_samples(frames, X, hs):
     return samples
 
 
-@dataclass(frozen=True)
+@_record
 class BoundCurve:
     point: np.ndarray
     entries: tuple  # BracketSample of the depth-k pullback frame, k = 1..k_max

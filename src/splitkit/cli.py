@@ -3,14 +3,15 @@
 Subcommands mirror the library modules; each writes CSV series and a JSON
 summary (byte-identical across runs of the same config) plus a timing
 sidecar.  A subcommand imports the layers above ``splitting`` that it runs
-(``bracket``, ``surface``, ``uniqueness``) when it is called, so a process
-loads only its own.  Exit codes: 0 success, 2 configuration/validation
+(``frames``, ``bracket``, ``surface``, ``uniqueness``) when it is called, so
+a process loads only its own.  Exit codes: 0 success, 2 configuration/validation
 error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import numpy as np
 from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
-from .frames import PullbackFrame, coefficient_grid_rows
 from .report import RunTimer, run_report, write_csv, write_json
 from .splitting import domination_report
 
@@ -232,6 +232,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 
 def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .frames import PullbackFrame, coefficient_grid_rows
     from .surface import (
         ChartBox,
         FlowSpec,
@@ -310,6 +311,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 
 def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .frames import PullbackFrame
     from .surface import FlowSpec
     from .uniqueness import hartman_slice_report, leaf_divergence
 
@@ -379,11 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # what import made lives as long as the process: no collection scans it
     args = build_parser().parse_args(argv)
     try:
         if args.command == "paper-example":
-            if args.out is not None:
-                args.out.mkdir(parents=True, exist_ok=True)
             sys.stdout.write(_dump_json(cmd_paper_example(args.out)))
             return 0
 
@@ -392,7 +393,6 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig.from_dict({**cfg.raw, "seed": args.seed})
         phi = cfg.build_diffeo()
         _amplitude_guard(phi, cfg)
-        args.out.mkdir(parents=True, exist_ok=True)
         timer = RunTimer()
         results = _commands()[args.command](cfg, phi, args.out, timer)
         rep = run_report(args.command, cfg.config_hash(), results)

@@ -11,14 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import Diffeo, ShearPerturbation, ToralAutomorphism
 from .errors import ConfigError, DegeneratePlaneError
-from .frames import constant_frame, contact_frame
-from .geometry import Plane2
+from .geometry import Plane2, _record
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -80,19 +78,20 @@ _SHEAR_KEYS = ("axis", "center", "radius", "amplitude")
 _SCALAR_TYPES = {"int": int, "float": float}
 
 
-@dataclass(frozen=True)
+@_record
 class ExperimentConfig:
     """The experiment a config file describes; this class is its schema.
 
-    Each field but ``raw`` is read from the config key named by its ``key``
-    metadata, or else by the field's own name; ``raw`` is the loaded dict,
+    Each field but ``raw`` is read from the config key that ``_KEYS`` names
+    for it, or else by the field's own name; ``raw`` is the loaded dict,
     whose canonical bytes the config hash covers.
     """
 
-    map_spec: dict = field(metadata={"key": "map"})
+    _KEYS = {"map_spec": "map", "e0_basis": "e0"}
+    map_spec: dict
     samples: tuple = ()
     random_samples: int = 0
-    e0_basis: tuple | None = field(default=None, metadata={"key": "e0"})  # None = span(e1, e2)
+    e0_basis: tuple | None = None  # None = span(e1, e2)
     k_max: int = 20
     k_plane: int = 400
     k_line: int = 600
@@ -108,13 +107,13 @@ class ExperimentConfig:
     k_leaf: int = 12
     seed: int = 0
     synthetic_field: dict | None = None
-    raw: dict = field(default_factory=dict, compare=False)
+    raw: dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("a config must be a JSON object")
-        schema = {f.metadata.get("key", f.name): f for f in fields(cls) if f.name != "raw"}
+        schema = {cls._KEYS.get(n, n): (n, typ) for n, typ in cls.__annotations__.items() if n != "raw"}
         unknown = set(d) - set(schema)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -123,9 +122,9 @@ class ExperimentConfig:
             raise ConfigError("config requires a 'map' object with at least a 'matrix'")
         _known_keys(m, "map", ("matrix", "shears"))
         kwargs = {}
-        for key, f in schema.items():
-            if f.type in _SCALAR_TYPES and key in d:
-                kwargs[f.name] = _number(d[key], key, _SCALAR_TYPES[f.type])
+        for key, (name, typ) in schema.items():
+            if typ in _SCALAR_TYPES and key in d:
+                kwargs[name] = _number(d[key], key, _SCALAR_TYPES[typ])
         if "samples" in d:
             kwargs["samples"] = _number_rows(d["samples"], "samples", 3)
         if "k_list" in d:
@@ -217,6 +216,8 @@ class ExperimentConfig:
         return Diffeo(tuple(shears) + (auto,))
 
     def build_synthetic_frame(self):
+        from .frames import constant_frame, contact_frame
+
         if self.synthetic_field is None:
             return None
         if self.synthetic_field["kind"] == "contact":

@@ -8,8 +8,6 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegeneratePlaneError
@@ -91,7 +89,29 @@ def check_spans(B):
         raise DegeneratePlaneError(f"degenerate plane: Gram determinant {gram[bad.argmax()]:.3e}")
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """``cls`` as an immutable record of its annotated fields, as ``dataclass(frozen=True)``
+    made it but with no source compiled at import: fields by position or keyword, class-level
+    defaults, ``__post_init__`` last; assignment raises ``AttributeError``; identity equality."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or kwargs.keys() - names[len(args) :] or len(values) < len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, each once")
+        self.__dict__.update(values)
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {cls.__name__} is immutable")
+
+    cls.__init__, cls.__setattr__ = __init__, __setattr__
+    return cls
+
+
+@_record
 class Line1:
     """A 1-dimensional direction, unit length and sign-normalized."""
 
@@ -103,7 +123,7 @@ class Line1:
         object.__setattr__(self, "direction", d)
 
 
-@dataclass(frozen=True)
+@_record
 class Plane2:
     """A tangent 2-plane stored as a spanning pair."""
 

@@ -26,16 +26,19 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows):
+def _write(path, data: bytes):
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
+def write_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(format_cell(v) for v in row) for row in rows]
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_json(path, obj):
-    Path(path).write_bytes(canonical_json_bytes(obj))
+    _write(path, canonical_json_bytes(obj))
 
 
 def jsonable(v):
@@ -71,7 +74,7 @@ class RunTimer:
 
     def write_sidecar(self, path):
         lines = [f"{name}\t{seconds:.6f}s" for name, seconds in self.blocks]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run_report(command: str, config_hash: str | None, results: dict) -> dict:

@@ -11,14 +11,13 @@ assembled from those logs.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Diffeo, _differentials, _forward, _pull_back, _tangent, orbit
 from .errors import DegeneratePlaneError
 from .geometry import Line1, Plane2, _row_dots, _row_norms, line_angles, plane_angles, unit_lines
-from .geometry import wrap_point
+from .geometry import _record, wrap_point
 
 RESIDUAL_TOL = 1e-6
 MIN_FAST_ANGLE = 1e-3
@@ -98,7 +97,7 @@ def _fast_lines(phi: Diffeo, X, L, k):
     return L
 
 
-@dataclass(frozen=True)
+@_record
 class GrowthTable:
     """Per-k log growth of the cocycle restricted to a plane and a line.
 
@@ -236,7 +235,7 @@ def fitted_rate(log_ratios) -> float:
     return float(np.exp(slope))
 
 
-@dataclass(frozen=True)
+@_record
 class SampleDomination:
     point: np.ndarray
     residual: float  # invariance residual of the plane and line, radians
@@ -256,7 +255,7 @@ class SampleDomination:
         return [(k, *r) for k, r in enumerate(ratios, 1)]
 
 
-@dataclass(frozen=True)
+@_record
 class DominationReport:
     samples: tuple  # SampleDomination, in input order
     excluded: tuple  # (point, residual) pairs that failed to converge

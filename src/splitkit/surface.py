@@ -10,13 +10,12 @@ the box is a hard error, never a silent clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartExitError
 from .frames import AdaptedFrame, _coefficients, _graph_field_of, _graph_vectors, _jacobians
-from .geometry import _row_norms, check_spans, plane_angles
+from .geometry import _record, _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
 DEFAULT_EPSILON = 0.05
@@ -25,7 +24,7 @@ DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational 
 MAX_STEP_LOAD = 0.5  # largest |grad(a)| dt at which the explicit transport counts as resolved
 
 
-@dataclass(frozen=True)
+@_record
 class FlowSpec:
     """Fixed-step explicit integrator parameters (classical 4th order)."""
 
@@ -36,7 +35,7 @@ class FlowSpec:
             raise ValueError(f"step must be finite and positive, not {self.step!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class ChartBox:
     """Axis-aligned box of lifted coordinates around a center point."""
 
@@ -89,7 +88,7 @@ def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = Non
     return Y.reshape(y.shape)
 
 
-@dataclass(frozen=True)
+@_record
 class SurfacePatch:
     epsilon: float
     n: int
@@ -190,7 +189,7 @@ def build_patch(
     return _build_patches([frame], x0[None], (order,), epsilon, n, spec, chart)[0]
 
 
-@dataclass(frozen=True)
+@_record
 class TangencyReport:
     max_angle: float
     mean_angle: float
@@ -320,7 +319,7 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     return lhs, rhs, rel, True
 
 
-@dataclass(frozen=True)
+@_record
 class PushforwardSeries:
     ks: tuple
     values: tuple  # || (X^(k)-flow_t)_* Y^(k) - Y^(k) || at x0; None where the transport was stopped

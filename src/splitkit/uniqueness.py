@@ -9,18 +9,17 @@ Both take frames, whatever built them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frames import AdaptedFrame, _coefficients
+from .geometry import _record
 from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
 
 # slack of the two-step decrease test on the slice distances
 DECREASE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@_record
 class HartmanData:
     slice_x2: float
     sup_da_dx3: tuple  # per-k sup over the slice grid of |da^(k)/dx3|
@@ -77,7 +76,7 @@ def hartman_slice_report(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class LeafComparison:
     order_mismatch: float  # max node distance between xy- and yx-ordered patches
     lipschitz: float  # max patch displacement / seed displacement

@@ -90,6 +90,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shear"):
             ExperimentConfig.from_dict(base_config(map=m))
 
+    def test_fields_refuse_assignment(self):
+        cfg = ExperimentConfig.from_dict(base_config())
+        with pytest.raises(AttributeError):
+            cfg.k_max = 3
+        assert cfg.k_max == 8
+
+    def test_renamed_keys_fill_their_fields(self):
+        basis = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        cfg = ExperimentConfig.from_dict(base_config(e0={"basis": basis}))
+        assert cfg.map_spec == {"matrix": MATRIX}
+        assert cfg.e0_basis == tuple(map(tuple, basis))
+        with pytest.raises(ConfigError, match="unknown config keys: \\['map_spec'\\]"):
+            ExperimentConfig.from_dict(base_config(map_spec={"matrix": MATRIX}))
+
     def test_random_samples_seeded(self):
         cfg1 = ExperimentConfig.from_dict(base_config(random_samples=3))
         cfg2 = ExperimentConfig.from_dict(base_config(random_samples=3))
@@ -168,6 +182,8 @@ class TestCliExitCodes:
         write_json(path, d)
         assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "non-convergence" in capsys.readouterr().err
+        # the refusal comes before the first file, so no --out is made
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["splitting", "bracket"])
     def test_plane_containing_fast_line_exits_2(self, tmp_path, capsys, command):
@@ -180,7 +196,7 @@ class TestCliExitCodes:
         write_json(path, cfg)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "'e0.basis'" in capsys.readouterr().err
-        assert not (tmp_path / "o" / f"{command}.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_excessive_amplitude_exits_2(self, tmp_path, capsys):
         d = base_config(
@@ -343,6 +359,26 @@ def test_cli_import_loads_no_experiment_layer():
     env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("splitting", set()), ("surface", {"splitkit.frames", "splitkit.surface"})],
+)
+def test_subcommand_loads_only_its_layers(tmp_path, command, loaded):
+    # a run imports the layers it reads and no others, nor ``dataclasses``
+    # (checked in a fresh interpreter: pytest itself imports it)
+    layers = ("splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness", "dataclasses")
+    config = Path(__file__).parents[1] / "configs" / "linear.json"
+    found = tmp_path / "modules.txt"
+    code = (
+        "import sys; from splitkit import cli; "
+        f"assert cli.main([{command!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+        f"open({str(found)!r}, 'w').write(repr(sorted(m for m in {layers!r} if m in sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert found.read_text() == repr(sorted(loaded))
 
 
 class TestCliOutputs:

@@ -7,6 +7,7 @@ from splitkit.geometry import (
     HODGE_STAR,
     Line1,
     Plane2,
+    _record,
     adjugate3,
     det3,
     exterior_square,
@@ -56,6 +57,8 @@ class TestPlane:
         P = Plane2.spanned_by(E1, E2)
         with pytest.raises(ValueError):
             P.basis[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            P.basis = np.eye(3)[:, :2]
 
     def test_orthonormal_basis_made_once(self):
         # 10,000 random planes: the kept basis is bitwise the Gram-Schmidt of
@@ -67,6 +70,38 @@ class TestPlane:
             Q = P.orthonormal_basis()
             assert Q.tobytes() == w.tobytes()
             assert P.orthonormal_basis() is Q and not Q.flags.writeable
+
+
+class TestRecord:
+    @_record
+    class Pair:
+        first: int
+        second: int = 2
+
+        def __post_init__(self):
+            object.__setattr__(self, "first", int(self.first))
+
+    def test_fields_by_position_keyword_and_default(self):
+        assert vars(self.Pair(1.0)) == {"first": 1, "second": 2}
+        assert vars(self.Pair(second=3, first=1)) == {"first": 1, "second": 3}
+        assert vars(self.Pair(1, 3)) == {"first": 1, "second": 3}
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), ((1, 2, 3), {}), ((1,), {"first": 1}), ((1,), {"third": 3})],
+        ids=["missing", "too-many", "twice", "unknown"],
+    )
+    def test_bad_arguments_refused(self, args, kwargs):
+        with pytest.raises(TypeError):
+            self.Pair(*args, **kwargs)
+
+    def test_assignment_refused(self):
+        pair = self.Pair(1)
+        with pytest.raises(AttributeError):
+            pair.second = 3
+        with pytest.raises(AttributeError):
+            pair.third = 3
+        assert vars(pair) == {"first": 1, "second": 2}
 
 
 class TestPrincipalAngle:

@@ -245,7 +245,7 @@ def _loaded_attributes(tree):
 
 
 def test_every_field_has_a_reader():
-    """A field (an annotated class attribute, as a dataclass declares) or a
+    """A field (an annotated class attribute, as a record declares) or a
     property of a package class counts as read when an attribute of its name
     is loaded in src/ or in the acceptance suite; a constructor keyword of the
     same name does not count. The rule matches names only, so a field that

@@ -312,6 +312,8 @@ class TestSplittingSample:
         (d,) = rep.samples
         assert not rep.excluded
         assert d.residual < 1e-6
+        with pytest.raises(AttributeError):
+            d.residual = 0.0
 
     def test_one_depth_has_no_rate(self, phi_linear):
         # a rate is the slope of a line, and one depth fits no line

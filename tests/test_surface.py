@@ -192,6 +192,10 @@ class TestFlow:
         with pytest.raises(ValueError):
             FlowSpec(step=-1.0)
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            FlowSpec(step=0.0)
+
     @pytest.mark.parametrize("step", [math.inf, math.nan])
     def test_non_finite_step_rejected(self, step):
         with pytest.raises(ValueError, match="step must be finite and positive"):
