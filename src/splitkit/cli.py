@@ -238,7 +238,6 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
         FlowSpec,
         _build_patches,
         pushforward_convergence_series,
-        pushforward_norm_identity,
         tangency_report,
     )
 
@@ -274,28 +273,14 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                     "max_tangent_norm": rep.max_tangent_norm,
                 }
             )
-        lhs, rhs, rel, resolved = pushforward_norm_identity(limit_frame, x0, cfg.t, spec=spec)
         series = pushforward_convergence_series(frames, x0, cfg.t, spec=spec)
-        series_payload = [
-            {"k": int(k), "value": v, "resolved": bool(r)}
-            for k, v, r in zip(series.ks, series.values, series.resolved)
-        ]
     # the last depth's patch, with its tangency angles (0 on the border)
     angles = np.pad(rep.angles, 1)
-    rows = []
-    for i in range(patch.n):
-        for j in range(patch.n):
-            p = patch.points[i, j]
-            rows.append(
-                (
-                    float(patch.ts[i]),
-                    float(patch.ss[j]),
-                    float(p[0]),
-                    float(p[1]),
-                    float(p[2]),
-                    float(angles[i, j]),
-                )
-            )
+    rows = [
+        (float(patch.ts[i]), float(patch.ss[j]), *patch.points[i, j].tolist(), float(angles[i, j]))
+        for i in range(patch.n)
+        for j in range(patch.n)
+    ]
     write_csv(out_dir / "surface.csv", ["t", "s", "x1", "x2", "x3", "defect_angle"], rows)
     grid_n = min(cfg.n, GRID_CAP)
     grid_rows = coefficient_grid_rows(
@@ -305,8 +290,14 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
     return {
         "coefficient_grid_n": grid_n,
         "tangency_per_k": per_k,
-        "pushforward_identity": {"lhs": lhs, "rhs": rhs, "rel_err": rel, "resolved": resolved},
-        "pushforward_series": series_payload,
+        "pushforward_identity": [
+            {"k": int(k), "lhs": lhs, "rhs": rhs, "rel_err": rel, "resolved": r}
+            for k, (lhs, rhs, rel, r) in zip(series.ks, series.growth_identity)
+        ],
+        "pushforward_series": [
+            {"k": int(k), "value": v, "resolved": bool(r)}
+            for k, v, r in zip(series.ks, series.values, series.resolved)
+        ],
     }
 
 

@@ -9,7 +9,7 @@ the box is a hard error, never a silent clamp.
 
 from __future__ import annotations
 
-import math
+import itertools
 
 import numpy as np
 
@@ -26,12 +26,12 @@ MAX_STEP_LOAD = 0.5  # largest |grad(a)| dt at which the explicit transport coun
 
 @_record
 class FlowSpec:
-    """Fixed-step explicit integrator parameters (classical 4th order)."""
+    """Fixed-step RK4 parameters: one step for all rows of a stack or one per row."""
 
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
+        if not np.all(np.isfinite(self.step) & (np.asarray(self.step, dtype=float) > 0)):
             raise ValueError(f"step must be finite and positive, not {self.step!r}")
 
 
@@ -47,27 +47,32 @@ class ChartBox:
         return np.all(np.abs(np.asarray(p) - self.center) <= self.halfwidth, axis=-1)
 
 
+def _rk4_steps(t, step, n):
+    """Each of n rows' RK4 step count and step, as ``flow`` takes them."""
+    T = np.broadcast_to(np.asarray(t, dtype=float), n)
+    bad = ~np.isfinite(T)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"flow time of row {row} is not finite: {float(T[row])}")
+    steps = np.where(T == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(T) / step)))
+    return steps, T / np.maximum(steps, 1.0)
+
+
 def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = None):
     """Endpoint of the time-t flow of y' = field(y) (t of either sign) in fixed RK4 steps.
 
     ``y0`` is one state of shape (d,) or a stack of N states of shape (N, d);
-    ``field`` maps an (N, d) stack to an (N, d) stack.  ``t`` is one time for
-    all rows or one per row: row n takes ceil(|t_n| / step) steps of t_n over
-    that count (none at t_n = 0) with elementwise arithmetic, so its endpoint
-    is bitwise the same whatever else is in the stack.  A row that has taken
-    its steps keeps its endpoint while the others go on; the field still sees
-    it there.  With a chart, the first three coordinates of every row are
-    checked after each step.
+    ``field`` maps an (N, d) stack to an (N, d) stack.  ``t`` and
+    ``spec.step`` are each one for all rows or one per row: row n takes
+    ceil(|t_n| / step_n) steps of t_n over that count (none at t_n = 0) with
+    elementwise arithmetic, so its endpoint is bitwise the same whatever
+    else is in the stack.  A row that has taken its steps keeps its endpoint
+    while the others go on; the field still sees it there.  With a chart,
+    the first three coordinates of every row are checked after each step.
     """
     y = np.array(y0, dtype=float)
     Y = y.reshape(-1, y.shape[-1])
-    T = np.broadcast_to(np.asarray(t, dtype=float), len(Y))
-    bad = ~np.isfinite(T)
-    if bad.any():
-        n = int(bad.argmax())
-        raise ValueError(f"flow time of row {n} is not finite: {float(T[n])}")
-    steps = np.where(T == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(T) / spec.step)))
-    dt = T / np.maximum(steps, 1.0)
+    steps, dt = _rk4_steps(t, spec.step, len(Y))
     for i in range(int(steps.max(initial=0.0))):
         live = i < steps
         h = np.where(live, dt, 0.0)[:, None]
@@ -243,36 +248,37 @@ def planarity_defect(patch: SurfacePatch) -> float:
 
 def _pushforwards(frames, X, t, spec, grad_h, V=None):
     """Variational transports by the time-t X-flows of ``frames``, one frame
-    per row, from one backward RK4 pass of the stack: the vectors V (N,3)
-    given at the time -t preimages of the rows of X (N,3), by default the
-    frames' Y there, are pushed forward to X. Returns the vectors (N,3),
-    each row's largest step load |grad(a)| |dt|, and the integral of da/dx3
-    along each row's backward trajectory (N,). A row whose load reaches
-    ``MAX_STEP_LOAD`` leaves the pass at that stage: its state freezes, no
-    kernel row is spent on it after that stage, and its vector and integral
-    are NaN.
+    and one step of ``spec`` per row, in one backward RK4 pass of the stack:
+    the vectors V (N,3) at the time -t preimages of the rows of X (N,3), by
+    default the frames' Y there, are pushed forward to X. Returns them, each
+    row's largest step load |grad(a)| |dt|, and its final q and m3 (below).
+    A row whose load reaches ``MAX_STEP_LOAD`` leaves the pass at that
+    stage: its state freezes, no kernel row is spent on it after that stage,
+    and its vector, q and m3 are NaN.
 
     Row n's state (p, q, m) starts at (x, 0, e3): p' = -X(p) flows to the
     preimage y, q' = da/dx3, and m' = -(a_1, a_2, 0) - a_3 m, with a_j =
     da/dx_j at p. As J = e3 grad(a)^T for a graph frame, D(X-flow_-t)(x) has
     rows e1, e2 and m, so v at y is pushed to (v1, v2, (v3 - m1 v1 - m2 v2)
     / m3) with no forward pass. One ``_jacobians`` call per RK4 stage gives
-    the pairs and grad(a), and every operation is by row, so each row's bits
-    do not depend on the stack. An explicit fixed-step scheme resolves the
-    transport only while the load stays well below 1 (``MAX_STEP_LOAD``).
+    the pairs and grad(a) of the rows inside the budget with steps left, and
+    every operation is by row, so each row's bits do not depend on the
+    stack. An explicit fixed-step scheme resolves the transport only while
+    the load stays well below 1 (``MAX_STEP_LOAD``).
     """
     N = len(X)
-    dt = t / max(1, math.ceil(abs(t) / spec.step))
+    steps, dt = _rk4_steps(t, spec.step, N)
     load = np.zeros(N)
     live = np.ones(N, dtype=bool)  # the rows still inside the load budget
+    stages = itertools.count()  # flow calls g once per RK4 stage, four per step
 
     def g(S):
         dS = np.zeros_like(S)
-        rows = np.flatnonzero(live)
+        rows = np.flatnonzero(live & (next(stages) // 4 < steps))
         if len(rows):
             C, J = _jacobians([frames[n] for n in rows], S[rows, :3], grad_h)
             G = J[:, 0]
-            load[rows] = np.fmax(load[rows], _row_norms(G) * abs(dt))
+            load[rows] = np.fmax(load[rows], _row_norms(G) * np.abs(dt[rows]))
             live[rows] = load[rows] < MAX_STEP_LOAD
             dm = -(G[:, 2:] * S[rows, 4:])
             dm[:, :2] -= G[:, :2]
@@ -290,9 +296,20 @@ def _pushforwards(frames, X, t, spec, grad_h, V=None):
     vec = np.full((N, 3), np.nan)
     vec[live] = V
     vec[live, 2] = (V[:, 2] - m[:, 0] * V[:, 0] - m[:, 1] * V[:, 1]) / m[:, 2]
-    q = np.full(N, np.nan)
-    q[live] = S[:, 3]
-    return vec, load, q
+    q, m3 = np.full((2, N), np.nan)
+    q[live], m3[live] = S[:, 3], m[:, 2]
+    return vec, load, q, m3
+
+
+def _growth_identities(q, m3, load):
+    """(lhs, rhs, relative error, resolved) of the vertical-growth identity
+    per ``_pushforwards`` row: lhs = ||(X-flow_t)_* e3|| = 1/|m3| and rhs =
+    exp(q), or None numbers, unresolved, where the pass stopped the row."""
+    rows = zip(np.abs(1.0 / m3).tolist(), np.exp(q).tolist(), load < MAX_STEP_LOAD)
+    return tuple(
+        (lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300), True) if inside else (None, None, None, False)
+        for lhs, rhs, inside in rows
+    )
 
 
 def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
@@ -300,23 +317,16 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
 
     lhs: norm of the pushforward of e3 by the time-t X-flow at x.
     rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
-    Returns (lhs, rhs, relative error, resolved), where ``resolved`` is the
-    integrator-load flag of the pass. Both sides are one row of
-    ``_pushforwards``; when its load passes the budget the row is stopped
-    and the three numbers are None.
+    Returns (lhs, rhs, relative error, resolved) of one ``_pushforwards``
+    row (``_growth_identities``); V = e3, so no Y is read.
 
     The identity holds for every C^1 graph frame, integrable or not: along
     the one trajectory the pass integrates m3' = -a3 m3 and q' = a3, so
     lhs = 1/|m3| = exp(q) = rhs. It checks the transport, not the field.
     """
     X = np.asarray(x, dtype=float)[None]
-    vec, load, q = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
-    if not load[0] < MAX_STEP_LOAD:
-        return None, None, None, False
-    lhs = float(np.linalg.norm(vec[0]))
-    rhs = float(np.exp(q[0]))
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, rel, True
+    _, load, q, m3 = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
+    return _growth_identities(q, m3, load)[0]
 
 
 @_record
@@ -324,6 +334,7 @@ class PushforwardSeries:
     ks: tuple
     values: tuple  # || (X^(k)-flow_t)_* Y^(k) - Y^(k) || at x0; None where the transport was stopped
     resolved: tuple  # per-k integrator-load flags
+    growth_identity: tuple  # per-k (lhs, rhs, rel_err, resolved) of the identity, from the step rows
 
     def resolved_values(self):
         return [(k, v) for k, v, r in zip(self.ks, self.values, self.resolved) if r]
@@ -339,23 +350,24 @@ def pushforward_convergence_series(
     unresolved once the variational load exceeds the explicit-step budget;
     asserting trends on unresolved entries would test the integrator, not
     the frames. An entry whose transport at the step passes the budget is
-    stopped there, and its value is None. The transports of all frames step
-    as one stack, one row per frame, once at the step and once at half of
-    it; each row is bitwise the frame's own one-row pass.
+    stopped there, and its value is None. The transports of all frames at
+    the step and at half of it are one stack of 2N rows, one step per row,
+    each bitwise the frame's own one-row pass; the step rows also give each
+    frame's vertical-growth identity (``_growth_identities``).
     """
     x0 = np.asarray(x0, dtype=float)
     ks = tuple(k for k, _ in frames)
     frames = [frame for _, frame in frames]
-    X = np.tile(x0, (len(frames), 1))
-    vec, load, _ = _pushforwards(frames, X, t, spec, grad_h)
-    chk, chk_load, _ = _pushforwards(frames, X, t, FlowSpec(step=spec.step / 2), grad_h)
+    N = len(frames)
+    halving = FlowSpec(step=np.repeat([spec.step, spec.step / 2], N))  # N rows at the step, N at half
+    vec, load, q, m3 = _pushforwards(frames * 2, np.tile(x0, (2 * N, 1)), t, halving, grad_h)
     # each frame's Y at x0, a cache hit for a pullback frame: its backward
     # pass started there
-    Y = np.array([frame.Y(x0) for frame in frames])
-    vals = _row_norms(vec - Y)
-    halved = _row_norms(chk - Y)
+    Y = np.array([frame.Y(x0) for frame in frames * 2])
+    vals, halved = np.split(_row_norms(vec - Y), 2)
     agree = np.abs(vals - halved) <= np.maximum(0.25 * np.maximum(vals, halved), 1e-9)
-    inside = load < MAX_STEP_LOAD  # the rows the step pass did not stop
-    flags = inside & (chk_load < MAX_STEP_LOAD) & agree
+    inside, halved_inside = np.split(load < MAX_STEP_LOAD, 2)  # the rows the pass did not stop
+    flags = inside & halved_inside & agree
     values = tuple(float(v) if i else None for v, i in zip(vals, inside))
-    return PushforwardSeries(ks=ks, values=values, resolved=tuple(flags.tolist()))
+    identity = _growth_identities(q[:N], m3[:N], load[:N])
+    return PushforwardSeries(ks=ks, values=values, resolved=tuple(flags.tolist()), growth_identity=identity)

@@ -16,6 +16,7 @@ from splitkit.config import ExperimentConfig, canonical_json_bytes, hash_file
 from splitkit.errors import ConfigError
 from splitkit.geometry import line_angles
 from splitkit.report import write_json
+from conftest import counting_kernel
 
 MATRIX = [[-3, 0, 2], [1, 2, -3], [0, -1, 1]]
 
@@ -433,8 +434,8 @@ class TestCliOutputs:
         out = tmp_path / "o"
         assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
         surf = json.loads((out / "surface.json").read_bytes())
-        assert "pushforward_identity" in surf["results"]
-        assert surf["results"]["pushforward_identity"]["rel_err"] < 1e-4
+        identity = surf["results"]["pushforward_identity"]
+        assert [e["k"] for e in identity] == [1, 2] and all(e["rel_err"] < 1e-4 for e in identity)
         header = (out / "surface.csv").read_text().splitlines()[0]
         assert header == "t,s,x1,x2,x3,defect_angle"
 
@@ -464,6 +465,7 @@ class TestCliOutputs:
             map={"matrix": MATRIX, "shears": [SHEAR]},
             samples=[[0.5, 0.75, 0.75]],
             k_plane=20,
+            k_list=[2, 20],
             t=0.005,
             epsilon=0.015,
         )
@@ -474,15 +476,16 @@ class TestCliOutputs:
             out = tmp_path / name
             assert main(["surface", "--config", str(path), "--out", str(out)]) == 0
             rep = json.loads((out / "surface.json").read_bytes())
-            flags.append(rep["results"]["pushforward_identity"]["resolved"])
-        # the linear frame is constant, so the transport carries no load; the
-        # depth-20 perturbed frame's gradient puts |grad(a)| dt far above 0.5
-        assert flags == [True, False]
+            flags.append([(e["k"], e["resolved"]) for e in rep["results"]["pushforward_identity"]])
+        # one entry per k_list depth: the linear frames are constant, so the
+        # transport carries no load; the depth-20 perturbed frame's gradient
+        # puts |grad(a)| dt far above 0.5, the depth-2 frame's does not
+        assert flags == [[(1, True), (2, True)], [(2, True), (20, False)]]
 
     def test_stopped_transport_writes_null(self, tmp_path):
-        # the depth-20 transports pass the load budget and are stopped: the
-        # identity and that series entry have null numbers and are flagged
-        # unresolved, and the report holds no NaN token
+        # the depth-20 transports pass the load budget and are stopped: that
+        # depth's identity and series entries have null numbers and are
+        # flagged unresolved, and the report holds no NaN token
         d = base_config(
             map={"matrix": MATRIX, "shears": [SHEAR]},
             samples=[[0.5, 0.75, 0.75]],
@@ -500,10 +503,37 @@ class TestCliOutputs:
             raise AssertionError(f"{token} in surface.json")
 
         rep = json.loads((out / "surface.json").read_bytes(), parse_constant=no_constant)["results"]
-        assert rep["pushforward_identity"] == {"lhs": None, "rel_err": None, "resolved": False, "rhs": None}
+        (first_identity, deep_identity) = rep["pushforward_identity"]
+        assert first_identity["k"] == 1 and first_identity["resolved"] is True
+        assert all(isinstance(first_identity[key], float) for key in ("lhs", "rhs", "rel_err"))
+        assert deep_identity == {"k": 20, "lhs": None, "rel_err": None, "resolved": False, "rhs": None}
         (first, deep) = rep["pushforward_series"]
         assert first["k"] == 1 and isinstance(first["value"], float) and first["resolved"] is True
         assert deep == {"k": 20, "value": None, "resolved": False}
+
+    def test_surface_reads_the_limit_frame_only_for_tangency(self, tmp_path, monkeypatch):
+        # the vertical-growth identity rides the series' step rows, so no
+        # kernel call at the limit depth k_plane is made outside
+        # tangency_report
+        import splitkit.surface as surface
+
+        calls = counting_kernel(monkeypatch)
+        during = set()
+        report = surface.tangency_report
+
+        def tangency_report(*args):
+            first = len(calls)
+            rep = report(*args)
+            during.update(range(first, len(calls)))
+            return rep
+
+        monkeypatch.setattr(surface, "tangency_report", tangency_report)
+        cfg = base_config()
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg)
+        assert main(["surface", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        deep = {n for n, (_, depths) in enumerate(calls) if cfg["k_plane"] in depths}
+        assert deep and deep <= during
 
     @pytest.mark.parametrize("n, used", [(5, 5), (21, 9)])
     def test_grid_caps_reported(self, tmp_path, n, used):

@@ -195,8 +195,10 @@ class TestFlow:
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError, match="step must be finite and positive"):
             FlowSpec(step=0.0)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            FlowSpec(step=np.array([1e-3, 0.0, 5e-4]))
 
-    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    @pytest.mark.parametrize("step", [math.inf, math.nan, np.array([1e-3, 0.0, math.inf, math.nan])])
     def test_non_finite_step_rejected(self, step):
         with pytest.raises(ValueError, match="step must be finite and positive"):
             FlowSpec(step=step)
@@ -230,6 +232,14 @@ class TestFlow:
         got = flow(counted, P, times, SPEC)
         assert calls == [6] * (4 * 13)
         rows = np.array([flow(fr.X, p, t, SPEC) for p, t in zip(P, times)])
+        assert got.tobytes() == rows.tobytes()
+        assert got[[2, 4]].tobytes() == P[[2, 4]].tobytes()
+        # with one step per row as well: 13, 21, 0, 6, 0 and 13 steps
+        steps = np.array([1e-3, 5e-4, 2e-3, 2.5e-4, 1e-3, 7e-4])
+        calls.clear()
+        got = flow(counted, P, times, FlowSpec(step=steps))
+        assert calls == [6] * (4 * 21)
+        rows = np.array([flow(fr.X, p, t, FlowSpec(step=h)) for p, t, h in zip(P, times, steps)])
         assert got.tobytes() == rows.tobytes()
         assert got[[2, 4]].tobytes() == P[[2, 4]].tobytes()
 
@@ -480,34 +490,34 @@ class TestPushforward:
 
     def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
         calls = counting_kernel(monkeypatch)
-        _, load, _ = _pushforwards([PullbackFrame(phi_perturbed, 2)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
+        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 2)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
         # 5 backward RK4 steps of 4 stages: each stage pulls back its whole
         # gradient stencil, centre first, and Y is read at the preimage
         assert load[0] < 0.5 and [rows for rows, _ in calls] == [7] * 20 + [1]
         calls.clear()
         # the depth-20 frame's load passes the budget at the first stage, so
         # its row leaves the pass there and Y is not read
-        _, load, _ = _pushforwards([PullbackFrame(phi_perturbed, 20)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
+        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 20)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
         assert load[0] >= 0.5 and [rows for rows, _ in calls] == [7]
 
     def test_stopped_row_leaves_a_mixed_stack(self, phi_perturbed, monkeypatch):
         # one stack of a row past the load budget (depth 20 in the support),
         # a depth-2 pullback frame and a curved analytic frame: the stopped
-        # row's vector and integral are not formed and it is spent on no
+        # row's vector, integral and m3 are not formed and it is spent on no
         # kernel row after its first stage; the other rows are bitwise their
         # one-row passes
         curved = AnalyticFrame(lambda p: np.sin(2 * np.pi * p[0]) + p[1] * p[2] ** 2, lambda p: p[2])
         X = np.array([IN_SUPPORT, IN_SUPPORT, [0.1, 0.4, 0.7]])
         frames = [PullbackFrame(phi_perturbed, 20), PullbackFrame(phi_perturbed, 2), curved]
         calls = counting_kernel(monkeypatch)
-        vec, load, q = _pushforwards(frames, X, 0.005, SPEC, 1e-6)
-        assert load[0] >= 0.5 and np.isnan(vec[0]).all() and np.isnan(q[0])
+        vec, load, q, m3 = _pushforwards(frames, X, 0.005, SPEC, 1e-6)
+        assert load[0] >= 0.5 and np.isnan(vec[0]).all() and np.isnan(q[0]) and np.isnan(m3[0])
         assert calls[0] == (14, [2, 20])
         assert calls[1:] == [(7, [2])] * 19 + [(1, [2])]
         for n, fr in ((1, PullbackFrame(phi_perturbed, 2)), (2, curved)):
             one = _pushforwards([fr], X[n : n + 1], 0.005, SPEC, 1e-6)
             assert one[1][0] < 0.5
-            assert [a[n : n + 1].tobytes() for a in (vec, load, q)] == [a.tobytes() for a in one]
+            assert [a[n : n + 1].tobytes() for a in (vec, load, q, m3)] == [a.tobytes() for a in one]
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_identity_is_one_pass(self, phi_perturbed, monkeypatch, k):
@@ -556,9 +566,9 @@ class TestPushforward:
         frames = [AnalyticFrame(lambda p: p[0], lambda p: 0.0), AnalyticFrame(lambda p: p[1], lambda p: 0.0)]
         X = np.array([[0.1, 0.2, 0.3], [0.6, -0.2, 0.05]])
         t = 0.2
-        vec, load, q = _pushforwards(frames, X, t, SPEC, 1e-6, V=np.eye(3)[:2])
+        vec, load, q, m3 = _pushforwards(frames, X, t, SPEC, 1e-6, V=np.eye(3)[:2])
         assert np.allclose(vec, [[1.0, 0.0, t], [0.0, 1.0, t]], rtol=0.0, atol=1e-12)
-        assert np.allclose(load, SPEC.step, rtol=1e-9) and np.all(q == 0.0)
+        assert np.allclose(load, SPEC.step, rtol=1e-9) and np.all(q == 0.0) and np.all(m3 == 1.0)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_backward_pass_agrees_with_forward_transport(self, phi_perturbed, k):
@@ -567,7 +577,7 @@ class TestPushforward:
         # identity's lhs, at depths 1 to 10 in the support
         fr = PullbackFrame(phi_perturbed, k)
         x, t = np.array([0.02, 0.52, 0.47]), 0.004
-        vec, load, _ = _pushforwards([fr], x[None], t, SPEC, 1e-6)
+        vec, load, _, _ = _pushforwards([fr], x[None], t, SPEC, 1e-6)
         assert load[0] < 0.5
         want = forward_transport(fr, x, t, SPEC.step)
         assert np.linalg.norm(vec[0] - want) <= 1e-6 * np.linalg.norm(want)
@@ -585,7 +595,7 @@ class TestPushforward:
         )
         rng = np.random.default_rng(12)
         X, V = rng.uniform(0.0, 1.0, (200, 3)), rng.standard_normal((200, 3))
-        vec, load, q = _pushforwards([fr] * 200, X, 0.02, SPEC, 1e-6, V=V)
+        vec, load, q, _ = _pushforwards([fr] * 200, X, 0.02, SPEC, 1e-6, V=V)
         for x, v, got, L, Q in zip(X, V, vec, load, q):
             w, want, integral = transport_reference(fr, x, 0.02, SPEC.step, v=v)
             assert got.tobytes() == w.tobytes() and L == want and Q == integral
@@ -596,10 +606,10 @@ class TestPushforward:
         ks, t = [1, 2, 3], 0.004
         calls = counting_kernel(monkeypatch)
         ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
-        # the depths step together: per pass, one kernel call per backward
-        # RK4 stage (4 steps at h, 8 at h/2) and one for Y at the preimages;
-        # the h/2 pass's first stage, at x0, is a cache hit
-        assert len(calls) == (16 + 1) + (32 + 1) - 1
+        # the depths at h and at h/2 step as one stack: one kernel call per
+        # backward RK4 stage of the h/2 rows (8 steps; the h rows take their
+        # 4 in the first 16 stages) and one for Y at all the preimages
+        assert len(calls) == 32 + 1
         for k, value, resolved in zip(ks, ser.values, ser.resolved):
             fr = PullbackFrame(phi_perturbed, k, E0=E0)
             w, load, _ = transport_reference(fr, IN_SUPPORT, t, SPEC.step)
@@ -609,9 +619,42 @@ class TestPushforward:
             assert np.float64(value).tobytes() == want.tobytes()
             agree = abs(want - want2) <= max(0.25 * max(want, want2), 1e-9)
             assert resolved is bool(load < 0.5 and load2 < 0.5 and agree)
-            vec, row_load, _ = _pushforwards([fr], IN_SUPPORT[None], t, SPEC, 1e-6)
+            vec, row_load, _, _ = _pushforwards([fr], IN_SUPPORT[None], t, SPEC, 1e-6)
             assert vec[0].tobytes() == w.tobytes() and row_load[0] == load
         assert max(ser.values) > 0
+
+    def test_mixed_steps_one_pass_rows_bitwise(self):
+        # a curved analytic frame at steps h and h/2 in one stack: the h row
+        # leaves the stencil calls once it has taken its 4 steps, and each
+        # row's vector, load, q and m3 are bitwise its one-row pass at its step
+        sizes = []
+        curved = AnalyticFrame(lambda p: np.sin(2 * np.pi * p[0]) + p[1] * p[2] ** 2, lambda p: p[2])
+        counted = AnalyticFrame(None, None)
+        counted.coefficients = lambda P: sizes.append(len(P)) or curved.coefficients(P)
+        X = np.array([[0.1, 0.4, 0.7], [0.1, 0.4, 0.7]])
+        steps = np.array([SPEC.step, SPEC.step / 2])
+        got = _pushforwards([counted] * 2, X, 0.004, FlowSpec(step=steps), 1e-6)
+        assert sizes == [14] * 16 + [7] * 16 + [2]
+        for n, h in enumerate(steps):
+            one = _pushforwards([curved], X[n : n + 1], 0.004, FlowSpec(step=h), 1e-6)
+            assert [a[n : n + 1].tobytes() for a in got] == [a.tobytes() for a in one]
+
+    @pytest.mark.parametrize("field", [None, "tilt"])
+    def test_series_identity_bitwise_norm_identity(self, phi_perturbed, tilt_E0, field):
+        # each depth's identity entry is read off the series' step row, and
+        # is bitwise pushforward_norm_identity of a fresh frame of that
+        # depth: numbers inside the load budget, None and unresolved for the
+        # depth-20 row that the pass stops
+        E0 = tilt_E0 if field else None
+        ks, t = [1, 2, 3, 20], 0.004
+        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
+
+        def bits(entry):
+            return [None if v is None else np.float64(v).tobytes() for v in entry[:3]] + [entry[3]]
+
+        want = [pushforward_norm_identity(PullbackFrame(phi_perturbed, k, E0=E0), IN_SUPPORT, t, SPEC) for k in ks]
+        assert [bits(e) for e in ser.growth_identity] == [bits(e) for e in want]
+        assert [e[3] for e in want] == [True, True, True, False] and want[3][:3] == (None, None, None)
 
     @pytest.mark.parametrize("field", [None, "tilt"])
     def test_series_on_patch_frames_bitwise_fresh(self, phi_perturbed, tilt_E0, field, monkeypatch):
