@@ -12,7 +12,6 @@ import numpy as np
 
 from .dynamics import Diffeo
 from .errors import ChartUnsuitableError
-from .geometry import Plane2
 from .splitting import _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
@@ -54,10 +53,6 @@ def _graph_vectors(C, which):
     return out
 
 
-def plane_from_coefficients(a, b) -> Plane2:
-    return Plane2.spanned_by(*_graph_vectors(np.array([[a, b], [a, b]], dtype=float), [0, 1]))
-
-
 def fd_stencil(x, h):
     """The centered-difference stencil of x as a (7,3) stack: rows x, x + h e1,
     x - h e1, x + h e2, x - h e2, x + h e3, x - h e3. For an (N,3) stack of
@@ -73,8 +68,8 @@ class AdaptedFrame:
 
     ``coefficients(p)`` returns the pair (a, b) for a point of shape (3,)
     and an (N, 2) array for a stack of shape (N, 3); so do the frame fields
-    ``X`` and ``Y``, with one vector per point.  ``plane`` takes one point.
-    Derivatives of the coefficients are centred differences (``_jacobians``).
+    ``X`` and ``Y``, with one vector per point.  Derivatives of the
+    coefficients are centred differences (``_jacobians``).
     """
 
     def coefficients(self, p):
@@ -92,10 +87,6 @@ class AdaptedFrame:
         """X (``which`` = 0) or Y (1) from one coefficients call."""
         C = np.asarray(self.coefficients(p), dtype=float).reshape(-1, 2)
         return _graph_vectors(C, which).reshape(np.shape(p))
-
-    def plane(self, p) -> Plane2:
-        a, b = self.coefficients(p)
-        return plane_from_coefficients(a, b)
 
 
 class AnalyticFrame(AdaptedFrame):
@@ -174,20 +165,21 @@ def _graph_field_of(frames, which):
     return lambda P: _graph_vectors(_coefficients(frames, P), which)
 
 
-def _jacobians(frames, P, h):
+def _jacobians(frames, P, h, axes=(0, 1, 2)):
     """Coefficient pairs (N, 2) at the rows of an (N,3) stack, row n of
-    ``frames[n]``, and their centred differences d(a, b)/dx_j (N, 2, 3) at
-    step h, one for all rows or one per row.
+    ``frames[n]``, and their centred differences d(a, b)/dx_j (N, 2,
+    len(axes)), j in ``axes``, at step h, one for all rows or one per row.
 
-    Every row's ``fd_stencil``, centre first, goes in one ``_coefficients``
-    call: the pairs are the centres' values, bitwise each frame's own, and
-    the misses of all pullback frames make one kernel call. Frame
-    coefficients are differenced only here and in the Hartman slice report.
+    Each row's centre and the ``fd_stencil`` rows of ``axes`` go in one
+    ``_coefficients`` call: the pairs are the centres' values, bitwise each
+    frame's own, and the misses of all pullback frames make one kernel
+    call. Frame coefficients are differenced only here.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     h = np.broadcast_to(np.asarray(h, dtype=float), len(P))
-    stencils = fd_stencil(P, h).reshape(-1, 3)
-    C = _coefficients([f for f in frames for _ in range(7)], stencils).reshape(-1, 7, 2)
+    rows = [0, *(r for j in axes for r in (2 * j + 1, 2 * j + 2))]
+    stencils = fd_stencil(P, h)[:, rows].reshape(-1, 3)
+    C = _coefficients([f for f in frames for _ in rows], stencils).reshape(-1, len(rows), 2)
     J = (C[:, 1::2] - C[:, 2::2]).transpose(0, 2, 1) / (2 * h)[:, None, None]
     return C[:, 0], J
 

@@ -3,7 +3,8 @@
 Floats are rendered with repr (shortest round-trip form), reductions are
 performed in input order, and wall-clock timings go to a plain-text sidecar
 so the CSV/JSON deliverables are byte-identical across runs of the same
-config.
+config. A report nests a command's results as it returns them, plain JSON
+values (a numpy float64 is a float), with no coercion pass.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import canonical_json_bytes
@@ -41,23 +40,6 @@ def write_json(path, obj):
     _write(path, canonical_json_bytes(obj))
 
 
-def jsonable(v):
-    """Recursively coerce numpy scalars/arrays into plain JSON types."""
-    if isinstance(v, dict):
-        return {k: jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [jsonable(x) for x in v.tolist()]
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
-
-
 class RunTimer:
     """Collects wall time per named block; written to a text sidecar only."""
 
@@ -82,5 +64,5 @@ def run_report(command: str, config_hash: str | None, results: dict) -> dict:
         "tool_version": __version__,
         "command": command,
         "config_hash": config_hash,
-        "results": jsonable(results),
+        "results": results,
     }

@@ -361,9 +361,9 @@ def pushforward_convergence_series(
     N = len(frames)
     halving = FlowSpec(step=np.repeat([spec.step, spec.step / 2], N))  # N rows at the step, N at half
     vec, load, q, m3 = _pushforwards(frames * 2, np.tile(x0, (2 * N, 1)), t, halving, grad_h)
-    # each frame's Y at x0, a cache hit for a pullback frame: its backward
-    # pass started there
-    Y = np.array([frame.Y(x0) for frame in frames * 2])
+    # each frame's Y at x0, read once for both of its rows; a cache hit for a
+    # pullback frame: its backward pass started there
+    Y = np.tile([frame.Y(x0) for frame in frames], (2, 1))
     vals, halved = np.split(_row_norms(vec - Y), 2)
     agree = np.abs(vals - halved) <= np.maximum(0.25 * np.maximum(vals, halved), 1e-9)
     inside, halved_inside = np.split(load < MAX_STEP_LOAD, 2)  # the rows the pass did not stop

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import AdaptedFrame, _coefficients
+from .frames import AdaptedFrame, _coefficients, _graph_vectors, _jacobians
 from .geometry import _record
 from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
 
@@ -48,20 +48,13 @@ def hartman_slice_report(
     xs = np.linspace(0.0, 1.0, grid_n, endpoint=False)
     zs = np.linspace(0.0, 1.0, grid_n, endpoint=False)
     grid = np.array([[xv, slice_x2, zv] for xv in xs for zv in zs])
-    up = grid + np.array([0.0, 0.0, h])
-    down = grid - np.array([0.0, 0.0, h])
-    # the limit on the grid, then each frame on the grid and its two shifts,
-    # from one call
-    pts = np.concatenate([grid, up, down])
-    row_frames = [limit_frame] * len(grid) + [frame for _, frame in frames for _ in pts]
-    a = _coefficients(row_frames, np.concatenate([grid] + [pts] * len(frames)))[:, 0]
-    a_lim = a[: len(grid)]
-    sup_d = []
-    sup_dist = []
-    for a_k, a_up, a_down in a[len(grid) :].reshape(-1, 3, len(grid)):
-        da = (a_up - a_down) / (2 * h)
-        sup_d.append(float(np.max(np.abs(da))))
-        sup_dist.append(float(np.max(np.abs(a_k - a_lim))))
+    a_lim = _coefficients([limit_frame] * len(grid), grid)[:, 0]
+    # every frame on the grid, with its x3 difference, from one call
+    row_frames = [frame for _, frame in frames for _ in grid]
+    C, J = _jacobians(row_frames, np.tile(grid, (len(frames), 1)), h, axes=(2,))
+    shape = (len(frames), len(grid))
+    sup_d = np.max(np.abs(J[:, 0, 0].reshape(shape)), axis=1).tolist()
+    sup_dist = np.max(np.abs(C[:, 0].reshape(shape) - a_lim), axis=1).tolist()
     # two-step envelope: convergence with an alternating-sign transient is
     # not monotone at consecutive depths, but every other depth must shrink
     decreasing = all(
@@ -98,14 +91,15 @@ def leaf_divergence(
 ) -> LeafComparison:
     """Order-commutation and seed-Lipschitz diagnostics for one frame.
 
-    The seed displacement is along the first orthonormal direction of the
-    frame's plane at x0, so both seeds lie on the same candidate leaf when
-    the frame is integrable.  The xy and yx patches at x0 and the xy patches
-    at x0 + delta u and x0 + delta/2 u are integrated as one stack.
+    The seed displacement u is X/|X| of the frame at x0, so both seeds lie
+    on the same candidate leaf when the frame is integrable.  The xy and yx
+    patches at x0 and the xy patches at x0 + delta u and x0 + delta/2 u are
+    integrated as one stack.
     """
     x0 = np.asarray(x0, dtype=float)
     chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    u = frame.plane(x0).orthonormal_basis()[:, 0]
+    (X,) = _graph_vectors(_coefficients([frame], x0), 0)
+    u = X / np.linalg.norm(X)
     half = delta / 2
     p_xy, p_yx, p_delta, p_half = _build_patches(
         [frame] * 4,

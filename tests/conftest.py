@@ -3,7 +3,6 @@ import pytest
 
 from splitkit import PAPER_MATRIX, Diffeo, Line1, Plane2
 from splitkit.dynamics import ShearPerturbation, ToralAutomorphism
-from splitkit.frames import plane_from_coefficients
 
 # Spectrum of the built-in example matrix, from the eigen-decomposition
 # oracle (numpy.linalg.eig on the integer matrix), sorted by magnitude.
@@ -122,7 +121,7 @@ def tilt_plane_field(p):
     circles, which makes pullback-bracket decay measurable (the coordinate
     plane is involutive, and pullbacks of involutive fields stay involutive).
     """
-    return plane_from_coefficients(0.0, 0.1 * np.sin(2.0 * np.pi * p[0]))
+    return Plane2.spanned_by([1, 0, 0.0], [0, 1, 0.1 * np.sin(2.0 * np.pi * p[0])])
 
 
 @pytest.fixture(scope="session")

@@ -364,22 +364,69 @@ def test_cli_import_loads_no_experiment_layer():
 
 @pytest.mark.parametrize(
     "command, loaded",
-    [("splitting", set()), ("surface", {"splitkit.frames", "splitkit.surface"})],
+    [
+        ("splitting", set()),
+        ("surface", {"splitkit.frames", "splitkit.surface"}),
+        ("bracket", {"splitkit.frames", "splitkit.bracket"}),
+        ("uniqueness", {"splitkit.frames", "splitkit.surface", "splitkit.uniqueness"}),
+        ("paper-example", set()),
+    ],
 )
 def test_subcommand_loads_only_its_layers(tmp_path, command, loaded):
     # a run imports the layers it reads and no others, nor ``dataclasses``
     # (checked in a fresh interpreter: pytest itself imports it)
     layers = ("splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness", "dataclasses")
-    config = Path(__file__).parents[1] / "configs" / "linear.json"
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command != "paper-example":  # it reads no config
+        argv += ["--config", str(Path(__file__).parents[1] / "configs" / "linear.json")]
     found = tmp_path / "modules.txt"
     code = (
         "import sys; from splitkit import cli; "
-        f"assert cli.main([{command!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+        f"assert cli.main({argv!r}) == 0; "
         f"open({str(found)!r}, 'w').write(repr(sorted(m for m in {layers!r} if m in sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
     assert found.read_text() == repr(sorted(loaded))
+
+
+def non_json_values(value, path="report"):
+    """The path of every value under a report that is not a dict with str
+    keys, a list or a tuple, or a str, int, float (a numpy float64 is one),
+    bool or None leaf."""
+    if isinstance(value, dict):
+        bad = [f"{path} key {k!r}" for k in value if not isinstance(k, str)]
+        return bad + [p for k, v in value.items() for p in non_json_values(v, f"{path}[{k!r}]")]
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in non_json_values(v, f"{path}[{i}]")]
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return []
+    return [f"{path}: {type(value).__module__}.{type(value).__qualname__}"]
+
+
+def test_every_report_holds_plain_json_values(tmp_path, monkeypatch, capsys):
+    # reports nest the results as the commands return them, with no coercion
+    # pass: a numpy bool, int or array in any results must not reach the
+    # writer, on paper-example and every subcommand on both shipped configs
+    from splitkit import cli
+
+    written = []
+
+    def checked(path, obj):
+        assert non_json_values(obj) == [], path
+        written.append(path.name)
+        write_json(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", checked)
+    assert main(["paper-example", "--out", str(tmp_path / "pe")]) == 0
+    commands = ("splitting", "bracket", "surface", "uniqueness")
+    for cfg in ("linear", "perturbed"):
+        config = Path(__file__).parents[1] / "configs" / f"{cfg}.json"
+        for command in commands:
+            out = tmp_path / f"{command}-{cfg}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert written == ["paper_example.json"] + [f"{command}.json" for command in commands] * 2
 
 
 class TestCliOutputs:

@@ -4,12 +4,12 @@ import pytest
 from splitkit import Plane2
 from splitkit.errors import ChartUnsuitableError
 from splitkit.frames import (
+    AdaptedFrame,
     AnalyticFrame,
     PullbackFrame,
     adapted_coefficients,
     _jacobians,
     fd_stencil,
-    plane_from_coefficients,
 )
 from splitkit.dynamics import orbit
 from splitkit.splitting import _pullback_bases
@@ -70,7 +70,7 @@ class TestAdaptedCoefficients:
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b = rng.uniform(-3.0, 3.0, 2)
-            got = coefficients_of(plane_from_coefficients(a, b))
+            got = coefficients_of(Plane2.spanned_by([1, 0, a], [0, 1, b]))
             assert got == pytest.approx((a, b), abs=1e-12)
 
     def test_chart_unsuitable(self):
@@ -80,7 +80,7 @@ class TestAdaptedCoefficients:
 
     def test_chart_unsuitable_names_first_bad_row(self):
         B = np.stack(
-            [plane_from_coefficients(0.1, 0.2).basis, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])],
+            [Plane2.spanned_by([1, 0, 0.1], [0, 1, 0.2]).basis, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])],
             axis=-1,
         )
         with pytest.raises(ChartUnsuitableError, match="0.000e"):
@@ -134,7 +134,7 @@ class TestPullbackFrame:
         from splitkit.splitting import DEFAULT_E0
 
         P = np.random.default_rng(4).uniform(-0.5, 1.5, (50, 3))
-        const = plane_from_coefficients(0.3, -0.7)
+        const = Plane2.spanned_by([1, 0, 0.3], [0, 1, -0.7])
         for E0, field in ((tilt_E0, tilt_E0), (None, lambda p: DEFAULT_E0), (const, lambda p: const)):
             got = PullbackFrame(phi_perturbed, 0, E0=E0).coefficients(P)
             want = np.array([normal_coefficients(field(p).basis) for p in P])
@@ -219,6 +219,29 @@ class TestJacobians:
             E = step * np.eye(3)
             want = np.array([x, x + E[0], x - E[0], x + E[1], x - E[1], x + E[2], x - E[2]])
             assert rows.tobytes() == want.tobytes() == fd_stencil(x, step).tobytes()
+
+    def test_x3_axis_reads_three_stencil_rows_per_point(self):
+        # axes=(2,) reads each point's centre and its two x3 rows, 3 rows per
+        # point in one coefficients call; its pairs and its x3 column are
+        # bitwise the full call's, which reads all 7
+        shapes = []
+
+        class Counting(AdaptedFrame):
+            def coefficients(self, P):
+                shapes.append(np.shape(P))
+                x1, x2, x3 = np.asarray(P).T
+                return np.stack([0.3 * x1 * x3 * x3 - 0.2 * x2, 0.1 * x1 * x2 * x3], axis=1)
+
+        frame = Counting()
+        P = np.random.default_rng(11).uniform(0, 1, (6, 3))
+        h = np.array([1e-4, 3e-5, 1e-3, 1e-5, 2e-4, 1e-6])
+        C, J = _jacobians([frame] * 6, P, h, axes=(2,))
+        full_C, full_J = _jacobians([frame] * 6, P, h)
+        assert shapes == [(18, 3), (42, 3)]
+        assert J.shape == (6, 2, 1) and full_J.shape == (6, 2, 3)
+        assert C.tobytes() == full_C.tobytes()
+        assert J[:, :, 0].tobytes() == full_J[:, :, 2].tobytes()
+        assert np.abs(J).min() > 0
 
     def test_mixed_frames_rows_bitwise_one_kernel_call(self, phi_perturbed, monkeypatch):
         # an analytic frame and pullback frames at depths 0, 1 and 6, each

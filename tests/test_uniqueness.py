@@ -3,6 +3,7 @@ import pytest
 
 from splitkit.errors import ChartExitError
 from splitkit.frames import AdaptedFrame, AnalyticFrame, PullbackFrame, constant_frame, contact_frame
+from splitkit.geometry import Plane2
 from splitkit.surface import FlowSpec
 from splitkit.uniqueness import hartman_slice_report, leaf_divergence
 from conftest import counting_kernel
@@ -100,10 +101,10 @@ class TestLeafDivergence:
                 return np.tile([0.2, -0.3], (len(P), 1))
 
         leaf_divergence(Counting(), np.zeros(3), 0.02, 5, 1e-4, spec=FlowSpec(step=4e-3))
-        # the plane at x0 gives the seed shift; then (n - 1) / 2 gaps on each
+        # X at x0 gives the seed shift, one row; then (n - 1) / 2 gaps on each
         # side of 3 RK4 steps, 4 stages each: the four spines, then all 4 n
         # rows, both sides of a gap in one stack
-        assert shapes == [(3,)] + [(8, 3)] * 24 + [(40, 3)] * 24
+        assert shapes == [(1, 3)] + [(8, 3)] * 24 + [(40, 3)] * 24
 
     def test_chart_exit_beyond_halfwidth(self):
         # a = b = 0: the xy spine moves along e2 at unit speed and leaves the
@@ -119,7 +120,9 @@ class TestLeafDivergence:
         # the rows of the +delta patch leave first, at |t| = 0.45 - delta
         step = 1e-2
         fr = constant_frame(0.0, 0.0)
-        assert np.allclose(fr.plane(np.zeros(3)).orthonormal_basis()[:, 0], [1.0, 0.0, 0.0])
+        a, b = fr.coefficients(np.zeros(3))
+        plane = Plane2.spanned_by([1, 0, a], [0, 1, b])
+        assert np.allclose(plane.orthonormal_basis()[:, 0], [1.0, 0.0, 0.0])
         with pytest.raises(ChartExitError, match="patch \\+delta left") as ei:
             leaf_divergence(fr, np.zeros(3), 0.4, 5, 0.1, FlowSpec(step))
         assert abs(ei.value.exit_time) == pytest.approx(0.35, abs=step)
@@ -127,12 +130,13 @@ class TestLeafDivergence:
 
 class TestStackedSlice:
     def test_pullback_report_one_kernel_call_bitwise(self, phi_perturbed, monkeypatch):
-        # the slice frames of every depth and the limit frame come from one
-        # kernel call, and each sup is bitwise that of the frame read alone
+        # the limit frame on the grid is one kernel call and the slice frames
+        # of every depth, with their x3 stencils, one more; each sup is
+        # bitwise that of the frame read alone
         calls = counting_kernel(monkeypatch)
         frames, limit = pullback_slice_frames(phi_perturbed, 4, 30)
         rep = hartman_slice_report(frames, limit, 0.5, grid_n=3, h=1e-5)
-        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        assert [depths for _, depths in calls] == [[30], [1, 2, 3, 4]]
         monkeypatch.undo()
         xs = np.linspace(0.0, 1.0, 3, endpoint=False)
         grid = np.array([[xv, 0.5, zv] for xv in xs for zv in xs])
