@@ -8,7 +8,6 @@ bytes.  Its ``map`` entry is the only map format.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -17,6 +16,14 @@ import numpy as np
 from .dynamics import Diffeo, ShearPerturbation, ToralAutomorphism
 from .errors import ConfigError, DegeneratePlaneError
 from .geometry import Plane2, _record
+
+try:  # CPython's builtin digest: ``hashlib`` loads OpenSSL, about 2.5 ms per process
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -189,7 +196,7 @@ class ExperimentConfig:
         return canonical_json_bytes(self.raw)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        return sha256(self.canonical_bytes()).hexdigest()
 
     def build_diffeo(self) -> Diffeo:
         specs = self.map_spec.get("shears", [])
@@ -242,4 +249,4 @@ class ExperimentConfig:
 
 def hash_file(path) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read()).hexdigest()

@@ -162,6 +162,7 @@ class Diffeo:
 
     def __init__(self, stages=()):
         self.stages = tuple(stages)
+        self._depth_tables = {}  # E0 seed bytes -> bases by depth, kept by splitting._depth_table
 
     @classmethod
     def identity(cls):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -67,6 +68,13 @@ class TestConfig:
         write_json(path, base_config())
         cfg = ExperimentConfig.from_file(path)
         assert cfg.config_hash() == hash_file(path)
+
+    @pytest.mark.parametrize("name", ["linear.json", "perturbed.json"])
+    def test_config_hash_is_hashlib_sha256(self, name):
+        # the builtin digest the package imports instead of hashlib gives
+        # hashlib's bytes on the shipped configs
+        cfg = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+        assert cfg.config_hash() == hashlib.sha256(cfg.canonical_bytes()).hexdigest()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -370,15 +378,23 @@ def test_cli_import_loads_no_experiment_layer():
         ("bracket", {"splitkit.frames", "splitkit.bracket"}),
         ("uniqueness", {"splitkit.frames", "splitkit.surface", "splitkit.uniqueness"}),
         ("paper-example", set()),
+        # the same on the shipped config with a shear (linear.json otherwise)
+        ("splitting perturbed.json", set()),
+        ("surface perturbed.json", {"splitkit.frames", "splitkit.surface"}),
+        ("bracket perturbed.json", {"splitkit.frames", "splitkit.bracket"}),
+        ("uniqueness perturbed.json", {"splitkit.frames", "splitkit.surface", "splitkit.uniqueness"}),
     ],
 )
 def test_subcommand_loads_only_its_layers(tmp_path, command, loaded):
     # a run imports the layers it reads and no others, nor ``dataclasses``
-    # (checked in a fresh interpreter: pytest itself imports it)
-    layers = ("splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness", "dataclasses")
+    # or OpenSSL's ``_hashlib`` (checked in a fresh interpreter: the test
+    # process has both)
+    layers = ("splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness")
+    layers += ("dataclasses", "_hashlib")
+    command, _, config = command.partition(" ")
     argv = [command, "--out", str(tmp_path / "o")]
     if command != "paper-example":  # it reads no config
-        argv += ["--config", str(Path(__file__).parents[1] / "configs" / "linear.json")]
+        argv += ["--config", str(Path(__file__).parents[1] / "configs" / (config or "linear.json"))]
     found = tmp_path / "modules.txt"
     code = (
         "import sys; from splitkit import cli; "

@@ -6,7 +6,7 @@ import pytest
 
 from splitkit import PAPER_MATRIX, DegeneratePlaneError, Diffeo, Line1, Plane2, splitting
 from splitkit.bracket import bound_curves
-from splitkit.dynamics import _forward, _pull_back, orbit, orbit_support_report
+from splitkit.dynamics import ShearPerturbation, _forward, _pull_back, orbit, orbit_support_report
 from splitkit.splitting import (
     DEFAULT_L0,
     _field_bases,
@@ -129,6 +129,115 @@ class TestPerRowDepth:
     def test_negative_depth_rejected(self, phi_perturbed):
         with pytest.raises(ValueError, match="depth"):
             _pullback_bases(phi_perturbed, np.zeros((2, 3)), None, [2, -1])
+
+
+def swept_alone(phi, x, E0, k):
+    """The (3, 2, 1) basis of one point at depth k >= 1 from its own
+    ``_forward`` pass and ``_pull_back`` sweep."""
+    Y, recs = _forward(phi, wrap_point(np.asarray(x, dtype=float)[None]), [1] * k)
+    *_, (Q, _) = _pull_back(phi, recs, _field_bases(E0, Y))
+    return Q
+
+
+def support_rows(phi, depths):
+    """Per depth d, a point whose first d orbit points avoid every shear
+    support and one whose first d points do not, from one seeded pool."""
+    pool = np.random.default_rng(7).random((600, 3))
+    hits = [r["steps_in_support"] for r in orbit_support_report(phi, pool, max(depths))]
+    avoiding = [pool[next(n for n, h in enumerate(hits) if not h or h[0] >= d)] for d in depths]
+    crossing = [pool[next(n for n, h in enumerate(hits) if h and h[0] < d)] for d in depths]
+    return np.array(avoiding), np.array(crossing)
+
+
+class TestDepthTable:
+    """A constant E0 on rows whose orbits meet no shear support: the rows
+    read the map's memoised depth table instead of a sweep."""
+
+    DEPTHS = list(range(1, 21))
+
+    @staticmethod
+    def counting_sweeps(monkeypatch):
+        calls = []  # the columns of every _pull_back call
+        sweep = splitting._pull_back
+
+        def counting(phi, recs, Q, live=None):
+            calls.append(Q.shape[2])
+            return sweep(phi, recs, Q, live)
+
+        monkeypatch.setattr(splitting, "_pull_back", counting)
+        return calls
+
+    @pytest.mark.parametrize("E0", [None, Plane2.spanned_by([1.0, 0.0, 0.3], [0.2, 1.0, 0.0])])
+    def test_rows_bitwise_alone(self, phi_perturbed, E0):
+        # support-avoiding and support-crossing rows at depths 1..20, alone,
+        # in a record-free stack and in a mixed stack: each row is bitwise
+        # its own forward pass and sweep
+        avoiding, crossing = support_rows(phi_perturbed, self.DEPTHS)
+        for X, ks in ((avoiding, self.DEPTHS), (np.vstack([crossing, avoiding]), self.DEPTHS * 2)):
+            got = _pullback_bases(phi_perturbed, X, E0, ks)
+            for n, (x, k) in enumerate(zip(X, ks)):
+                want = swept_alone(phi_perturbed, x, E0, k)
+                assert got[:, :, n : n + 1].tobytes() == want.tobytes()
+                assert _pullback_bases(phi_perturbed, x, E0, k).tobytes() == want.tobytes()
+
+    def test_record_free_stack_skips_the_sweep(self, phi_perturbed, monkeypatch):
+        # no _pull_back call as wide as the stack's swept rows, and the bases
+        # (depth-0 rows included) are bitwise those of a forced sweep: a field
+        # E0 that returns the constant plane at every point
+        avoiding, _ = support_rows(phi_perturbed, self.DEPTHS)
+        X = np.vstack([avoiding, avoiding[:3]])
+        ks = self.DEPTHS + [0, 0, 0]
+        calls = self.counting_sweeps(monkeypatch)
+        got = _pullback_bases(phi_perturbed, X, None, ks)
+        assert len(self.DEPTHS) not in calls and set(calls) <= {1}
+        forced = _pullback_bases(phi_perturbed, X, lambda p: splitting.DEFAULT_E0, ks)
+        assert calls[-1] == len(self.DEPTHS)
+        assert got.tobytes() == forced.tobytes()
+
+    def test_shear_free_map_makes_no_forward_pass(self, phi_linear, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("a shear-free map with a constant E0 needs no forward pass")
+
+        monkeypatch.setattr(splitting, "_forward", no_forward)
+        X = np.random.default_rng(8).random((6, 3))
+        got = _pullback_bases(phi_linear, X, None, [0, 1, 5, 5, 30, 2])
+        for n, (x, k) in enumerate(zip(X, [0, 1, 5, 5, 30, 2])):
+            if k:
+                assert got[:, :, n : n + 1].tobytes() == swept_alone(phi_linear, x, None, k).tobytes()
+
+    def test_field_e0_still_sweeps(self, phi_perturbed, tilt_E0, monkeypatch):
+        avoiding, _ = support_rows(phi_perturbed, self.DEPTHS)
+        calls = self.counting_sweeps(monkeypatch)
+        got = _pullback_bases(phi_perturbed, avoiding, tilt_E0, self.DEPTHS)
+        assert calls == [len(self.DEPTHS)]
+        for n, (x, k) in enumerate(zip(avoiding, self.DEPTHS)):
+            assert got[:, :, n : n + 1].tobytes() == swept_alone(phi_perturbed, x, tilt_E0, k).tobytes()
+
+    def test_table_grows_from_its_deepest_column(self, phi_perturbed):
+        grown, fresh = (Diffeo(phi_perturbed.stages) for _ in range(2))
+        for depth in (3, 1, 12):
+            splitting._depth_table(grown, None, depth)
+        want = splitting._depth_table(fresh, None, 12)
+        assert splitting._depth_table(grown, None, 12).tobytes() == want.tobytes()
+        assert len(grown._depth_tables) == 1
+
+    def test_negative_zero_gradients_sweep(self, monkeypatch):
+        # a shear of amplitude 0.0 writes -0.0 gradients in its support,
+        # which are false as truth values; against the basis column
+        # (-0.0, 1, 0) they give +0.0 where +0.0 records keep -0.0, so only
+        # a bitwise record check keeps the stack bitwise its sweep
+        phi = Diffeo((ShearPerturbation(0, (0.0, 0.5, 0.5), 0.2, 0.0),))
+        E0 = Plane2.spanned_by([-0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        X = np.array([[0.1, 0.55, 0.6], [0.2, 0.6, 0.52]])
+        _, recs = _forward(phi, wrap_point(X.copy()), [2, 2, 2])
+        assert all(not r.any() and np.signbit(r).all() for (r,) in recs)
+        sweep = swept_alone(phi, X[0], E0, 3)
+        assert splitting._depth_table(phi, E0, 3)[:, :, 3:].tobytes() != sweep.tobytes()
+        calls = self.counting_sweeps(monkeypatch)
+        got = _pullback_bases(phi, X, E0, 3)
+        assert calls == [len(X)]
+        assert got[:, :, :1].tobytes() == sweep.tobytes()
+        assert got[:, :, 1:].tobytes() == swept_alone(phi, X[1], E0, 3).tobytes()
 
 
 class TestFastLine:
