@@ -19,7 +19,6 @@ from .geometry import (
     principal_angle,
     wrap_point,
 )
-from .splitting import DominationReport, domination_report
 
 __all__ = [
     "__version__",
@@ -41,3 +40,10 @@ __all__ = [
     "DominationReport",
     "domination_report",
 ]
+
+
+def __getattr__(name):  # the report names load ``splitting`` on first use, not with the package
+    if name not in ("DominationReport", "domination_report"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import splitting
+    return getattr(splitting, name)

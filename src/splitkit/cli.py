@@ -2,10 +2,10 @@
 
 Subcommands mirror the library modules; each writes CSV series and a JSON
 summary (byte-identical across runs of the same config) plus a timing
-sidecar.  A subcommand imports the layers above ``splitting`` that it runs
-(``frames``, ``bracket``, ``surface``, ``uniqueness``) when it is called, so
-a process loads only its own.  Exit codes: 0 success, 2 configuration/validation
-error, 3 numerical non-convergence.
+sidecar.  A subcommand imports the layers above ``dynamics`` that it runs
+(``splitting``, ``frames``, ``bracket``, ``surface``, ``uniqueness``) when
+it is called, so a process loads only its own.  Exit codes: 0 success, 2
+configuration/validation error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .config import ExperimentConfig, canonical_json_bytes
 from .dynamics import PAPER_MATRIX, Diffeo, orbit_support_report
 from .errors import ConfigError, ConvergenceError, SplitkitError
 from .report import RunTimer, run_report, write_csv, write_json
-from .splitting import domination_report
 
 # Two-decimal eigenvalue tuple quoted alongside the built-in example matrix.
 # The computed spectrum of PAPER_MATRIX is (-0.1001, -3.1110, +3.2111); the
@@ -108,6 +107,8 @@ def _verdicts(rep) -> dict:
 def cmd_paper_example(out_dir: Path | None) -> dict:
     """One-shot report on the built-in example matrix: the splitting pass at
     x = 0, with its k = 1 ratios, fitted rates and verdicts."""
+    from .splitting import domination_report
+
     A = PAPER_MATRIX
     phi = Diffeo.from_matrix(A)
     eig = np.linalg.eigvals(A.astype(float)).real
@@ -142,6 +143,8 @@ def cmd_paper_example(out_dir: Path | None) -> dict:
 
 
 def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
+    from .splitting import domination_report
+
     pts = cfg.sample_points()
     with timer.time("splitting"):
         rep = domination_report(

@@ -1,4 +1,4 @@
-"""Diffeomorphisms of the 3-torus with exact differentials.
+"""Diffeomorphisms of the 3-torus with exact differentials, and the pullback kernel.
 
 Maps are compositions of two primitive kinds: integer toral automorphisms and
 volume-preserving coordinate shears with a smooth compactly supported bump.
@@ -6,7 +6,9 @@ Each stage maps (N,3) stacks of points and (3, c, N) stacks of tangent
 vectors: ``advance`` and ``retreat`` move points forward and back, ``push``
 and ``pull`` apply the differential and its exact inverse at a recorded
 point.  Differentials are analytic (chain rule over the stages), so cocycles
-carry no finite-difference noise.
+carry no finite-difference noise.  The pullback kernel ``_pullback_bases``,
+which every frame read goes through, lives here too, so ``frames`` needs no
+other layer.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegeneratePlaneError
-from .geometry import GRAM_TOL, adjugate3, det3, torus_delta, wrap_point
+from .geometry import GRAM_TOL, Plane2, adjugate3, det3, wrap_point
 
 # Built-in example: a volume-preserving Anosov automorphism whose invariant
 # 2-plane is volume dominated but not center-bunched.
 PAPER_MATRIX = np.array([[-3, 0, 2], [1, 2, -3], [0, -1, 1]], dtype=np.int64)
 PAPER_MATRIX.setflags(write=False)
+
+DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
 class ToralAutomorphism:
@@ -42,34 +46,37 @@ class ToralAutomorphism:
         self.matrix = M
         self.inverse_matrix = Minv
         self.det = d
-        self._Mf = M.astype(float)
-        self._Mf.setflags(write=False)
-        self._Minvf = Minv.astype(float)
-        self._Minvf.setflags(write=False)
+        # made once, not per map step: the transposes and ``_times``' column broadcasts
+        self._MT = M.T.astype(float)
+        self._MT.setflags(write=False)
+        self._MinvT = Minv.T.astype(float)
+        self._MinvT.setflags(write=False)
+        self._cols = [c[:, None, None] for c in self._MT]  # column j of M, as a (3, 1, 1) view
+        self._inv_cols = [c[:, None, None] for c in self._MinvT]
 
     def advance(self, Y):
-        """Images of the rows of an (N,3) stack; the differential needs no record."""
-        return wrap_point(Y @ self._Mf.T), None
+        """Images of the rows of a wrapped (N,3) float stack; no record needed."""
+        return (Y @ self._MT) % 1.0, None
 
     def retreat(self, Y):
-        """Inverse images of the rows of an (N,3) stack: one BLAS call per
-        row, so each row's bits do not depend on N; one gemm over the stack
-        rounds some rows differently (README)."""
-        return wrap_point((Y[:, None, :] @ self._Minvf.T)[:, 0])
+        """Inverse images of the rows of a wrapped (N,3) float stack: one
+        BLAS call per row, so each row's bits do not depend on N; one gemm
+        over the stack rounds some rows differently (README)."""
+        return (Y[:, None, :] @ self._MinvT)[:, 0] % 1.0
 
     def push(self, V, record):
-        return _times(self._Mf, V)
+        return _times(self._cols, V)
 
     def pull(self, V, record):
-        return _times(self._Minvf, V)
+        return _times(self._inv_cols, V)
 
 
-def _times(A, V):
-    """A V for a 3x3 matrix and a stack V of shape (3, c, N), entry by entry.
+def _times(cols, V):
+    """A V for the columns ``A[:, j, None, None]`` of a 3x3 A and a (3, c, N) stack V, entry by entry.
 
     No BLAS call, so the bits of each column do not depend on N.
     """
-    return A[:, 0, None, None] * V[0] + A[:, 1, None, None] * V[1] + A[:, 2, None, None] * V[2]
+    return cols[0] * V[0] + cols[1] * V[1] + cols[2] * V[2]
 
 
 class ShearPerturbation:
@@ -92,12 +99,13 @@ class ShearPerturbation:
         self.radius = float(radius)
         self.amplitude = float(amplitude)
         self.plane_axes = tuple(i for i in range(3) if i != self.axis)
-        self._plane = list(self.plane_axes)
+        a, b = self.plane_axes
+        self._plane = slice(a, b + 1, b - a)  # the plane axes as a slice: a view, not a copy
         self._plane_center = self.center[self._plane]
 
     def _planar_offsets(self, Y):
-        """Wrapped offsets (N,2) from the center in the plane axes, and their norms r."""
-        d = torus_delta(Y[:, self._plane], self._plane_center)
+        """Wrapped offsets (N,2) in [-1/2, 1/2) from the center in the plane axes, and their norms r."""
+        d = (Y[:, self._plane] - self._plane_center + 0.5) % 1.0 - 0.5
         return d, np.hypot(d[:, 0], d[:, 1])
 
     def _bump(self, Y, gradient=False):
@@ -131,7 +139,7 @@ class ShearPerturbation:
         if bump is not None:
             Y = Y.copy()
             Y[:, self.axis] += bump
-        return wrap_point(Y), g
+        return Y % 1.0, g
 
     def retreat(self, Y):
         """Inverse images of the rows of an (N,3) stack: the bump does not
@@ -140,7 +148,7 @@ class ShearPerturbation:
         if bump is not None:  # adding zeros would change no bit after the wrap
             Y = Y.copy()
             Y[:, self.axis] -= bump
-        return wrap_point(Y)
+        return Y % 1.0
 
     def push(self, V, g):
         """(I + e_axis grad^T) V for a stack V of shape (3, c, N)."""
@@ -162,7 +170,7 @@ class Diffeo:
 
     def __init__(self, stages=()):
         self.stages = tuple(stages)
-        self._depth_tables = {}  # E0 seed bytes -> bases by depth, kept by splitting._depth_table
+        self._depth_tables = {}  # E0 seed bytes -> bases by depth, kept by _depth_table
 
     @classmethod
     def identity(cls):
@@ -294,6 +302,73 @@ def _pull_back(phi: Diffeo, recs, Q, live=None):
         else:  # all live from here on, as live[i] never decreases as i goes
             Q = Qi  # down, so no later step writes into a yielded stack
         yield Qi, R
+
+
+def _field_bases(E0, P, orthonormal=True):
+    """The bases of E0 at the rows of an (N,3) stack, as a (3, 2, N) stack:
+    orthonormalised, or as the planes store them. E0 is None (the coordinate
+    plane), a constant ``Plane2`` or a field mapping a point to a ``Plane2``;
+    a constant plane is converted once and broadcast, a field is evaluated
+    row by row."""
+    basis = Plane2.orthonormal_basis if orthonormal else (lambda E: E.basis)
+    if callable(E0):  # (N, 3, 2) to (3, 2, N), also for N = 0
+        return np.array([basis(E0(p)) for p in P]).reshape(-1, 3, 2).transpose(1, 2, 0)
+    return np.broadcast_to(basis(DEFAULT_E0 if E0 is None else E0)[:, :, None], (3, 2, len(P)))
+
+
+def _pullback_bases(phi: Diffeo, P, E0, k):
+    """Orthonormal bases (3, 2, N) of the pullback planes D(phi^-k) E0(phi^k p)
+    at the rows p of an (N,3) stack, from one kernel call. ``k`` is one
+    depth for every row or one depth per row; a depth-0 row keeps the basis
+    its E0 plane stores, at the point as given (which may lie outside
+    [0, 1)^3).
+
+    The rows run deepest first, and step i moves only the rows deeper than
+    i, in both halves: the forward orbit leaves each row at its own
+    endpoint, where E0 seeds it, and one backward sweep takes it in at its
+    depth. The kernel uses elementwise arithmetic only, so each row's basis
+    is bitwise the same whatever else is in the stack, at whatever depths.
+    So a constant E0 on orbits that meet no support (every shear record
+    bitwise +0.0) gives each row the ``_depth_table`` column of its depth,
+    read in the rows' own order, with no stack to assemble.
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    depth = (np.zeros(len(P), dtype=int) + k).tolist()
+    order = sorted(range(len(P)), key=depth.__getitem__, reverse=True)  # stable
+    d = [depth[n] for n in order]  # deepest first
+    if d and d[-1] < 0:
+        raise ValueError("pullback depth k must be >= 0")
+    live = (len(d) - np.cumsum(np.bincount(d, minlength=1))[:-1]).tolist()  # rows deeper than i
+    swept = live[0] if live else 0
+    recs = []  # none on a shear-free map, which needs no forward pass for a constant E0
+    if callable(E0) or phi.shear_stages():
+        Y, recs = _forward(phi, wrap_point(P[order]), live)
+    # the bits, not the truth value: a -0.0 gradient can flip the sign of a zero entry
+    if callable(E0) or any(r is not None and r.view(np.uint64).any() for rec in recs for r in rec):
+        Q = _field_bases(E0, Y[:swept])
+        for Q, _ in _pull_back(phi, recs, Q, live):
+            pass  # the last stack yielded holds every swept row at depth 0
+    else:  # depth 0 reads E0's stored basis and depth d the table's column d, in row order
+        E0 = DEFAULT_E0 if E0 is None else E0
+        B = np.concatenate([E0.basis[:, :, None], _depth_table(phi, E0, len(live))[:, :, 1:]], axis=2)
+        return B[:, :, depth]
+    out = np.empty((3, 2, len(d)))
+    out[:, :, order] = np.concatenate([Q, _field_bases(E0, P[order[swept:]], orthonormal=False)], axis=2)
+    return out
+
+
+def _depth_table(phi: Diffeo, E0, depth):
+    """Bases (3, 2, depth + 1) of a constant E0 pulled back 0..depth steps
+    over +0.0 shear records by ``_pull_back`` on one column: column d is the
+    sweep's basis of a depth-d row whose orbit meets no support. Kept on
+    ``phi`` per E0 seed, the table grows from its deepest column."""
+    seed = (DEFAULT_E0 if E0 is None else E0).orthonormal_basis()
+    B = phi._depth_tables.get(seed.tobytes(), seed[:, :, None])
+    if B.shape[2] <= depth:
+        zero = [np.zeros((2, 1)) if isinstance(s, ShearPerturbation) else None for s in phi.stages]
+        steps = _pull_back(phi, [zero] * (depth + 1 - B.shape[2]), B[:, :, -1:])
+        B = phi._depth_tables[seed.tobytes()] = np.concatenate([B, *(Q for Q, _ in steps)], axis=2)
+    return B
 
 
 def orbit_support_report(phi: Diffeo, x, k: int):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Diffeo
+from .dynamics import Diffeo, _pullback_bases
 from .errors import ChartUnsuitableError
-from .splitting import _pullback_bases
 
 CHART_NORMAL_TOL = 1e-6
 
@@ -117,7 +116,8 @@ class PullbackFrame(AdaptedFrame):
 
     Evaluations are cached by point key; the field is pure, so a cached
     value never goes stale. The points of a stack that miss the cache are
-    pulled back together in one kernel call and their bases converted in one
+    pulled back together in one kernel call (a record-free stack reads the
+    bases its map keeps by depth) and their bases converted in one
     ``adapted_coefficients`` call, and a value is bitwise the same whether
     it was computed alone or in a batch. At k = 0 the frame is E0 itself,
     converted from the bases its planes store.
@@ -131,20 +131,20 @@ class PullbackFrame(AdaptedFrame):
 
     def coefficients(self, p):
         p = np.asarray(p, dtype=float)
-        rows = p.reshape(-1, 3)
-        pairs = _pulled([self] * len(rows), rows)
-        return pairs[0] if p.ndim == 1 else np.array(pairs).reshape(-1, 2)
+        C = _pulled([self] * (p.size // 3), p.reshape(-1, 3))
+        return tuple(C[0].tolist()) if p.ndim == 1 else C
 
 
 def _pulled(frames, P):
-    """Coefficient pairs, one (a, b) tuple per row of an (N,3) stack, of
+    """Coefficient pairs (N, 2) at the rows of an (N,3) stack, of
     ``PullbackFrame``s that share a map and E0, one frame per row.
 
     The rows that miss their frame's cache, each distinct (frame, point)
     once, are pulled back in one kernel call at each frame's depth and
-    converted in one ``adapted_coefficients`` call.
+    converted in one ``adapted_coefficients`` call. A point's key is its
+    row's bytes (+0.0 and -0.0 differ), read off one view.
     """
-    keys = [q.tobytes() for q in P]
+    keys = np.ascontiguousarray(P).view((np.void, 24)).ravel().tolist()
     missing = {}  # (frame, key) -> first row, for the distinct misses in order
     for n, (frame, key) in enumerate(zip(frames, keys)):
         if key not in frame._cache:
@@ -153,9 +153,9 @@ def _pulled(frames, P):
         rows = list(missing.values())
         depths = [frames[n].k for n in rows]
         B = _pullback_bases(frames[0].phi, P[rows], frames[0].E0, depths)
-        for (frame, key), ab in zip(missing, map(tuple, adapted_coefficients(B).tolist())):
+        for (frame, key), ab in zip(missing, adapted_coefficients(B).tolist()):
             frame._cache[key] = ab
-    return [frame._cache[key] for frame, key in zip(frames, keys)]
+    return np.array([frame._cache[key] for frame, key in zip(frames, keys)]).reshape(-1, 2)
 
 
 def _graph_field_of(frames, which):
@@ -197,6 +197,8 @@ def _coefficients(frames, P):
         frame: (id(frame.phi), id(frame.E0)) if isinstance(frame, PullbackFrame) else id(frame)
         for frame in dict.fromkeys(frames)
     }
+    if len(set(shared.values())) == 1 and isinstance(frames[0], PullbackFrame):
+        return _pulled(frames, P)  # one group: no per-row grouping
     groups = {}
     for n, frame in enumerate(frames):
         groups.setdefault(shared[frame], []).append(n)

@@ -29,12 +29,6 @@ def wrap_point(p):
     return np.asarray(p, dtype=float) % 1.0
 
 
-def torus_delta(p, q):
-    """Shortest signed displacement q -> p, componentwise in [-1/2, 1/2)."""
-    d = (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
-    return d
-
-
 def _row_dots(U, V):
     """Row-by-row ``u @ v`` of two (N, m) stacks, one BLAS dot per row."""
     return (U[:, None, :] @ V[:, :, None])[:, 0, 0]

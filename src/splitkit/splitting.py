@@ -5,7 +5,7 @@ forward orbit (with per-step re-orthonormalization); the fast line by pushing
 a seed direction forward along the backward orbit.  Growth of the restricted
 cocycles is accumulated in log scale so arbitrarily deep iterates never
 overflow, and per-k ratio tables for the three domination conditions are
-assembled from those logs.
+assembled from those logs.  The pullback kernel is in ``dynamics``, for frames.
 """
 
 from __future__ import annotations
@@ -14,81 +14,16 @@ import collections
 
 import numpy as np
 
-from .dynamics import Diffeo, ShearPerturbation, _differentials, _forward, _pull_back, _tangent, orbit
+from .dynamics import Diffeo, _differentials, _field_bases, _forward, _pull_back, _tangent, orbit
 from .errors import DegeneratePlaneError
-from .geometry import Line1, Plane2, _row_dots, _row_norms, line_angles, plane_angles, unit_lines
+from .geometry import Line1, _row_dots, _row_norms, line_angles, plane_angles, unit_lines
 from .geometry import _record, wrap_point
 
 RESIDUAL_TOL = 1e-6
 MIN_FAST_ANGLE = 1e-3
 FAST_LINE_ROWS = 1 << 15  # one-step differentials per kernel call in ``_fast_lines``
 
-DEFAULT_E0 = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DEFAULT_L0 = Line1(np.array([0.0, 0.0, 1.0]))
-
-
-def _field_bases(E0, P, orthonormal=True):
-    """The bases of E0 at the rows of an (N,3) stack, as a (3, 2, N) stack:
-    orthonormalised, or as the planes store them. E0 is None (the coordinate
-    plane), a constant ``Plane2`` or a field mapping a point to a ``Plane2``;
-    a constant plane is converted once and broadcast, a field is evaluated
-    row by row."""
-    basis = Plane2.orthonormal_basis if orthonormal else (lambda E: E.basis)
-    if callable(E0):  # (N, 3, 2) to (3, 2, N), also for N = 0
-        return np.array([basis(E0(p)) for p in P]).reshape(-1, 3, 2).transpose(1, 2, 0)
-    return np.broadcast_to(basis(DEFAULT_E0 if E0 is None else E0)[:, :, None], (3, 2, len(P)))
-
-
-def _pullback_bases(phi: Diffeo, P, E0, k):
-    """Orthonormal bases (3, 2, N) of the pullback planes D(phi^-k) E0(phi^k p)
-    at the rows p of an (N,3) stack, from one kernel call. ``k`` is one
-    depth for every row or one depth per row; a depth-0 row keeps the basis
-    its E0 plane stores, at the point as given (which may lie outside
-    [0, 1)^3).
-
-    The rows run deepest first, and step i moves only the rows deeper than
-    i, in both halves: the forward orbit leaves each row at its own
-    endpoint, where E0 seeds it, and one backward sweep takes it in at its
-    depth. The kernel uses elementwise arithmetic only, so each row's basis
-    is bitwise the same whatever else is in the stack, at whatever depths.
-    So a constant E0 on orbits that meet no support (every shear record
-    bitwise +0.0) gives each row the ``_depth_table`` column of its depth.
-    """
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    depth = (np.zeros(len(P), dtype=int) + k).tolist()
-    order = sorted(range(len(P)), key=depth.__getitem__, reverse=True)  # stable
-    d = [depth[n] for n in order]  # deepest first
-    if d and d[-1] < 0:
-        raise ValueError("pullback depth k must be >= 0")
-    live = (len(d) - np.cumsum(np.bincount(d, minlength=1))[:-1]).tolist()  # rows deeper than i
-    swept = live[0] if live else 0
-    recs = []  # none on a shear-free map, which needs no forward pass for a constant E0
-    if callable(E0) or phi.shear_stages():
-        Y, recs = _forward(phi, wrap_point(P[order]), live)
-    # the bits, not the truth value: a -0.0 gradient can flip the sign of a zero entry
-    if callable(E0) or any(r is not None and r.view(np.uint64).any() for rec in recs for r in rec):
-        Q = _field_bases(E0, Y[:swept])
-        for Q, _ in _pull_back(phi, recs, Q, live):
-            pass  # the last stack yielded holds every swept row at depth 0
-    else:
-        Q = _depth_table(phi, E0, len(live))[:, :, d[:swept]]
-    out = np.empty((3, 2, len(d)))
-    out[:, :, order] = np.concatenate([Q, _field_bases(E0, P[order[swept:]], orthonormal=False)], axis=2)
-    return out
-
-
-def _depth_table(phi: Diffeo, E0, depth):
-    """Bases (3, 2, depth + 1) of a constant E0 pulled back 0..depth steps
-    over +0.0 shear records by ``_pull_back`` on one column: column d is the
-    sweep's basis of a depth-d row whose orbit meets no support. Kept on
-    ``phi`` per E0 seed, the table grows from its deepest column."""
-    seed = (DEFAULT_E0 if E0 is None else E0).orthonormal_basis()
-    B = phi._depth_tables.get(seed.tobytes(), seed[:, :, None])
-    if B.shape[2] <= depth:
-        zero = [np.zeros((2, 1)) if isinstance(s, ShearPerturbation) else None for s in phi.stages]
-        steps = _pull_back(phi, [zero] * (depth + 1 - B.shape[2]), B[:, :, -1:])
-        B = phi._depth_tables[seed.tobytes()] = np.concatenate([B, *(Q for Q, _ in steps)], axis=2)
-    return B
 
 
 def _fast_lines(phi: Diffeo, X, L, k):

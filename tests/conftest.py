@@ -68,8 +68,14 @@ def dense_differential(phi, x):
     return D
 
 
+def torus_delta(p, q):
+    """Shortest signed displacement q -> p, componentwise in [-1/2, 1/2)."""
+    return (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
+
+
 def counting_kernel(monkeypatch):
-    """Record (rows, sorted depths) of every kernel call that frames make."""
+    """Record (rows, sorted depths) of every kernel call that frames make,
+    a call that reads the map's depth table included."""
     import splitkit.frames as frames
 
     calls = []

@@ -21,9 +21,9 @@ import numpy as np
 from splitkit import PAPER_MATRIX, Diffeo
 from splitkit.bracket import bound_curves, bracket_coefficient
 from splitkit.cli import QUOTED_EIGENVALUES, cmd_paper_example
+from splitkit.dynamics import _pullback_bases
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import Plane2, exterior_square, principal_angle
-from splitkit.splitting import _pullback_bases
 from splitkit.surface import (
     FlowSpec,
     build_patch,

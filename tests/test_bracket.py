@@ -240,17 +240,20 @@ class TestStackedLadders:
 
     def test_one_pass_sweep_and_one_ladder_call(self, phi_perturbed, tilt_E0, monkeypatch):
         # bound_curves pulls back twice: the splitting pass's one sweep over
-        # 3N columns (x deep, then x and phi(x)) and the ladders' one call
+        # 3N columns (x deep, then x and phi(x)) and the ladders' one call,
+        # which sweeps in the kernel's module
+        import splitkit.dynamics
         import splitkit.splitting
 
         sweeps = []
-        sweep = splitkit.splitting._pull_back
+        sweep = splitkit.dynamics._pull_back
 
         def counting_sweep(phi, recs, Q, live=None):
             sweeps.append(Q.shape[-1])
             return sweep(phi, recs, Q, live)
 
         monkeypatch.setattr(splitkit.splitting, "_pull_back", counting_sweep)
+        monkeypatch.setattr(splitkit.dynamics, "_pull_back", counting_sweep)
         calls = counting_kernel(monkeypatch)
         X = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.3, 0.52, 0.45]])
         bound_curves(phi_perturbed, X, 4, h=1e-4, E0=tilt_E0, k_plane=30, k_line=60)

@@ -360,36 +360,53 @@ class TestCliExitCodes:
 
 
 def test_cli_import_loads_no_experiment_layer():
-    # the bracket, surface and uniqueness layers load with their subcommands
-    code = (
-        "import sys, splitkit.cli; "
-        "print([m for m in ('splitkit.bracket', 'splitkit.surface', 'splitkit.uniqueness') if m in sys.modules])"
-    )
+    # the splitting, bracket, surface and uniqueness layers load with their
+    # subcommands
+    layers = ("splitkit.splitting", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness")
+    code = f"import sys, splitkit.cli; print([m for m in {layers!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
+def test_package_serves_the_splitting_names_on_first_use():
+    # ``import splitkit`` leaves ``splitting`` unloaded; the star import and
+    # a named import of the report still work, and load it
+    code = (
+        "import sys, splitkit; before = 'splitkit.splitting' in sys.modules; "
+        "from splitkit import *; from splitkit import DominationReport, domination_report; "
+        "import splitkit.splitting as s; "
+        "assert domination_report is s.domination_report and DominationReport is s.DominationReport; "
+        "assert all(name in globals() for name in splitkit.__all__); "
+        "missing = not hasattr(splitkit, 'no_such_name'); "
+        "print(before, missing)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(splitkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 @pytest.mark.parametrize(
     "command, loaded",
     [
-        ("splitting", set()),
+        ("splitting", {"splitkit.splitting"}),
         ("surface", {"splitkit.frames", "splitkit.surface"}),
-        ("bracket", {"splitkit.frames", "splitkit.bracket"}),
+        ("bracket", {"splitkit.frames", "splitkit.bracket", "splitkit.splitting"}),
         ("uniqueness", {"splitkit.frames", "splitkit.surface", "splitkit.uniqueness"}),
-        ("paper-example", set()),
+        ("paper-example", {"splitkit.splitting"}),
         # the same on the shipped config with a shear (linear.json otherwise)
-        ("splitting perturbed.json", set()),
+        ("splitting perturbed.json", {"splitkit.splitting"}),
         ("surface perturbed.json", {"splitkit.frames", "splitkit.surface"}),
-        ("bracket perturbed.json", {"splitkit.frames", "splitkit.bracket"}),
+        ("bracket perturbed.json", {"splitkit.frames", "splitkit.bracket", "splitkit.splitting"}),
         ("uniqueness perturbed.json", {"splitkit.frames", "splitkit.surface", "splitkit.uniqueness"}),
     ],
 )
 def test_subcommand_loads_only_its_layers(tmp_path, command, loaded):
     # a run imports the layers it reads and no others, nor ``dataclasses``
     # or OpenSSL's ``_hashlib`` (checked in a fresh interpreter: the test
-    # process has both)
-    layers = ("splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness")
+    # process has both); ``surface`` and ``uniqueness`` read frames, whose
+    # kernel is in ``dynamics``, so they never load ``splitting``
+    layers = ("splitkit.splitting", "splitkit.frames", "splitkit.bracket", "splitkit.surface", "splitkit.uniqueness")
     layers += ("dataclasses", "_hashlib")
     command, _, config = command.partition(" ")
     argv = [command, "--out", str(tmp_path / "o")]

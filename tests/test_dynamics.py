@@ -13,8 +13,8 @@ from splitkit.dynamics import (
     orbit_support_report,
 )
 from splitkit.errors import ConfigError, DegeneratePlaneError
-from splitkit.geometry import torus_delta, wrap_point
-from conftest import SHEAR, dense_differential, shear_bump
+from splitkit.geometry import wrap_point
+from conftest import SHEAR, dense_differential, shear_bump, torus_delta
 
 
 def fd_differential(phi, x, h=1e-5):
@@ -55,6 +55,13 @@ class TestToralAutomorphism:
     def test_integer_inverse(self):
         auto = ToralAutomorphism(PAPER_MATRIX)
         assert np.all(auto.matrix @ auto.inverse_matrix == np.eye(3, dtype=np.int64))
+
+    def test_step_constants_read_only(self):
+        # every map step reads these; an in-place write would corrupt all later steps
+        auto = ToralAutomorphism(PAPER_MATRIX)
+        assert np.array_equal(auto._MT, auto.matrix.T) and np.array_equal(auto._MinvT, auto.inverse_matrix.T)
+        for A in (auto.matrix, auto.inverse_matrix, auto._MT, auto._MinvT, *auto._cols, *auto._inv_cols):
+            assert not A.flags.writeable
 
 
 class TestApply:
@@ -111,6 +118,19 @@ class TestShear:
         X = np.random.default_rng(2).uniform(0, 1, (40, 3))
         Y, _ = self.shear.advance(X)
         assert np.max(np.abs(torus_delta(self.shear.retreat(Y), X))) < 1e-15
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_planar_offsets_wrap_on_each_axis(self, axis):
+        # the plane axes are read through a slice: bitwise the wrapped
+        # displacement of the plane coordinates, which crosses the seam
+        shear = ShearPerturbation(axis, (0.05, 0.05, 0.05), 0.2, 0.05)
+        Y = np.vstack([np.random.default_rng(axis).uniform(0, 1, (30, 3)), np.full((1, 3), 0.95)])
+        d, r = shear._planar_offsets(Y)
+        plane = list(shear.plane_axes)
+        want = torus_delta(Y[:, plane], shear.center[plane])
+        assert d.tobytes() == want.tobytes()
+        assert r.tobytes() == np.hypot(want[:, 0], want[:, 1]).tobytes()
+        assert d[-1] == pytest.approx([-0.1, -0.1])
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis"):

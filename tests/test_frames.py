@@ -11,8 +11,7 @@ from splitkit.frames import (
     _jacobians,
     fd_stencil,
 )
-from splitkit.dynamics import orbit
-from splitkit.splitting import _pullback_bases
+from splitkit.dynamics import _pullback_bases, orbit
 from splitkit.geometry import principal_angle
 from conftest import SHEAR, SLOW_PLANE_COEFFS, counting_kernel, dense_differential
 
@@ -104,7 +103,7 @@ class TestAdaptedCoefficients:
         # of one 3-vector in the last bit on some rows
         from splitkit.dynamics import _forward, _pull_back
         from splitkit.geometry import wrap_point
-        from splitkit.splitting import _field_bases
+        from splitkit.dynamics import _field_bases
 
         X = np.random.default_rng(5).uniform(0, 1, (20, 3))
         X[:10, 1:] = np.asarray(SHEAR["center"])[1:] + np.random.default_rng(6).uniform(
@@ -131,7 +130,7 @@ class TestPullbackFrame:
 
     def test_depth_zero_bitwise_field_coefficients(self, phi_perturbed, tilt_E0):
         # lifted flow points leave [0, 1)^3; the field is read where they are
-        from splitkit.splitting import DEFAULT_E0
+        from splitkit.dynamics import DEFAULT_E0
 
         P = np.random.default_rng(4).uniform(-0.5, 1.5, (50, 3))
         const = Plane2.spanned_by([1, 0, 0.3], [0, 1, -0.7])

@@ -13,7 +13,6 @@ from splitkit.geometry import (
     exterior_square,
     orthonormal_bases,
     principal_angle,
-    torus_delta,
     wedge_coordinates,
     wrap_point,
 )
@@ -35,8 +34,6 @@ def random_plane(rng):
 class TestPointsAndLines:
     def test_wrap(self):
         assert np.allclose(wrap_point([1.2, -0.3, 2.0]), [0.2, 0.7, 0.0])
-        d = torus_delta([0.95, 0.5, 0.0], [0.05, 0.5, 0.0])
-        assert d[0] == pytest.approx(-0.1)
 
     def test_line_sign_convention(self):
         L = Line1(np.array([-2.0, 1.0, 0.0]))

@@ -4,18 +4,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitkit import PAPER_MATRIX, DegeneratePlaneError, Diffeo, Line1, Plane2, splitting
+from splitkit import PAPER_MATRIX, DegeneratePlaneError, Diffeo, Line1, Plane2, dynamics, splitting
 from splitkit.bracket import bound_curves
-from splitkit.dynamics import ShearPerturbation, _forward, _pull_back, orbit, orbit_support_report
+from splitkit.dynamics import (
+    ShearPerturbation,
+    _field_bases,
+    _forward,
+    _pull_back,
+    _pullback_bases,
+    orbit,
+    orbit_support_report,
+)
 from splitkit.splitting import (
     DEFAULT_L0,
-    _field_bases,
-    _pullback_bases,
     _splitting_pass,
     domination_report,
     eventual_k0,
     fitted_rate,
 )
+from splitkit.errors import ChartUnsuitableError
+from splitkit.frames import PullbackFrame, _coefficients, adapted_coefficients
 from splitkit.geometry import line_angles, principal_angle, wrap_point
 from conftest import (
     FIXED_EXACT,
@@ -25,6 +33,7 @@ from conftest import (
     RATE_BUNCH,
     RATE_DYN,
     RATE_VOL,
+    counting_kernel,
 )
 
 COORD_PLANE = Plane2.spanned_by([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -101,16 +110,14 @@ class TestPerRowDepth:
     def test_one_backward_sweep(self, phi_perturbed, monkeypatch):
         # depths 1..10 and a depth-200 group: one _pull_back call of 200
         # steps, step i moving the rows deeper than i, and each row as if alone
-        import splitkit.splitting as splitting
-
         calls = []
-        sweep = splitting._pull_back
+        sweep = dynamics._pull_back
 
         def counting_sweep(phi, recs, Q, live=None):
             calls.append((len(recs), Q.shape[-1], live))
             return sweep(phi, recs, Q, live)
 
-        monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
+        monkeypatch.setattr(dynamics, "_pull_back", counting_sweep)
         ks = [*range(1, 11), 200, 200, 200]
         X = np.random.default_rng(12).random((len(ks), 3))
         got = _pullback_bases(phi_perturbed, X, None, ks)
@@ -158,13 +165,13 @@ class TestDepthTable:
     @staticmethod
     def counting_sweeps(monkeypatch):
         calls = []  # the columns of every _pull_back call
-        sweep = splitting._pull_back
+        sweep = dynamics._pull_back
 
         def counting(phi, recs, Q, live=None):
             calls.append(Q.shape[2])
             return sweep(phi, recs, Q, live)
 
-        monkeypatch.setattr(splitting, "_pull_back", counting)
+        monkeypatch.setattr(dynamics, "_pull_back", counting)
         return calls
 
     @pytest.mark.parametrize("E0", [None, Plane2.spanned_by([1.0, 0.0, 0.3], [0.2, 1.0, 0.0])])
@@ -190,7 +197,7 @@ class TestDepthTable:
         calls = self.counting_sweeps(monkeypatch)
         got = _pullback_bases(phi_perturbed, X, None, ks)
         assert len(self.DEPTHS) not in calls and set(calls) <= {1}
-        forced = _pullback_bases(phi_perturbed, X, lambda p: splitting.DEFAULT_E0, ks)
+        forced = _pullback_bases(phi_perturbed, X, lambda p: dynamics.DEFAULT_E0, ks)
         assert calls[-1] == len(self.DEPTHS)
         assert got.tobytes() == forced.tobytes()
 
@@ -198,7 +205,7 @@ class TestDepthTable:
         def no_forward(*args):
             raise AssertionError("a shear-free map with a constant E0 needs no forward pass")
 
-        monkeypatch.setattr(splitting, "_forward", no_forward)
+        monkeypatch.setattr(dynamics, "_forward", no_forward)
         X = np.random.default_rng(8).random((6, 3))
         got = _pullback_bases(phi_linear, X, None, [0, 1, 5, 5, 30, 2])
         for n, (x, k) in enumerate(zip(X, [0, 1, 5, 5, 30, 2])):
@@ -216,9 +223,9 @@ class TestDepthTable:
     def test_table_grows_from_its_deepest_column(self, phi_perturbed):
         grown, fresh = (Diffeo(phi_perturbed.stages) for _ in range(2))
         for depth in (3, 1, 12):
-            splitting._depth_table(grown, None, depth)
-        want = splitting._depth_table(fresh, None, 12)
-        assert splitting._depth_table(grown, None, 12).tobytes() == want.tobytes()
+            dynamics._depth_table(grown, None, depth)
+        want = dynamics._depth_table(fresh, None, 12)
+        assert dynamics._depth_table(grown, None, 12).tobytes() == want.tobytes()
         assert len(grown._depth_tables) == 1
 
     def test_negative_zero_gradients_sweep(self, monkeypatch):
@@ -232,12 +239,87 @@ class TestDepthTable:
         _, recs = _forward(phi, wrap_point(X.copy()), [2, 2, 2])
         assert all(not r.any() and np.signbit(r).all() for (r,) in recs)
         sweep = swept_alone(phi, X[0], E0, 3)
-        assert splitting._depth_table(phi, E0, 3)[:, :, 3:].tobytes() != sweep.tobytes()
+        assert dynamics._depth_table(phi, E0, 3)[:, :, 3:].tobytes() != sweep.tobytes()
         calls = self.counting_sweeps(monkeypatch)
         got = _pullback_bases(phi, X, E0, 3)
         assert calls == [len(X)]
         assert got[:, :, :1].tobytes() == sweep.tobytes()
         assert got[:, :, 1:].tobytes() == swept_alone(phi, X[1], E0, 3).tobytes()
+
+
+class TestTableRows:
+    """Frames convert a kernel call's bases: a record-free stack of a
+    constant E0 reads them from the map's depth table, in row order."""
+
+    DEPTHS = [0, 1, 2, 20]
+
+    @staticmethod
+    def counting_tables(monkeypatch):
+        calls = []  # the depth of every _depth_table call
+        table = dynamics._depth_table
+
+        def counting(phi, E0, depth):
+            calls.append(depth)
+            return table(phi, E0, depth)
+
+        monkeypatch.setattr(dynamics, "_depth_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("E0", [None, Plane2.spanned_by([1.0, 0.0, 0.3], [0.2, 1.0, 0.0])])
+    def test_rows_bitwise_converted_bases(self, phi_perturbed, E0, monkeypatch):
+        # depths 0, 1, 2 and 20, in a record-free stack, which reads the
+        # table, and in a stack with support-crossing rows, which sweeps:
+        # each row's pair is bitwise the conversion of its own forward pass
+        # and sweep (of E0's stored basis at depth 0)
+        avoiding, crossing = support_rows(phi_perturbed, self.DEPTHS[1:])
+        avoiding = np.vstack([avoiding[:1], avoiding])  # its first row at depth 0
+        calls = self.counting_tables(monkeypatch)
+        for X, ks, reads in (
+            (avoiding, self.DEPTHS, [20]),
+            (np.vstack([crossing, avoiding]), self.DEPTHS[1:] + self.DEPTHS, []),
+        ):
+            got = adapted_coefficients(_pullback_bases(phi_perturbed, X, E0, ks))
+            assert calls == reads
+            calls.clear()
+            stored = (dynamics.DEFAULT_E0 if E0 is None else E0).basis[:, :, None]
+            for n, (x, k) in enumerate(zip(X, ks)):
+                alone = swept_alone(phi_perturbed, x, E0, k) if k else stored
+                assert got[n].tobytes() == adapted_coefficients(alone).tobytes()
+
+    def test_table_read_is_a_kernel_call(self, phi_perturbed, monkeypatch):
+        avoiding, _ = support_rows(phi_perturbed, [4])
+        kernel = counting_kernel(monkeypatch)
+        calls = self.counting_tables(monkeypatch)
+        frame = PullbackFrame(phi_perturbed, 4)
+        got = frame.coefficients(avoiding)
+        assert kernel == [(1, [4])] and calls == [4]
+        assert got.tobytes() == adapted_coefficients(swept_alone(phi_perturbed, avoiding[0], None, 4)).tobytes()
+
+    def test_chart_test_only_on_rows_read(self, phi_linear):
+        # E0 = span(A e1, A e3) pulls back to the vertical plane span(e1, e3)
+        # at depth 1, which fails the chart test; rows at depths 0, 2 and 3
+        # grow the table past column 1, and frames convert only their rows
+        A = PAPER_MATRIX.astype(float)
+        E0 = Plane2.spanned_by(A[:, 0], A[:, 2])
+        phi = Diffeo(phi_linear.stages)
+        X = np.random.default_rng(3).random((4, 3))
+        with pytest.raises(ChartUnsuitableError):
+            PullbackFrame(phi, 1, E0).coefficients(X[0])
+        frames = [PullbackFrame(phi, k, E0) for k in (0, 2, 3)]
+        got = _coefficients(frames, X[:3])
+        assert phi._depth_tables and next(iter(phi._depth_tables.values())).shape[2] == 4
+        with pytest.raises(ChartUnsuitableError):
+            _coefficients([*frames, PullbackFrame(phi, 1, E0)], X)
+        for frame, x, row in zip(frames, X, got):
+            assert PullbackFrame(phi, frame.k, E0).coefficients(x) == tuple(row.tolist())
+
+    def test_signed_zero_points_are_distinct_keys(self, phi_perturbed):
+        P = np.array([[0.0, 0.3, 0.4], [-0.0, 0.3, 0.4], [0.0, -0.0, 0.4]])
+        frame = PullbackFrame(phi_perturbed, 3)
+        got = frame.coefficients(P)
+        assert set(frame._cache) == {p.tobytes() for p in P} and len(frame._cache) == 3
+        for p, row in zip(P, got):
+            assert PullbackFrame(phi_perturbed, 3).coefficients(p) == tuple(row.tolist())
 
 
 class TestFastLine:
@@ -491,11 +573,10 @@ class TestStackedReport:
     def test_one_pullback_for_the_samples_and_one_for_the_sweep(self, phi_linear, monkeypatch, n):
         # the sample planes and the growth planes come from one forward pass
         # and one sweep over 3n rows (x deep, then x and phi(x)), and from no
-        # _pullback_bases call
-        import splitkit.splitting as splitting
-
+        # _pullback_bases call: the counters stand in for the kernel's names
+        # in dynamics and for the ones splitting binds (or would bind)
         calls = []
-        planes, forward, sweep = splitting._pullback_bases, splitting._forward, splitting._pull_back
+        planes, forward, sweep = dynamics._pullback_bases, dynamics._forward, dynamics._pull_back
 
         def counting_planes(phi, P, E0, k):
             calls.append(("planes", len(P)))
@@ -509,9 +590,10 @@ class TestStackedReport:
             calls.append(("sweep", Q.shape[-1]))
             return sweep(phi, recs, Q, live)
 
-        monkeypatch.setattr(splitting, "_pullback_bases", counting_planes)
-        monkeypatch.setattr(splitting, "_forward", counting_forward)
-        monkeypatch.setattr(splitting, "_pull_back", counting_sweep)
+        for module in (dynamics, splitting):
+            monkeypatch.setattr(module, "_pullback_bases", counting_planes, raising=module is dynamics)
+            monkeypatch.setattr(module, "_forward", counting_forward)
+            monkeypatch.setattr(module, "_pull_back", counting_sweep)
         pts = [np.zeros(3), np.array([0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.5])][:n]
         rep = domination_report(phi_linear, pts, 5, k_plane=500, k_line=800)
         assert len(rep.samples) == n
