@@ -236,16 +236,9 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
     from .frames import PullbackFrame, coefficient_grid_rows
-    from .surface import (
-        ChartBox,
-        FlowSpec,
-        _build_patches,
-        pushforward_convergence_series,
-        tangency_report,
-    )
+    from .surface import _build_patches, pushforward_convergence_series, tangency_report
 
     x0 = cfg.sample_points()[0]
-    spec = FlowSpec(step=cfg.step)
     E0 = cfg.initial_plane()
     limit_frame = PullbackFrame(phi, cfg.k_plane, E0=E0)
 
@@ -259,8 +252,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
             ["xy"] * len(frames),
             cfg.epsilon,
             cfg.n,
-            spec,
-            ChartBox(center=x0.copy()),
+            cfg.step,
             names=[f"k={k}" for k in cfg.k_list],
         )
         for (k, frame), patch in zip(frames, patches):
@@ -276,7 +268,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
                     "max_tangent_norm": rep.max_tangent_norm,
                 }
             )
-        series = pushforward_convergence_series(frames, x0, cfg.t, spec=spec)
+        series = pushforward_convergence_series(frames, x0, cfg.t, cfg.step)
     # the last depth's patch, with its tangency angles (0 on the border)
     angles = np.pad(rep.angles, 1)
     rows = [
@@ -306,7 +298,6 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
     from .frames import PullbackFrame
-    from .surface import FlowSpec
     from .uniqueness import hartman_slice_report, leaf_divergence
 
     x0 = cfg.sample_points()[0]
@@ -319,9 +310,7 @@ def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: Run
         limit = PullbackFrame(phi, max(200, 2 * cfg.k_max), E0=E0)
         hart = hartman_slice_report(frames, limit, cfg.slice_x2, grid_n=cfg.grid_n, h=cfg.h)
         frame = PullbackFrame(phi, cfg.k_leaf, E0=E0)
-        leaf = leaf_divergence(
-            frame, x0, cfg.epsilon, leaf_n, cfg.delta, spec=FlowSpec(step=cfg.step)
-        )
+        leaf = leaf_divergence(frame, x0, cfg.epsilon, leaf_n, cfg.delta, cfg.step)
     return {
         "hartman": {
             "bounded": hart.bounded,

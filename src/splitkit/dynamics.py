@@ -266,11 +266,11 @@ def _differentials(phi: Diffeo, P):
 
 
 def _gram_schmidt(V):
-    """Q R = V for a stack of 3x2 matrices V of shape (3, 2, N).
-
-    Returns Q of the same shape and R as its entries (r11, r12, r22), each
-    (N,). Raises DegeneratePlaneError where the second column is (nearly) a
-    multiple of the first, ||w|| <= GRAM_TOL ||v2||, instead of returning NaN.
+    """Q of Q R = V for a stack of 3x2 matrices V of shape (3, 2, N): the
+    same shape, orthonormal columns, and R upper triangular with a positive
+    diagonal. Raises DegeneratePlaneError where the second column is
+    (nearly) a multiple of the first, ||w|| <= GRAM_TOL ||v2||, instead of
+    returning NaN.
     """
     norms = np.hypot(np.hypot(V[0], V[1]), V[2])  # ||v1||, ||v2||
     Q = np.empty_like(V)
@@ -282,7 +282,7 @@ def _gram_schmidt(V):
     if not (r22 > GRAM_TOL * norms[1]).all():  # also false on NaN
         raise DegeneratePlaneError("degenerate plane: Gram-Schmidt lost the second column")
     np.divide(w, r22, out=Q[:, 1])
-    return Q, (norms[0], r12, r22)
+    return Q
 
 
 def _pull_back(phi: Diffeo, recs, Q, live=None):
@@ -290,18 +290,18 @@ def _pull_back(phi: Diffeo, recs, Q, live=None):
     last step first; step i moves only the first ``live[i]`` columns (all by
     default), so with the rows deepest first each row joins at its own depth.
 
-    Yields (Q_i, R_i) for i = k-1 down to 0: the live columns after step i,
-    Q_i R_i = D_i^-1 Q_(i+1) with Q_k = ``Q``, R_i as ``_gram_schmidt`` gives it.
+    Yields Q_i for i = k-1 down to 0: the live columns after step i, the
+    orthonormal bases of D_i^-1 Q_(i+1) (``_gram_schmidt``) with Q_k = ``Q``.
     """
     Q = np.array(Q, dtype=float)  # the waiting columns stay as given
     for i in reversed(range(len(recs))):
         n = Q.shape[2] if live is None else live[i]
-        Qi, R = _gram_schmidt(_tangent(phi, recs[i], Q[:, :, :n], inverse=True))
+        Qi = _gram_schmidt(_tangent(phi, recs[i], Q[:, :, :n], inverse=True))
         if n < Q.shape[2]:
             Q[:, :, :n] = Qi
         else:  # all live from here on, as live[i] never decreases as i goes
             Q = Qi  # down, so no later step writes into a yielded stack
-        yield Qi, R
+        yield Qi
 
 
 def _field_bases(E0, P, orthonormal=True):
@@ -346,7 +346,7 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
     # the bits, not the truth value: a -0.0 gradient can flip the sign of a zero entry
     if callable(E0) or any(r is not None and r.view(np.uint64).any() for rec in recs for r in rec):
         Q = _field_bases(E0, Y[:swept])
-        for Q, _ in _pull_back(phi, recs, Q, live):
+        for Q in _pull_back(phi, recs, Q, live):
             pass  # the last stack yielded holds every swept row at depth 0
     else:  # depth 0 reads E0's stored basis and depth d the table's column d, in row order
         E0 = DEFAULT_E0 if E0 is None else E0
@@ -367,7 +367,7 @@ def _depth_table(phi: Diffeo, E0, depth):
     if B.shape[2] <= depth:
         zero = [np.zeros((2, 1)) if isinstance(s, ShearPerturbation) else None for s in phi.stages]
         steps = _pull_back(phi, [zero] * (depth + 1 - B.shape[2]), B[:, :, -1:])
-        B = phi._depth_tables[seed.tobytes()] = np.concatenate([B, *(Q for Q, _ in steps)], axis=2)
+        B = phi._depth_tables[seed.tobytes()] = np.concatenate([B, *steps], axis=2)
     return B
 
 

@@ -148,7 +148,7 @@ def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
     seed = _field_bases(E0, Y)
     # only the stacks at orbit points k_max..0, the last ones yielded, are kept
     stacks = collections.deque([seed], maxlen=k_max + 1)
-    stacks.extend(Q for Q, _ in _pull_back(phi, recs, seed, live))
+    stacks.extend(_pull_back(phi, recs, seed, live))
     E = np.ascontiguousarray((stacks[-1] if k_plane else seed)[:, :, N:].transpose(2, 0, 1))
     # the bases are orthonormal, so their cross product is the unit normal
     fast_angle = np.arcsin(np.minimum(1.0, np.abs(_row_dots(np.cross(E[:N, :, 0], E[:N, :, 1]), F[:N]))))

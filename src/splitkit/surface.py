@@ -3,8 +3,9 @@
 Patches are built as W(t, s) = (X-flow for time t) of (Y-flow for time s) of
 a base point, on a fixed (t, s) grid, with a classical fixed-step 4th-order
 integrator that steps all rows of a patch together as one stack.  Flows run
-in lifted (unwrapped) chart coordinates inside an explicit chart box; leaving
-the box is a hard error, never a silent clamp.
+in lifted (unwrapped) chart coordinates inside the box of half-width
+``CHART_HALFWIDTH`` around a patch stack's first seed; leaving the box is a
+hard error, never a silent clamp.
 """
 
 from __future__ import annotations
@@ -18,37 +19,15 @@ from .frames import AdaptedFrame, _coefficients, _graph_field_of, _graph_vectors
 from .geometry import _record, _row_norms, check_spans, plane_angles
 
 DEFAULT_STEP = 1e-3
-DEFAULT_EPSILON = 0.05
-DEFAULT_GRID_N = 21
 DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational equation
 MAX_STEP_LOAD = 0.5  # largest |grad(a)| dt at which the explicit transport counts as resolved
-
-
-@_record
-class FlowSpec:
-    """Fixed-step RK4 parameters: one step for all rows of a stack or one per row."""
-
-    step: float = DEFAULT_STEP
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.step) & (np.asarray(self.step, dtype=float) > 0)):
-            raise ValueError(f"step must be finite and positive, not {self.step!r}")
-
-
-@_record
-class ChartBox:
-    """Axis-aligned box of lifted coordinates around a center point."""
-
-    center: np.ndarray
-    halfwidth: float = 0.45
-
-    def contains(self, p):
-        """Whether a point is in the box; for an (N, 3) stack, one flag per row."""
-        return np.all(np.abs(np.asarray(p) - self.center) <= self.halfwidth, axis=-1)
+CHART_HALFWIDTH = 0.45  # of the lifted-coordinate box a patch's flows must stay in
 
 
 def _rk4_steps(t, step, n):
     """Each of n rows' RK4 step count and step, as ``flow`` takes them."""
+    if not np.all(np.isfinite(step) & (np.asarray(step, dtype=float) > 0)):
+        raise ValueError(f"step must be finite and positive, not {step!r}")
     T = np.broadcast_to(np.asarray(t, dtype=float), n)
     bad = ~np.isfinite(T)
     if bad.any():
@@ -58,21 +37,22 @@ def _rk4_steps(t, step, n):
     return steps, T / np.maximum(steps, 1.0)
 
 
-def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = None):
+def flow(field, y0, t, step, center=None):
     """Endpoint of the time-t flow of y' = field(y) (t of either sign) in fixed RK4 steps.
 
     ``y0`` is one state of shape (d,) or a stack of N states of shape (N, d);
-    ``field`` maps an (N, d) stack to an (N, d) stack.  ``t`` and
-    ``spec.step`` are each one for all rows or one per row: row n takes
+    ``field`` maps an (N, d) stack to an (N, d) stack.  ``t`` and ``step``
+    are each one for all rows or one per row: row n takes
     ceil(|t_n| / step_n) steps of t_n over that count (none at t_n = 0) with
     elementwise arithmetic, so its endpoint is bitwise the same whatever
     else is in the stack.  A row that has taken its steps keeps its endpoint
-    while the others go on; the field still sees it there.  With a chart,
-    the first three coordinates of every row are checked after each step.
+    while the others go on; the field still sees it there.  With a chart
+    ``center``, the first three coordinates of every row must stay within
+    ``CHART_HALFWIDTH`` of it after each step.
     """
     y = np.array(y0, dtype=float)
     Y = y.reshape(-1, y.shape[-1])
-    steps, dt = _rk4_steps(t, spec.step, len(Y))
+    steps, dt = _rk4_steps(t, step, len(Y))
     for i in range(int(steps.max(initial=0.0))):
         live = i < steps
         h = np.where(live, dt, 0.0)[:, None]
@@ -81,8 +61,8 @@ def flow(field, y0, t, spec: FlowSpec = FlowSpec(), chart: ChartBox | None = Non
         k3 = field(Y + 0.5 * h * k2)
         k4 = field(Y + h * k3)
         Y = np.where(live[:, None], Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), Y)
-        if chart is not None:
-            outside = ~chart.contains(Y[:, :3])
+        if center is not None:
+            outside = ~np.all(np.abs(Y[:, :3] - center) <= CHART_HALFWIDTH, axis=1)
             if outside.any():
                 row = int(outside.argmax())
                 raise ChartExitError(
@@ -105,7 +85,7 @@ class SurfacePatch:
         return 2.0 * self.epsilon / (self.n - 1)
 
 
-def _sweep(frames, which, starts, grid, i0, spec, chart, names):
+def _sweep(frames, which, starts, grid, i0, step, center, names):
     """Flow every row of an (N, 3) stack of starts to each time of ``grid``.
 
     Node [m, i] is the flow of ``starts[m]`` for time ``grid[i]`` along the
@@ -113,8 +93,8 @@ def _sweep(frames, which, starts, grid, i0, spec, chart, names):
     outward from ``grid[i0]`` = 0 on a grid with as many gaps on each side.
     Both sides of a gap step as one 2N-row stack, each row with its own time,
     so each RK4 stage is one field evaluation. A row that leaves the chart
-    raises ``ChartExitError`` naming its patch, ``names[m]``, with the signed
-    flow time from ``grid[i0]`` of the step outside.
+    around ``center`` raises ``ChartExitError`` naming its patch, ``names[m]``,
+    with the signed flow time from ``grid[i0]`` of the step outside.
     """
     N = len(starts)
     field = _graph_field_of(list(frames) * 2, np.tile(which, 2))
@@ -125,7 +105,7 @@ def _sweep(frames, which, starts, grid, i0, spec, chart, names):
         ahead, behind = i0 + g, i0 - g
         t = np.repeat([grid[ahead] - grid[ahead - 1], grid[behind] - grid[behind + 1]], N)
         try:
-            q = flow(field, q, t, spec, chart)
+            q = flow(field, q, t, step, center)
         except ChartExitError as exc:
             prev = ahead - 1 if exc.row < N else behind + 1
             t = grid[prev] - grid[i0] + exc.exit_time
@@ -138,7 +118,7 @@ def _sweep(frames, which, starts, grid, i0, spec, chart, names):
     return out
 
 
-def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
+def _build_patches(frames, seeds, orders, epsilon, n, step, names=None):
     """Patches at several seeds, each of its own frame and in its own flow
     order, integrated as one stack.
 
@@ -146,8 +126,9 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
     side), then all n rows of every patch (n per seed and side), so each RK4
     stage is one ``_coefficients`` call, and one kernel call for the
     pullback frames of all depths. Rows of a stack are bitwise independent, so each patch
-    equals the one built from its seed and frame alone. ``names`` label the
-    patches in a chart-exit error (default: their orders).
+    equals the one built from its seed and frame alone. Every flow must stay
+    in the chart around the first seed; ``names`` label the patches in a
+    chart-exit error (default: their orders).
     """
     if n < 3:
         raise ValueError("grid needs n >= 3 for interior finite differences")
@@ -164,10 +145,10 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
     xy = np.array([order == "xy" for order in orders])
     first = xy.astype(int)  # xy: the Y-flow (column 1) first; yx: the X-flow
     second = np.repeat(1 - first, n)
-    spines = _sweep(frames, first, seeds, ss, i0, spec, chart, names)
+    spines = _sweep(frames, first, seeds, ss, i0, step, seeds[0], names)
     rows = _sweep(
         [frame for frame in frames for _ in range(n)], second,
-        spines.reshape(-1, 3), ts, i0, spec, chart, [name for name in names for _ in range(n)],
+        spines.reshape(-1, 3), ts, i0, step, seeds[0], [name for name in names for _ in range(n)],
     )
     points = rows.reshape(len(seeds), n, n, 3)
     points[xy] = points[xy].swapaxes(1, 2)
@@ -177,10 +158,9 @@ def _build_patches(frames, seeds, orders, epsilon, n, spec, chart, names=None):
 def build_patch(
     frame: AdaptedFrame,
     x0,
-    epsilon: float = DEFAULT_EPSILON,
-    n: int = DEFAULT_GRID_N,
-    spec: FlowSpec = FlowSpec(),
-    chart: ChartBox | None = None,
+    epsilon: float,
+    n: int,
+    step=DEFAULT_STEP,
     order: str = "xy",
 ) -> SurfacePatch:
     """Grid of W(t, s) = X-flow_t . Y-flow_s (x0) over (-eps, eps)^2.
@@ -188,10 +168,7 @@ def build_patch(
     ``order="yx"`` composes the flows the other way round; it exists for the
     commutator-defect diagnostic only.  One seed of ``_build_patches``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if chart is None:
-        chart = ChartBox(center=x0.copy(), halfwidth=0.45)
-    return _build_patches([frame], x0[None], (order,), epsilon, n, spec, chart)[0]
+    return _build_patches([frame], [x0], (order,), epsilon, n, step)[0]
 
 
 @_record
@@ -246,9 +223,9 @@ def planarity_defect(patch: SurfacePatch) -> float:
     return float(np.max(np.abs((pts - c) @ normal)))
 
 
-def _pushforwards(frames, X, t, spec, grad_h, V=None):
+def _pushforwards(frames, X, t, step, grad_h, V=None):
     """Variational transports by the time-t X-flows of ``frames``, one frame
-    and one step of ``spec`` per row, in one backward RK4 pass of the stack:
+    and one ``step`` per row, in one backward RK4 pass of the stack:
     the vectors V (N,3) at the time -t preimages of the rows of X (N,3), by
     default the frames' Y there, are pushed forward to X. Returns them, each
     row's largest step load |grad(a)| |dt|, and its final q and m3 (below).
@@ -267,7 +244,7 @@ def _pushforwards(frames, X, t, spec, grad_h, V=None):
     the load stays well below 1 (``MAX_STEP_LOAD``).
     """
     N = len(X)
-    steps, dt = _rk4_steps(t, spec.step, N)
+    steps, dt = _rk4_steps(t, step, N)
     load = np.zeros(N)
     live = np.ones(N, dtype=bool)  # the rows still inside the load budget
     stages = itertools.count()  # flow calls g once per RK4 stage, four per step
@@ -287,7 +264,7 @@ def _pushforwards(frames, X, t, spec, grad_h, V=None):
 
     start = np.zeros((N, 7))
     start[:, :3], start[:, 6] = X, 1.0
-    S = flow(g, start, t, spec)[live]
+    S = flow(g, start, t, step)[live]
     m = S[:, 4:]
     if V is None:
         V = _graph_vectors(_coefficients([frames[n] for n in np.flatnonzero(live)], S[:, :3]), 1)
@@ -312,7 +289,7 @@ def _growth_identities(q, m3, load):
     )
 
 
-def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSpec()):
+def pushforward_norm_identity(frame: AdaptedFrame, x, t, step):
     """Both sides of the growth formula for the vertical direction under the X-flow.
 
     lhs: norm of the pushforward of e3 by the time-t X-flow at x.
@@ -325,7 +302,7 @@ def pushforward_norm_identity(frame: AdaptedFrame, x, t, spec: FlowSpec = FlowSp
     lhs = 1/|m3| = exp(q) = rhs. It checks the transport, not the field.
     """
     X = np.asarray(x, dtype=float)[None]
-    _, load, q, m3 = _pushforwards([frame], X, t, spec, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
+    _, load, q, m3 = _pushforwards([frame], X, t, step, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
     return _growth_identities(q, m3, load)[0]
 
 
@@ -341,7 +318,7 @@ class PushforwardSeries:
 
 
 def pushforward_convergence_series(
-    frames, x0, t, spec: FlowSpec = FlowSpec(), grad_h=DEFAULT_GRAD_H
+    frames, x0, t, step, grad_h=DEFAULT_GRAD_H
 ) -> PushforwardSeries:
     """Pushforward defect of a family of frames at x0, one entry per frame.
 
@@ -359,7 +336,7 @@ def pushforward_convergence_series(
     ks = tuple(k for k, _ in frames)
     frames = [frame for _, frame in frames]
     N = len(frames)
-    halving = FlowSpec(step=np.repeat([spec.step, spec.step / 2], N))  # N rows at the step, N at half
+    halving = np.repeat([step, step / 2], N)  # N rows at the step, N at half
     vec, load, q, m3 = _pushforwards(frames * 2, np.tile(x0, (2 * N, 1)), t, halving, grad_h)
     # each frame's Y at x0, read once for both of its rows; a cache hit for a
     # pullback frame: its backward pass started there

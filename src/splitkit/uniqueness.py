@@ -13,7 +13,7 @@ import numpy as np
 
 from .frames import AdaptedFrame, _coefficients, _graph_vectors, _jacobians
 from .geometry import _record
-from .surface import ChartBox, FlowSpec, SurfacePatch, _build_patches
+from .surface import SurfacePatch, _build_patches
 
 # slack of the two-step decrease test on the slice distances
 DECREASE_SLACK = 1e-9
@@ -36,8 +36,8 @@ def hartman_slice_report(
     frames,
     limit_frame: AdaptedFrame,
     slice_x2: float,
-    grid_n: int = 12,
-    h: float = 1e-5,
+    grid_n: int,
+    h: float,
 ) -> HartmanData:
     """Certificate data for a family of frames on the slice x2 = const.
 
@@ -87,7 +87,7 @@ def leaf_divergence(
     epsilon: float,
     n: int,
     delta: float,
-    spec: FlowSpec = FlowSpec(),
+    step,
 ) -> LeafComparison:
     """Order-commutation and seed-Lipschitz diagnostics for one frame.
 
@@ -97,7 +97,6 @@ def leaf_divergence(
     integrated as one stack.
     """
     x0 = np.asarray(x0, dtype=float)
-    chart = ChartBox(center=x0.copy(), halfwidth=0.45)
     (X,) = _graph_vectors(_coefficients([frame], x0), 0)
     u = X / np.linalg.norm(X)
     half = delta / 2
@@ -107,8 +106,7 @@ def leaf_divergence(
         ("xy", "yx", "xy", "xy"),
         epsilon,
         n,
-        spec,
-        chart,
+        step,
         names=("xy", "yx", "+delta", "+delta/2"),
     )
     l1 = _patch_distance(p_xy, p_delta) / delta

@@ -25,7 +25,6 @@ from splitkit.dynamics import _pullback_bases
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import Plane2, exterior_square, principal_angle
 from splitkit.surface import (
-    FlowSpec,
     build_patch,
     flow,
     planarity_defect,
@@ -240,7 +239,7 @@ def test_criterion_08_surface_machinery():
     # (i) global order 4 on a closed-form (exponential) flow
     exp_frame = AnalyticFrame(lambda p: p[2], lambda p: 0.0)
     errs = [
-        abs(flow(exp_frame.X, np.array([0.0, 0.0, 1.0]), 0.5, FlowSpec(step=s))[2] - np.exp(0.5))
+        abs(flow(exp_frame.X, np.array([0.0, 0.0, 1.0]), 0.5, s)[2] - np.exp(0.5))
         for s in (1e-2, 5e-3, 2.5e-3)
     ]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -253,7 +252,7 @@ def test_criterion_08_surface_machinery():
 
     # (iii) vertical-growth formula on a = x3 at step 1e-3: both sides e^t
     lhs, rhs, rel, _ = pushforward_norm_identity(
-        exp_frame, np.array([0.0, 0.0, 1.0]), 0.2, FlowSpec(step=1e-3)
+        exp_frame, np.array([0.0, 0.0, 1.0]), 0.2, 1e-3
     )
     identity_ok = rel <= 1e-4 and abs(lhs - np.exp(0.2)) < 1e-4
 
@@ -282,7 +281,7 @@ def test_criterion_09_pushforward_trend():
     phi = _perturbed()
     start = time.perf_counter()
     frames = [(k, PullbackFrame(phi, k)) for k in range(1, 13)]
-    ser = pushforward_convergence_series(frames, np.zeros(3), 0.04, FlowSpec(step=1e-3), grad_h=1e-8)
+    ser = pushforward_convergence_series(frames, np.zeros(3), 0.04, 1e-3, grad_h=1e-8)
     elapsed = time.perf_counter() - start
     vals = ser.resolved_values()
     trend_ok = all(vals[i + 1][1] <= vals[i][1] + 1e-6 for i in range(len(vals) - 1))
@@ -303,7 +302,7 @@ def test_criterion_10_uniqueness_diagnostics(phi_linear):
 
     leaf = leaf_divergence(
         PullbackFrame(phi_linear, 12), np.array([0.5, 0.5, 0.5]), 0.05, 7, 1e-4,
-        spec=FlowSpec(step=1e-3),
+        1e-3,
     )
     lip_ok = abs(leaf.lipschitz - 1.0) <= 0.05
     ok = hart_ok and lip_ok

@@ -207,6 +207,25 @@ class TestCliExitCodes:
         assert "'e0.basis'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("surface", "patch k=2 left the chart at flow time 0.451; reduce epsilon"),
+            ("uniqueness", "patch xy left the chart at flow time 0.45; reduce epsilon"),
+        ],
+        ids=["surface", "uniqueness"],
+    )
+    def test_patch_leaving_the_chart_exits_2(self, tmp_path, capsys, command, line):
+        # linear.json at epsilon 0.5: the patches pass the 0.45 box around
+        # their first seed, and the refusal comes before the first file
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "linear.json").read_text())
+        cfg["epsilon"] = 0.5
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"splitkit: {line}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_excessive_amplitude_exits_2(self, tmp_path, capsys):
         d = base_config(
             map={

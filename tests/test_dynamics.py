@@ -264,10 +264,10 @@ class TestKernel:
         X = support_points(50, 1)
         seed = np.broadcast_to(np.eye(3)[:, :2, None], (3, 2, 50))
         Y, recs = _forward(phi_perturbed, wrap_point(X), [50] * 200)
-        *_, (Q, _) = _pull_back(phi_perturbed, recs, seed)
+        *_, Q = _pull_back(phi_perturbed, recs, seed)
         for n in range(50):
             Y1, recs1 = _forward(phi_perturbed, wrap_point(X[n : n + 1]), [1] * 200)
-            *_, (Q1, _) = _pull_back(phi_perturbed, recs1, seed[:, :, :1])
+            *_, Q1 = _pull_back(phi_perturbed, recs1, seed[:, :, :1])
             assert Y1[0].tobytes() == Y[n].tobytes()
             assert Q1[:, :, 0].tobytes() == Q[:, :, n].tobytes()
 
@@ -284,9 +284,10 @@ class TestKernel:
 
     def test_gram_schmidt(self):
         V = np.random.default_rng(4).normal(size=(3, 2, 10))
-        Q, (r11, r12, r22) = _gram_schmidt(V)
+        Q = _gram_schmidt(V)
         for n in range(10):
-            R = np.array([[r11[n], r12[n]], [0.0, r22[n]]])
+            R = Q[:, :, n].T @ V[:, :, n]
+            assert R[1, 0] == pytest.approx(0.0, abs=1e-14) and R[0, 0] > 0 and R[1, 1] > 0
             assert np.max(np.abs(Q[:, :, n].T @ Q[:, :, n] - np.eye(2))) < 1e-14
             assert np.max(np.abs(Q[:, :, n] @ R - V[:, :, n])) < 1e-14
 

@@ -110,7 +110,7 @@ class TestAdaptedCoefficients:
             -0.15, 0.15, (10, 2)
         )
         Y, recs = _forward(phi_perturbed, wrap_point(X), [20] * 500)
-        stacks = [Q for Q, _ in _pull_back(phi_perturbed, recs, _field_bases(None, Y))]
+        stacks = list(_pull_back(phi_perturbed, recs, _field_bases(None, Y)))
         Q = np.concatenate(stacks, axis=2)
         assert Q.shape[2] == 10_000
         got = adapted_coefficients(Q)

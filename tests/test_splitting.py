@@ -104,7 +104,7 @@ class TestPerRowDepth:
                 want = _field_bases(E0, x[None], orthonormal=False)
             else:
                 Y, recs = _forward(phi_perturbed, wrap_point(x[None]), [1] * k)
-                *_, (want, _) = _pull_back(phi_perturbed, recs, _field_bases(E0, Y))
+                *_, want = _pull_back(phi_perturbed, recs, _field_bases(E0, Y))
             assert got[:, :, n : n + 1].tobytes() == want.tobytes()
 
     def test_one_backward_sweep(self, phi_perturbed, monkeypatch):
@@ -142,7 +142,7 @@ def swept_alone(phi, x, E0, k):
     """The (3, 2, 1) basis of one point at depth k >= 1 from its own
     ``_forward`` pass and ``_pull_back`` sweep."""
     Y, recs = _forward(phi, wrap_point(np.asarray(x, dtype=float)[None]), [1] * k)
-    *_, (Q, _) = _pull_back(phi, recs, _field_bases(E0, Y))
+    *_, Q = _pull_back(phi, recs, _field_bases(E0, Y))
     return Q
 
 

@@ -14,8 +14,6 @@ from splitkit.frames import (
     contact_frame,
 )
 from splitkit.surface import (
-    ChartBox,
-    FlowSpec,
     SurfacePatch,
     _build_patches,
     _pushforwards,
@@ -28,7 +26,7 @@ from splitkit.surface import (
 )
 from conftest import counting_kernel
 
-SPEC = FlowSpec(step=1e-3)
+STEP = 1e-3
 
 # inside the support of the shared test shear (centre (0, 0.5, 0.5), radius 0.2)
 IN_SUPPORT = np.array([0.3, 0.52, 0.45])
@@ -79,7 +77,7 @@ def reference_patch(frame, x0, epsilon, n, step, order):
     return rows.swapaxes(0, 1) if order == "xy" else rows
 
 
-def per_side_patch(frame, x0, epsilon, n, spec, order):
+def per_side_patch(frame, x0, epsilon, n, step, order):
     """Patch nodes of one seed with each side of each sweep flowed on its
     own: one ``flow`` call per grid gap and side, the side ahead first."""
     grid = np.linspace(-epsilon, epsilon, n)
@@ -91,7 +89,7 @@ def per_side_patch(frame, x0, epsilon, n, spec, order):
         for side in (range(i0 + 1, n), range(i0 - 1, -1, -1)):
             q, prev = starts, i0
             for i in side:
-                q = flow(field, q, grid[i] - grid[prev], spec)
+                q = flow(field, q, grid[i] - grid[prev], step)
                 out[:, i] = q
                 prev = i
         return out
@@ -153,31 +151,31 @@ def exp_frame():
 class TestFlow:
     def test_straight_line(self):
         fr = constant_frame(0.0, 0.0)
-        got = flow(fr.X, np.zeros(3), 0.3, SPEC)
+        got = flow(fr.X, np.zeros(3), 0.3, STEP)
         assert np.allclose(got, [0.3, 0.0, 0.0], atol=1e-13)
 
     def test_constant_slope(self):
         fr = constant_frame(0.5, 0.0)
-        got = flow(fr.X, np.zeros(3), 0.4, SPEC)
+        got = flow(fr.X, np.zeros(3), 0.4, STEP)
         assert np.allclose(got, [0.4, 0.0, 0.2], atol=1e-13)
 
     def test_contact_y_flow(self):
         fr = contact_frame()
         for x1, s in [(0.3, 0.2), (0.7, -0.15)]:
-            got = flow(fr.Y, np.array([x1, 0.0, 0.0]), s, SPEC)
+            got = flow(fr.Y, np.array([x1, 0.0, 0.0]), s, STEP)
             assert np.allclose(got, [x1, s, x1 * s], atol=1e-12)
 
     def test_reversibility(self):
         fr = exp_frame()
         x = np.array([0.1, 0.2, 0.8])
-        back = flow(fr.X, flow(fr.X, x, 0.3, SPEC), -0.3, SPEC)
+        back = flow(fr.X, flow(fr.X, x, 0.3, STEP), -0.3, STEP)
         assert np.allclose(back, x, atol=1e-12)
 
     def test_chart_exit(self):
+        # from 0.35 along e1, the row leaves the 0.45 box around 0 at time 0.1
         fr = constant_frame(0.0, 0.0)
-        chart = ChartBox(center=np.zeros(3), halfwidth=0.1)
         with pytest.raises(ChartExitError) as ei:
-            flow(fr.X, np.zeros(3), 0.5, SPEC, chart=chart)
+            flow(fr.X, np.array([0.35, 0.0, 0.0]), 0.5, STEP, center=np.zeros(3))
         assert 0.0 < ei.value.exit_time <= 0.15
 
     def test_order_four(self):
@@ -187,7 +185,7 @@ class TestFlow:
         t = 0.5
         errs = []
         for step in (1e-2, 5e-3, 2.5e-3):
-            got = flow(fr.X, x, t, FlowSpec(step=step))
+            got = flow(fr.X, x, t, step)
             errs.append(abs(got[2] - np.exp(t)))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
@@ -196,18 +194,19 @@ class TestFlow:
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            FlowSpec(step=-1.0)
+            flow(constant_frame(0.0, 0.0).X, np.zeros(3), 0.1, step=-1.0)
 
     def test_zero_step_rejected(self):
+        field = constant_frame(0.0, 0.0).X
         with pytest.raises(ValueError, match="step must be finite and positive"):
-            FlowSpec(step=0.0)
+            flow(field, np.zeros(3), 0.1, step=0.0)
         with pytest.raises(ValueError, match="step must be finite and positive"):
-            FlowSpec(step=np.array([1e-3, 0.0, 5e-4]))
+            flow(field, np.zeros((3, 3)), 0.1, step=np.array([1e-3, 0.0, 5e-4]))
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, np.array([1e-3, 0.0, math.inf, math.nan])])
     def test_non_finite_step_rejected(self, step):
         with pytest.raises(ValueError, match="step must be finite and positive"):
-            FlowSpec(step=step)
+            flow(constant_frame(0.0, 0.0).X, np.zeros((np.size(step), 3)), 0.1, step=step)
 
     @pytest.mark.parametrize(
         "y0, t, message",
@@ -220,7 +219,7 @@ class TestFlow:
     )
     def test_non_finite_time_rejected(self, y0, t, message):
         with pytest.raises(ValueError, match=f"flow time of {message}"):
-            flow(constant_frame(0.0, 0.0).X, y0, t, SPEC)
+            flow(constant_frame(0.0, 0.0).X, y0, t, STEP)
 
     def test_per_row_times_bitwise_one_row_flows(self, phi_perturbed):
         # rows of 13, 11, 0, 2, 0 and 10 steps, of both signs, in one stack:
@@ -235,17 +234,17 @@ class TestFlow:
             calls.append(len(S))
             return fr.X(S)
 
-        got = flow(counted, P, times, SPEC)
+        got = flow(counted, P, times, STEP)
         assert calls == [6] * (4 * 13)
-        rows = np.array([flow(fr.X, p, t, SPEC) for p, t in zip(P, times)])
+        rows = np.array([flow(fr.X, p, t, STEP) for p, t in zip(P, times)])
         assert got.tobytes() == rows.tobytes()
         assert got[[2, 4]].tobytes() == P[[2, 4]].tobytes()
         # with one step per row as well: 13, 21, 0, 6, 0 and 13 steps
         steps = np.array([1e-3, 5e-4, 2e-3, 2.5e-4, 1e-3, 7e-4])
         calls.clear()
-        got = flow(counted, P, times, FlowSpec(step=steps))
+        got = flow(counted, P, times, steps)
         assert calls == [6] * (4 * 21)
-        rows = np.array([flow(fr.X, p, t, FlowSpec(step=h)) for p, t, h in zip(P, times, steps)])
+        rows = np.array([flow(fr.X, p, t, h) for p, t, h in zip(P, times, steps)])
         assert got.tobytes() == rows.tobytes()
         assert got[[2, 4]].tobytes() == P[[2, 4]].tobytes()
 
@@ -259,8 +258,8 @@ class TestFlow:
 
         S = np.array([[0.0, 0.1, 0.5, 1.0], [0.2, 0.0, -0.3, 2.0], [0.1, 0.1, 0.1, -1.0], [0.0, 0.0, 0.9, 0.5]])
         times = [0.0072, -0.004, 0.0, -0.0101]
-        got = flow(g, S, times, SPEC)
-        rows = np.array([flow(g, s, t, SPEC) for s, t in zip(S, times)])
+        got = flow(g, S, times, STEP)
+        rows = np.array([flow(g, s, t, STEP) for s, t in zip(S, times)])
         assert got.tobytes() == rows.tobytes()
         # a = x3 is constant along the X-flow of x3 e^t, so v grows by exp(x3 (e^t - 1))
         assert got[0, 3] == pytest.approx(np.exp(0.5 * np.expm1(0.0072)), rel=1e-12)
@@ -269,30 +268,28 @@ class TestFlow:
         fr = PullbackFrame(phi_perturbed, 10)
         P = IN_SUPPORT + np.random.default_rng(2).uniform(-0.05, 0.05, (6, 3))
         for field in (fr.X, fr.Y):
-            got = flow(field, P, -0.013, SPEC)
+            got = flow(field, P, -0.013, STEP)
             assert got.shape == P.shape
-            rows = np.array([flow(field, p, -0.013, SPEC) for p in P])
+            rows = np.array([flow(field, p, -0.013, STEP) for p in P])
             assert got.tobytes() == rows.tobytes()
 
     def test_stack_chart_exit_of_one_row(self):
         fr = constant_frame(0.0, 0.0)
-        chart = ChartBox(center=np.zeros(3), halfwidth=0.1)
-        P = np.array([[0.0, 0.0, 0.0], [0.08, 0.0, 0.0], [-0.05, 0.02, 0.0]])
-        assert np.all(chart.contains(flow(fr.X, P[[0, 2]], 0.05, SPEC)))
+        P = np.array([[0.0, 0.0, 0.0], [0.4305, 0.0, 0.0], [-0.05, 0.02, 0.0]])
+        assert np.all(np.abs(flow(fr.X, P[[0, 2]], 0.05, STEP)) <= 0.45)
         with pytest.raises(ChartExitError) as ei:
-            flow(fr.X, P, 0.05, SPEC, chart=chart)
-        assert ei.value.exit_time == pytest.approx(0.02, abs=SPEC.step)
+            flow(fr.X, P, 0.05, STEP, center=np.zeros(3))
+        assert ei.value.exit_time == pytest.approx(0.02, abs=STEP)
         assert ei.value.row == 1
 
     def test_stack_chart_exit_of_one_negative_time_row(self):
         fr = constant_frame(0.0, 0.0)
-        chart = ChartBox(center=np.zeros(3), halfwidth=0.1)
-        P = np.array([[0.0, 0.0, 0.0], [-0.08, 0.0, 0.0], [0.05, 0.02, 0.0]])
+        P = np.array([[0.0, 0.0, 0.0], [-0.4305, 0.0, 0.0], [0.05, 0.02, 0.0]])
         times = [0.05, -0.05, -0.05]
-        assert np.all(chart.contains(flow(fr.X, P[[0, 2]], [0.05, -0.05], SPEC)))
+        assert np.all(np.abs(flow(fr.X, P[[0, 2]], [0.05, -0.05], STEP)) <= 0.45)
         with pytest.raises(ChartExitError) as ei:
-            flow(fr.X, P, times, SPEC, chart=chart)
-        assert ei.value.exit_time == pytest.approx(-0.02, abs=SPEC.step)
+            flow(fr.X, P, times, STEP, center=np.zeros(3))
+        assert ei.value.exit_time == pytest.approx(-0.02, abs=STEP)
         assert ei.value.exit_time < 0
         assert ei.value.row == 1
 
@@ -300,13 +297,13 @@ class TestFlow:
 class TestPatches:
     def test_linear_patch_planar(self):
         fr = constant_frame(0.2, -0.3)
-        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, spec=SPEC)
+        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, STEP)
         assert planarity_defect(patch) < 1e-9
 
     def test_linear_patch_tangency(self):
         fr = constant_frame(0.2, -0.3)
         x0 = np.array([0.5, 0.5, 0.5])
-        patch = build_patch(fr, x0, 0.05, 9, spec=SPEC)
+        patch = build_patch(fr, x0, 0.05, 9, STEP)
         rep = tangency_report(patch, fr, fr)
         assert rep.max_angle < 1e-8
         assert rep.max_dWdt_defect < 1e-10
@@ -315,19 +312,19 @@ class TestPatches:
     def test_contact_patch_closed_form(self):
         fr = contact_frame()
         x0 = np.zeros(3)
-        patch = build_patch(fr, x0, 0.05, 9, spec=SPEC)
+        patch = build_patch(fr, x0, 0.05, 9, STEP)
         for i, t in enumerate(patch.ts):
             for j, s in enumerate(patch.ss):
                 assert np.allclose(patch.points[i, j], [t, s, 0.0], atol=1e-10)
-        swapped = build_patch(fr, x0, 0.05, 9, spec=SPEC, order="yx")
+        swapped = build_patch(fr, x0, 0.05, 9, STEP, order="yx")
         for i, t in enumerate(swapped.ts):
             for j, s in enumerate(swapped.ss):
                 assert np.allclose(swapped.points[i, j], [t, s, t * s], atol=1e-8)
 
     def test_contact_order_mismatch_is_ts(self):
         fr = contact_frame()
-        p_xy = build_patch(fr, np.zeros(3), 0.05, 9, spec=SPEC)
-        p_yx = build_patch(fr, np.zeros(3), 0.05, 9, spec=SPEC, order="yx")
+        p_xy = build_patch(fr, np.zeros(3), 0.05, 9, STEP)
+        p_yx = build_patch(fr, np.zeros(3), 0.05, 9, STEP, order="yx")
         diff = p_yx.points - p_xy.points
         for i, t in enumerate(p_xy.ts):
             for j, s in enumerate(p_xy.ss):
@@ -339,13 +336,13 @@ class TestPatches:
             lambda p: 0.3 * np.sin(2 * np.pi * p[1]),
         )
         x0 = np.array([0.4, 0.6, 0.5])
-        p_xy = build_patch(fr, x0, 0.04, 7, spec=SPEC)
-        p_yx = build_patch(fr, x0, 0.04, 7, spec=SPEC, order="yx")
+        p_xy = build_patch(fr, x0, 0.04, 7, STEP)
+        p_yx = build_patch(fr, x0, 0.04, 7, STEP, order="yx")
         assert np.max(np.abs(p_xy.points - p_yx.points)) < 1e-9
 
     def test_dWdt_identity_curved(self):
         fr = exp_frame()
-        patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, spec=SPEC)
+        patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, STEP)
         rep = tangency_report(patch, fr, fr)
         # FD tangents carry an O(grid^2) truncation error on curved patches
         assert rep.max_dWdt_defect < 5e-4
@@ -353,19 +350,19 @@ class TestPatches:
     def test_perturbed_pullback_patch_recorded(self, phi_perturbed, tilt_E0):
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
-        patch = build_patch(fr, x0, 0.03, 7, spec=SPEC)
+        patch = build_patch(fr, x0, 0.03, 7, STEP)
         rep = tangency_report(patch, fr, fr)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
-        patch2 = build_patch(fr, x0, 0.03, 7, spec=FlowSpec(step=5e-4))
+        patch2 = build_patch(fr, x0, 0.03, 7, 5e-4)
         rep2 = tangency_report(patch2, fr, fr)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
     @pytest.mark.parametrize("order", ["xy", "yx"])
     def test_stacked_patch_equals_row_by_row(self, phi_perturbed, order):
         x0 = IN_SUPPORT
-        patch = build_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, spec=SPEC, order=order)
-        ref = reference_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, SPEC.step, order)
+        patch = build_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, STEP, order=order)
+        ref = reference_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, STEP, order)
         assert patch.points.tobytes() == ref.tobytes()
         # the shear bends the patch: its nodes are off the plane through x0
         assert planarity_defect(patch) > 1e-7
@@ -376,12 +373,11 @@ class TestPatches:
         u = np.array([0.6, 0.0, 0.8])
         seeds = [IN_SUPPORT, IN_SUPPORT, IN_SUPPORT + 1e-3 * u, IN_SUPPORT + 5e-4 * u]
         orders = ("xy", "yx", "yx", "xy")
-        chart = ChartBox(center=IN_SUPPORT.copy())
         frame = PullbackFrame(phi_perturbed, 10)
-        stacked = _build_patches([frame] * 4, seeds, orders, 0.02, 5, SPEC, chart)
+        stacked = _build_patches([frame] * 4, seeds, orders, 0.02, 5, STEP)
         for patch, x0, order in zip(stacked, seeds, orders):
             fresh = PullbackFrame(phi_perturbed, 10)
-            alone = build_patch(fresh, x0, 0.02, 5, spec=SPEC, order=order)
+            alone = build_patch(fresh, x0, 0.02, 5, STEP, order=order)
             assert patch.points.tobytes() == alone.points.tobytes()
             assert patch.points[2, 2].tobytes() == alone.points[2, 2].tobytes() == x0.tobytes()
 
@@ -392,18 +388,16 @@ class TestPatches:
         E0 = tilt_E0 if field else None
         ks = [1, 2, 4]
         frames = [PullbackFrame(phi_perturbed, k, E0=E0) for k in ks]
-        chart = ChartBox(center=IN_SUPPORT.copy())
-        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart)
+        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
         for patch, k in zip(stacked, ks):
             fresh = PullbackFrame(phi_perturbed, k, E0=E0)
-            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, spec=SPEC)
+            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, STEP)
             assert patch.points.tobytes() == alone.points.tobytes()
 
     def test_stacked_depths_one_kernel_call_per_stage(self, phi_perturbed, tilt_E0, monkeypatch):
         calls = counting_kernel(monkeypatch)
         frames = [PullbackFrame(phi_perturbed, k, E0=tilt_E0) for k in (1, 2, 3)]
-        chart = ChartBox(center=IN_SUPPORT.copy())
-        _build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, FlowSpec(step=4e-3), chart)
+        _build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, 4e-3)
         # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
         # spines, then all rows, both sides of a gap in one stack, and every
         # stage pulls back the three depths together. Both sides of the
@@ -422,7 +416,7 @@ class TestPatches:
                 sizes.append(len(P))
                 return np.tile([0.2, -0.3], (len(P), 1))
 
-        build_patch(Counting(), np.zeros(3), 0.02, 5, spec=FlowSpec(step=4e-3))
+        build_patch(Counting(), np.zeros(3), 0.02, 5, 4e-3)
         # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
         # spine, then all rows, both sides of a gap in one stack
         assert sizes == [2] * 24 + [10] * 24
@@ -432,44 +426,44 @@ class TestPatches:
         # in the grid makes the + side take 11, 11, 10 steps per gap and the
         # - side 10, 10, 11, and both sides step in one stack
         grid = np.linspace(-0.03, 0.03, 7)
-        assert [math.ceil(abs(grid[i] - grid[i - 1]) / SPEC.step) for i in (4, 5, 6)] == [11, 11, 10]
-        assert [math.ceil(abs(grid[i] - grid[i + 1]) / SPEC.step) for i in (2, 1, 0)] == [10, 10, 11]
+        assert [math.ceil(abs(grid[i] - grid[i - 1]) / STEP) for i in (4, 5, 6)] == [11, 11, 10]
+        assert [math.ceil(abs(grid[i] - grid[i + 1]) / STEP) for i in (2, 1, 0)] == [10, 10, 11]
         seeds = [IN_SUPPORT, IN_SUPPORT + np.array([1e-3, 0.0, 0.0])]
         orders = ("xy", "yx")
-        chart = ChartBox(center=IN_SUPPORT.copy())
         frame = PullbackFrame(phi_perturbed, 10)
-        stacked = _build_patches([frame] * 2, seeds, orders, 0.03, 7, SPEC, chart)
+        stacked = _build_patches([frame] * 2, seeds, orders, 0.03, 7, STEP)
         for patch, x0, order in zip(stacked, seeds, orders):
-            ref = per_side_patch(PullbackFrame(phi_perturbed, 10), x0, 0.03, 7, SPEC, order)
+            ref = per_side_patch(PullbackFrame(phi_perturbed, 10), x0, 0.03, 7, STEP, order)
             assert patch.points.tobytes() == ref.tobytes()
 
     def test_chart_exit_earlier_minus_side_reported_first(self):
-        # X = e1 + 2 e3 from x3 = -0.1: in the second gap the - side rows
-        # leave the 0.45 box at t = -0.175, before the + side rows, which
-        # would leave at t = 0.275; the spines (along e2) stay inside
+        # X = e1 + 2 (1 - x3) e3 from the chart centre 0: x3 = 1 - exp(-2 t),
+        # so in the second gap the - side rows leave the 0.45 box at
+        # t = -ln(1.45) / 2 = -0.186, before the + side rows, which would
+        # leave at t = -ln(0.55) / 2 = 0.299; the spines (along e2) stay inside
         step = 1e-2
-        fr = constant_frame(2.0, 0.0)
-        chart = ChartBox(center=np.zeros(3))
+        fr = AnalyticFrame(lambda p: 2.0 * (1.0 - p[2]), lambda p: 0.0)
         with pytest.raises(ChartExitError, match="patch xy left") as ei:
-            build_patch(fr, np.array([0.0, 0.0, -0.1]), 0.3, 5, spec=FlowSpec(step), chart=chart)
-        assert ei.value.exit_time == pytest.approx(-0.175, abs=step)
+            build_patch(fr, np.zeros(3), 0.3, 5, step)
+        assert ei.value.exit_time == pytest.approx(-math.log(1.45) / 2, abs=step)
+        assert ei.value.exit_time < 0
 
     def test_chart_exit_suggests_epsilon(self):
+        # the spine along e2 passes the 0.45 box before reaching s = 0.5
         fr = constant_frame(0.0, 0.0)
-        chart = ChartBox(center=np.zeros(3), halfwidth=0.02)
-        with pytest.raises(ChartExitError):
-            build_patch(fr, np.zeros(3), 0.05, 7, spec=SPEC, chart=chart)
+        with pytest.raises(ChartExitError, match="reduce epsilon"):
+            build_patch(fr, np.zeros(3), 0.5, 7, STEP)
 
 
 class TestPushforward:
     def test_norm_identity_constant(self):
-        lhs, rhs, rel, _ = pushforward_norm_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, SPEC)
+        lhs, rhs, rel, _ = pushforward_norm_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, STEP)
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_identity_exponential(self):
         lhs, rhs, rel, _ = pushforward_norm_identity(
-            exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2, SPEC
+            exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2, STEP
         )
         assert lhs == pytest.approx(np.exp(0.2), abs=1e-5)
         assert rhs == pytest.approx(np.exp(0.2), abs=1e-5)
@@ -477,7 +471,7 @@ class TestPushforward:
 
     def test_norm_identity_contact(self):
         for t in (0.1, 0.25):
-            lhs, rhs, rel, _ = pushforward_norm_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, SPEC)
+            lhs, rhs, rel, _ = pushforward_norm_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, STEP)
             assert lhs == pytest.approx(1.0, abs=1e-10)
             assert rhs == pytest.approx(1.0, abs=1e-10)
 
@@ -491,19 +485,19 @@ class TestPushforward:
         x = np.array([0.3, 0.4, 0.5])
         bs = bracket_coefficient(fr, x)
         assert bs.resolved and bs.c == pytest.approx(-0.5, rel=1e-9)
-        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, x, 0.05, SPEC)
+        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, x, 0.05, STEP)
         assert resolved and rel < 1e-12
 
     def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
         calls = counting_kernel(monkeypatch)
-        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 2)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
+        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 2)], IN_SUPPORT[None], 0.005, STEP, 1e-6)
         # 5 backward RK4 steps of 4 stages: each stage pulls back its whole
         # gradient stencil, centre first, and Y is read at the preimage
         assert load[0] < 0.5 and [rows for rows, _ in calls] == [7] * 20 + [1]
         calls.clear()
         # the depth-20 frame's load passes the budget at the first stage, so
         # its row leaves the pass there and Y is not read
-        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 20)], IN_SUPPORT[None], 0.005, SPEC, 1e-6)
+        _, load, _, _ = _pushforwards([PullbackFrame(phi_perturbed, 20)], IN_SUPPORT[None], 0.005, STEP, 1e-6)
         assert load[0] >= 0.5 and [rows for rows, _ in calls] == [7]
 
     def test_stopped_row_leaves_a_mixed_stack(self, phi_perturbed, monkeypatch):
@@ -516,12 +510,12 @@ class TestPushforward:
         X = np.array([IN_SUPPORT, IN_SUPPORT, [0.1, 0.4, 0.7]])
         frames = [PullbackFrame(phi_perturbed, 20), PullbackFrame(phi_perturbed, 2), curved]
         calls = counting_kernel(monkeypatch)
-        vec, load, q, m3 = _pushforwards(frames, X, 0.005, SPEC, 1e-6)
+        vec, load, q, m3 = _pushforwards(frames, X, 0.005, STEP, 1e-6)
         assert load[0] >= 0.5 and np.isnan(vec[0]).all() and np.isnan(q[0]) and np.isnan(m3[0])
         assert calls[0] == (14, [2, 20])
         assert calls[1:] == [(7, [2])] * 19 + [(1, [2])]
         for n, fr in ((1, PullbackFrame(phi_perturbed, 2)), (2, curved)):
-            one = _pushforwards([fr], X[n : n + 1], 0.005, SPEC, 1e-6)
+            one = _pushforwards([fr], X[n : n + 1], 0.005, STEP, 1e-6)
             assert one[1][0] < 0.5
             assert [a[n : n + 1].tobytes() for a in (vec, load, q, m3)] == [a.tobytes() for a in one]
 
@@ -533,10 +527,10 @@ class TestPushforward:
         # reference's, bit for bit
         calls = counting_kernel(monkeypatch)
         fr = PullbackFrame(phi_perturbed, k)
-        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, IN_SUPPORT, 0.004, SPEC)
+        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, IN_SUPPORT, 0.004, STEP)
         assert [rows for rows, _ in calls] == [7] * 16
         fresh = PullbackFrame(phi_perturbed, k)
-        w, load, q = transport_reference(fresh, IN_SUPPORT, 0.004, SPEC.step, v=[0.0, 0.0, 1.0])
+        w, load, q = transport_reference(fresh, IN_SUPPORT, 0.004, STEP, v=[0.0, 0.0, 1.0])
         assert (lhs, rhs) == (np.linalg.norm(w), np.exp(q))
         assert rel == abs(lhs - rhs) / rhs and resolved is bool(load < 0.5)
 
@@ -561,10 +555,10 @@ class TestPushforward:
             a_up, a_down = fr.coefficients(np.array([p + [0.0, 0.0, h], p - [0.0, 0.0, h]]))[:, 0]
             return np.concatenate([-fr.X(p), [(a_up - a_down) / (2 * h)]])
 
-        S = rk4_point(g, np.concatenate([x, [0.0]]), t, SPEC.step)
-        _, rhs, _, _ = pushforward_norm_identity(fr, x, t, SPEC)
+        S = rk4_point(g, np.concatenate([x, [0.0]]), t, STEP)
+        _, rhs, _, _ = pushforward_norm_identity(fr, x, t, STEP)
         assert rhs == float(np.exp(S[3]))
-        assert S[:3].tobytes() == flow(fr.X, x, -t, SPEC).tobytes()
+        assert S[:3].tobytes() == flow(fr.X, x, -t, STEP).tobytes()
 
     def test_off_diagonal_oracles_one_stack(self):
         # a = x1 and a = x2: m = (-tau, 0, 1) and (0, -tau, 1), so the
@@ -572,9 +566,9 @@ class TestPushforward:
         frames = [AnalyticFrame(lambda p: p[0], lambda p: 0.0), AnalyticFrame(lambda p: p[1], lambda p: 0.0)]
         X = np.array([[0.1, 0.2, 0.3], [0.6, -0.2, 0.05]])
         t = 0.2
-        vec, load, q, m3 = _pushforwards(frames, X, t, SPEC, 1e-6, V=np.eye(3)[:2])
+        vec, load, q, m3 = _pushforwards(frames, X, t, STEP, 1e-6, V=np.eye(3)[:2])
         assert np.allclose(vec, [[1.0, 0.0, t], [0.0, 1.0, t]], rtol=0.0, atol=1e-12)
-        assert np.allclose(load, SPEC.step, rtol=1e-9) and np.all(q == 0.0) and np.all(m3 == 1.0)
+        assert np.allclose(load, STEP, rtol=1e-9) and np.all(q == 0.0) and np.all(m3 == 1.0)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_backward_pass_agrees_with_forward_transport(self, phi_perturbed, k):
@@ -583,12 +577,12 @@ class TestPushforward:
         # identity's lhs, at depths 1 to 10 in the support
         fr = PullbackFrame(phi_perturbed, k)
         x, t = np.array([0.02, 0.52, 0.47]), 0.004
-        vec, load, _, _ = _pushforwards([fr], x[None], t, SPEC, 1e-6)
+        vec, load, _, _ = _pushforwards([fr], x[None], t, STEP, 1e-6)
         assert load[0] < 0.5
-        want = forward_transport(fr, x, t, SPEC.step)
+        want = forward_transport(fr, x, t, STEP)
         assert np.linalg.norm(vec[0] - want) <= 1e-6 * np.linalg.norm(want)
-        lhs, *_ = pushforward_norm_identity(fr, x, t, SPEC)
-        e3 = forward_transport(fr, x, t, SPEC.step, v=np.array([0.0, 0.0, 1.0]))
+        lhs, *_ = pushforward_norm_identity(fr, x, t, STEP)
+        e3 = forward_transport(fr, x, t, STEP, v=np.array([0.0, 0.0, 1.0]))
         assert lhs == pytest.approx(np.linalg.norm(e3), rel=1e-6)
 
     def test_stacked_transport_rows_bitwise_reference(self):
@@ -601,9 +595,9 @@ class TestPushforward:
         )
         rng = np.random.default_rng(12)
         X, V = rng.uniform(0.0, 1.0, (200, 3)), rng.standard_normal((200, 3))
-        vec, load, q, _ = _pushforwards([fr] * 200, X, 0.02, SPEC, 1e-6, V=V)
+        vec, load, q, _ = _pushforwards([fr] * 200, X, 0.02, STEP, 1e-6, V=V)
         for x, v, got, L, Q in zip(X, V, vec, load, q):
-            w, want, integral = transport_reference(fr, x, 0.02, SPEC.step, v=v)
+            w, want, integral = transport_reference(fr, x, 0.02, STEP, v=v)
             assert got.tobytes() == w.tobytes() and L == want and Q == integral
 
     @pytest.mark.parametrize("field", [None, "tilt"])
@@ -611,21 +605,21 @@ class TestPushforward:
         E0 = tilt_E0 if field else None
         ks, t = [1, 2, 3], 0.004
         calls = counting_kernel(monkeypatch)
-        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
+        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, STEP)
         # the depths at h and at h/2 step as one stack: one kernel call per
         # backward RK4 stage of the h/2 rows (8 steps; the h rows take their
         # 4 in the first 16 stages) and one for Y at all the preimages
         assert len(calls) == 32 + 1
         for k, value, resolved in zip(ks, ser.values, ser.resolved):
             fr = PullbackFrame(phi_perturbed, k, E0=E0)
-            w, load, _ = transport_reference(fr, IN_SUPPORT, t, SPEC.step)
-            w2, load2, _ = transport_reference(fr, IN_SUPPORT, t, SPEC.step / 2)
+            w, load, _ = transport_reference(fr, IN_SUPPORT, t, STEP)
+            w2, load2, _ = transport_reference(fr, IN_SUPPORT, t, STEP / 2)
             want = np.linalg.norm(w - fr.Y(IN_SUPPORT))
             want2 = np.linalg.norm(w2 - fr.Y(IN_SUPPORT))
             assert np.float64(value).tobytes() == want.tobytes()
             agree = abs(want - want2) <= max(0.25 * max(want, want2), 1e-9)
             assert resolved is bool(load < 0.5 and load2 < 0.5 and agree)
-            vec, row_load, _, _ = _pushforwards([fr], IN_SUPPORT[None], t, SPEC, 1e-6)
+            vec, row_load, _, _ = _pushforwards([fr], IN_SUPPORT[None], t, STEP, 1e-6)
             assert vec[0].tobytes() == w.tobytes() and row_load[0] == load
         assert max(ser.values) > 0
 
@@ -638,11 +632,11 @@ class TestPushforward:
         counted = AnalyticFrame(None, None)
         counted.coefficients = lambda P: sizes.append(len(P)) or curved.coefficients(P)
         X = np.array([[0.1, 0.4, 0.7], [0.1, 0.4, 0.7]])
-        steps = np.array([SPEC.step, SPEC.step / 2])
-        got = _pushforwards([counted] * 2, X, 0.004, FlowSpec(step=steps), 1e-6)
+        steps = np.array([STEP, STEP / 2])
+        got = _pushforwards([counted] * 2, X, 0.004, steps, 1e-6)
         assert sizes == [14] * 16 + [7] * 16 + [2]
         for n, h in enumerate(steps):
-            one = _pushforwards([curved], X[n : n + 1], 0.004, FlowSpec(step=h), 1e-6)
+            one = _pushforwards([curved], X[n : n + 1], 0.004, h, 1e-6)
             assert [a[n : n + 1].tobytes() for a in got] == [a.tobytes() for a in one]
 
     @pytest.mark.parametrize("field", [None, "tilt"])
@@ -653,12 +647,12 @@ class TestPushforward:
         # depth-20 row that the pass stops
         E0 = tilt_E0 if field else None
         ks, t = [1, 2, 3, 20], 0.004
-        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
+        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, STEP)
 
         def bits(entry):
             return [None if v is None else np.float64(v).tobytes() for v in entry[:3]] + [entry[3]]
 
-        want = [pushforward_norm_identity(PullbackFrame(phi_perturbed, k, E0=E0), IN_SUPPORT, t, SPEC) for k in ks]
+        want = [pushforward_norm_identity(PullbackFrame(phi_perturbed, k, E0=E0), IN_SUPPORT, t, STEP) for k in ks]
         assert [bits(e) for e in ser.growth_identity] == [bits(e) for e in want]
         assert [e[3] for e in want] == [True, True, True, False] and want[3][:3] == (None, None, None)
 
@@ -670,14 +664,13 @@ class TestPushforward:
         E0 = tilt_E0 if field else None
         ks, t = [1, 2, 4], 0.004
         used = pullback_frames(phi_perturbed, ks, E0)
-        chart = ChartBox(center=IN_SUPPORT.copy())
-        _build_patches([fr for _, fr in used], [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, SPEC, chart)
+        _build_patches([fr for _, fr in used], [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
         assert all(IN_SUPPORT.tobytes() in fr._cache for _, fr in used)
         calls = counting_kernel(monkeypatch)
-        ser = pushforward_convergence_series(used, IN_SUPPORT, t, SPEC)
+        ser = pushforward_convergence_series(used, IN_SUPPORT, t, STEP)
         rows_used = sum(rows for rows, _ in calls)
         calls.clear()
-        fresh = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, SPEC)
+        fresh = pushforward_convergence_series(pullback_frames(phi_perturbed, ks, E0), IN_SUPPORT, t, STEP)
         assert ser.ks == fresh.ks == tuple(ks)
         assert np.array(ser.values).tobytes() == np.array(fresh.values).tobytes()
         assert ser.resolved == fresh.resolved
@@ -687,8 +680,8 @@ class TestPushforward:
         # the depth-20 transport passes the load budget at the step: its
         # entry has no value and is unresolved, and the depth-2 entry is its
         # own one-depth series'
-        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, [2, 20]), IN_SUPPORT, 0.005, SPEC)
-        one = pushforward_convergence_series(pullback_frames(phi_perturbed, [2]), IN_SUPPORT, 0.005, SPEC)
+        ser = pushforward_convergence_series(pullback_frames(phi_perturbed, [2, 20]), IN_SUPPORT, 0.005, STEP)
+        one = pushforward_convergence_series(pullback_frames(phi_perturbed, [2]), IN_SUPPORT, 0.005, STEP)
         assert ser.values[1] is None and ser.resolved[1] is False
         assert np.float64(ser.values[0]).tobytes() == np.float64(one.values[0]).tobytes()
         assert ser.resolved[0] is one.resolved[0] is True
@@ -699,19 +692,19 @@ class TestPushforward:
         fr = contact_frame()
         x = np.array([0.4, 0.1, 0.2])
         t = 0.15
-        vec = _pushforwards([fr], x[None], t, SPEC, 1e-6)[0][0]
+        vec = _pushforwards([fr], x[None], t, STEP, 1e-6)[0][0]
         assert np.allclose(vec, [0.0, 1.0, x[0] - t], atol=1e-10)
         assert np.linalg.norm(vec - fr.Y(x)) == pytest.approx(t, abs=1e-10)
 
     def test_series_zero_for_linear_involutive(self, phi_linear):
         frames = pullback_frames(phi_linear, [1, 3, 5, 8])
-        ser = pushforward_convergence_series(frames, np.zeros(3), 0.05, SPEC)
+        ser = pushforward_convergence_series(frames, np.zeros(3), 0.05, STEP)
         assert all(ser.resolved)
         assert max(ser.values) < 1e-9
 
     def test_series_decays_for_tilt_initial(self, phi_linear, tilt_E0):
         ser = pushforward_convergence_series(
-            pullback_frames(phi_linear, [1, 2, 3, 4], tilt_E0), np.zeros(3), 0.01, FlowSpec(step=2.5e-4),
+            pullback_frames(phi_linear, [1, 2, 3, 4], tilt_E0), np.zeros(3), 0.01, 2.5e-4,
             grad_h=1e-9,
         )
         vals = [v for (_, v) in ser.resolved_values()]
@@ -724,7 +717,7 @@ class TestTangencySeries:
         # every node's angles, tangent norms and dW/dt defect, one node at a time
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         limit = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
-        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, spec=SPEC)
+        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, STEP)
         rep = tangency_report(patch, fr, limit)
         P, d = patch.points, patch.grid_spacing()
         own, lim, norms, defects = [], [], [], []
@@ -755,7 +748,7 @@ class TestTangencySeries:
         from conftest import SLOW_PLANE_COEFFS
 
         fr = constant_frame(*SLOW_PLANE_COEFFS)
-        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, spec=SPEC)
+        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, STEP)
         eigen = constant_frame(*adapted_coefficients(slow_plane.basis[:, :, None])[0])
         rep = tangency_report(patch, fr, eigen)
         assert rep.max_angle_limit < 1e-8
@@ -768,7 +761,7 @@ class TestTangencySeries:
         maxima = []
         for k in range(1, 9):
             fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
-            patch = build_patch(fr, np.zeros(3), 0.02, 5, spec=FlowSpec(step=1e-3))
+            patch = build_patch(fr, np.zeros(3), 0.02, 5, 1e-3)
             rep = tangency_report(patch, fr, limit)
             maxima.append(rep.max_angle_limit)
         assert np.mean(maxima[4:]) < np.mean(maxima[:4])

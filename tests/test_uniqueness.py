@@ -4,11 +4,10 @@ import pytest
 from splitkit.errors import ChartExitError
 from splitkit.frames import AdaptedFrame, AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import Plane2
-from splitkit.surface import FlowSpec
 from splitkit.uniqueness import hartman_slice_report, leaf_divergence
 from conftest import counting_kernel
 
-SPEC = FlowSpec(step=1e-3)
+STEP = 1e-3
 
 
 def pullback_slice_frames(phi, k_max, k_ref):
@@ -57,7 +56,7 @@ class TestHartmanSlice:
 class TestLeafDivergence:
     def test_linear_frame(self):
         fr = constant_frame(0.2, -0.3)
-        leaf = leaf_divergence(fr, np.array([0.5, 0.5, 0.5]), 0.05, 7, 1e-4, spec=SPEC)
+        leaf = leaf_divergence(fr, np.array([0.5, 0.5, 0.5]), 0.05, 7, 1e-4, STEP)
         assert leaf.order_mismatch < 1e-9
         assert leaf.lipschitz == pytest.approx(1.0, abs=0.05)
         assert leaf.stability < 0.10
@@ -65,7 +64,7 @@ class TestLeafDivergence:
     def test_contact_frame_closed_forms(self):
         eps = 0.05
         fr = contact_frame()
-        leaf = leaf_divergence(fr, np.zeros(3), eps, 9, 1e-4, spec=SPEC)
+        leaf = leaf_divergence(fr, np.zeros(3), eps, 9, 1e-4, STEP)
         # commutator defect of the flows is (0, 0, t*s): max norm eps^2
         assert leaf.order_mismatch == pytest.approx(eps * eps, abs=1e-8)
         # seeds differing along e1 shear the patch by delta * sqrt(1 + s^2)
@@ -76,10 +75,10 @@ class TestLeafDivergence:
         # measure K on the contact family (|c| = 1), then check a frame with
         # a known bracket coefficient against K * |c| * eps^2 + integrator slack
         eps = 0.04
-        contact = leaf_divergence(contact_frame(), np.zeros(3), eps, 7, 1e-4, spec=SPEC)
+        contact = leaf_divergence(contact_frame(), np.zeros(3), eps, 7, 1e-4, STEP)
         K = contact.order_mismatch / (1.0 * eps * eps)
         fr = AnalyticFrame(lambda p: 0.0, lambda p: 0.5 * p[0])  # c = 0.5
-        leaf = leaf_divergence(fr, np.zeros(3), eps, 7, 1e-4, spec=SPEC)
+        leaf = leaf_divergence(fr, np.zeros(3), eps, 7, 1e-4, STEP)
         assert leaf.order_mismatch <= 1.1 * K * 0.5 * eps * eps + 1e-9
 
     def test_involutive_frame_no_mismatch(self):
@@ -87,7 +86,7 @@ class TestLeafDivergence:
             lambda p: 0.2 * np.cos(2 * np.pi * p[0]),
             lambda p: 0.3 * np.sin(2 * np.pi * p[1]),
         )
-        leaf = leaf_divergence(fr, np.array([0.4, 0.6, 0.5]), 0.04, 7, 1e-4, spec=SPEC)
+        leaf = leaf_divergence(fr, np.array([0.4, 0.6, 0.5]), 0.04, 7, 1e-4, STEP)
         assert leaf.order_mismatch < 1e-9
 
     def test_one_stack_of_four_seeds(self):
@@ -100,7 +99,7 @@ class TestLeafDivergence:
                     return 0.2, -0.3
                 return np.tile([0.2, -0.3], (len(P), 1))
 
-        leaf_divergence(Counting(), np.zeros(3), 0.02, 5, 1e-4, spec=FlowSpec(step=4e-3))
+        leaf_divergence(Counting(), np.zeros(3), 0.02, 5, 1e-4, 4e-3)
         # X at x0 gives the seed shift, one row; then (n - 1) / 2 gaps on each
         # side of 3 RK4 steps, 4 stages each: the four spines, then all 4 n
         # rows, both sides of a gap in one stack
@@ -112,7 +111,7 @@ class TestLeafDivergence:
         # the error names the first patch of the stack
         step = 1e-2
         with pytest.raises(ChartExitError, match="patch xy left") as ei:
-            leaf_divergence(constant_frame(0.0, 0.0), np.zeros(3), 0.5, 5, 1e-4, FlowSpec(step))
+            leaf_divergence(constant_frame(0.0, 0.0), np.zeros(3), 0.5, 5, 1e-4, step)
         assert ei.value.exit_time == pytest.approx(0.45, abs=step)
 
     def test_chart_exit_names_shifted_patch(self):
@@ -124,7 +123,7 @@ class TestLeafDivergence:
         plane = Plane2.spanned_by([1, 0, a], [0, 1, b])
         assert np.allclose(plane.orthonormal_basis()[:, 0], [1.0, 0.0, 0.0])
         with pytest.raises(ChartExitError, match="patch \\+delta left") as ei:
-            leaf_divergence(fr, np.zeros(3), 0.4, 5, 0.1, FlowSpec(step))
+            leaf_divergence(fr, np.zeros(3), 0.4, 5, 0.1, step)
         assert abs(ei.value.exit_time) == pytest.approx(0.35, abs=step)
 
 
