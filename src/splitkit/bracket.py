@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import Diffeo
-from .frames import AdaptedFrame, PullbackFrame, _jacobians
+from .frames import PullbackFrame, _jacobians
 from .geometry import _record
 from .splitting import _splitting_pass, fitted_rate
 
@@ -39,8 +39,10 @@ class BracketSample:
         return abs(self.c)
 
 
-def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSample:
-    """Centered-difference bracket coefficient with a validated error bar.
+def bracket_samples(frames, X, hs):
+    """Centered-difference bracket coefficients with validated error bars,
+    one ``BracketSample`` per frame, each at its row of the (N,3) stack X
+    and its step h, from one ``_jacobians`` call over all their ladders.
 
     Three step levels (h, h/2, h/4) are evaluated; the returned value is the
     finest one and the error estimate the usual extrapolation residual
@@ -50,13 +52,6 @@ def bracket_coefficient(frame: AdaptedFrame, x, h=DEFAULT_FD_STEP) -> BracketSam
     Nor does a value below the rounding error of its own differences count,
     however the three levels happen to line up.
     """
-    return _bracket_samples([frame], np.asarray(x, dtype=float)[None], [h])[0]
-
-
-def _bracket_samples(frames, X, hs):
-    """The samples of ``bracket_coefficient``, one per frame, each at its row
-    of the (N,3) stack X and its step h, from one ``_jacobians`` call over
-    all their ladders (h, h/2, h/4)."""
     steps = [h / d for h in hs for d in (1, 2, 4)]
     C, J = _jacobians([f for f in frames for _ in range(3)], np.repeat(X, 3, axis=0), steps)
     # c = X(b) - Y(a), with X = e1 + a e3 and Y = e2 + b e3
@@ -127,8 +122,9 @@ def bound_curves(
     k_max: int,
     h=DEFAULT_FD_STEP,
     E0=None,
-    k_plane=400,
-    k_line=600,
+    *,
+    k_plane: int,
+    k_line: int,
 ) -> list:
     """Per-depth bracket magnitude against the volume-ratio decay, one
     ``BoundCurve`` per row of the (N,3) stack ``points``.
@@ -160,7 +156,7 @@ def bound_curves(
     limit_frame = PullbackFrame(phi, k_plane, E0=E0)
     frames = [PullbackFrame(phi, k, E0=E0) for k in range(1, k_max + 1)] + [limit_frame] * 2
     h_ks = [[h * float(np.exp(-g.log_f[k - 1])) for k in range(1, k_max + 1)] for g in growth]
-    samples = _bracket_samples(
+    samples = bracket_samples(
         frames * len(X),
         np.repeat(X, len(frames), axis=0),
         [s for hs in h_ks for s in hs + [h, h / 10]],

@@ -189,7 +189,7 @@ def cmd_splitting(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunT
 
 
 def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
-    from .bracket import _bracket_samples, bound_curves
+    from .bracket import bound_curves, bracket_samples
 
     pts = cfg.sample_points()
     rows = []
@@ -197,7 +197,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
     synthetic = cfg.build_synthetic_frame()
     if synthetic is not None:
         X = np.array(pts, dtype=float)
-        for x, bs in zip(X, _bracket_samples([synthetic] * len(X), X, [cfg.h] * len(X))):
+        for x, bs in zip(X, bracket_samples([synthetic] * len(X), X, [cfg.h] * len(X))):
             rows.append((*x.tolist(), 0, cfg.h, bs.c, bs.norm, "", ""))
     with timer.time("bracket"):
         curves = bound_curves(
@@ -236,7 +236,7 @@ def cmd_bracket(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
 
 def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTimer) -> dict:
     from .frames import PullbackFrame, coefficient_grid_rows
-    from .surface import _build_patches, pushforward_convergence_series, tangency_report
+    from .surface import build_patches, pushforward_convergence_series, tangency_report
 
     x0 = cfg.sample_points()[0]
     E0 = cfg.initial_plane()
@@ -246,7 +246,7 @@ def cmd_surface(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: RunTim
     per_k = []
     with timer.time("surface"):
         # the patches of all depths, as one stack
-        patches = _build_patches(
+        patches = build_patches(
             [frame for _, frame in frames],
             [x0] * len(frames),
             ["xy"] * len(frames),
@@ -306,7 +306,7 @@ def cmd_uniqueness(cfg: ExperimentConfig, phi: Diffeo, out_dir: Path, timer: Run
     with timer.time("uniqueness"):
         # the slow plane converges at the (possibly mild) domination gap, so
         # the reference frame must sit far beyond the reported depths
-        frames = [(k, PullbackFrame(phi, k, E0=E0)) for k in range(1, cfg.k_max + 1)]
+        frames = [PullbackFrame(phi, k, E0=E0) for k in range(1, cfg.k_max + 1)]
         limit = PullbackFrame(phi, max(200, 2 * cfg.k_max), E0=E0)
         hart = hartman_slice_report(frames, limit, cfg.slice_x2, grid_n=cfg.grid_n, h=cfg.h)
         frame = PullbackFrame(phi, cfg.k_leaf, E0=E0)

@@ -233,8 +233,9 @@ def domination_report(
     sample_points,
     k_max: int,
     E0=None,
-    k_plane=400,
-    k_line=600,
+    *,
+    k_plane: int,
+    k_line: int,
 ) -> DominationReport:
     """Ratio tables and eventual-domination verdicts over a list of points.
 

@@ -18,7 +18,6 @@ from .errors import ChartExitError
 from .frames import AdaptedFrame, _coefficients, _graph_field_of, _graph_vectors, _jacobians
 from .geometry import _record, _row_norms, check_spans, plane_angles
 
-DEFAULT_STEP = 1e-3
 DEFAULT_GRAD_H = 1e-6  # FD step of the coefficient gradient in the variational equation
 MAX_STEP_LOAD = 0.5  # largest |grad(a)| dt at which the explicit transport counts as resolved
 CHART_HALFWIDTH = 0.45  # of the lifted-coordinate box a patch's flows must stay in
@@ -118,17 +117,20 @@ def _sweep(frames, which, starts, grid, i0, step, center, names):
     return out
 
 
-def _build_patches(frames, seeds, orders, epsilon, n, step, names=None):
-    """Patches at several seeds, each of its own frame and in its own flow
-    order, integrated as one stack.
+def build_patches(frames, seeds, orders, epsilon, n, step, names=None):
+    """Grids of W(t, s) over (-eps, eps)^2 at several seeds, each of its own
+    frame and in its own flow order, integrated as one stack.
 
-    The spines of all seeds flow together first (one row per seed and
-    side), then all n rows of every patch (n per seed and side), so each RK4
-    stage is one ``_coefficients`` call, and one kernel call for the
-    pullback frames of all depths. Rows of a stack are bitwise independent, so each patch
-    equals the one built from its seed and frame alone. Every flow must stay
-    in the chart around the first seed; ``names`` label the patches in a
-    chart-exit error (default: their orders).
+    Order "xy" is W(t, s) = X-flow_t . Y-flow_s (seed); "yx" composes the
+    flows the other way round and exists for the commutator-defect
+    diagnostic only. The spines of all seeds flow together first (one row
+    per seed and side), then all n rows of every patch (n per seed and
+    side), so each RK4 stage is one ``_coefficients`` call, and one kernel
+    call for the pullback frames of all depths. Rows of a stack are bitwise
+    independent, so each patch equals the one built from its seed and frame
+    alone. Every flow must stay in the chart around the first seed;
+    ``names`` label the patches in a chart-exit error (default: their
+    orders).
     """
     if n < 3:
         raise ValueError("grid needs n >= 3 for interior finite differences")
@@ -153,22 +155,6 @@ def _build_patches(frames, seeds, orders, epsilon, n, step, names=None):
     points = rows.reshape(len(seeds), n, n, 3)
     points[xy] = points[xy].swapaxes(1, 2)
     return [SurfacePatch(epsilon=epsilon, n=n, ts=ts, ss=ss, points=P) for P in points]
-
-
-def build_patch(
-    frame: AdaptedFrame,
-    x0,
-    epsilon: float,
-    n: int,
-    step=DEFAULT_STEP,
-    order: str = "xy",
-) -> SurfacePatch:
-    """Grid of W(t, s) = X-flow_t . Y-flow_s (x0) over (-eps, eps)^2.
-
-    ``order="yx"`` composes the flows the other way round; it exists for the
-    commutator-defect diagnostic only.  One seed of ``_build_patches``.
-    """
-    return _build_patches([frame], [x0], (order,), epsilon, n, step)[0]
 
 
 @_record
@@ -278,34 +264,6 @@ def _pushforwards(frames, X, t, step, grad_h, V=None):
     return vec, load, q, m3
 
 
-def _growth_identities(q, m3, load):
-    """(lhs, rhs, relative error, resolved) of the vertical-growth identity
-    per ``_pushforwards`` row: lhs = ||(X-flow_t)_* e3|| = 1/|m3| and rhs =
-    exp(q), or None numbers, unresolved, where the pass stopped the row."""
-    rows = zip(np.abs(1.0 / m3).tolist(), np.exp(q).tolist(), load < MAX_STEP_LOAD)
-    return tuple(
-        (lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300), True) if inside else (None, None, None, False)
-        for lhs, rhs, inside in rows
-    )
-
-
-def pushforward_norm_identity(frame: AdaptedFrame, x, t, step):
-    """Both sides of the growth formula for the vertical direction under the X-flow.
-
-    lhs: norm of the pushforward of e3 by the time-t X-flow at x.
-    rhs: exp of the integral of da/dx3 along the backward X-trajectory of x.
-    Returns (lhs, rhs, relative error, resolved) of one ``_pushforwards``
-    row (``_growth_identities``); V = e3, so no Y is read.
-
-    The identity holds for every C^1 graph frame, integrable or not: along
-    the one trajectory the pass integrates m3' = -a3 m3 and q' = a3, so
-    lhs = 1/|m3| = exp(q) = rhs. It checks the transport, not the field.
-    """
-    X = np.asarray(x, dtype=float)[None]
-    _, load, q, m3 = _pushforwards([frame], X, t, step, DEFAULT_GRAD_H, V=np.array([[0.0, 0.0, 1.0]]))
-    return _growth_identities(q, m3, load)[0]
-
-
 @_record
 class PushforwardSeries:
     ks: tuple
@@ -329,8 +287,15 @@ def pushforward_convergence_series(
     the frames. An entry whose transport at the step passes the budget is
     stopped there, and its value is None. The transports of all frames at
     the step and at half of it are one stack of 2N rows, one step per row,
-    each bitwise the frame's own one-row pass; the step rows also give each
-    frame's vertical-growth identity (``_growth_identities``).
+    each bitwise the frame's own one-row pass.
+
+    The step rows also give each frame's vertical-growth identity: lhs =
+    ||(X-flow_t)_* e3|| = 1/|m3| at x0 and rhs = exp(q), the exp of the
+    integral of da/dx3 along the backward X-trajectory, with their relative
+    error, or None numbers, unresolved, where the pass stopped the row. It
+    holds for every C^1 graph frame, integrable or not: the pass integrates
+    m3' = -a3 m3 and q' = a3, so 1/|m3| = exp(q). It checks the transport,
+    not the field.
     """
     x0 = np.asarray(x0, dtype=float)
     ks = tuple(k for k, _ in frames)
@@ -346,5 +311,8 @@ def pushforward_convergence_series(
     inside, halved_inside = np.split(load < MAX_STEP_LOAD, 2)  # the rows the pass did not stop
     flags = inside & halved_inside & agree
     values = tuple(float(v) if i else None for v, i in zip(vals, inside))
-    identity = _growth_identities(q[:N], m3[:N], load[:N])
+    identity = tuple(
+        (lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300), True) if i else (None, None, None, False)
+        for lhs, rhs, i in zip(np.abs(1.0 / m3[:N]).tolist(), np.exp(q[:N]).tolist(), inside)
+    )
     return PushforwardSeries(ks=ks, values=values, resolved=tuple(flags.tolist()), growth_identity=identity)

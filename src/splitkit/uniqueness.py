@@ -13,7 +13,7 @@ import numpy as np
 
 from .frames import AdaptedFrame, _coefficients, _graph_vectors, _jacobians
 from .geometry import _record
-from .surface import SurfacePatch, _build_patches
+from .surface import SurfacePatch, build_patches
 
 # slack of the two-step decrease test on the slice distances
 DECREASE_SLACK = 1e-9
@@ -41,7 +41,7 @@ def hartman_slice_report(
 ) -> HartmanData:
     """Certificate data for a family of frames on the slice x2 = const.
 
-    ``frames`` is a sequence of (k, AdaptedFrame).  The verdict reports what
+    ``frames`` are AdaptedFrames by increasing k.  The verdict reports what
     was measured: finiteness of the transversal-derivative sups and sup-norm
     distances to the limit coefficient that do not increase with k.
     """
@@ -50,7 +50,7 @@ def hartman_slice_report(
     grid = np.array([[xv, slice_x2, zv] for xv in xs for zv in zs])
     a_lim = _coefficients([limit_frame] * len(grid), grid)[:, 0]
     # every frame on the grid, with its x3 difference, from one call
-    row_frames = [frame for _, frame in frames for _ in grid]
+    row_frames = [frame for frame in frames for _ in grid]
     C, J = _jacobians(row_frames, np.tile(grid, (len(frames), 1)), h, axes=(2,))
     shape = (len(frames), len(grid))
     sup_d = np.max(np.abs(J[:, 0, 0].reshape(shape)), axis=1).tolist()
@@ -100,7 +100,7 @@ def leaf_divergence(
     (X,) = _graph_vectors(_coefficients([frame], x0), 0)
     u = X / np.linalg.norm(X)
     half = delta / 2
-    p_xy, p_yx, p_delta, p_half = _build_patches(
+    p_xy, p_yx, p_delta, p_half = build_patches(
         [frame] * 4,
         [x0, x0, x0 + delta * u, x0 + half * u],
         ("xy", "yx", "xy", "xy"),

@@ -19,18 +19,12 @@ import time
 import numpy as np
 
 from splitkit import PAPER_MATRIX, Diffeo
-from splitkit.bracket import bound_curves, bracket_coefficient
+from splitkit.bracket import bound_curves, bracket_samples
 from splitkit.cli import QUOTED_EIGENVALUES, cmd_paper_example
 from splitkit.dynamics import _pullback_bases
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from splitkit.geometry import Plane2, exterior_square, principal_angle
-from splitkit.surface import (
-    build_patch,
-    flow,
-    planarity_defect,
-    pushforward_convergence_series,
-    pushforward_norm_identity,
-)
+from splitkit.surface import build_patches, flow, planarity_defect, pushforward_convergence_series
 from splitkit.uniqueness import hartman_slice_report, leaf_divergence
 from conftest import FIXED_EXACT, SHEAR, tilt_plane_field
 from splitkit.dynamics import ShearPerturbation, ToralAutomorphism
@@ -180,13 +174,13 @@ def test_criterion_04_exterior_square():
 
 
 def test_criterion_05_bracket_oracle():
-    contact = bracket_coefficient(contact_frame(), np.array([0.2, 0.5, 0.7]), h=1e-4)
-    const = bracket_coefficient(constant_frame(0.7, -1.3), np.array([0.3, 0.3, 0.3]), h=1e-4)
+    contact = bracket_samples([contact_frame()], [np.array([0.2, 0.5, 0.7])], [1e-4])[0]
+    const = bracket_samples([constant_frame(0.7, -1.3)], [np.array([0.3, 0.3, 0.3])], [1e-4])[0]
     smooth = AnalyticFrame(
         lambda p: 0.3 * np.sin(2 * np.pi * p[2]) * np.cos(2 * np.pi * p[0]),
         lambda p: 0.2 * np.cos(2 * np.pi * p[1]) + 0.1 * np.sin(2 * np.pi * p[2]),
     )
-    order = bracket_coefficient(smooth, np.array([0.12, 0.37, 0.81]), h=2e-3)
+    order = bracket_samples([smooth], [np.array([0.12, 0.37, 0.81])], [2e-3])[0]
     ok = (
         abs(contact.c - 1.0) <= 1e-8
         and abs(const.c) <= 1e-12
@@ -246,19 +240,18 @@ def test_criterion_08_surface_machinery():
     order_ok = all(abs(o - 4.0) <= 0.8 for o in orders)
 
     # (ii) linear-map patches are planar
-    patch = build_patch(constant_frame(0.2, -0.3), np.array([0.5, 0.5, 0.5]), 0.05, 9)
+    (patch,) = build_patches([constant_frame(0.2, -0.3)], [np.array([0.5, 0.5, 0.5])], ["xy"], 0.05, 9, 1e-3)
     planar = planarity_defect(patch)
     planar_ok = planar < 1e-9
 
     # (iii) vertical-growth formula on a = x3 at step 1e-3: both sides e^t
-    lhs, rhs, rel, _ = pushforward_norm_identity(
-        exp_frame, np.array([0.0, 0.0, 1.0]), 0.2, 1e-3
-    )
+    series = pushforward_convergence_series([(0, exp_frame)], np.array([0.0, 0.0, 1.0]), 0.2, 1e-3)
+    lhs, rhs, rel, _ = series.growth_identity[0]
     identity_ok = rel <= 1e-4 and abs(lhs - np.exp(0.2)) < 1e-4
 
     # (iv) contact-frame commutator defect is exactly (0, 0, t*s)
-    p_xy = build_patch(contact_frame(), np.zeros(3), 0.05, 9)
-    p_yx = build_patch(contact_frame(), np.zeros(3), 0.05, 9, order="yx")
+    (p_xy,) = build_patches([contact_frame()], [np.zeros(3)], ["xy"], 0.05, 9, 1e-3)
+    (p_yx,) = build_patches([contact_frame()], [np.zeros(3)], ["yx"], 0.05, 9, 1e-3)
     worst = 0.0
     for i, t in enumerate(p_xy.ts):
         for j, s in enumerate(p_xy.ss):
@@ -296,7 +289,7 @@ def test_criterion_09_pushforward_trend():
 
 def test_criterion_10_uniqueness_diagnostics(phi_linear):
     phi = _perturbed()
-    frames = [(k, PullbackFrame(phi, k)) for k in range(1, 16)]
+    frames = [PullbackFrame(phi, k) for k in range(1, 16)]
     hart = hartman_slice_report(frames, PullbackFrame(phi, 250), 0.0, grid_n=6, h=1e-5)
     hart_ok = hart.bounded and np.isfinite(hart.max_sup)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitkit import Diffeo
-from splitkit.bracket import bound_curves, bracket_coefficient
+from splitkit.bracket import DEFAULT_FD_STEP, bound_curves, bracket_samples
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from conftest import RATE_VOL, SHEAR, counting_kernel
 
@@ -22,25 +22,25 @@ def tilt_frame():
 
 class TestBracketCoefficient:
     def test_constant_fields(self):
-        bs = bracket_coefficient(constant_frame(0.7, -1.3), np.array([0.3, 0.3, 0.3]))
+        bs = bracket_samples([constant_frame(0.7, -1.3)], [np.array([0.3, 0.3, 0.3])], [DEFAULT_FD_STEP])[0]
         assert abs(bs.c) < 1e-12
         assert not bs.resolved
 
     def test_contact_field(self):
-        bs = bracket_coefficient(contact_frame(), np.array([0.2, 0.5, 0.7]), h=1e-4)
+        bs = bracket_samples([contact_frame()], [np.array([0.2, 0.5, 0.7])], [1e-4])[0]
         assert bs.c == pytest.approx(1.0, abs=1e-8)
         assert bs.resolved
 
     def test_mixed_linear_field(self):
         # a = x3, b = x1: c = X(b) - Y(a) = 1 - x1
         fr = AnalyticFrame(lambda p: p[2], lambda p: p[0])
-        bs = bracket_coefficient(fr, np.array([0.25, 0.4, 0.1]), h=1e-4)
+        bs = bracket_samples([fr], [np.array([0.25, 0.4, 0.1])], [1e-4])[0]
         assert bs.c == pytest.approx(0.75, abs=1e-7)
 
     def test_tilt_field_closed_form(self):
         fr = tilt_frame()
         for x1 in (0.0, 0.15, 0.4, 0.8):
-            bs = bracket_coefficient(fr, np.array([x1, 0.3, 0.6]), h=1e-4)
+            bs = bracket_samples([fr], [np.array([x1, 0.3, 0.6])], [1e-4])[0]
             assert bs.c == pytest.approx(0.2 * np.pi * np.cos(2 * np.pi * x1), abs=1e-8)
 
     def test_second_order_signature(self):
@@ -48,7 +48,7 @@ class TestBracketCoefficient:
             lambda p: 0.3 * np.sin(2 * np.pi * p[2]) * np.cos(2 * np.pi * p[0]),
             lambda p: 0.2 * np.cos(2 * np.pi * p[1]) + 0.1 * np.sin(2 * np.pi * p[2]),
         )
-        bs = bracket_coefficient(fr, np.array([0.12, 0.37, 0.81]), h=2e-3)
+        bs = bracket_samples([fr], [np.array([0.12, 0.37, 0.81])], [2e-3])[0]
         assert bs.resolved
         assert 3.0 <= bs.order_ratio <= 5.0
 
@@ -58,8 +58,8 @@ class TestBracketCoefficient:
             lambda p: 0.2 * np.cos(2 * np.pi * p[1]),
         )
         x = np.array([0.21, 0.43, 0.65])
-        coarse = bracket_coefficient(fr, x, h=2e-3)
-        fine = bracket_coefficient(fr, x, h=1e-3)
+        coarse = bracket_samples([fr], [x], [2e-3])[0]
+        fine = bracket_samples([fr], [x], [1e-3])[0]
         assert abs(coarse.c - fine.c) <= 4.0 * coarse.error + 1e-12
 
     def test_rounding_floor(self):
@@ -68,10 +68,10 @@ class TestBracketCoefficient:
         # the rounding bound of differences of O(1) coefficients and is not
         # counted as a measurement
         fr = AnalyticFrame(lambda p: 0.0, lambda p: 1e-9 * p[0] + 1e-6 * p[0] ** 3)
-        coarse = bracket_coefficient(fr, np.zeros(3), h=1e-3)
+        coarse = bracket_samples([fr], [np.zeros(3)], [1e-3])[0]
         assert coarse.resolved
         assert coarse.c == pytest.approx(1e-9, rel=1e-4)
-        fine = bracket_coefficient(fr, np.zeros(3), h=1e-8)
+        fine = bracket_samples([fr], [np.zeros(3)], [1e-8])[0]
         assert fine.c == pytest.approx(1e-9, rel=1e-4)
         assert not fine.resolved
 
@@ -143,7 +143,7 @@ class TestBoundCurve:
         from splitkit.frames import PullbackFrame
 
         x = np.zeros(3)
-        assert bracket_coefficient(PullbackFrame(phi_perturbed, 500), x, 1e-4).resolved
+        assert bracket_samples([PullbackFrame(phi_perturbed, 500)], [x], [1e-4])[0].resolved
         bc = curve_at(phi_perturbed, x, 2, h=1e-4, k_plane=500, k_line=800)
         assert not bc.limit_resolved
 
@@ -180,7 +180,7 @@ class TestStackedLadders:
             return PullbackFrame(phi_perturbed, 6)
 
         x, h = np.array([0.3, 0.52, 0.45]), 1e-4
-        bs = bracket_coefficient(frame(), x, h)
+        bs = bracket_samples([frame()], [x], [h])[0]
         cs = ladder_reference(frame(), x, h)
         d01, d12 = abs(cs[0] - cs[1]), abs(cs[1] - cs[2])
         assert bs.c == cs[2] and bs.error == d12 / 3.0
@@ -191,18 +191,18 @@ class TestStackedLadders:
 
     def test_bound_curve_one_kernel_call_bitwise_per_depth(self, phi_perturbed, tilt_E0, monkeypatch):
         # the ladders of every depth and both limit ladders come from one
-        # kernel call, and each sample is bitwise its own bracket_coefficient
+        # kernel call, and each sample is bitwise its own one-row bracket_samples call
         calls = counting_kernel(monkeypatch)
         x, h = np.array([0.3, 0.52, 0.45]), 1e-4
         bc = curve_at(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
         assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
         monkeypatch.undo()
         for k, (e, h_k) in enumerate(zip(bc.entries, bc.steps), 1):
-            bs = bracket_coefficient(PullbackFrame(phi_perturbed, k, E0=tilt_E0), x, h_k)
+            bs = bracket_samples([PullbackFrame(phi_perturbed, k, E0=tilt_E0)], [x], [h_k])[0]
             assert (bs.c, bs.norm, bs.resolved) == (e.c, e.norm, e.resolved)
         limit_frame = PullbackFrame(phi_perturbed, 30, E0=tilt_E0)
-        limit = bracket_coefficient(limit_frame, x, h)
-        fine = bracket_coefficient(limit_frame, x, h / 10)
+        limit = bracket_samples([limit_frame], [x], [h])[0]
+        fine = bracket_samples([limit_frame], [x], [h / 10])[0]
         assert (bc.limit_lhs, bc.limit_lhs_error) == (limit.norm, limit.error)
         agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
         assert bc.limit_resolved is (limit.resolved and fine.resolved and agree)

@@ -545,6 +545,23 @@ class TestCliOutputs:
         assert uniq["results"]["leaf"]["lipschitz"] == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("command", ["splitting", "bracket", "surface", "uniqueness"])
+    def test_seed_override_equals_config_seed(self, tmp_path, capsys, command):
+        # --seed 5 on a seed-3 config draws the random samples, and hashes
+        # the config, as a config file that holds seed 5 does; the seed-3
+        # file alone reports other samples
+        runs = {}
+        for name, seed, flag in (("flag", 3, ["--seed", "5"]), ("file", 5, []), ("base", 3, [])):
+            path = tmp_path / f"{name}.json"
+            write_json(path, base_config(samples=[], random_samples=2, seed=seed, k_plane=500, k_line=700))
+            out = tmp_path / name
+            assert main([command, "--config", str(path), "--out", str(out)] + flag) == 0
+            files = sorted(f.name for f in out.iterdir() if f.name != "timings.txt")
+            runs[name] = (capsys.readouterr().out, {f: (out / f).read_bytes() for f in files})
+        assert runs["flag"] == runs["file"]
+        assert json.loads(runs["flag"][0])["config_hash"] == hash_file(tmp_path / "file.json")
+        assert runs["base"][1] != runs["flag"][1]
+
+    @pytest.mark.parametrize("command", ["splitting", "bracket", "surface", "uniqueness"])
     def test_report_hash_matches_config_file(self, tmp_path, capsys, command):
         d = base_config(k_plane=500, k_line=700)
         path = tmp_path / "cfg.json"
@@ -735,7 +752,7 @@ class TestConfigNumericValidation:
 
     def test_even_patch_grid_rejected_in_library(self):
         from splitkit.frames import constant_frame
-        from splitkit.surface import build_patch
+        from splitkit.surface import build_patches
 
         with pytest.raises(ValueError, match="odd"):
-            build_patch(constant_frame(0.0, 0.0), np.zeros(3), 0.05, 8)
+            build_patches([constant_frame(0.0, 0.0)], [np.zeros(3)], ["xy"], 0.05, 8, 1e-3)

@@ -15,13 +15,11 @@ from splitkit.frames import (
 )
 from splitkit.surface import (
     SurfacePatch,
-    _build_patches,
     _pushforwards,
-    build_patch,
+    build_patches,
     flow,
     planarity_defect,
     pushforward_convergence_series,
-    pushforward_norm_identity,
     tangency_report,
 )
 from conftest import counting_kernel
@@ -35,6 +33,11 @@ IN_SUPPORT = np.array([0.3, 0.52, 0.45])
 def pullback_frames(phi, ks, E0=None):
     """(k, frame) pairs of fresh depth-k pullback frames, as the surface command builds them."""
     return [(k, PullbackFrame(phi, k, E0=E0)) for k in ks]
+
+
+def growth_identity(frame, x, t, step):
+    """The vertical-growth identity of one frame at x: the step row of its one-frame series."""
+    return pushforward_convergence_series([(0, frame)], x, t, step).growth_identity[0]
 
 
 def graph_plane(frame, p):
@@ -297,13 +300,13 @@ class TestFlow:
 class TestPatches:
     def test_linear_patch_planar(self):
         fr = constant_frame(0.2, -0.3)
-        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, STEP)
+        patch = build_patches([fr], [np.array([0.5, 0.5, 0.5])], ["xy"], 0.05, 9, STEP)[0]
         assert planarity_defect(patch) < 1e-9
 
     def test_linear_patch_tangency(self):
         fr = constant_frame(0.2, -0.3)
         x0 = np.array([0.5, 0.5, 0.5])
-        patch = build_patch(fr, x0, 0.05, 9, STEP)
+        patch = build_patches([fr], [x0], ["xy"], 0.05, 9, STEP)[0]
         rep = tangency_report(patch, fr, fr)
         assert rep.max_angle < 1e-8
         assert rep.max_dWdt_defect < 1e-10
@@ -312,19 +315,19 @@ class TestPatches:
     def test_contact_patch_closed_form(self):
         fr = contact_frame()
         x0 = np.zeros(3)
-        patch = build_patch(fr, x0, 0.05, 9, STEP)
+        patch = build_patches([fr], [x0], ["xy"], 0.05, 9, STEP)[0]
         for i, t in enumerate(patch.ts):
             for j, s in enumerate(patch.ss):
                 assert np.allclose(patch.points[i, j], [t, s, 0.0], atol=1e-10)
-        swapped = build_patch(fr, x0, 0.05, 9, STEP, order="yx")
+        swapped = build_patches([fr], [x0], ["yx"], 0.05, 9, STEP)[0]
         for i, t in enumerate(swapped.ts):
             for j, s in enumerate(swapped.ss):
                 assert np.allclose(swapped.points[i, j], [t, s, t * s], atol=1e-8)
 
     def test_contact_order_mismatch_is_ts(self):
         fr = contact_frame()
-        p_xy = build_patch(fr, np.zeros(3), 0.05, 9, STEP)
-        p_yx = build_patch(fr, np.zeros(3), 0.05, 9, STEP, order="yx")
+        p_xy = build_patches([fr], [np.zeros(3)], ["xy"], 0.05, 9, STEP)[0]
+        p_yx = build_patches([fr], [np.zeros(3)], ["yx"], 0.05, 9, STEP)[0]
         diff = p_yx.points - p_xy.points
         for i, t in enumerate(p_xy.ts):
             for j, s in enumerate(p_xy.ss):
@@ -336,13 +339,13 @@ class TestPatches:
             lambda p: 0.3 * np.sin(2 * np.pi * p[1]),
         )
         x0 = np.array([0.4, 0.6, 0.5])
-        p_xy = build_patch(fr, x0, 0.04, 7, STEP)
-        p_yx = build_patch(fr, x0, 0.04, 7, STEP, order="yx")
+        p_xy = build_patches([fr], [x0], ["xy"], 0.04, 7, STEP)[0]
+        p_yx = build_patches([fr], [x0], ["yx"], 0.04, 7, STEP)[0]
         assert np.max(np.abs(p_xy.points - p_yx.points)) < 1e-9
 
     def test_dWdt_identity_curved(self):
         fr = exp_frame()
-        patch = build_patch(fr, np.array([0.0, 0.0, 0.5]), 0.04, 9, STEP)
+        patch = build_patches([fr], [np.array([0.0, 0.0, 0.5])], ["xy"], 0.04, 9, STEP)[0]
         rep = tangency_report(patch, fr, fr)
         # FD tangents carry an O(grid^2) truncation error on curved patches
         assert rep.max_dWdt_defect < 5e-4
@@ -350,18 +353,18 @@ class TestPatches:
     def test_perturbed_pullback_patch_recorded(self, phi_perturbed, tilt_E0):
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         x0 = np.zeros(3)
-        patch = build_patch(fr, x0, 0.03, 7, STEP)
+        patch = build_patches([fr], [x0], ["xy"], 0.03, 7, STEP)[0]
         rep = tangency_report(patch, fr, fr)
         assert np.isfinite(rep.max_angle)
         # halving the integrator step does not move the recorded defect much
-        patch2 = build_patch(fr, x0, 0.03, 7, 5e-4)
+        patch2 = build_patches([fr], [x0], ["xy"], 0.03, 7, 5e-4)[0]
         rep2 = tangency_report(patch2, fr, fr)
         assert rep2.max_angle == pytest.approx(rep.max_angle, rel=0.5, abs=1e-9)
 
     @pytest.mark.parametrize("order", ["xy", "yx"])
     def test_stacked_patch_equals_row_by_row(self, phi_perturbed, order):
         x0 = IN_SUPPORT
-        patch = build_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, STEP, order=order)
+        patch = build_patches([PullbackFrame(phi_perturbed, 10)], [x0], [order], 0.02, 5, STEP)[0]
         ref = reference_patch(PullbackFrame(phi_perturbed, 10), x0, 0.02, 5, STEP, order)
         assert patch.points.tobytes() == ref.tobytes()
         # the shear bends the patch: its nodes are off the plane through x0
@@ -374,10 +377,10 @@ class TestPatches:
         seeds = [IN_SUPPORT, IN_SUPPORT, IN_SUPPORT + 1e-3 * u, IN_SUPPORT + 5e-4 * u]
         orders = ("xy", "yx", "yx", "xy")
         frame = PullbackFrame(phi_perturbed, 10)
-        stacked = _build_patches([frame] * 4, seeds, orders, 0.02, 5, STEP)
+        stacked = build_patches([frame] * 4, seeds, orders, 0.02, 5, STEP)
         for patch, x0, order in zip(stacked, seeds, orders):
             fresh = PullbackFrame(phi_perturbed, 10)
-            alone = build_patch(fresh, x0, 0.02, 5, STEP, order=order)
+            alone = build_patches([fresh], [x0], [order], 0.02, 5, STEP)[0]
             assert patch.points.tobytes() == alone.points.tobytes()
             assert patch.points[2, 2].tobytes() == alone.points[2, 2].tobytes() == x0.tobytes()
 
@@ -388,16 +391,16 @@ class TestPatches:
         E0 = tilt_E0 if field else None
         ks = [1, 2, 4]
         frames = [PullbackFrame(phi_perturbed, k, E0=E0) for k in ks]
-        stacked = _build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
+        stacked = build_patches(frames, [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
         for patch, k in zip(stacked, ks):
             fresh = PullbackFrame(phi_perturbed, k, E0=E0)
-            alone = build_patch(fresh, IN_SUPPORT, 0.02, 5, STEP)
+            alone = build_patches([fresh], [IN_SUPPORT], ["xy"], 0.02, 5, STEP)[0]
             assert patch.points.tobytes() == alone.points.tobytes()
 
     def test_stacked_depths_one_kernel_call_per_stage(self, phi_perturbed, tilt_E0, monkeypatch):
         calls = counting_kernel(monkeypatch)
         frames = [PullbackFrame(phi_perturbed, k, E0=tilt_E0) for k in (1, 2, 3)]
-        _build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, 4e-3)
+        build_patches(frames, [IN_SUPPORT] * 3, ["xy", "yx", "xy"], 0.02, 5, 4e-3)
         # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
         # spines, then all rows, both sides of a gap in one stack, and every
         # stage pulls back the three depths together. Both sides of the
@@ -416,7 +419,7 @@ class TestPatches:
                 sizes.append(len(P))
                 return np.tile([0.2, -0.3], (len(P), 1))
 
-        build_patch(Counting(), np.zeros(3), 0.02, 5, 4e-3)
+        build_patches([Counting()], [np.zeros(3)], ["xy"], 0.02, 5, 4e-3)
         # (n - 1) / 2 gaps on each side of 3 RK4 steps, 4 stages each: the
         # spine, then all rows, both sides of a gap in one stack
         assert sizes == [2] * 24 + [10] * 24
@@ -431,7 +434,7 @@ class TestPatches:
         seeds = [IN_SUPPORT, IN_SUPPORT + np.array([1e-3, 0.0, 0.0])]
         orders = ("xy", "yx")
         frame = PullbackFrame(phi_perturbed, 10)
-        stacked = _build_patches([frame] * 2, seeds, orders, 0.03, 7, STEP)
+        stacked = build_patches([frame] * 2, seeds, orders, 0.03, 7, STEP)
         for patch, x0, order in zip(stacked, seeds, orders):
             ref = per_side_patch(PullbackFrame(phi_perturbed, 10), x0, 0.03, 7, STEP, order)
             assert patch.points.tobytes() == ref.tobytes()
@@ -444,7 +447,7 @@ class TestPatches:
         step = 1e-2
         fr = AnalyticFrame(lambda p: 2.0 * (1.0 - p[2]), lambda p: 0.0)
         with pytest.raises(ChartExitError, match="patch xy left") as ei:
-            build_patch(fr, np.zeros(3), 0.3, 5, step)
+            build_patches([fr], [np.zeros(3)], ["xy"], 0.3, 5, step)
         assert ei.value.exit_time == pytest.approx(-math.log(1.45) / 2, abs=step)
         assert ei.value.exit_time < 0
 
@@ -452,26 +455,24 @@ class TestPatches:
         # the spine along e2 passes the 0.45 box before reaching s = 0.5
         fr = constant_frame(0.0, 0.0)
         with pytest.raises(ChartExitError, match="reduce epsilon"):
-            build_patch(fr, np.zeros(3), 0.5, 7, STEP)
+            build_patches([fr], [np.zeros(3)], ["xy"], 0.5, 7, STEP)
 
 
 class TestPushforward:
     def test_norm_identity_constant(self):
-        lhs, rhs, rel, _ = pushforward_norm_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, STEP)
+        lhs, rhs, rel, _ = growth_identity(constant_frame(0.7, 0.1), np.zeros(3), 0.3, STEP)
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_identity_exponential(self):
-        lhs, rhs, rel, _ = pushforward_norm_identity(
-            exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2, STEP
-        )
+        lhs, rhs, rel, _ = growth_identity(exp_frame(), np.array([0.0, 0.0, 1.0]), 0.2, STEP)
         assert lhs == pytest.approx(np.exp(0.2), abs=1e-5)
         assert rhs == pytest.approx(np.exp(0.2), abs=1e-5)
         assert rel <= 1e-4
 
     def test_norm_identity_contact(self):
         for t in (0.1, 0.25):
-            lhs, rhs, rel, _ = pushforward_norm_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, STEP)
+            lhs, rhs, rel, _ = growth_identity(contact_frame(), np.array([0.3, 0.2, 0.1]), t, STEP)
             assert lhs == pytest.approx(1.0, abs=1e-10)
             assert rhs == pytest.approx(1.0, abs=1e-10)
 
@@ -479,13 +480,13 @@ class TestPushforward:
         # along one backward trajectory the pass integrates m3' = -a3 m3 and
         # q' = a3, so lhs = 1/|m3| equals rhs = exp(q) for every C^1 graph
         # frame: a = x2 x3, b = 0 has bracket c = -x3, and the identity holds
-        from splitkit.bracket import bracket_coefficient
+        from splitkit.bracket import DEFAULT_FD_STEP, bracket_samples
 
         fr = AnalyticFrame(lambda p: p[1] * p[2], lambda p: 0.0)
         x = np.array([0.3, 0.4, 0.5])
-        bs = bracket_coefficient(fr, x)
+        bs = bracket_samples([fr], [x], [DEFAULT_FD_STEP])[0]
         assert bs.resolved and bs.c == pytest.approx(-0.5, rel=1e-9)
-        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, x, 0.05, STEP)
+        lhs, rhs, rel, resolved = growth_identity(fr, x, 0.05, STEP)
         assert resolved and rel < 1e-12
 
     def test_transport_one_kernel_call_per_stage(self, phi_perturbed, monkeypatch):
@@ -521,14 +522,16 @@ class TestPushforward:
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_identity_is_one_pass(self, phi_perturbed, monkeypatch, k):
-        # both sides of the identity come from one backward pass: one kernel
-        # call per stage (4 RK4 steps of 4 stages), none for a forward
-        # transport or a second quadrature, and each side is the one-state
-        # reference's, bit for bit
+        # both sides of the identity come from the series' one backward pass:
+        # one kernel call per stage (the step row's 4 RK4 steps of 4 stages
+        # ride in the first 16 of the half-step row's 32, and the first stage
+        # reads their shared start once) and one for Y at the preimages, none
+        # for a forward transport or a second quadrature; each side is the
+        # one-state reference's, bit for bit
         calls = counting_kernel(monkeypatch)
         fr = PullbackFrame(phi_perturbed, k)
-        lhs, rhs, rel, resolved = pushforward_norm_identity(fr, IN_SUPPORT, 0.004, STEP)
-        assert [rows for rows, _ in calls] == [7] * 16
+        lhs, rhs, rel, resolved = growth_identity(fr, IN_SUPPORT, 0.004, STEP)
+        assert [rows for rows, _ in calls] == [7] + [14] * 15 + [7] * 16 + [2]
         fresh = PullbackFrame(phi_perturbed, k)
         w, load, q = transport_reference(fresh, IN_SUPPORT, 0.004, STEP, v=[0.0, 0.0, 1.0])
         assert (lhs, rhs) == (np.linalg.norm(w), np.exp(q))
@@ -556,7 +559,7 @@ class TestPushforward:
             return np.concatenate([-fr.X(p), [(a_up - a_down) / (2 * h)]])
 
         S = rk4_point(g, np.concatenate([x, [0.0]]), t, STEP)
-        _, rhs, _, _ = pushforward_norm_identity(fr, x, t, STEP)
+        _, rhs, _, _ = growth_identity(fr, x, t, STEP)
         assert rhs == float(np.exp(S[3]))
         assert S[:3].tobytes() == flow(fr.X, x, -t, STEP).tobytes()
 
@@ -581,7 +584,7 @@ class TestPushforward:
         assert load[0] < 0.5
         want = forward_transport(fr, x, t, STEP)
         assert np.linalg.norm(vec[0] - want) <= 1e-6 * np.linalg.norm(want)
-        lhs, *_ = pushforward_norm_identity(fr, x, t, STEP)
+        lhs, *_ = growth_identity(fr, x, t, STEP)
         e3 = forward_transport(fr, x, t, STEP, v=np.array([0.0, 0.0, 1.0]))
         assert lhs == pytest.approx(np.linalg.norm(e3), rel=1e-6)
 
@@ -640,9 +643,9 @@ class TestPushforward:
             assert [a[n : n + 1].tobytes() for a in got] == [a.tobytes() for a in one]
 
     @pytest.mark.parametrize("field", [None, "tilt"])
-    def test_series_identity_bitwise_norm_identity(self, phi_perturbed, tilt_E0, field):
+    def test_series_identity_bitwise_one_depth_series(self, phi_perturbed, tilt_E0, field):
         # each depth's identity entry is read off the series' step row, and
-        # is bitwise pushforward_norm_identity of a fresh frame of that
+        # is bitwise that of the one-depth series of a fresh frame of that
         # depth: numbers inside the load budget, None and unresolved for the
         # depth-20 row that the pass stops
         E0 = tilt_E0 if field else None
@@ -652,7 +655,7 @@ class TestPushforward:
         def bits(entry):
             return [None if v is None else np.float64(v).tobytes() for v in entry[:3]] + [entry[3]]
 
-        want = [pushforward_norm_identity(PullbackFrame(phi_perturbed, k, E0=E0), IN_SUPPORT, t, STEP) for k in ks]
+        want = [growth_identity(PullbackFrame(phi_perturbed, k, E0=E0), IN_SUPPORT, t, STEP) for k in ks]
         assert [bits(e) for e in ser.growth_identity] == [bits(e) for e in want]
         assert [e[3] for e in want] == [True, True, True, False] and want[3][:3] == (None, None, None)
 
@@ -664,7 +667,7 @@ class TestPushforward:
         E0 = tilt_E0 if field else None
         ks, t = [1, 2, 4], 0.004
         used = pullback_frames(phi_perturbed, ks, E0)
-        _build_patches([fr for _, fr in used], [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
+        build_patches([fr for _, fr in used], [IN_SUPPORT] * 3, ["xy"] * 3, 0.02, 5, STEP)
         assert all(IN_SUPPORT.tobytes() in fr._cache for _, fr in used)
         calls = counting_kernel(monkeypatch)
         ser = pushforward_convergence_series(used, IN_SUPPORT, t, STEP)
@@ -717,7 +720,7 @@ class TestTangencySeries:
         # every node's angles, tangent norms and dW/dt defect, one node at a time
         fr = PullbackFrame(phi_perturbed, 4, E0=tilt_E0)
         limit = PullbackFrame(phi_perturbed, 40, E0=tilt_E0)
-        patch = build_patch(fr, IN_SUPPORT, 0.02, 7, STEP)
+        patch = build_patches([fr], [IN_SUPPORT], ["xy"], 0.02, 7, STEP)[0]
         rep = tangency_report(patch, fr, limit)
         P, d = patch.points, patch.grid_spacing()
         own, lim, norms, defects = [], [], [], []
@@ -748,7 +751,7 @@ class TestTangencySeries:
         from conftest import SLOW_PLANE_COEFFS
 
         fr = constant_frame(*SLOW_PLANE_COEFFS)
-        patch = build_patch(fr, np.array([0.5, 0.5, 0.5]), 0.05, 9, STEP)
+        patch = build_patches([fr], [np.array([0.5, 0.5, 0.5])], ["xy"], 0.05, 9, STEP)[0]
         eigen = constant_frame(*adapted_coefficients(slow_plane.basis[:, :, None])[0])
         rep = tangency_report(patch, fr, eigen)
         assert rep.max_angle_limit < 1e-8
@@ -761,7 +764,7 @@ class TestTangencySeries:
         maxima = []
         for k in range(1, 9):
             fr = PullbackFrame(phi_perturbed, k, E0=tilt_E0)
-            patch = build_patch(fr, np.zeros(3), 0.02, 5, 1e-3)
+            patch = build_patches([fr], [np.zeros(3)], ["xy"], 0.02, 5, 1e-3)[0]
             rep = tangency_report(patch, fr, limit)
             maxima.append(rep.max_angle_limit)
         assert np.mean(maxima[4:]) < np.mean(maxima[:4])

@@ -11,9 +11,9 @@ STEP = 1e-3
 
 
 def pullback_slice_frames(phi, k_max, k_ref):
-    """The (k, frame) pairs of the depth 1..k_max pullback frames of a map
-    and its depth-k_ref reference frame, as the uniqueness command builds them."""
-    return [(k, PullbackFrame(phi, k)) for k in range(1, k_max + 1)], PullbackFrame(phi, k_ref)
+    """The depth 1..k_max pullback frames of a map and its depth-k_ref
+    reference frame, as the uniqueness command builds them."""
+    return [PullbackFrame(phi, k) for k in range(1, k_max + 1)], PullbackFrame(phi, k_ref)
 
 
 class TestHartmanSlice:
@@ -21,19 +21,10 @@ class TestHartmanSlice:
         # a^(k) = a + (1/k) sin(2 pi x3) with constant a: the slice distance
         # is exactly 1/k and the transversal derivative sup is 2 pi / k
         limit = constant_frame(0.3, 0.0)
-        frames = []
-        for k in range(1, 9):
-            frames.append(
-                (
-                    k,
-                    AnalyticFrame(
-                        lambda p, k=k: 0.3 + np.sin(2 * np.pi * p[2]) / k,
-                        lambda p: 0.0,
-                    ),
-                )
-            )
+        ks = range(1, 9)
+        frames = [AnalyticFrame(lambda p, k=k: 0.3 + np.sin(2 * np.pi * p[2]) / k, lambda p: 0.0) for k in ks]
         rep = hartman_slice_report(frames, limit, slice_x2=0.25, grid_n=12, h=1e-6)
-        for (k, _), dist, sup in zip(frames, rep.sup_distance, rep.sup_da_dx3):
+        for k, dist, sup in zip(ks, rep.sup_distance, rep.sup_da_dx3):
             assert dist == pytest.approx(1.0 / k, abs=1e-9)
             assert sup == pytest.approx(2.0 * np.pi / k, abs=1e-6)
         assert rep.bounded
@@ -141,7 +132,7 @@ class TestStackedSlice:
         grid = np.array([[xv, 0.5, zv] for xv in xs for zv in xs])
         shift = np.array([0.0, 0.0, 1e-5])
         a_lim = PullbackFrame(phi_perturbed, 30).coefficients(grid)[:, 0]
-        for (k, _), sup_d, dist in zip(frames, rep.sup_da_dx3, rep.sup_distance):
+        for k, sup_d, dist in zip(range(1, 5), rep.sup_da_dx3, rep.sup_distance):
             frame = PullbackFrame(phi_perturbed, k)
             a_k, a_up, a_down = (frame.coefficients(p)[:, 0] for p in (grid, grid + shift, grid - shift))
             assert sup_d == float(np.max(np.abs((a_up - a_down) / 2e-5)))
