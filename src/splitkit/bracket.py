@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import Diffeo
-from .frames import PullbackFrame, _jacobians
+from .frames import PullbackFrame, _jacobians, _point_keys, adapted_coefficients, fd_stencil
 from .geometry import _record
 from .splitting import _splitting_pass, fitted_rate
 
@@ -39,6 +39,12 @@ class BracketSample:
         return abs(self.c)
 
 
+def _ladders(X, hs):
+    """The centres and steps of the bracket ladders at the rows of an (N,3)
+    stack X, one step h per row: each row three times, at h, h/2 and h/4."""
+    return np.repeat(X, 3, axis=0), [h / d for h in hs for d in (1, 2, 4)]
+
+
 def bracket_samples(frames, X, hs):
     """Centered-difference bracket coefficients with validated error bars,
     one ``BracketSample`` per frame, each at its row of the (N,3) stack X
@@ -52,8 +58,7 @@ def bracket_samples(frames, X, hs):
     Nor does a value below the rounding error of its own differences count,
     however the three levels happen to line up.
     """
-    steps = [h / d for h in hs for d in (1, 2, 4)]
-    C, J = _jacobians([f for f in frames for _ in range(3)], np.repeat(X, 3, axis=0), steps)
+    C, J = _jacobians([f for f in frames for _ in range(3)], *_ladders(X, hs))
     # c = X(b) - Y(a), with X = e1 + a e3 and Y = e2 + b e3
     c = (J[:, 1, 0] + C[:, 0] * J[:, 1, 2]) - (J[:, 0, 1] + C[:, 1] * J[:, 0, 2])
     samples = []
@@ -144,16 +149,26 @@ def bound_curves(
     the Richardson test of one ladder with an FD artefact.
 
     The rows run as one stack: one splitting pass (``_splitting_pass``)
-    gives each row's growth and its invariance residual, reported as it is,
-    and the ladders of every row, depth and limit step are rows of one
-    ``_jacobians`` call. Each curve is bitwise that of a one-row call.
+    gives each row's growth and its invariance residual, reported as it is.
+    The limit frame's distinct stencil points at h and h/10 ride that pass
+    to depth k_plane and fill the frame's cache, so the ladders of every row
+    and depth, rows of one ``_jacobians`` call, make one kernel call to
+    depth k_max. A depth-0 limit frame converts E0's stored basis, not the
+    pass's orthonormalised seeds, so it rides nothing and is read by that
+    call. Each curve is bitwise that of a one-row call.
     """
     X = np.asarray(points, dtype=float).reshape(-1, 3)
-    residual, growth = _splitting_pass(phi, X, k_max, E0, k_plane, k_line)
+    limit_frame = PullbackFrame(phi, k_plane, E0=E0)
+    carried = {}  # the limit ladders' stencil points, each once, by cache key
+    if k_plane:
+        S = fd_stencil(*_ladders(np.repeat(X, 2, axis=0), [h, h / 10] * len(X))).reshape(-1, 3)
+        carried = dict(zip(_point_keys(S), S))
+    S = np.reshape(list(carried.values()), (-1, 3))
+    residual, growth, B = _splitting_pass(phi, X, k_max, E0, k_plane, k_line, S)
+    limit_frame._cache.update(zip(carried, adapted_coefficients(B).tolist()))
 
     # every row's ladders: its depths 1..k_max at their adapted steps, and
     # the limit frame's at h and h/10, from one call
-    limit_frame = PullbackFrame(phi, k_plane, E0=E0)
     frames = [PullbackFrame(phi, k, E0=E0) for k in range(1, k_max + 1)] + [limit_frame] * 2
     h_ks = [[h * float(np.exp(-g.log_f[k - 1])) for k in range(1, k_max + 1)] for g in growth]
     samples = bracket_samples(

@@ -316,6 +316,13 @@ def _field_bases(E0, P, orthonormal=True):
     return np.broadcast_to(basis(DEFAULT_E0 if E0 is None else E0)[:, :, None], (3, 2, len(P)))
 
 
+def _walks_orbit(phi: Diffeo, E0):
+    """Whether a pullback reads its forward orbit: a field E0 is read at each
+    endpoint, and a shear's records at each point; otherwise every record
+    is None."""
+    return callable(E0) or bool(phi.shear_stages())
+
+
 def _pullback_bases(phi: Diffeo, P, E0, k):
     """Orthonormal bases (3, 2, N) of the pullback planes D(phi^-k) E0(phi^k p)
     at the rows p of an (N,3) stack, from one kernel call. ``k`` is one
@@ -340,8 +347,8 @@ def _pullback_bases(phi: Diffeo, P, E0, k):
         raise ValueError("pullback depth k must be >= 0")
     live = (len(d) - np.cumsum(np.bincount(d, minlength=1))[:-1]).tolist()  # rows deeper than i
     swept = live[0] if live else 0
-    recs = []  # none on a shear-free map, which needs no forward pass for a constant E0
-    if callable(E0) or phi.shear_stages():
+    recs = []
+    if _walks_orbit(phi, E0):
         Y, recs = _forward(phi, wrap_point(P[order]), live)
     # the bits, not the truth value: a -0.0 gradient can flip the sign of a zero entry
     if callable(E0) or any(r is not None and r.view(np.uint64).any() for rec in recs for r in rec):

@@ -135,16 +135,21 @@ class PullbackFrame(AdaptedFrame):
         return tuple(C[0].tolist()) if p.ndim == 1 else C
 
 
+def _point_keys(P):
+    """The cache keys of the rows of an (N,3) float stack: each row's bytes
+    (+0.0 and -0.0 differ), read off one view."""
+    return np.ascontiguousarray(P).view((np.void, 24)).ravel().tolist()
+
+
 def _pulled(frames, P):
     """Coefficient pairs (N, 2) at the rows of an (N,3) stack, of
     ``PullbackFrame``s that share a map and E0, one frame per row.
 
     The rows that miss their frame's cache, each distinct (frame, point)
     once, are pulled back in one kernel call at each frame's depth and
-    converted in one ``adapted_coefficients`` call. A point's key is its
-    row's bytes (+0.0 and -0.0 differ), read off one view.
+    converted in one ``adapted_coefficients`` call.
     """
-    keys = np.ascontiguousarray(P).view((np.void, 24)).ravel().tolist()
+    keys = _point_keys(P)
     missing = {}  # (frame, key) -> first row, for the distinct misses in order
     for n, (frame, key) in enumerate(zip(frames, keys)):
         if key not in frame._cache:

@@ -11,10 +11,11 @@ assembled from those logs.  The pullback kernel is in ``dynamics``, for frames.
 from __future__ import annotations
 
 import collections
+import itertools
 
 import numpy as np
 
-from .dynamics import Diffeo, _differentials, _field_bases, _forward, _pull_back, _tangent, orbit
+from .dynamics import Diffeo, _differentials, _field_bases, _forward, _pull_back, _tangent, _walks_orbit, orbit
 from .errors import DegeneratePlaneError
 from .geometry import Line1, _row_dots, _row_norms, line_angles, plane_angles, unit_lines
 from .geometry import _record, wrap_point
@@ -31,26 +32,30 @@ def _fast_lines(phi: Diffeo, X, L, k):
     backward orbits of the rows of X (N,3), to the rows: power iteration,
     converging to the most expanded line at the spectral gap of the cocycle.
     Each step is a batched product and row-dot norm, so each row's bits do
-    not depend on N. The steps run in blocks of at most ``FAST_LINE_ROWS``
-    rows, deepest block first, one kernel call of differentials each. The
+    not depend on N. A map with no shear stage has one differential, which
+    every step takes, repeated to (N, 3, 3): no backward orbit is walked.
+    Otherwise the steps run in blocks of at most ``FAST_LINE_ROWS`` rows,
+    deepest block first, one kernel call of differentials each. The
     backward orbit keeps only each block's shallow end, and the block
     retreats again from it; retreat is deterministic and row-independent,
     so every point is bitwise that of one pass, and memory stays bounded
     as k grows."""
     if k < 0:
         raise ValueError("iteration depth k must be >= 0")
-    block = max(1, FAST_LINE_ROWS // max(1, len(X)))
-    tops = range(k, 0, -block)  # each block's deepest step, deepest block first
-    # a block's shallow end is the next block's top, or 0 for the last block
-    ends = [X]
-    for top in reversed(tops[1:]):
-        ends.append(orbit(phi, ends[-1], min(top, block), direction="inverse")[-1])
-    for top, Y in zip(tops, reversed(ends)):
-        steps = orbit(phi, Y, min(top, block), direction="inverse")[:0:-1]
-        diffs = _differentials(phi, np.concatenate(steps)).reshape(len(steps), len(X), 3, 3)
-        for D in diffs:
-            w = (D @ L[:, :, None])[:, :, 0]
-            L = w / _row_norms(w)[:, None]
+    if phi.shear_stages():
+        block = max(1, FAST_LINE_ROWS // max(1, len(X)))
+        tops = range(k, 0, -block)  # each block's deepest step, deepest block first
+        # a block's shallow end is the next block's top, or 0 for the last block
+        ends = [X]
+        for top in reversed(tops[1:]):
+            ends.append(orbit(phi, ends[-1], min(top, block), direction="inverse")[-1])
+        pts = (orbit(phi, Y, min(top, block), direction="inverse")[:0:-1] for top, Y in zip(tops, reversed(ends)))
+        diffs = (D for P in pts for D in _differentials(phi, np.concatenate(P)).reshape(len(P), len(X), 3, 3))
+    else:
+        diffs = itertools.repeat(np.repeat(_differentials(phi, X[:1]), len(X), axis=0), k)
+    for D in diffs:
+        w = (D @ L[:, :, None])[:, :, 0]
+        L = w / _row_norms(w)[:, None]
     return L
 
 
@@ -118,20 +123,24 @@ def _accumulate_growth(diffs, planes, F) -> list:
     return [GrowthTable(*logs) for logs in zip(log_s1, log_s2, log_f)]
 
 
-def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
+def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line, carried=np.zeros((0, 3))):
     """The splitting at the rows of X (N,3), k_max >= 2: each row's
     invariance residual (N,) in radians, the angle from D E_x to E_phi(x)
-    plus the angle from D F_x to F_phi(x), and its restricted growth table.
-    A k_max below 2 fits no rate and is a ValueError before any map step.
+    plus the angle from D F_x to F_phi(x), its restricted growth table, and
+    the depth-k_plane bases (3, 2, M) at the ``carried`` rows (M,3). A k_max
+    below 2 fits no rate and is a ValueError before any map step.
 
     One forward pass and one backward sweep run over the rows x at depth
-    k_max + k_plane, then x and phi(x) at depth k_plane: the deep rows' bases
-    at orbit points k_max..0 are the growth planes, the final stack's other
-    columns the planes E. The unit fast lines F at x and phi(x) come from one
-    depth-``k_line`` power iteration, and those at x are pushed along the
-    orbit (the fast line attracts). The step differentials, D(x) first, are
-    read off the deep rows of the pass's first k_max records. Each row's bits
-    do not depend on N.
+    k_max + k_plane, then x, phi(x) and the carried rows at depth k_plane:
+    the deep rows' bases at orbit points k_max..0 are the growth planes, the
+    final stack's other columns the planes E and the carried bases, bitwise
+    ``_pullback_bases``' for k_plane > 0 (the depth-0 seeds are
+    orthonormalised). The forward pass is skipped where ``_walks_orbit``
+    says no record or endpoint is read. The unit fast lines F at x and
+    phi(x) come from one depth-``k_line`` power iteration, and those at x
+    are pushed along the orbit (the fast line attracts). The step
+    differentials, D(x) first, are the deep rows' at the first k_max
+    records. Each row's bits do not depend on N or on the carried rows.
 
     An E0 whose pullback contains the fast line converges to another
     invariant plane, which passes the residual test, so a plane E_x within
@@ -143,13 +152,17 @@ def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
     XY = np.concatenate([X, phi.apply(X)])
     # before the pass, so the power iteration's blocks never meet its records
     F = unit_lines(_fast_lines(phi, XY, np.broadcast_to(DEFAULT_L0.direction, XY.shape), k_line))
-    live = [3 * N] * k_plane + [N] * k_max  # rows deeper than step i
-    Y, recs = _forward(phi, wrap_point(np.concatenate([X, XY])), live)
+    live = [3 * N + len(carried)] * k_plane + [N] * k_max  # rows deeper than step i
+    Y = wrap_point(np.concatenate([X, XY, carried]))
+    recs = [[None] * len(phi.stages)] * len(live)
+    if _walks_orbit(phi, E0):
+        Y, recs = _forward(phi, Y, live)
     seed = _field_bases(E0, Y)
     # only the stacks at orbit points k_max..0, the last ones yielded, are kept
     stacks = collections.deque([seed], maxlen=k_max + 1)
     stacks.extend(_pull_back(phi, recs, seed, live))
-    E = np.ascontiguousarray((stacks[-1] if k_plane else seed)[:, :, N:].transpose(2, 0, 1))
+    final = stacks[-1] if k_plane else seed
+    E = np.ascontiguousarray(final[:, :, N : 3 * N].transpose(2, 0, 1))
     # the bases are orthonormal, so their cross product is the unit normal
     fast_angle = np.arcsin(np.minimum(1.0, np.abs(_row_dots(np.cross(E[:N, :, 0], E[:N, :, 1]), F[:N]))))
     if (fast_angle <= MIN_FAST_ANGLE).any():
@@ -159,13 +172,14 @@ def _splitting_pass(phi: Diffeo, X, k_max: int, E0, k_plane, k_line):
             f"from the fast line (<= {MIN_FAST_ANGLE:g}): seed a plane transversal to it"
         )
     planes = np.ascontiguousarray(np.transpose([Q[:, :, :N] for Q in stacks], (0, 3, 1, 2))[::-1])
-    eyes = (np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)) for n in live[:k_max])
-    diffs = np.array([_tangent(phi, r, I)[:, :, :N].transpose(2, 0, 1) for r, I in zip(recs, eyes)])
+    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, N))
+    deep = ([None if r is None else r[:, :N] for r in rec] for rec in recs[:k_max])
+    diffs = np.array([_tangent(phi, rec, eye).transpose(2, 0, 1) for rec in deep])
     del recs, stacks
     D = diffs[0]
     pushed_F = unit_lines((D @ F[:N, :, None])[:, :, 0])
     residual = plane_angles(D @ E[:N], E[N:]) + line_angles(pushed_F, F[N:])
-    return residual, _accumulate_growth(diffs, planes, F[:N])
+    return residual, _accumulate_growth(diffs, planes, F[:N]), final[:, :, 3 * N :]
 
 
 def eventual_k0(log_ratios) -> int | None:
@@ -249,7 +263,7 @@ def domination_report(
     bitwise those of a one-sample report.
     """
     X = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    residual, growth = _splitting_pass(phi, X, k_max, E0, k_plane, k_line)
+    residual, growth, _ = _splitting_pass(phi, X, k_max, E0, k_plane, k_line)
     ok = residual < RESIDUAL_TOL
     kept = zip(X[ok], residual[ok], [g for g, keep in zip(growth, ok) if keep])
     per_sample = [_dominated(x, float(r), g) for x, r, g in kept]

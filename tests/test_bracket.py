@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitkit import Diffeo
+from splitkit import Diffeo, Plane2
 from splitkit.bracket import DEFAULT_FD_STEP, bound_curves, bracket_samples
 from splitkit.frames import AnalyticFrame, PullbackFrame, constant_frame, contact_frame
 from conftest import RATE_VOL, SHEAR, counting_kernel
@@ -190,12 +190,13 @@ class TestStackedLadders:
             assert bs.c != 0.0
 
     def test_bound_curve_one_kernel_call_bitwise_per_depth(self, phi_perturbed, tilt_E0, monkeypatch):
-        # the ladders of every depth and both limit ladders come from one
-        # kernel call, and each sample is bitwise its own one-row bracket_samples call
+        # the ladders of every depth come from one kernel call (the limit
+        # ladders ride the splitting pass), and each sample is bitwise its own
+        # one-row bracket_samples call
         calls = counting_kernel(monkeypatch)
         x, h = np.array([0.3, 0.52, 0.45]), 1e-4
         bc = curve_at(phi_perturbed, x, 4, h=h, E0=tilt_E0, k_plane=30, k_line=60)
-        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        assert [depths for _, depths in calls] == [[1, 2, 3, 4]]
         monkeypatch.undo()
         for k, (e, h_k) in enumerate(zip(bc.entries, bc.steps), 1):
             bs = bracket_samples([PullbackFrame(phi_perturbed, k, E0=tilt_E0)], [x], [h_k])[0]
@@ -228,7 +229,7 @@ class TestStackedLadders:
         calls = counting_kernel(monkeypatch)
         curves = bound_curves(phi_perturbed, X, 4, **args)
         assert lines == [8]
-        assert [depths for _, depths in calls] == [[1, 2, 3, 4, 30]]
+        assert [depths for _, depths in calls] == [[1, 2, 3, 4]]
         monkeypatch.undo()
         for x, bc in zip(X, curves):
             alone = curve_at(phi_perturbed, x, 4, **args)
@@ -238,10 +239,28 @@ class TestStackedLadders:
             assert limits == (alone.limit_lhs, alone.limit_lhs_error, alone.limit_resolved)
             assert (bc.rate_rhs, bc.invariance_residual) == (alone.rate_rhs, alone.invariance_residual)
 
+    @pytest.mark.parametrize("field", [False, True], ids=["tilt", "field"])
+    def test_depth_zero_limit_reads_e0_itself(self, phi_perturbed, tilt_E0, monkeypatch, field):
+        # at k_plane 0 nothing rides the pass: the limit ladders convert E0's
+        # stored basis in the ladder call, as a depth-0 frame alone does
+        E0 = tilt_E0 if field else Plane2.spanned_by([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+        X = np.array([[0.3, 0.52, 0.45], [0.1, 0.2, 0.3]])
+        calls = counting_kernel(monkeypatch)
+        curves = bound_curves(phi_perturbed, X, 3, h=1e-4, E0=E0, k_plane=0, k_line=30)
+        assert [depths for _, depths in calls] == [[0, 1, 2, 3]]
+        monkeypatch.undo()
+        frame = PullbackFrame(phi_perturbed, 0, E0=E0)
+        for x, bc in zip(X, curves):
+            limit, fine = bracket_samples([frame, frame], [x, x], [1e-4, 1e-5])
+            assert (bc.limit_lhs, bc.limit_lhs_error) == (limit.norm, limit.error)
+            agree = abs(limit.c - fine.c) <= 4.0 * (limit.error + fine.error)
+            assert bc.limit_resolved is (limit.resolved and fine.resolved and agree)
+
     def test_one_pass_sweep_and_one_ladder_call(self, phi_perturbed, tilt_E0, monkeypatch):
         # bound_curves pulls back twice: the splitting pass's one sweep over
-        # 3N columns (x deep, then x and phi(x)) and the ladders' one call,
-        # which sweeps in the kernel's module
+        # 3N columns (x deep, then x and phi(x)) plus the limit frame's 37
+        # stencil points per row (6 ladders of 7 points sharing the centre),
+        # and the ladders' one call, which sweeps in the kernel's module
         import splitkit.dynamics
         import splitkit.splitting
 
@@ -258,4 +277,4 @@ class TestStackedLadders:
         X = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.3, 0.52, 0.45]])
         bound_curves(phi_perturbed, X, 4, h=1e-4, E0=tilt_E0, k_plane=30, k_line=60)
         assert len(calls) == 1
-        assert len(sweeps) == 2 and sweeps[0] == 3 * len(X)
+        assert len(sweeps) == 2 and sweeps[0] == 3 * len(X) + 37 * len(X)

@@ -160,6 +160,21 @@ class TestCliExitCodes:
         ratios_1 = {f"{key}_1": float(row_1[key]) for key in ("dyn_ratio", "vol_ratio", "bunch_ratio")}
         assert ratios_1 == pe["flat_metric_k1"]
 
+    def test_linear_splitting_walks_no_orbit(self, tmp_path, monkeypatch, capsys):
+        # linear.json has no shear and a constant E0: no differential and no
+        # seed depends on the point, so neither the fast lines' backward
+        # orbit nor the pass's forward orbit is walked
+        from splitkit import dynamics
+
+        def walked(*args):
+            raise AssertionError("an orbit was walked")
+
+        monkeypatch.setattr(dynamics, "_retreat", walked)
+        monkeypatch.setattr(dynamics, "_forward", walked)
+        monkeypatch.setattr(splitting, "_forward", walked)
+        path = Path(__file__).parents[1] / "configs" / "linear.json"
+        assert main(["splitting", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         write_json(path, base_config(typo=1))

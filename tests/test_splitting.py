@@ -24,7 +24,7 @@ from splitkit.splitting import (
 )
 from splitkit.errors import ChartUnsuitableError
 from splitkit.frames import PullbackFrame, _coefficients, adapted_coefficients
-from splitkit.geometry import line_angles, principal_angle, wrap_point
+from splitkit.geometry import _row_norms, line_angles, principal_angle, wrap_point
 from conftest import (
     FIXED_EXACT,
     FLAT_BUNCH_1,
@@ -380,6 +380,30 @@ class TestFastLine:
                 tracemalloc.stop()
         assert peaks[1] < 1.3 * peaks[0]
 
+    @pytest.mark.parametrize("k", [0, 1, 5, 700])
+    def test_shear_free_lines_bitwise_reference(self, phi_linear, monkeypatch, k):
+        # a shear-free map walks no backward orbit, and its lines are bitwise
+        # the power iteration over the differentials at that orbit's points,
+        # for 2,000 rows and for each row alone
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0, 1, (2000, 3))
+        L = rng.normal(size=(2000, 3))
+        L /= np.linalg.norm(L, axis=1)[:, None]
+        want = L
+        for P in orbit(phi_linear, X, k, direction="inverse")[:0:-1]:
+            w = (dynamics._differentials(phi_linear, P) @ want[:, :, None])[:, :, 0]
+            want = w / _row_norms(w)[:, None]
+
+        def no_retreat(phi, Y):
+            raise AssertionError("a shear-free map walked a backward orbit")
+
+        monkeypatch.setattr(dynamics, "_retreat", no_retreat)
+        got = splitting._fast_lines(phi_linear, X, L, k)
+        assert got.tobytes() == want.tobytes()
+        for n in (0, 1, 997, 1999):
+            alone = splitting._fast_lines(phi_linear, X[n : n + 1], L[n : n + 1], k)
+            assert alone.tobytes() == want[n].tobytes()
+
 
 def exact_growth(phi, x, k_max, slow_plane, burn_in=1):
     """Swept growth seeded with the exact (invariant) slow plane, so a short
@@ -438,7 +462,7 @@ class TestRestrictedGrowth:
         # every D_i Q_i lies in span Q_(i+1) to rounding, also on the
         # support-crossing sample whose splitting fails the residual test
         seen = capture_growth_inputs(monkeypatch)
-        residual, _ = _splitting_pass(phi_perturbed, np.array([[0.3, 0.55, 0.42]]), 20, None, 500, 800)
+        residual, _, _ = _splitting_pass(phi_perturbed, np.array([[0.3, 0.55, 0.42]]), 20, None, 500, 800)
         assert residual[0] > splitting.RESIDUAL_TOL
         ((diffs, planes),) = seen
         img = diffs @ planes[:-1]
@@ -495,6 +519,30 @@ class TestSplittingPass:
         for j, P in enumerate(orbit(phi_perturbed, X, k_max)):
             want = _pullback_bases(phi_perturbed, P, E0, k_max + k_plane - j).transpose(2, 0, 1)
             assert planes[j].tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("field", [False, True], ids=["tilt", "field"])
+    @pytest.mark.parametrize("map_fixture", ["phi_linear", "phi_perturbed"])
+    def test_carried_rows_ride_the_pass_bitwise(self, request, tilt_E0, map_fixture, field, n):
+        # carried rows leave every sample's residual and growth bitwise those
+        # of a carry-free pass, and their bases are bitwise the depth-k_plane
+        # kernel's; the first sample and the first carried row cross the support
+        phi = request.getfixturevalue(map_fixture)
+        E0 = tilt_E0 if field else Plane2.spanned_by([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+        X = np.array([[0.3, 0.52, 0.45], [0.0, 0.0, 0.0], [0.21, 0.82, 0.43]])[:n]
+        S = np.concatenate([[[0.3, 0.55, 0.42]], np.random.default_rng(23).uniform(0, 1, (4, 3))])
+        k_max, k_plane = 5, 20
+        residual, growth, B = _splitting_pass(phi, X, k_max, E0, k_plane, 30, S)
+        alone, alone_growth, none = _splitting_pass(phi, X, k_max, E0, k_plane, 30)
+        assert none.shape == (3, 2, 0)
+        assert residual.tobytes() == alone.tobytes()
+        for g, a in zip(growth, alone_growth, strict=True):
+            assert (g.log_s1.tobytes(), g.log_s2.tobytes(), g.log_f.tobytes()) == (
+                a.log_s1.tobytes(),
+                a.log_s2.tobytes(),
+                a.log_f.tobytes(),
+            )
+        assert B.tobytes() == _pullback_bases(phi, S, E0, k_plane).tobytes()
 
 
 class TestSplittingSample:
@@ -569,12 +617,19 @@ class TestStackedReport:
             (p.tobytes(), r) for s in singles for p, r in s.excluded
         ]
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_one_pullback_for_the_samples_and_one_for_the_sweep(self, phi_linear, monkeypatch, n):
+    @pytest.mark.parametrize(
+        "n, map_fixture",
+        [pytest.param(n, "phi_linear", id=str(n)) for n in (1, 3)]
+        + [pytest.param(n, "phi_perturbed", id=f"perturbed-{n}") for n in (1, 3)],
+    )
+    def test_one_pullback_for_the_samples_and_one_for_the_sweep(self, request, monkeypatch, n, map_fixture):
         # the sample planes and the growth planes come from one forward pass
         # and one sweep over 3n rows (x deep, then x and phi(x)), and from no
         # _pullback_bases call: the counters stand in for the kernel's names
-        # in dynamics and for the ones splitting binds (or would bind)
+        # in dynamics and for the ones splitting binds (or would bind). The
+        # shear-free map with a constant E0 reads no record, so it walks no
+        # forward orbit
+        phi = request.getfixturevalue(map_fixture)
         calls = []
         planes, forward, sweep = dynamics._pullback_bases, dynamics._forward, dynamics._pull_back
 
@@ -595,9 +650,11 @@ class TestStackedReport:
             monkeypatch.setattr(module, "_forward", counting_forward)
             monkeypatch.setattr(module, "_pull_back", counting_sweep)
         pts = [np.zeros(3), np.array([0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.5])][:n]
-        rep = domination_report(phi_linear, pts, 5, k_plane=500, k_line=800)
-        assert len(rep.samples) == n
-        assert calls == [("forward", 3 * n), ("sweep", 3 * n)]
+        rep = domination_report(phi, pts, 5, k_plane=500, k_line=800)
+        # the perturbed map's third point lies in the support and is excluded
+        assert len(rep.samples) == (2 if phi.shear_stages() and n == 3 else n)
+        forward = [("forward", 3 * n)] if phi.shear_stages() else []
+        assert calls == forward + [("sweep", 3 * n)]
 
 
 class TestDominationReport:
